@@ -31,11 +31,8 @@ __all__ = [
     "Channel",
     "Isometry",
     "Dilation",
-    "kraus_to_choi",
-    "choi_to_kraus",
     "dilate",
     "random_dilation",
-    "contract",
     "compose",
     "random_channel",
     "channel_to_json",
@@ -131,14 +128,6 @@ class Channel:
         return f"Channel(d_in={self.d_in}, d_out={self.d_out}, rank={self.rank})"
 
 
-def kraus_to_choi(kraus, *, atol: float = ATOL) -> Channel:
-    return Channel.from_kraus(kraus, atol=atol)
-
-
-def choi_to_kraus(ch: Channel) -> tuple:
-    return ch.kraus
-
-
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """A matrix with orthonormal columns (d_out x d_in, d_out >= d_in)."""
@@ -230,10 +219,6 @@ def random_dilation(ch: Channel, r: int, rng: np.random.Generator) -> Dilation:
     u = haar_unitary(r, rng)
     v = np.kron(u, np.eye(ch.d_out)) @ base.matrix
     return Dilation(v, r, ch.d_out)
-
-
-def contract(dil: Dilation) -> Channel:
-    return dil.contract()
 
 
 def compose(after: Channel, before: Channel) -> Channel:

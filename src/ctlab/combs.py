@@ -17,6 +17,7 @@ import numpy as np
 from .channels import Channel, Dilation
 from .linalg import (
     FactorLayout,
+    hermitianize,
     min_eig,
     partial_trace,
     partial_transpose,
@@ -28,10 +29,15 @@ from .linalg import (
 )
 
 COMB_ATOL = 1e-8
+# Largest dense complex operator, in bytes, that a factored operator may be
+# expanded into (or factored from): 256 MiB, a 4096-wide matrix.
+DENSE_MAX_BYTES = 2**28
 
 __all__ = [
     "COMB_ATOL",
+    "DENSE_MAX_BYTES",
     "LabelledOperator",
+    "FactoredOperator",
     "identity_on",
     "link_product",
     "CombCheck",
@@ -134,6 +140,128 @@ class LabelledOperator:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.op))
+
+
+def _dense_guard(dim: int) -> None:
+    nbytes = 16 * dim * dim
+    if nbytes > DENSE_MAX_BYTES:
+        raise ValueError(
+            f"a dense {dim}x{dim} operator needs {nbytes} bytes, "
+            f"above the limit of {DENSE_MAX_BYTES}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """A Hermitian operator F diag(w) F^dag together with its factor layout.
+
+    factor is a dim x k matrix and weights holds k reals, so the operator
+    costs O(dim k) memory.  Partial traces move the traced index into the
+    columns, and the smallest eigenvalue comes from a k x k problem on the
+    span of the columns; the dense matrix is only built on request.
+    """
+
+    factor: np.ndarray
+    weights: np.ndarray
+    layout: FactorLayout
+
+    def __post_init__(self):
+        factor = np.array(self.factor, dtype=complex)
+        weights = np.array(self.weights, dtype=float)
+        if factor.ndim != 2 or weights.shape != (factor.shape[1],):
+            raise ValueError(
+                f"factor shape {factor.shape} does not match weights shape {weights.shape}"
+            )
+        if factor.shape[0] != self.layout.dim:
+            raise ValueError(
+                f"factor rows {factor.shape[0]} do not match layout dimension {self.layout.dim}"
+            )
+        factor.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def from_dense(cls, x: LabelledOperator) -> "FactoredOperator":
+        """Factor a dense Hermitian operator by its full eigendecomposition."""
+        _dense_guard(x.dim)
+        w, v = np.linalg.eigh(hermitianize(x.op))
+        return cls(v, w, x.layout)
+
+    @property
+    def labels(self) -> tuple:
+        return self.layout.labels
+
+    @property
+    def dim(self) -> int:
+        return self.layout.dim
+
+    @property
+    def op(self) -> np.ndarray:
+        _dense_guard(self.dim)
+        return (self.factor * self.weights) @ self.factor.conj().T
+
+    def scaled(self, factor: float) -> "FactoredOperator":
+        return FactoredOperator(self.factor, self.weights * float(factor), self.layout)
+
+    def _rows(self) -> np.ndarray:
+        return self.factor.reshape(self.layout.dims + (-1,))
+
+    def aligned_to(self, target) -> "FactoredOperator":
+        """Permute factors into the order of target (labels or a layout)."""
+        labels = target.labels if isinstance(target, FactorLayout) else tuple(target)
+        if set(labels) != set(self.labels) or len(labels) != len(self.labels):
+            raise ValueError("alignment target must carry the same labels")
+        if labels == self.labels:
+            return self
+        perm = self.layout.positions(labels) + [len(labels)]
+        f = self._rows().transpose(perm).reshape(self.dim, -1)
+        return FactoredOperator(f, self.weights, self.layout.restricted(labels))
+
+    def partial_trace(self, labels: Sequence) -> "FactoredOperator":
+        """Trace out labels by moving their index into the columns."""
+        labels = tuple(labels)
+        if not labels:
+            return self
+        kept = self.layout.without(labels)
+        traced = self.layout.positions(labels)
+        keep = [i for i in range(len(self.layout)) if i not in traced]
+        f = self._rows().transpose(keep + traced + [len(self.layout)]).reshape(kept.dim, -1)
+        return FactoredOperator(f, np.tile(self.weights, self.dim // kept.dim), kept)
+
+    def extended(self, target: FactorLayout) -> "FactoredOperator":
+        """Tensor with identity on the factors of target not already present."""
+        for lab in self.labels:
+            if lab not in target or target.dim_of(lab) != self.layout.dim_of(lab):
+                raise ValueError(f"label {lab!r} does not extend into the target")
+        missing = FactorLayout(tuple(f for f in target.factors if f[0] not in self.layout))
+        big = FactoredOperator(
+            np.kron(self.factor, np.eye(missing.dim)),
+            np.repeat(self.weights, missing.dim),
+            FactorLayout(self.layout.factors + missing.factors),
+        )
+        return big.aligned_to(target)
+
+    def minus(self, other: "FactoredOperator") -> "FactoredOperator":
+        """self - other, as the stacked factor [F_self | F_other]."""
+        other = other.aligned_to(self.layout)
+        if other.layout != self.layout:
+            raise ValueError("operands disagree on factor dimensions")
+        return FactoredOperator(
+            np.hstack([self.factor, other.factor]),
+            np.concatenate([self.weights, -other.weights]),
+            self.layout,
+        )
+
+    def min_eig(self) -> float:
+        """Smallest eigenvalue, from R diag(w) R^dag with F = QR.
+
+        F diag(w) F^dag has the eigenvalues of that min(k, dim)-wide matrix,
+        plus zeros when the k columns cannot span the whole space.
+        """
+        r = np.linalg.qr(self.factor, mode="r")
+        low = min_eig((r * self.weights) @ r.conj().T)
+        return min(low, 0.0) if self.factor.shape[1] < self.dim else low
 
 
 def identity_on(layout: FactorLayout) -> LabelledOperator:

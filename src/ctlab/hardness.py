@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .channels import Channel, Dilation, Isometry, channel_to_json
-from .combs import COMB_ATOL, CombCheck, LabelledOperator
-from .linalg import FactorLayout, haar_unitary, min_eig, trace_norm
+from .combs import COMB_ATOL, CombCheck, FactoredOperator, LabelledOperator
+from .linalg import FactorLayout, haar_unitary, trace_norm
 from .metrics import choi_trace_distance, diamond_distance
 
 __all__ = [
@@ -849,8 +849,13 @@ def _gamma_weight_vector(family: GammaFamily, weight: int, n: int) -> np.ndarray
     return total / math.sqrt(math.comb(n, weight))
 
 
-def gamma_vector(family: GammaFamily, index, n: int) -> LabelledOperator:
-    """|gamma><gamma| over n (output, input) factor pairs.
+def _span(vectors: list, weights, family: GammaFamily, level: int) -> FactoredOperator:
+    """sum_i weights[i] |v_i><v_i| over `level` (output, input) factor pairs."""
+    return FactoredOperator(np.stack(vectors, axis=1), weights, _gamma_layout(family, level))
+
+
+def gamma_vector(family: GammaFamily, index, n: int) -> FactoredOperator:
+    """|gamma><gamma| over n (output, input) factor pairs, as a rank-one factor.
 
     For a type1 family `index` is the subset of perturbed slots; for a
     type2 family it is the total perturbation weight (the vector is the
@@ -863,69 +868,64 @@ def gamma_vector(family: GammaFamily, index, n: int) -> LabelledOperator:
         vec = _gamma_product(family, subset, n)
     else:
         vec = _gamma_weight_vector(family, int(index), n)
-    return LabelledOperator(np.outer(vec, vec.conj()), _gamma_layout(family, n))
+    return _span([vec], [1.0], family, n)
+
+
+def _level_gap(current: FactoredOperator, reference: FactoredOperator, level: int) -> float:
+    """min_eig(reference kron I - tr_B(current)) for the output factor at `level`."""
+    traced = current.partial_trace([("B", level - 1)])
+    return reference.extended(traced.layout).minus(traced).min_eig()
 
 
 def _certify_type1(
-    op: LabelledOperator, family: GammaFamily, n: int, index, tol: float
+    op: FactoredOperator, family: GammaFamily, n: int, index, tol: float
 ) -> CombCheck:
     subset = None if index is None else frozenset(int(i) for i in index)
 
-    def reference(level: int) -> np.ndarray:
-        dim = (family.big_d * family.d) ** level
+    def reference(level: int) -> FactoredOperator:
         if subset is None:
-            total = np.zeros((dim, dim), dtype=complex)
-            for size in range(level + 1):
-                for chosen in combinations(range(level), size):
-                    v = _gamma_product(family, frozenset(chosen), level)
-                    total += np.outer(v, v.conj())
-            return total
-        v = _gamma_product(family, subset & set(range(level)), level)
-        return np.outer(v, v.conj())
+            chosen = [
+                frozenset(c) for size in range(level + 1) for c in combinations(range(level), size)
+            ]
+        else:
+            chosen = [subset & set(range(level))]
+        vectors = [_gamma_product(family, c, level) for c in chosen]
+        return _span(vectors, np.ones(len(vectors)), family, level)
 
     worst = 0.0
     current = op
     for level in range(n, 0, -1):
-        traced = current.partial_trace([("B", level - 1)])
-        rhs = np.kron(reference(level - 1), np.eye(family.d))
-        gap = min_eig(rhs - traced.op)
+        prev = reference(level - 1)
+        gap = _level_gap(current, prev, level)
         if gap < -tol:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))
-        if level > 1:
-            current = LabelledOperator(reference(level - 1), _gamma_layout(family, level - 1))
+        current = prev
     return CombCheck(True, None, worst)
 
 
 def _certify_type2(
-    op: LabelledOperator, family: GammaFamily, n: int, weight: int, tol: float
+    op: FactoredOperator, family: GammaFamily, n: int, weight: int, tol: float
 ) -> CombCheck:
+    _require(0 <= weight <= n, f"weight must lie in [0, {n}], got {weight}")
     worst = 0.0
 
-    def rhs_for(level: int, w: int) -> np.ndarray:
-        dim = (family.big_d * family.d) ** (level - 1)
-        total = np.zeros((dim * family.d, dim * family.d), dtype=complex)
-        c_stay = math.comb(level - 1, w) / math.comb(level, w) if w <= level - 1 else 0.0
-        if c_stay > 0:
-            prev = _gamma_weight_vector(family, w, level - 1)
-            total += c_stay * np.kron(np.outer(prev, prev.conj()), np.eye(family.d))
+    def reference(level: int, w: int) -> FactoredOperator:
+        vectors, weights = [], []
+        if w <= level - 1:
+            vectors.append(_gamma_weight_vector(family, w, level - 1))
+            weights.append(math.comb(level - 1, w) / math.comb(level, w))
         if w >= 1:
-            c_drop = math.comb(level - 1, w - 1) / math.comb(level, w)
-            prev = _gamma_weight_vector(family, w - 1, level - 1)
-            total += c_drop * np.kron(np.outer(prev, prev.conj()), np.eye(family.d))
-        return total
+            vectors.append(_gamma_weight_vector(family, w - 1, level - 1))
+            weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
+        return _span(vectors, weights, family, level - 1)
 
-    def check(level: int, w: int, matrix: np.ndarray, seen: set) -> CombCheck | None:
+    def check(level: int, w: int, current: FactoredOperator, seen: set) -> CombCheck | None:
         nonlocal worst
         if (level, w) in seen:
             return None
         seen.add((level, w))
-        layout = _gamma_layout(family, level)
-        traced = LabelledOperator(matrix, layout).partial_trace([("B", level - 1)])
-        if level == 1:
-            gap = min_eig(np.eye(family.d) - traced.op)
-        else:
-            gap = min_eig(rhs_for(level, w) - traced.op)
+        gap = _level_gap(current, reference(level, w), level)
         if gap < -tol:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))
@@ -934,19 +934,23 @@ def _certify_type2(
                 if w_next > level - 1:
                     continue
                 v = _gamma_weight_vector(family, w_next, level - 1)
-                result = check(level - 1, w_next, np.outer(v, v.conj()), seen)
+                result = check(level - 1, w_next, _span([v], [1.0], family, level - 1), seen)
                 if result is not None:
                     return result
         return None
 
-    failure = check(n, weight, op.op, set())
+    failure = check(n, weight, op, set())
     if failure is not None:
         return failure
     return CombCheck(True, None, worst)
 
 
 def certify_gamma_comb(
-    op: LabelledOperator, family: GammaFamily, n: int, index=None, tol: float = COMB_ATOL
+    op: FactoredOperator | LabelledOperator,
+    family: GammaFamily,
+    n: int,
+    index=None,
+    tol: float = COMB_ATOL,
 ) -> CombCheck:
     """Run the recursive partial-trace certificate on a gamma operator.
 
@@ -956,6 +960,11 @@ def certify_gamma_comb(
     (for type2 families, the binomially weighted mixture of the two
     adjacent weights).  `index` selects the branch: a subset for type1
     (None certifies against the full family sum), the weight for type2.
+
+    Every level is an eigenproblem on the span of the factor columns, not
+    on a dense matrix.  A `gamma_vector` operator has one column, so the
+    span stays a few dozen wide at any dimension; a dense input is factored
+    once by its full eigendecomposition.
     """
     _gamma_budget(family, n)
     expected = _gamma_layout(family, n)
@@ -963,8 +972,10 @@ def certify_gamma_comb(
         set(op.layout.labels) == set(expected.labels),
         "operator labels do not match the gamma factor layout",
     )
+    if isinstance(op, LabelledOperator):
+        op = FactoredOperator.from_dense(op)
     op = op.aligned_to(expected)
-    gap = min_eig(op.op)
+    gap = op.min_eig()
     if gap < -tol:
         return CombCheck(False, -1, float(-gap))
     if family.kind == "type1":

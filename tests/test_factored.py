@@ -1,0 +1,265 @@
+"""Factored operators F diag(w) F^dag against their dense counterparts.
+
+Property tests draw random factored operators and compare every operation
+with the dense linalg result; a dense reference certificate (small
+dimensions only) checks the factored gamma comb certificate level by level.
+"""
+
+import math
+import time
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctlab import combs
+from ctlab.combs import COMB_ATOL, FactoredOperator, LabelledOperator
+from ctlab.hardness import (
+    certify_gamma_comb,
+    gamma_vector,
+    type1_gamma_family,
+    type2_gamma_family,
+)
+from ctlab.linalg import FactorLayout, min_eig, partial_trace, permute_factors
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def factored_operators(draw, max_dim=64):
+    """A random F diag(w) F^dag on 1-3 labelled factors, dim <= max_dim."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    while math.prod(dims) > max_dim:
+        dims.pop()
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = math.prod(dims)
+    f = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    f /= np.linalg.norm(f, axis=0)
+    w = rng.uniform(-1.0, 1.0, k)
+    layout = FactorLayout(tuple((("X", j), d) for j, d in enumerate(dims)))
+    return FactoredOperator(f, w, layout)
+
+
+def _dense(f, w):
+    return (f * w) @ f.conj().T
+
+
+@PROPERTY_SETTINGS
+@given(factored_operators(), st.data())
+def test_partial_trace_matches_dense(x, data):
+    traced = data.draw(st.lists(st.sampled_from(x.labels), unique=True))
+    got = x.partial_trace(traced)
+    assert got.labels == x.layout.without(traced).labels
+    want = partial_trace(x.op, x.layout, traced)
+    assert np.abs(got.op - want).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(factored_operators(), st.data())
+def test_aligned_to_matches_dense(x, data):
+    order = data.draw(st.permutations(x.labels))
+    got = x.aligned_to(order)
+    assert got.labels == tuple(order)
+    want = permute_factors(x.op, x.layout, order)
+    assert np.abs(got.op - want).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(factored_operators(), st.floats(-3.0, 3.0))
+def test_scaled_matches_dense(x, s):
+    assert np.abs(x.scaled(s).op - s * x.op).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(factored_operators())
+def test_min_eig_matches_dense(x):
+    assert abs(x.min_eig() - min_eig(x.op)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(factored_operators(max_dim=16), factored_operators(max_dim=16))
+def test_minus_and_extended_match_dense(x, y):
+    y = FactoredOperator(y.factor, y.weights, FactorLayout((("Y", y.dim),)))
+    target = FactorLayout(x.layout.factors + y.layout.factors)
+    big = x.extended(target)
+    assert np.abs(big.op - np.kron(x.op, np.eye(y.dim))).max() < 1e-12
+    other = y.extended(FactorLayout(y.layout.factors + x.layout.factors))
+    want = np.kron(x.op, np.eye(y.dim)) - np.kron(y.op, np.eye(x.dim)).reshape(
+        y.dim, x.dim, y.dim, x.dim
+    ).transpose(1, 0, 3, 2).reshape(target.dim, target.dim)
+    assert np.abs(big.minus(other).op - want).max() < 1e-12
+
+
+def test_from_dense_round_trip():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = m + m.conj().T
+    x = FactoredOperator.from_dense(LabelledOperator(m, ((("A", 0), 2), (("B", 0), 3))))
+    assert x.labels == (("A", 0), ("B", 0))
+    assert np.abs(x.op - m).max() < 1e-12
+    assert abs(x.min_eig() - min_eig(m)) < 1e-12
+
+
+def test_shape_guards():
+    layout = FactorLayout(((("A", 0), 2),))
+    with pytest.raises(ValueError):
+        FactoredOperator(np.ones((3, 1)), [1.0], layout)
+    with pytest.raises(ValueError):
+        FactoredOperator(np.ones((2, 2)), [1.0], layout)
+    x = FactoredOperator(np.ones((2, 1)), [1.0], layout)
+    y = FactoredOperator(np.ones((3, 1)), [1.0], FactorLayout(((("A", 0), 3),)))
+    with pytest.raises(ValueError):
+        x.minus(y)
+    with pytest.raises(ValueError):
+        x.aligned_to([("B", 0)])
+
+
+# ---------------------------------------------------------------------------
+# Byte guard on dense materialisation
+# ---------------------------------------------------------------------------
+
+
+def test_largest_budgeted_gamma_operator_stays_factored():
+    # (8 * 4)^3 = 2^15 is the largest dimension the gamma budget admits; its
+    # dense form would take 16 GiB
+    fam = type2_gamma_family(4, 8, 0.3)
+    start = time.perf_counter()
+    op = gamma_vector(fam, 1, 3)
+    accepted = certify_gamma_comb(op, fam, 3, index=1)
+    rejected = certify_gamma_comb(op.scaled(1.5), fam, 3, index=1)
+    elapsed = time.perf_counter() - start
+    assert accepted.ok and accepted.defect <= 1e-8
+    assert not rejected.ok and rejected.failed_level == 3
+    assert op.dim == 2**15 and op.factor.shape == (2**15, 1)
+    assert elapsed < 1.0
+    with pytest.raises(ValueError, match="bytes"):
+        op.op
+
+
+def test_dense_input_is_guarded(monkeypatch):
+    fam = type2_gamma_family(2, 3, 0.2)
+    op = gamma_vector(fam, 1, 2)
+    dense = LabelledOperator(op.op, op.layout)
+    assert certify_gamma_comb(dense, fam, 2, index=1)
+    monkeypatch.setattr(combs, "DENSE_MAX_BYTES", 16 * 35 * 35)
+    with pytest.raises(ValueError, match="bytes"):
+        certify_gamma_comb(dense, fam, 2, index=1)
+    with pytest.raises(ValueError, match="bytes"):
+        op.op
+
+
+# ---------------------------------------------------------------------------
+# Dense reference certificate
+# ---------------------------------------------------------------------------
+
+
+def _product(family, subset, level):
+    v = np.ones(1, dtype=complex)
+    for j in range(level):
+        v = np.kron(v, family.g1 if j in subset else family.g0)
+    return v
+
+
+def _weight_vector(family, w, level):
+    total = sum(_product(family, set(c), level) for c in combinations(range(level), w))
+    return total / math.sqrt(math.comb(level, w))
+
+
+def _outer(v):
+    return np.outer(v, v.conj())
+
+
+def _gap(family, current, reference, level):
+    """min_eig(reference kron I_d - tr_{B_level-1}(current)), all dense."""
+    dims = (family.big_d, family.d) * level
+    traced = partial_trace(current, dims, (2 * level - 2,))
+    return min_eig(np.kron(reference, np.eye(family.d)) - traced)
+
+
+def dense_certificate(op, family, n, index, tol=COMB_ATOL):
+    """(ok, failed_level, defect) of the comb recursion on dense matrices."""
+    assert op.shape[0] <= 200
+    gap = min_eig(op)
+    if gap < -tol:
+        return False, -1, -gap
+    worst = 0.0
+    if family.kind == "type1":
+        current = op
+        for level in range(n, 0, -1):
+            if index is None:
+                chosen = [set(c) for s in range(level) for c in combinations(range(level - 1), s)]
+            else:
+                chosen = [set(index) & set(range(level - 1))]
+            reference = sum(_outer(_product(family, c, level - 1)) for c in chosen)
+            gap = _gap(family, current, reference, level)
+            if gap < -tol:
+                return False, level, -gap
+            worst = max(worst, -gap)
+            current = reference
+        return True, None, worst
+
+    seen = set()
+
+    def check(level, w, current):
+        nonlocal worst
+        if (level, w) in seen:
+            return None
+        seen.add((level, w))
+        reference = 0.0
+        if w <= level - 1:
+            reference = reference + math.comb(level - 1, w) / math.comb(level, w) * _outer(
+                _weight_vector(family, w, level - 1)
+            )
+        if w >= 1:
+            reference = reference + math.comb(level - 1, w - 1) / math.comb(level, w) * _outer(
+                _weight_vector(family, w - 1, level - 1)
+            )
+        gap = _gap(family, current, reference, level)
+        if gap < -tol:
+            return False, level, -gap
+        worst = max(worst, -gap)
+        for w_next in [w, w - 1] if w >= 1 else [w]:
+            if 1 <= level - 1 and w_next <= level - 1:
+                failure = check(level - 1, w_next, _outer(_weight_vector(family, w_next, level - 1)))
+                if failure is not None:
+                    return failure
+        return None
+
+    failure = check(n, index, op)
+    return failure if failure is not None else (True, None, worst)
+
+
+@st.composite
+def gamma_cases(draw):
+    kind = draw(st.sampled_from(["type1", "type2"]))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2 if kind == "type1" else 1, 3))
+    lo = d if kind == "type1" else d + 1
+    big_d = draw(st.integers(lo, lo + 3))
+    if (big_d * d) ** n > 200:
+        n = 1
+    eps = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    if kind == "type1":
+        family = type1_gamma_family(d, big_d, eps)
+        index = frozenset(draw(st.sets(st.integers(0, n - 1))))
+        cert_index = draw(st.sampled_from([index, None]))
+    else:
+        family = type2_gamma_family(d, big_d, eps)
+        index = cert_index = draw(st.integers(0, n))
+    scale = draw(st.sampled_from([1.0, 1.5, -1.0, 0.7]))
+    return family, n, index, cert_index, scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gamma_cases())
+def test_certificate_matches_dense_reference(case):
+    family, n, index, cert_index, scale = case
+    op = gamma_vector(family, index, n).scaled(scale)
+    got = certify_gamma_comb(op, family, n, index=cert_index)
+    ok, level, defect = dense_certificate(op.op, family, n, cert_index)
+    assert (got.ok, got.failed_level) == (ok, level)
+    assert abs(got.defect - defect) <= 1e-12

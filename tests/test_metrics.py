@@ -62,6 +62,20 @@ def test_channel_fidelity_unitary_overlap():
     assert abs(got - want) < 1e-8
 
 
+def test_channel_fidelity_exact_on_pure_choi_states():
+    # rank-1 Choi states: F = tr(rho sigma) exactly, and Fuchs-van de Graaf
+    # holds with equality, so the 1e-9 slack of `ctlab distances` must hold
+    rng = np.random.default_rng(11)
+    for d_in, d_out in [(2, 2), (2, 3), (3, 3)]:
+        for _ in range(25):
+            a = random_channel(d_in, d_out, 1, rng)
+            b = random_channel(d_in, d_out, 1, rng)
+            exact = float(np.trace(a.choi @ b.choi).real) / d_in**2
+            f = channel_fidelity(a, b)
+            assert abs(f - exact) < 1e-12
+            assert choi_trace_distance(a, b) <= fidelity_trace_conversion(f) + 1e-9
+
+
 def test_fidelity_trace_conversion():
     assert fidelity_trace_conversion(1.0) == 0.0
     assert abs(fidelity_trace_conversion(0.0) - 2.0) < 1e-14
