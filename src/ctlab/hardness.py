@@ -249,22 +249,35 @@ class HardInstance:
         return tuple(src[np.arange(self.d2) * self.r + i, :] for i in range(self.r))
 
 
+def _damped_diagonal(rows: int, cols: int, count: int, damped: int, eps: float) -> np.ndarray:
+    """Center with a unit diagonal on its first count entries, the first
+    damped of them scaled by sqrt(1 - eps^2)."""
+    damp = math.sqrt(1.0 - eps * eps)
+    v0 = np.zeros((rows, cols), dtype=complex)
+    for i in range(count):
+        v0[i, i] = damp if i < damped else 1.0
+    return v0
+
+
+def _plus_minus_i_diagonal(rows: int, cols: int, dp: int) -> np.ndarray:
+    """Anti-Hermitian direction diag(i, ..., i, -i, ..., -i) on the first dp
+    (even) diagonal entries, zero elsewhere."""
+    delta = np.zeros((rows, cols), dtype=complex)
+    for i in range(dp):
+        delta[i, i] = 1j if i < dp // 2 else -1j
+    return delta
+
+
 def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarray) -> HardInstance:
     params = _regime_params(regime, d1, d2, r)
     eps = _check_eps(eps)
     big = r * d2
-    damp = math.sqrt(1.0 - eps * eps)
-    v0 = np.zeros((big, d1), dtype=complex)
-    delta = np.zeros((big, d1), dtype=complex)
     m = params["m"]
     base = params["base"]
     if regime == Regime.TYPE1:
         dp = params["dp"]
-        half = d1 // 2
-        for i in range(d1):
-            v0[i, i] = damp if i < dp else 1.0
-        for i in range(dp):
-            delta[i, i] = 1j if i < half else -1j
+        v0 = _damped_diagonal(big, d1, d1, dp, eps)
+        delta = _plus_minus_i_diagonal(big, d1, dp)
         rot = np.zeros((big, d1), dtype=complex)
         rot[:dp, :dp] = u @ delta[:dp, :dp] @ u.conj().T
         direction = rot
@@ -273,20 +286,21 @@ def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarra
         if regime == Regime.TYPE2_NEAR:
             eta = params["eta"]
             nfull = r * (d2 - 1)
-            for a in range(nfull):
-                v0[a, a] = damp if a < m else 1.0
+            v0 = _damped_diagonal(big, d1, nfull, m, eps)
             v0_core = v0.copy()
             for t in range(eta):
                 v0[big - eta + t, nfull + t] = 1.0
         elif regime == Regime.TYPE2_MID:
-            for a in range(d1):
-                v0[a, a] = damp if a < m else 1.0
+            v0 = _damped_diagonal(big, d1, d1, m, eps)
             v0_core = v0
         else:
             chi = params["chi"]
+            damp = math.sqrt(1.0 - eps * eps)
+            v0 = np.zeros((big, d1), dtype=complex)
             for i, k in enumerate(kraus_partition(d1, chi, r)):
                 v0[np.arange(chi) * r + i, :] = damp * k
             v0_core = v0
+        delta = np.zeros((big, d1), dtype=complex)
         for t in range(m):
             delta[base + t, t] = 1.0
         direction = np.zeros((big, d1), dtype=complex)
@@ -387,10 +401,7 @@ def diamond_cross_statistic(x: HardInstance, y: HardInstance) -> np.ndarray:
     )
     params = _regime_params(x.regime, x.d1, x.d2, x.r)
     m_diam = params["m_diam"]
-    w0 = np.zeros((x.r * x.d2, x.d1), dtype=complex)
-    damp = math.sqrt(1.0 - x.eps * x.eps)
-    for t in range(m_diam):
-        w0[t, t] = damp
+    w0 = _damped_diagonal(x.r * x.d2, x.d1, m_diam, m_diam, x.eps)
     diff = x.direction - y.direction
     return _tr_anc_outer(w0, diff, x.d2, x.r) / m_diam
 
@@ -788,13 +799,8 @@ def type1_gamma_family(d: int, big_d: int, eps: float) -> GammaFamily:
     eps = float(eps)
     _require(0.0 <= eps <= 1.0, f"eps must lie in [0, 1], got {eps}")
     dp = 2 * (d // 2)
-    half = d // 2
-    v0 = np.zeros((big_d, d), dtype=complex)
-    for i in range(d):
-        v0[i, i] = math.sqrt(1.0 - eps * eps) if i < dp else 1.0
-    delta = np.zeros((big_d, d), dtype=complex)
-    for i in range(dp):
-        delta[i, i] = 1j if i < half else -1j
+    v0 = _damped_diagonal(big_d, d, d, dp, eps)
+    delta = _plus_minus_i_diagonal(big_d, d, dp)
     return GammaFamily(
         kind="type1", d=d, big_d=big_d, eps=eps, g0=v0.reshape(-1), g1=eps * delta.reshape(-1)
     )
@@ -807,9 +813,7 @@ def type2_gamma_family(d: int, big_d: int, eps: float) -> GammaFamily:
     eps = float(eps)
     _require(0.0 <= eps <= 1.0, f"eps must lie in [0, 1], got {eps}")
     dp = min(d, big_d - d)
-    v0 = np.zeros((big_d, d), dtype=complex)
-    for i in range(d):
-        v0[i, i] = math.sqrt(1.0 - eps * eps) if i < dp else 1.0
+    v0 = _damped_diagonal(big_d, d, d, dp, eps)
     delta = np.zeros((big_d, d), dtype=complex)
     for i in range(dp):
         delta[d + i, i] = 1.0

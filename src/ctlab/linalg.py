@@ -23,8 +23,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import _accel
-
 ATOL = 1e-9
 RANK_RTOL = 1e-10
 
@@ -321,32 +319,37 @@ def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR with the diagonal phase correction."""
-    g = random_gaussian_matrix(d, d, rng)
+def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR g = QR, with column phases making diag(R) positive.
+
+    Takes one matrix or a stack (the diagonal runs over the last two axes).
+    For a complex Ginibre g the result is Haar distributed: U = Q diag(r_jj /
+    |r_jj|) removes the phase ambiguity of QR (Mezzadri,
+    arXiv:math-ph/0609050).
+    """
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(diag)
     ph = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * ph[None, :]
+    return q * ph[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR with the diagonal phase correction."""
+    return _phase_corrected_qr(random_gaussian_matrix(d, d, rng))
 
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of Haar unitaries, shape (count, d, d)."""
     g = random_gaussian_matrix(count * d, d, rng).reshape(count, d, d)
-    return _accel.haar_batch(g)
+    return _phase_corrected_qr(g)
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random isometry (rows >= cols) with orthonormal columns."""
     if rows < cols:
         raise ValueError("an isometry needs rows >= cols")
-    g = random_gaussian_matrix(rows, cols, rng)
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    absd = np.abs(diag)
-    ph = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * ph[None, :]
+    return _phase_corrected_qr(random_gaussian_matrix(rows, cols, rng))
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _accel
 from .linalg import (
     RANK_RTOL,
     _resolve,
@@ -183,9 +182,11 @@ def mc_fourth_moment_trace(
     us = np.ascontiguousarray(unitaries, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (d, d):
         raise ValueError("unitary batch shape does not match the operators")
-    # the kernel evaluates tr(U x1 U^dag y1 U x2 U^dag y2) with (x, y) in the
-    # roles (second, first) of our signature, hence the swapped arguments
-    vals = _accel.fourth_moment_values(us, b1, a1, b2, a2)
+    ud = us.conj().transpose(0, 2, 1)
+    x1 = us @ a1 @ ud
+    x2 = us @ a2 @ ud
+    del ud  # one fewer batch-sized array alive during the product chain
+    vals = np.einsum("bii->b", x1 @ b1 @ x2 @ b2)
     n = vals.size
     mean = complex(vals.mean())
     if n > 1:

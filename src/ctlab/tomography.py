@@ -185,6 +185,25 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray) -> float:
     return min(min(values), f1, f2)
 
 
+def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -> tuple:
+    """Two weak runs (plain target, target @ DFT) with per-column noise
+    eps_max = eps^2 / 64, aligned into one estimate.
+
+    Returns (estimate, queries charged, phase-minimized operator error).
+    """
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    cfg = PureStateOracleConfig(eps_max=eps * eps / 64.0, c_q=1.0)
+    d1 = target.d_in
+    vhat1 = weak_isometry_tomography(target, cfg, rng)
+    rotated = Isometry(target.matrix @ dft_matrix(d1))
+    vhat2 = weak_isometry_tomography(rotated, cfg, rng)
+    estimate = align_phases(vhat1, vhat2, d1)
+    queries = 2 * d1 * cfg.copies_charged(target.d_out)
+    return estimate, queries, min_phase_op_error(target.matrix, estimate.matrix)
+
+
 def isometry_tomography(
     target: Isometry,
     eps: float,
@@ -200,19 +219,9 @@ def isometry_tomography(
     verifies the result.  The success guarantee is derived for eps <= 1/8;
     larger values (up to 1) run the same procedure with extra slack.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    cfg = PureStateOracleConfig(eps_max=eps * eps / 64.0, c_q=1.0)
-    d1 = target.d_in
-    vhat1 = weak_isometry_tomography(target, cfg, rng)
-    rotated = Isometry(target.matrix @ dft_matrix(d1))
-    vhat2 = weak_isometry_tomography(rotated, cfg, rng)
-    estimate = align_phases(vhat1, vhat2, d1)
-    queries = 2 * d1 * cfg.copies_charged(target.d_out)
-    op_error = min_phase_op_error(target.matrix, estimate.matrix)
+    estimate, queries, op_error = _estimate_isometry(target, eps, rng)
     est_channel = estimate.channel()
     true_channel = target.channel()
     choi_error = choi_trace_distance(est_channel, true_channel)
@@ -223,7 +232,7 @@ def isometry_tomography(
         op_error=op_error,
         choi_error=choi_error,
         diamond_interval=(interval.lower, interval.upper),
-        success=2.0 * op_error <= eps,
+        success=2.0 * op_error <= float(eps),
         seed=seed,
     )
 
@@ -249,16 +258,14 @@ def channel_tomography(
     if rng is None:
         rng = np.random.default_rng(seed)
     dil = dilate(target, r)
-    iso = Isometry(dil.matrix)
-    inner = isometry_tomography(iso, eps, rng, diamond_restarts=diamond_restarts)
-    est_iso = inner.estimate
+    est_iso, queries, op_error = _estimate_isometry(Isometry(dil.matrix), eps, rng)
     est_channel = Dilation(est_iso.matrix, r, target.d_out).contract()
     choi_error = choi_trace_distance(est_channel, target)
     interval = diamond_distance(est_channel, target, restarts=diamond_restarts, rng=rng)
     return TomographyReport(
         estimate=est_channel,
-        queries_charged=inner.queries_charged,
-        op_error=inner.op_error,
+        queries_charged=queries,
+        op_error=op_error,
         choi_error=choi_error,
         diamond_interval=(interval.lower, interval.upper),
         success=choi_error <= eps,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlab.channels import (
     Channel,
@@ -98,6 +100,31 @@ def test_kraus_choi_round_trip(d_in, d_out, rank):
     ch = random_channel(d_in, d_out, rank, rng)
     back = Channel.from_kraus(ch.kraus)
     assert np.abs(back.choi - ch.choi).max() < 1e-10
+
+
+@st.composite
+def _channels(draw):
+    d_in = draw(st.integers(1, 3))
+    d_out = draw(st.integers(1, 3))
+    rank = draw(st.integers(-(-d_in // d_out), d_in * d_out))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_channel(d_in, d_out, rank, rng), rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_channels(), st.integers(0, 2))
+def test_choi_kraus_dilation_round_trips(case, pad):
+    ch, rng = case
+    kraus = ch.kraus
+    assert np.abs(Channel.from_kraus(kraus).choi - ch.choi).max() < 1e-10
+    dil = dilate(ch, ch.rank + pad)
+    assert len(dil.kraus_blocks()) == ch.rank + pad
+    for got, want in zip(dil.kraus_blocks(), kraus):
+        assert np.abs(got - want).max() == 0
+    assert np.abs(Channel.from_kraus(dil.kraus_blocks()).choi - ch.choi).max() < 1e-10
+    assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
+    other = random_dilation(ch, ch.rank + pad, rng)
+    assert np.abs(other.contract().choi - ch.choi).max() < 1e-10
 
 
 def test_canonical_kraus_orthogonal():

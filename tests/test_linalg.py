@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlab.linalg import (
     ATOL,
     FactorLayout,
+    _phase_corrected_qr,
     dag,
     dft_matrix,
     haar_unitaries,
@@ -309,6 +312,29 @@ def test_haar_first_moment_twirl():
     us = haar_unitaries(d, 4000, rng)
     acc = np.einsum("sij,skj->ik", us[:, :, :1], us[:, :, :1].conj()) / us.shape[0]
     assert np.abs(acc - np.eye(d) / d).max() < 0.02
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.one_of(st.just(()), st.tuples(st.integers(1, 4))),
+    st.integers(0, 2**32 - 1),
+)
+def test_phase_corrected_qr_properties(rows, cols, stack, seed):
+    rows, cols = max(rows, cols), min(rows, cols)
+    rng = np.random.default_rng(seed)
+    shape = stack + (rows, cols)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    q = _phase_corrected_qr(g)
+    assert q.shape == shape
+    qd = np.conj(np.swapaxes(q, -1, -2))
+    assert np.abs(qd @ q - np.eye(cols)).max() < 1e-12
+    r = qd @ g
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-12
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.abs(diag.imag).max() < 1e-12
+    assert diag.real.min() > 0
 
 
 def test_random_isometry():

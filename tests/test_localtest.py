@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ctlab import combs
-from ctlab.channels import Channel, dilate, random_channel
+from ctlab.channels import Channel, Dilation, dilate, random_channel
 from ctlab.combs import LabelledOperator, apply_tester, random_parallel_tester
-from ctlab.linalg import haar_unitary
+from ctlab.linalg import haar_unitaries, haar_unitary
 from ctlab.localtest import (
     PERP_LABEL,
     LocalizedTester,
@@ -178,3 +178,20 @@ def test_verify_dilation_identity_low_rank_channel():
     ch = random_channel(2, 2, 1, rng)
     check = verify_dilation_identity(t, ch, samples=3000, rng=rng)
     assert check.ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dilation_average_matches_direct_evaluation(n):
+    # route (c) is the mean of <v|T|v> over the drawn dilations, i.e. of the
+    # raw tester's probabilities on each (U kron 1) V
+    rng = np.random.default_rng(13 + n)
+    t = random_parallel_tester(n, 2, 2, 3, rng, anc_dim=2)
+    ch = random_channel(2, 2, 2, rng)
+    check = verify_dilation_identity(t, ch, samples=64, rng=np.random.default_rng(5))
+    base = dilate(ch, 2)
+    us = haar_unitaries(2, 64, np.random.default_rng(5))
+    direct = np.mean(
+        [apply_tester(t, Dilation(np.kron(u, np.eye(2)) @ base.matrix, 2, 2)) for u in us],
+        axis=0,
+    )
+    assert np.abs(check.mc_mean - direct).max() < 1e-10

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlab.linalg import dag, haar_unitaries, random_pure_state, swap_operator
 from ctlab.moments import (
@@ -101,6 +103,30 @@ def test_twirl2_idempotent():
     assert np.abs(twirl2(once, (2, 2, 2), (0, 2)) - once).max() < 1e-11
 
 
+@st.composite
+def _twirl_inputs(draw):
+    """A random Hermitian operator on 2-3 factors with a repeated dimension
+    at two distinct target positions."""
+    d = draw(st.integers(1, 3))
+    extra = draw(st.lists(st.integers(1, 3), max_size=1))
+    dims = [d, d] + extra
+    order = draw(st.permutations(range(len(dims))))
+    dims = tuple(dims[k] for k in order)
+    targets = (order.index(0), order.index(1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _herm(int(np.prod(dims)), rng), dims, targets
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_twirl_inputs())
+def test_twirls_are_idempotent(case):
+    m, dims, targets = case
+    once1 = twirl1(m, dims, targets[0])
+    assert np.abs(twirl1(once1, dims, targets[0]) - once1).max() < 1e-12
+    once2 = twirl2(m, dims, targets)
+    assert np.abs(twirl2(once2, dims, targets) - once2).max() < 1e-11
+
+
 def test_twirl2_monte_carlo():
     rng = np.random.default_rng(6)
     d = 2
@@ -161,6 +187,18 @@ def test_fourth_moment_monte_carlo(d):
         est = mc_fourth_moment_trace(*ops, unitaries=us)
         assert abs(est.mean.real - exact.real) <= 5 * est.stderr_real
         assert abs(est.mean.imag - exact.imag) <= 5 * est.stderr_imag
+
+
+def test_mc_fourth_moment_mean_matches_direct_traces():
+    rng = np.random.default_rng(2)
+    us = haar_unitaries(3, 16, rng)
+    a1, b1, a2, b2 = (
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)
+    )
+    est = mc_fourth_moment_trace(a1, b1, a2, b2, unitaries=us)
+    want = np.mean([np.trace(u @ a1 @ dag(u) @ b1 @ u @ a2 @ dag(u) @ b2) for u in us])
+    assert abs(est.mean - want) < 1e-10
+    assert est.n_samples == 16
 
 
 def test_mc_fourth_moment_requires_source():

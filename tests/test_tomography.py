@@ -202,3 +202,22 @@ def test_channel_tomography_padded_ancilla():
     rep = channel_tomography(ch, 3, 0.4, seed=2)
     assert rep.success
     assert rep.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
+
+
+def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
+    from ctlab import tomography
+
+    calls = []
+    real = tomography.diamond_distance
+
+    def counting(a, b, **kwargs):
+        calls.append(b)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(tomography, "diamond_distance", counting)
+    rng = np.random.default_rng(47)
+    ch = random_channel(2, 2, 2, rng)
+    rep = channel_tomography(ch, 2, 0.3, seed=6)
+    assert calls == [ch]
+    lower, upper = rep.diamond_interval
+    assert rep.choi_error <= lower + 1e-9 and lower <= upper + 1e-9
