@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
+"""Batched kernels: whole stacks of matrices handled in one numpy call."""
 
 import numpy as np
-import pytest
 
-from ctlab import _accel
-
-_NUMBA_ACTIVE = _accel.active_path() == "numba"
+from ctlab.linalg import _phase_corrected_qr
 
 
 def _gaussian_batch(rng, count, d):
@@ -15,69 +10,10 @@ def _gaussian_batch(rng, count, d):
     return np.ascontiguousarray(g / np.sqrt(2.0))
 
 
-def test_active_path_reports_a_known_backend():
-    assert _accel.active_path() in ("numba", "numpy")
-
-
 def test_haar_batch_outputs_unitaries():
     rng = np.random.default_rng(0)
-    us = _accel.haar_batch(_gaussian_batch(rng, 64, 3))
+    us = _phase_corrected_qr(_gaussian_batch(rng, 64, 3))
+    assert us.shape == (64, 3, 3)
     eye = np.eye(3)
     for u in us:
         assert np.abs(u.conj().T @ u - eye).max() < 1e-10
-
-
-def test_quad_form_matches_direct_evaluation():
-    rng = np.random.default_rng(1)
-    vecs = np.ascontiguousarray(rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5)))
-    t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    got = _accel.quad_form_batch(vecs, t)
-    want = np.array([v.conj() @ t @ v for v in vecs])
-    assert np.abs(got - want).max() < 1e-10
-
-
-def test_fourth_moment_values_match_direct_evaluation():
-    rng = np.random.default_rng(2)
-    us = _accel.haar_batch(_gaussian_batch(rng, 16, 3))
-    a1, b1, a2, b2 = (
-        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)
-    )
-    got = _accel.fourth_moment_values(us, a1, b1, a2, b2)
-    want = np.array(
-        [np.trace(u @ b1 @ u.conj().T @ a1 @ u @ b2 @ u.conj().T @ a2) for u in us]
-    )
-    assert np.abs(got - want).max() < 1e-10
-
-
-@pytest.mark.skipif(not _NUMBA_ACTIVE, reason="numba path not active")
-def test_numba_and_numpy_twins_agree():
-    rng = np.random.default_rng(3)
-    g = _gaussian_batch(rng, 128, 4)
-    assert np.abs(_accel._haar_batch_nb(g) - _accel._haar_batch_np(g)).max() < 1e-10
-
-    us = _accel._haar_batch_np(g)
-    mats = [
-        np.ascontiguousarray(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        for _ in range(4)
-    ]
-    nb = _accel._fourth_moment_values_nb(us, *mats)
-    np_ = _accel._fourth_moment_values_np(us, *mats)
-    assert np.abs(nb - np_).max() < 1e-10
-
-    vecs = np.ascontiguousarray(
-        rng.standard_normal((128, 16)) + 1j * rng.standard_normal((128, 16))
-    )
-    t = np.ascontiguousarray(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    assert np.abs(_accel._quad_form_batch_nb(vecs, t) - _accel._quad_form_batch_np(vecs, t)).max() < 1e-10
-
-
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ, CTL_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from ctlab import _accel; print(_accel.active_path())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
