@@ -33,11 +33,9 @@ __all__ = [
     "Dilation",
     "dilate",
     "random_dilation",
-    "compose",
     "random_channel",
     "channel_to_json",
     "channel_from_json",
-    "dilation_connecting_unitary",
 ]
 
 
@@ -221,14 +219,6 @@ def random_dilation(ch: Channel, r: int, rng: np.random.Generator) -> Dilation:
     return Dilation(v, r, ch.d_out)
 
 
-def compose(after: Channel, before: Channel) -> Channel:
-    """Channel composition after(before(rho)) via Kraus products."""
-    if before.d_out != after.d_in:
-        raise ValueError("dimension mismatch in composition")
-    ops = [a @ b for a in after.kraus for b in before.kraus]
-    return Channel.from_kraus(ops)
-
-
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
     """Random channel of Kraus rank <= rank (generically exactly rank)."""
     from .linalg import psd_inv_sqrt, random_gaussian_matrix
@@ -271,22 +261,3 @@ def channel_from_json(text: str) -> Channel:
     re = np.array(data["choi_re"], dtype=float).reshape(n, n)
     im = np.array(data["choi_im"], dtype=float).reshape(n, n)
     return Channel(re + 1j * im, d_in, d_out)
-
-
-def dilation_connecting_unitary(a: Dilation, b: Dilation) -> np.ndarray:
-    """Best-fit ancilla unitary W with (W kron I) a ~= b (polar of the block Gram).
-
-    For two dilations of the same channel with equal ancilla dimension the fit
-    is exact up to numerics.
-    """
-    if a.anc_dim != b.anc_dim or a.d_out != b.d_out or a.d_in != b.d_in:
-        raise ValueError("dilations are not comparable")
-    ea = a.kraus_blocks()
-    eb = b.kraus_blocks()
-    r = a.anc_dim
-    g = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            g[i, j] = np.trace(dag(ea[j]) @ eb[i])
-    u, _, vh = np.linalg.svd(g)
-    return u @ vh

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .channels import Isometry, dilate, random_channel
+from .channels import Isometry, channel_from_json, dilate, random_channel
 from .combs import LabelledOperator, link_product, random_parallel_tester
 from .hardness import (
     Regime,
@@ -88,6 +88,12 @@ def _map_trials(fn, count: int, root_seed: int) -> list:
 
 def _check(name: str, passed: bool, value: float, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "value": float(value), "detail": detail}
+
+
+def _require_at_least(minimum: int, **options: int) -> None:
+    for name, value in options.items():
+        if value < minimum:
+            raise click.UsageError(f"--{name} must be at least {minimum}")
 
 
 def _budget_guard(dim: int) -> None:
@@ -247,10 +253,8 @@ def verify(seed: int, fmt: str, out: str):
 @click.option("--samples", type=int, default=20_000, show_default=True, help="Monte Carlo samples.")
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    if d < 1:
-        raise click.UsageError("--d must be at least 1")
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
+    _require_at_least(1, d=d)
+    _require_at_least(2, samples=samples)
     _budget_guard(d * d)
     checks = []
 
@@ -316,9 +320,8 @@ def localtest(
     """Localized versus dilation-averaged tester statistics."""
     if n not in (1, 2):
         raise click.UsageError("--n must be 1 or 2")
-    for label, value in (("--d1", d1), ("--d2", d2), ("--r", r)):
-        if value < 1:
-            raise click.UsageError(f"{label} must be at least 1")
+    _require_at_least(1, d1=d1, d2=d2, r=r, testers=testers, channels=channels)
+    _require_at_least(2, samples=samples)
     if r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     _budget_guard((d1 * d2 * r) ** n)
@@ -411,6 +414,13 @@ def packing_net(
         worst = max(worst, float(np.max(np.abs(gram - np.eye(d1)))))
     checks.append(_check("members are exact isometries", worst < 1e-9, worst))
 
+    payload = json.loads(net.to_json())
+    worst = 0.0
+    for doc, ch in zip(payload["channels"], net.channels):
+        back = channel_from_json(json.dumps(doc))
+        worst = max(worst, float(np.max(np.abs(back.choi - ch.choi))))
+    checks.append(_check("net channels round-trip through JSON", worst == 0.0, worst))
+
     config = {
         "seed": seed,
         "regime": regime,
@@ -421,7 +431,7 @@ def packing_net(
         "count": count,
         "metric": metric,
     }
-    _emit("packing-net", config, checks, fmt, out, extra={"net": json.loads(net.to_json())})
+    _emit("packing-net", config, checks, fmt, out, extra={"net": payload})
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +454,9 @@ def packing_net(
 )
 def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, trials: int, r: int):
     """Repeated estimation runs with success-rate and query accounting."""
+    _require_at_least(1, d1=d1, d2=d2, trials=trials)
     if not 0.0 < eps <= 1.0:
         raise click.UsageError("--eps must lie in (0, 1]")
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
     if r == 0 and d2 < d1:
         raise click.UsageError("isometry estimation needs --d2 >= --d1")
     if r < 0:
@@ -505,8 +514,7 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
 @click.option("--pairs", type=int, default=10, show_default=True, help="Random channel pairs.")
 def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
-    if pairs < 1:
-        raise click.UsageError("--pairs must be at least 1")
+    _require_at_least(1, d1=d1, d2=d2, pairs=pairs)
     _budget_guard(max(d1 * d1, d1 * d2))
     min_rank = -(-d1 // d2)
 

@@ -10,7 +10,7 @@ aligns by label first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +42,8 @@ __all__ = [
     "link_product",
     "CombCheck",
     "is_deterministic_comb",
-    "is_probabilistic_comb_certified",
     "Tester",
     "apply_tester",
-    "sample_tester",
-    "tester_from_state_povm",
     "random_parallel_tester",
 ]
 
@@ -363,21 +360,6 @@ def is_deterministic_comb(
     return CombCheck(True, None, max(worst, float(defect)))
 
 
-def is_probabilistic_comb_certified(
-    x: LabelledOperator,
-    cert: LabelledOperator,
-    ordering: Sequence,
-    tol: float = COMB_ATOL,
-) -> bool:
-    """True when cert is a deterministic comb dominating the psd operator x."""
-    if min_eig(x.op) < -tol:
-        return False
-    if not is_deterministic_comb(cert, ordering, tol):
-        return False
-    gap = cert.aligned_to(x.layout).op - x.op
-    return min_eig(gap) >= -tol
-
-
 @dataclass(frozen=True)
 class Tester:
     """A quantum tester: POVM-like outcomes over a multi-query strategy.
@@ -527,47 +509,6 @@ def apply_tester(tester: Tester, process) -> np.ndarray:
     for i, (_, op) in enumerate(tester.outcomes):
         probs[i] = link_product(op, full).scalar.real
     return probs
-
-
-def sample_tester(
-    tester: Tester, process, shots: int, rng: np.random.Generator
-) -> dict:
-    """Multinomial counts of tester outcomes over the given number of shots."""
-    p = apply_tester(tester, process)
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("tester probabilities sum to zero")
-    counts = rng.multinomial(shots, p / total)
-    return {lab: int(c) for lab, c in zip(tester.outcome_names, counts)}
-
-
-def tester_from_state_povm(
-    rho: LabelledOperator, povm: Sequence
-) -> Tester:
-    """Single-query parallel tester from an input state and a measurement.
-
-    rho lives on the query input factors plus any auxiliary ones; each povm
-    entry is (outcome label, effect) with the effect on the query output
-    factors plus the same auxiliaries. The shared labels are contracted:
-    T_i = E_i^T * rho under the link product.
-    """
-    povm = tuple((lab, op) for lab, op in povm)
-    if not povm:
-        raise ValueError("need at least one effect")
-    e0 = povm[0][1]
-    out_group = tuple(lab for lab in e0.labels if lab not in rho.layout)
-    in_group = tuple(lab for lab in rho.labels if lab not in e0.layout)
-    outcomes = []
-    for lab, e in povm:
-        et = LabelledOperator(e.op.T, e.layout)
-        outcomes.append((lab, link_product(et, rho)))
-    return Tester(
-        outcomes=tuple(outcomes),
-        in_labels=(in_group,),
-        out_labels=(out_group,),
-        kind="parallel",
-    )
 
 
 def random_parallel_tester(

@@ -466,7 +466,8 @@ def moment_experiment(
     Draws `pairs` independent (U_x, U_y) couples and compares the sample
     means of tr|D|^2 / tr|D|^4 (type1) or tr|F|^2 / tr|F|^4 (type2, Choi
     and, where defined, diamond witness variants) against the stated
-    lower/upper bounds at five standard errors.
+    lower/upper bounds at five standard errors. No command runs this;
+    tests/test_acceptance.py does.
     """
     regime = Regime(regime)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -701,7 +702,8 @@ def lipschitz_probe(
     Each trial evaluates the separation statistic at a random pair of
     unitaries and at a perturbed pair (alternating small geodesic steps and
     independent redraws), and records |delta f| over the Frobenius distance
-    of the pair.  The ratio must stay below the stated constant.
+    of the pair.  The ratio must stay below the stated constant. No command
+    runs this; tests/test_acceptance.py does.
     """
     regime = Regime(regime)
     rng = np.random.default_rng(0) if rng is None else rng

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "FactorLayout",
     "dag",
     "hermitianize",
-    "kron_all",
     "vectorize",
     "unvectorize",
     "partial_trace",
@@ -41,12 +40,8 @@ __all__ = [
     "trace_norm",
     "operator_norm",
     "min_eig",
-    "is_psd",
-    "numeric_rank",
     "psd_sqrt",
     "psd_inv_sqrt",
-    "support_projector",
-    "psd_domination_check",
     "haar_unitary",
     "haar_unitaries",
     "random_gaussian_matrix",
@@ -129,14 +124,6 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dag(a))
-
-
-def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of a sequence, first factor most significant."""
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -247,17 +234,6 @@ def min_eig(m: np.ndarray) -> float:
     return float(w[0]) if w.size else 0.0
 
 
-def is_psd(m: np.ndarray, tol: float = ATOL) -> bool:
-    return min_eig(m) >= -tol
-
-
-def numeric_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
-
-
 def _eigh_clipped(m: np.ndarray) -> tuple:
     w, v = np.linalg.eigh(hermitianize(np.asarray(m, dtype=complex)))
     return np.clip(w, 0.0, None), v
@@ -274,44 +250,6 @@ def psd_inv_sqrt(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     wmax = w.max(initial=0.0)
     inv = np.where(w > rtol * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv) @ dag(v)
-
-
-def support_projector(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    w, v = _eigh_clipped(m)
-    wmax = w.max(initial=0.0)
-    keep = w > rtol * wmax
-    vs = v[:, keep]
-    return vs @ dag(vs)
-
-
-def psd_domination_check(m: np.ndarray, psi: np.ndarray, tol: float = ATOL) -> bool:
-    """Decide M >= |psi><psi| for psd M via <psi| M^+ |psi> <= 1 + tol.
-
-    Requires psi to lie in the numeric support of M; raises ValueError when a
-    component beyond tolerance sticks out (the domination is then false for
-    the stated reason, and the caller should know).
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (psi.size, psi.size):
-        raise ValueError("shape mismatch between operator and state")
-    w, v = np.linalg.eigh(hermitianize(m))
-    wmax = w.max(initial=0.0)
-    if w.size and w[0] < -tol * max(wmax, 1.0):
-        raise ValueError("operator is not positive semidefinite")
-    cutoff = RANK_RTOL * max(wmax, 0.0)
-    on = w > cutoff
-    c = dag(v) @ psi
-    out_norm = float(np.linalg.norm(c[~on]))
-    scale = max(float(np.linalg.norm(psi)), 1e-300)
-    if out_norm > max(tol, 1e-12) * scale:
-        raise ValueError(
-            f"state has norm {out_norm:.3e} outside the support of the operator"
-        )
-    if not np.any(on):
-        return bool(np.linalg.norm(psi) <= tol)
-    val = float(np.sum(np.abs(c[on]) ** 2 / w[on]))
-    return val <= 1.0 + tol
 
 
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

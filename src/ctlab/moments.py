@@ -1,4 +1,4 @@
-"""Low-order Haar moments: Weingarten weights, twirls, permutation operators.
+"""Low-order Haar moments: one- and two-fold twirls and fourth moments.
 
 Everything here is restricted to first and second moments (plus the fourth
 moment of matrix elements, which is what the closed-form trace formula below
@@ -8,14 +8,12 @@ paired with Monte Carlo estimators so each can certify the other.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
-    RANK_RTOL,
     _resolve,
     haar_unitaries,
     partial_trace,
@@ -24,39 +22,12 @@ from .linalg import (
 )
 
 __all__ = [
-    "weingarten",
     "twirl1",
     "twirl2",
     "fourth_moment_trace",
     "MonteCarloEstimate",
     "mc_fourth_moment_trace",
-    "permutation_operator",
-    "factor_swap_operator",
-    "symmetrizer",
-    "symmetrizer_membership",
-    "symmetric_sector_dimension",
-    "group_average_trace_bound",
 ]
-
-
-def weingarten(cycle_type: Sequence[int], d: int) -> float:
-    """Weingarten weight for a permutation of the given cycle type on U(d).
-
-    Only the first two moments are tabulated; that is all the closed forms
-    in this module consume.
-    """
-    ct = tuple(sorted(int(c) for c in cycle_type))
-    n = sum(ct)
-    if n == 1:
-        return 1.0 / d
-    if n == 2:
-        if d < 2:
-            raise ValueError("second-moment Weingarten weights need d >= 2")
-        if ct == (1, 1):
-            return 1.0 / (d * d - 1.0)
-        if ct == (2,):
-            return -1.0 / (d * (d * d - 1.0))
-    raise ValueError(f"cycle type {ct} is outside the tabulated range")
 
 
 def twirl1(m: np.ndarray, layout, target) -> np.ndarray:
@@ -195,81 +166,3 @@ def mc_fourth_moment_trace(
     else:
         sr = si = float("inf")
     return MonteCarloEstimate(mean, sr, si, n)
-
-
-def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
-    """Permutation action on (C^d)^(x n): out digit perm[k] = in digit k.
-
-    With this convention the map is a homomorphism,
-    P(pi) P(sigma) = P(pi o sigma) where (pi o sigma)[k] = pi[sigma[k]].
-    """
-    perm = list(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    if n == 0:
-        return np.eye(1, dtype=complex)
-    inv = np.argsort(perm)
-    t = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
-    axes = list(inv) + [n + q for q in range(n)]
-    return t.transpose(axes).reshape(d**n, d**n)
-
-
-def factor_swap_operator(d1: int, d2: int) -> np.ndarray:
-    """Unitary sending C^d1 (x) C^d2 to C^d2 (x) C^d1, |i j> -> |j i>."""
-    t = np.eye(d1 * d2, dtype=complex).reshape(d1, d2, d1, d2)
-    return t.transpose(1, 0, 2, 3).reshape(d1 * d2, d1 * d2)
-
-
-def symmetrizer(d: int, n: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace of (C^d)^(x n)."""
-    acc = np.zeros((d**n, d**n), dtype=complex)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        acc += permutation_operator(d, perm)
-        count += 1
-    return acc / count
-
-
-def symmetrizer_membership(psi: np.ndarray, d_a: int, d_b: int, n: int) -> float:
-    """Distance of psi from being invariant under permuting its n pair factors.
-
-    psi lives on (C^d_a (x) C^d_b)^(x n); returns the largest Euclidean norm
-    of P(pi) psi - psi over all pair permutations pi, computed by transposing
-    axis pairs of the interleaved tensor.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != (d_a * d_b) ** n:
-        raise ValueError("state length does not match (d_a d_b)^n")
-    t = psi.reshape((d_a, d_b) * n)
-    defect = 0.0
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        inv = np.argsort(perm)
-        axes = []
-        for m in range(n):
-            axes.append(2 * int(inv[m]))
-            axes.append(2 * int(inv[m]) + 1)
-        diff = t.transpose(axes) - t
-        defect = max(defect, float(np.linalg.norm(diff)))
-    return defect
-
-
-def symmetric_sector_dimension(dim_pi: int, m: int) -> int:
-    """Dimension of the symmetric subspace of m copies of a dim_pi space."""
-    return math.comb(dim_pi + m - 1, m)
-
-
-def group_average_trace_bound(
-    x: np.ndarray, average_fn: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """tr(pinv(avg(x)) x), the support-weighted mass of x against its average.
-
-    For a twirl that averages over a group containing x's symmetries this is
-    bounded by the dimension of the space; callers assert that bound.
-    """
-    x = np.asarray(x, dtype=complex)
-    xbar = average_fn(x)
-    pinv = np.linalg.pinv(xbar, rcond=RANK_RTOL, hermitian=True)
-    return float(np.trace(pinv @ x).real)

@@ -9,9 +9,7 @@ from ctlab.channels import (
     Isometry,
     channel_from_json,
     channel_to_json,
-    compose,
     dilate,
-    dilation_connecting_unitary,
     random_channel,
     random_dilation,
 )
@@ -257,31 +255,8 @@ def test_partial_trace_of_choi_full():
 
 
 # ---------------------------------------------------------------------------
-# Composition and serialization
+# Random channels and serialization
 # ---------------------------------------------------------------------------
-
-
-def test_compose_unitaries():
-    rng = np.random.default_rng(17)
-    u = haar_unitary(2, rng)
-    v = haar_unitary(2, rng)
-    got = compose(Channel.from_kraus([u]), Channel.from_kraus([v]))
-    want = Channel.from_kraus([u @ v])
-    assert np.abs(got.choi - want.choi).max() < 1e-12
-
-
-def test_compose_dimension_mismatch():
-    rng = np.random.default_rng(18)
-    a = random_channel(2, 3, 1, rng)
-    with pytest.raises(ValueError):
-        compose(a, a)
-
-
-def test_compose_rank_multiplies_generically():
-    rng = np.random.default_rng(19)
-    a = random_channel(2, 2, 2, rng)
-    b = random_channel(2, 2, 2, rng)
-    assert compose(a, b).rank <= 4
 
 
 def test_random_channel_properties():
@@ -313,21 +288,3 @@ def test_json_round_trip_exact():
     assert back.d_in == ch.d_in and back.d_out == ch.d_out
     # repr round trip of doubles is exact
     assert np.abs(back.choi - ch.choi).max() == 0
-
-
-def test_dilation_connecting_unitary():
-    rng = np.random.default_rng(22)
-    ch = random_channel(2, 2, 2, rng)
-    a = random_dilation(ch, 3, rng)
-    b = random_dilation(ch, 3, rng)
-    w = dilation_connecting_unitary(a, b)
-    assert np.abs(dag(w) @ w - np.eye(3)).max() < 1e-10
-    moved = np.kron(w, np.eye(2)) @ a.matrix
-    assert np.abs(moved - b.matrix).max() < 1e-8
-
-
-def test_dilation_connecting_unitary_rejects_mismatch():
-    rng = np.random.default_rng(23)
-    ch = random_channel(2, 2, 2, rng)
-    with pytest.raises(ValueError):
-        dilation_connecting_unitary(dilate(ch, 2), dilate(ch, 3))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
 import ctlab
@@ -238,6 +239,28 @@ def test_distances_report():
 
 def test_distances_usage_error():
     assert _run(["distances", "--seed", "0", "--pairs", "0"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["distances", "--d1", "0"],
+        ["distances", "--d1", "-1"],
+        ["distances", "--d2", "0"],
+        ["tomography", "--d1", "0"],
+        ["tomography", "--d2", "0"],
+        ["localtest", "--testers", "0"],
+        ["localtest", "--channels", "0"],
+        ["localtest", "--samples", "1"],
+        ["localtest", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_dimensions_and_counts_are_usage_errors(args):
+    res = _run(args + ["--seed", "1"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
 
 
 def test_failing_check_exits_one(monkeypatch):

@@ -3,36 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab.linalg import dag, haar_unitaries, random_pure_state, swap_operator
+from ctlab.linalg import dag, haar_unitaries, swap_operator
 from ctlab.moments import (
-    factor_swap_operator,
     fourth_moment_trace,
-    group_average_trace_bound,
     mc_fourth_moment_trace,
-    permutation_operator,
-    symmetric_sector_dimension,
-    symmetrizer,
-    symmetrizer_membership,
     twirl1,
     twirl2,
-    weingarten,
 )
 
 
 def _herm(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
-
-
-def test_weingarten_values():
-    assert weingarten((1,), 3) == pytest.approx(1 / 3)
-    assert weingarten((1, 1), 2) == pytest.approx(1 / 3)
-    assert weingarten((2,), 2) == pytest.approx(-1 / 6)
-    assert weingarten((1, 1), 4) == pytest.approx(1 / 15)
-    with pytest.raises(ValueError):
-        weingarten((3,), 4)
-    with pytest.raises(ValueError):
-        weingarten((1, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,100 +201,3 @@ def test_mc_fourth_moment_identity_is_exact():
     est = mc_fourth_moment_trace(eye, eye, eye, eye, samples=50, rng=rng)
     assert abs(est.mean - 3.0) < 1e-10
     assert est.n_samples == 50
-
-
-# ---------------------------------------------------------------------------
-# Permutation machinery
-# ---------------------------------------------------------------------------
-
-
-def test_permutation_operator_action():
-    d = 2
-    # out digit perm[k] = in digit k
-    p = permutation_operator(d, (1, 2, 0))
-    basis = np.zeros(d**3)
-    i0, i1, i2 = 1, 0, 1
-    basis[(i0 * d + i1) * d + i2] = 1.0
-    got = p @ basis
-    out = np.zeros(d**3)
-    # digit 1 <- i0, digit 2 <- i1, digit 0 <- i2
-    out[(i2 * d + i0) * d + i1] = 1.0
-    assert np.abs(got - out).max() == 0
-
-
-def test_permutation_operator_homomorphism():
-    d = 3
-    pi = (2, 0, 1)
-    sigma = (1, 2, 0)
-    comp = tuple(pi[sigma[k]] for k in range(3))
-    lhs = permutation_operator(d, pi) @ permutation_operator(d, sigma)
-    assert np.abs(lhs - permutation_operator(d, comp)).max() == 0
-
-
-def test_permutation_operator_identity():
-    assert np.abs(permutation_operator(3, (0, 1)) - np.eye(9)).max() == 0
-    with pytest.raises(ValueError):
-        permutation_operator(2, (0, 0))
-
-
-def test_factor_swap_operator_vectors():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    s = factor_swap_operator(2, 3)
-    assert np.abs(s @ np.kron(x, y) - np.kron(y, x)).max() < 1e-14
-
-
-def test_symmetrizer_projector():
-    for d, n in ((2, 2), (2, 3), (3, 2)):
-        p = symmetrizer(d, n)
-        assert np.abs(p @ p - p).max() < 1e-12
-        assert np.abs(p - dag(p)).max() < 1e-12
-        assert abs(np.trace(p).real - symmetric_sector_dimension(d, n)) < 1e-10
-
-
-def test_symmetrizer_absorbs_permutations():
-    d, n = 2, 3
-    p = symmetrizer(d, n)
-    for perm in ((1, 0, 2), (2, 1, 0)):
-        assert np.abs(permutation_operator(d, perm) @ p - p).max() < 1e-12
-
-
-def test_symmetrizer_membership():
-    rng = np.random.default_rng(12)
-    w = random_pure_state(4, rng)
-    sym = np.kron(w, w)
-    assert symmetrizer_membership(sym, 2, 2, 2) < 1e-12
-    w2 = random_pure_state(4, rng)
-    asym = np.kron(w, w2)
-    assert symmetrizer_membership(asym, 2, 2, 2) > 0.1
-    with pytest.raises(ValueError):
-        symmetrizer_membership(np.ones(5), 2, 2, 1)
-
-
-def test_symmetric_sector_dimension_values():
-    assert symmetric_sector_dimension(2, 2) == 3
-    assert symmetric_sector_dimension(3, 2) == 6
-    assert symmetric_sector_dimension(2, 3) == 4
-    assert symmetric_sector_dimension(5, 1) == 5
-
-
-def test_group_average_trace_bound_twirl1():
-    rng = np.random.default_rng(13)
-    d = 4
-    psi = random_pure_state(d, rng)
-    x = np.outer(psi, psi.conj())
-    val = group_average_trace_bound(x, lambda m: twirl1(m, (d,), 0))
-    assert abs(val - d) < 1e-8
-
-
-def test_group_average_trace_bound_twirl2():
-    # a symmetric pure product state twirls to the normalized symmetrizer,
-    # so the bound evaluates to exactly dim of the symmetric sector
-    rng = np.random.default_rng(14)
-    d = 2
-    psi = random_pure_state(d, rng)
-    pair = np.kron(psi, psi)
-    x = np.outer(pair, pair.conj())
-    val = group_average_trace_bound(x, lambda m: twirl2(m, (d, d), (0, 1)))
-    assert abs(val - symmetric_sector_dimension(d, 2)) < 1e-8
