@@ -21,6 +21,9 @@ from .linalg import (
     swap_operator,
 )
 
+# bytes of unitaries per chunk of the fourth-moment Monte Carlo kernel
+_CHUNK_BYTES = 1 << 20
+
 __all__ = [
     "twirl1",
     "twirl2",
@@ -96,16 +99,19 @@ def twirl2(m: np.ndarray, layout, targets) -> np.ndarray:
     return permute_factors(r, dims_p, back)
 
 
+def _square_operators(a1, b1, a2, b2) -> list[np.ndarray]:
+    """The four operators as complex arrays, all square and of one size."""
+    ops = [np.asarray(x, dtype=complex) for x in (a1, b1, a2, b2)]
+    shape = ops[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(x.shape != shape for x in ops):
+        raise ValueError("all four operators must be square and equal size")
+    return ops
+
+
 def fourth_moment_trace(a1, b1, a2, b2) -> complex:
     """Closed form of E_U tr(U A1 U^dag B1 U A2 U^dag B2) over Haar U(d)."""
-    a1 = np.asarray(a1, dtype=complex)
-    b1 = np.asarray(b1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    b2 = np.asarray(b2, dtype=complex)
+    a1, b1, a2, b2 = _square_operators(a1, b1, a2, b2)
     d = a1.shape[0]
-    for x in (a1, b1, a2, b2):
-        if x.shape != (d, d):
-            raise ValueError("all four operators must be square and equal size")
     ta1, ta2 = np.trace(a1), np.trace(a2)
     tb1, tb2 = np.trace(b1), np.trace(b2)
     ta12 = np.trace(a1 @ a2)
@@ -141,23 +147,16 @@ def mc_fourth_moment_trace(
     Pass a precomputed (count, d, d) Haar batch as unitaries to amortize the
     sampling across many operator quadruples; otherwise rng is required.
     """
-    a1 = np.ascontiguousarray(a1, dtype=complex)
-    b1 = np.ascontiguousarray(b1, dtype=complex)
-    a2 = np.ascontiguousarray(a2, dtype=complex)
-    b2 = np.ascontiguousarray(b2, dtype=complex)
+    a1, b1, a2, b2 = _square_operators(a1, b1, a2, b2)
     d = a1.shape[0]
     if unitaries is None:
         if rng is None:
             raise ValueError("need either a Haar batch or an rng")
         unitaries = haar_unitaries(d, samples, rng)
-    us = np.ascontiguousarray(unitaries, dtype=complex)
+    us = np.asarray(unitaries, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (d, d):
         raise ValueError("unitary batch shape does not match the operators")
-    ud = us.conj().transpose(0, 2, 1)
-    x1 = us @ a1 @ ud
-    x2 = us @ a2 @ ud
-    del ud  # one fewer batch-sized array alive during the product chain
-    vals = np.einsum("bii->b", x1 @ b1 @ x2 @ b2)
+    vals = _fourth_moment_samples(us, a1, b1, a2, b2)
     n = vals.size
     mean = complex(vals.mean())
     if n > 1:
@@ -166,3 +165,20 @@ def mc_fourth_moment_trace(
     else:
         sr = si = float("inf")
     return MonteCarloEstimate(mean, sr, si, n)
+
+
+def _fourth_moment_samples(us, a1, b1, a2, b2) -> np.ndarray:
+    """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, in chunks
+    of _CHUNK_BYTES laid out sample index last: a fixed operator is one GEMM on a
+    (d, d m) reshape, a batched d x d product one einsum; memory is O(N + chunk)."""
+    n, d, _ = us.shape
+    vals = np.empty(n, dtype=complex)
+    def gemm(f, v):  # v[k, i, :] = V[i, k] for V = U or U^dag; returns (V F)^T
+        return (f.T @ v.reshape(d, -1)).reshape(d, d, -1)
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    for s in range(0, n, step):
+        uk = np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0))
+        uc = np.conjugate(uk.transpose(1, 0, 2), order="C")
+        q = np.einsum("kib,jkb->ijb", gemm(a2, uk), gemm(b2, uc))  # X2 Y2
+        np.einsum("kib,jkb,jib->b", gemm(a1, uk), gemm(b1, uc), q, out=vals[s : s + step])
+    return vals

@@ -5,8 +5,6 @@ import pytest
 
 from ctlab.combs import LabelledOperator
 from ctlab.hardness import (
-    GammaFamily,
-    HardInstance,
     Regime,
     amplitude_statistic,
     build_instance,

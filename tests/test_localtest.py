@@ -3,7 +3,7 @@ import pytest
 
 from ctlab import combs
 from ctlab.channels import Channel, Dilation, dilate, random_channel
-from ctlab.combs import LabelledOperator, apply_tester, random_parallel_tester
+from ctlab.combs import apply_tester, random_parallel_tester
 from ctlab.linalg import haar_unitaries, haar_unitary
 from ctlab.localtest import (
     PERP_LABEL,

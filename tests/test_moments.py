@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctlab import moments
 from ctlab.linalg import dag, haar_unitaries, swap_operator
 from ctlab.moments import (
     fourth_moment_trace,
@@ -171,6 +174,10 @@ def test_fourth_moment_monte_carlo(d):
         assert abs(est.mean.imag - exact.imag) <= 5 * est.stderr_imag
 
 
+def _direct_traces(us, a1, b1, a2, b2):
+    return np.array([np.trace(u @ a1 @ dag(u) @ b1 @ u @ a2 @ dag(u) @ b2) for u in us])
+
+
 def test_mc_fourth_moment_mean_matches_direct_traces():
     rng = np.random.default_rng(2)
     us = haar_unitaries(3, 16, rng)
@@ -178,9 +185,62 @@ def test_mc_fourth_moment_mean_matches_direct_traces():
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)
     )
     est = mc_fourth_moment_trace(a1, b1, a2, b2, unitaries=us)
-    want = np.mean([np.trace(u @ a1 @ dag(u) @ b1 @ u @ a2 @ dag(u) @ b2) for u in us])
-    assert abs(est.mean - want) < 1e-10
+    assert abs(est.mean - _direct_traces(us, a1, b1, a2, b2).mean()) < 1e-10
     assert est.n_samples == 16
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 4),
+    per_chunk=st.integers(1, 5),
+    n=st.integers(1, 18),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=4, per_chunk=3, n=10, seed=0)  # three whole chunks and a ragged tail
+@example(d=2, per_chunk=4, n=4, seed=1)  # exactly one chunk
+@example(d=3, per_chunk=4, n=1, seed=2)  # a batch of one
+def test_mc_fourth_moment_chunks_match_direct_traces(d, per_chunk, n, seed):
+    rng = np.random.default_rng(seed)
+    us = haar_unitaries(d, n, rng)
+    ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(4)]
+    want = _direct_traces(us, *ops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_CHUNK_BYTES", per_chunk * 16 * d * d)
+        vals = moments._fourth_moment_samples(us, *ops)
+        est = mc_fourth_moment_trace(*ops, unitaries=us)
+    assert np.abs(vals - want).max() < 1e-10
+    assert abs(est.mean - want.mean()) < 1e-10
+    assert est.n_samples == n
+    if n == 1:
+        assert est.stderr_real == est.stderr_imag == float("inf")
+    else:
+        assert abs(est.stderr_real - want.real.std(ddof=1) / np.sqrt(n)) < 1e-10
+        assert abs(est.stderr_imag - want.imag.std(ddof=1) / np.sqrt(n)) < 1e-10
+
+
+def test_mc_fourth_moment_memory_stays_below_one_batch():
+    rng = np.random.default_rng(12)
+    us = haar_unitaries(4, 50_000, rng)
+    ops = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        mc_fourth_moment_trace(*ops, unitaries=us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < us.nbytes
+
+
+def test_mc_fourth_moment_shape_guard():
+    us = haar_unitaries(2, 5, np.random.default_rng(13))
+    for ops in (
+        (np.eye(2), np.eye(3), np.eye(2), np.eye(2)),
+        (np.eye(2), np.eye(2), np.ones((2, 3)), np.eye(2)),
+    ):
+        with pytest.raises(ValueError, match="square and equal size"):
+            mc_fourth_moment_trace(*ops, unitaries=us)
+        with pytest.raises(ValueError, match="square and equal size"):
+            fourth_moment_trace(*ops)
 
 
 def test_mc_fourth_moment_requires_source():
