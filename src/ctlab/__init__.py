@@ -9,7 +9,7 @@ together with a deterministic CLI (``ctlab``).
 __version__ = "0.1.0"
 
 from .linalg import ATOL, RANK_RTOL, FactorLayout
-from .channels import Channel, Dilation, Isometry, dilate, random_dilation
+from .channels import Channel, Dilation, Isometry, dilate
 from .combs import LabelledOperator, Tester, link_product
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Dilation",
     "Isometry",
     "dilate",
-    "random_dilation",
     "LabelledOperator",
     "Tester",
     "link_product",

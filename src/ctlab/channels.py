@@ -20,7 +20,6 @@ from .linalg import (
     ATOL,
     RANK_RTOL,
     dag,
-    haar_unitary,
     hermitianize,
     partial_trace,
     unvectorize,
@@ -32,7 +31,6 @@ __all__ = [
     "Isometry",
     "Dilation",
     "dilate",
-    "random_dilation",
     "random_channel",
     "channel_to_json",
     "channel_from_json",
@@ -208,14 +206,6 @@ def dilate(ch: Channel, r: int | None = None) -> Dilation:
     v = np.zeros((r * ch.d_out, ch.d_in), dtype=complex)
     for k, e in enumerate(kraus):
         v[k * ch.d_out : (k + 1) * ch.d_out, :] = e
-    return Dilation(v, r, ch.d_out)
-
-
-def random_dilation(ch: Channel, r: int, rng: np.random.Generator) -> Dilation:
-    """Haar-randomized dilation (U kron I_out) V0 with U on the ancilla."""
-    base = dilate(ch, r)
-    u = haar_unitary(r, rng)
-    v = np.kron(u, np.eye(ch.d_out)) @ base.matrix
     return Dilation(v, r, ch.d_out)
 
 

@@ -3,9 +3,9 @@
 Every subcommand takes a required --seed, runs a batch of deterministic
 checks, and emits one report (JSON, or the checks table as CSV).  Exit code
 0 means every check passed, 1 that at least one failed, 2 a usage error and
-3 a declined run because the requested operator dimension exceeds the
-budget.  Trial i uses the generator seeded by SeedSequence([seed, i]); set
-CTL_THREADS to run independent trials on a thread pool.
+3 a run declined before any work because the bytes of arrays its options
+need, counts included, exceed linalg.MAX_BYTES.  Trial i uses the generator
+seeded by SeedSequence([seed, i]); CTL_THREADS runs trials on up to one thread per CPU.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .linalg import (
     haar_unitary,
     random_density,
     random_isometry,
+    require_bytes,
     trace_norm,
 )
 from .localtest import verify_dilation_identity
@@ -59,8 +60,6 @@ from .tomography import (
     weak_isometry_tomography,
 )
 
-DIM_BUDGET = 4096
-
 _REGIME_NAMES = [r.value for r in Regime]
 
 
@@ -71,7 +70,7 @@ def _trial_rng(root_seed: int, index: int) -> np.random.Generator:
 def _thread_count() -> int:
     raw = os.environ.get("CTL_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), len(os.sched_getaffinity(0)))
     except ValueError:
         return 1
 
@@ -96,11 +95,11 @@ def _require_at_least(minimum: int, **options: int) -> None:
             raise click.UsageError(f"--{name} must be at least {minimum}")
 
 
-def _budget_guard(dim: int) -> None:
-    if dim > DIM_BUDGET:
-        click.echo(
-            f"declined: operator dimension {dim} exceeds the budget of {DIM_BUDGET}", err=True
-        )
+def _budget_guard(nbytes: int) -> None:
+    try:  # 16 MiB more for the interpreter, the report and fixed-size workspaces
+        require_bytes(nbytes + 2**24, "the run")
+    except ValueError as exc:
+        click.echo(f"declined: {exc}", err=True)
         sys.exit(3)
 
 
@@ -255,7 +254,8 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
     _require_at_least(1, d=d)
     _require_at_least(2, samples=samples)
-    _budget_guard(d * d)
+    # the Haar QR holds ~4.4 batches and per-sample diagonals; twirl2 seven d^2 x d^2 operators
+    _budget_guard(16 * (samples * (5 * d * d + 2 * d) + 7 * d**4))
     checks = []
 
     batch = haar_unitaries(d, samples, _trial_rng(seed, 0))
@@ -324,7 +324,10 @@ def localtest(
     _require_at_least(2, samples=samples)
     if r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
-    _budget_guard((d1 * d2 * r) ** n)
+    dim = (d1 * d2 * r) ** n
+    # testers keep two dim^2 outcomes each; a trial ~10 more, an r x r Haar batch, 5 vector stacks
+    per_trial = 10 * dim * dim + samples * (5 * dim + 4 * r * r + 2 * r)
+    _budget_guard(16 * (2 * testers * dim * dim + _thread_count() * per_trial))
 
     tester_list = [
         random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
@@ -391,7 +394,11 @@ def packing_net(
     seed: int, fmt: str, out: str, regime: str, d1: int, d2: int, r: int, eps: float, count: int, metric: str
 ):
     """Sample a packing net of perturbed channels and record its spread."""
-    _budget_guard(d1 * d2 * max(r, 1))
+    pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
+    # candidates with Choi, rows, Haar block and distance row; a dense dilation; two lifted
+    # Kraus sets; Choi-sized workspaces; JSON text and lists at ~24x each net Choi entry
+    candidate = choi + 5 * big * d1 + big * big + pool
+    _budget_guard(16 * (pool * candidate + (big * d1) ** 2 + 2 * big * d1**3 + (4 + 24 * count) * choi))
     try:
         net = sample_packing_net(
             Regime(regime), d1, d2, r, eps, count=count, metric=metric, seed=seed
@@ -463,7 +470,10 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
         raise click.UsageError("--r must be nonnegative")
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
-    _budget_guard(d1 * d2 * max(r, 1))
+    choi, big = (d1 * d2) ** 2, max(r, 1) * d2
+    # reports keep a Choi matrix and a dilation; a trial a dense dilation, lifted Kraus, workspaces
+    per_trial = (big * d1) ** 2 + 2 * big * d1**3 + 6 * choi
+    _budget_guard(16 * (trials * (choi + 2 * big * d1) + _thread_count() * per_trial))
 
     d_col = d2 if r == 0 else r * d2
     expected_queries = 2 * d1 * math.ceil(64.0 * d_col / (eps * eps))
@@ -515,7 +525,9 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
 def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
     _require_at_least(1, d1=d1, d2=d2, pairs=pairs)
-    _budget_guard(max(d1 * d1, d1 * d2))
+    choi = (d1 * d2) ** 2
+    # a pair holds two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) and ~10 Choi-sized matrices
+    _budget_guard(16 * _thread_count() * (2 * choi * d1 * d1 + 10 * choi))
     min_rank = -(-d1 // d2)
 
     def pair_trial(index: int, rng: np.random.Generator):

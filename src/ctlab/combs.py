@@ -26,16 +26,13 @@ from .linalg import (
     psd_sqrt,
     random_density,
     random_gaussian_matrix,
+    require_bytes,
 )
 
 COMB_ATOL = 1e-8
-# Largest dense complex operator, in bytes, that a factored operator may be
-# expanded into (or factored from): 256 MiB, a 4096-wide matrix.
-DENSE_MAX_BYTES = 2**28
 
 __all__ = [
     "COMB_ATOL",
-    "DENSE_MAX_BYTES",
     "LabelledOperator",
     "FactoredOperator",
     "identity_on",
@@ -139,15 +136,6 @@ class LabelledOperator:
         return complex(np.trace(self.op))
 
 
-def _dense_guard(dim: int) -> None:
-    nbytes = 16 * dim * dim
-    if nbytes > DENSE_MAX_BYTES:
-        raise ValueError(
-            f"a dense {dim}x{dim} operator needs {nbytes} bytes, "
-            f"above the limit of {DENSE_MAX_BYTES}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
     """A Hermitian operator F diag(w) F^dag together with its factor layout.
@@ -181,7 +169,7 @@ class FactoredOperator:
     @classmethod
     def from_dense(cls, x: LabelledOperator) -> "FactoredOperator":
         """Factor a dense Hermitian operator by its full eigendecomposition."""
-        _dense_guard(x.dim)
+        require_bytes(32 * x.dim**2, f"factoring a dense {x.dim}x{x.dim} operator")
         w, v = np.linalg.eigh(hermitianize(x.op))
         return cls(v, w, x.layout)
 
@@ -195,7 +183,7 @@ class FactoredOperator:
 
     @property
     def op(self) -> np.ndarray:
-        _dense_guard(self.dim)
+        require_bytes(16 * self.dim**2, f"a dense {self.dim}x{self.dim} operator")
         return (self.factor * self.weights) @ self.factor.conj().T
 
     def scaled(self, factor: float) -> "FactoredOperator":

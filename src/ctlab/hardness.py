@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import Channel, Dilation, Isometry, channel_to_json
 from .combs import COMB_ATOL, CombCheck, FactoredOperator, LabelledOperator
-from .linalg import FactorLayout, haar_unitary, trace_norm
+from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
 from .metrics import choi_trace_distance, diamond_distance
 
 __all__ = [
@@ -832,12 +832,12 @@ def _gamma_layout(family: GammaFamily, n: int) -> FactorLayout:
     return FactorLayout(factors)
 
 
-def _gamma_budget(family: GammaFamily, n: int) -> None:
-    _require(1 <= n <= 3, f"n must lie in [1, 3], got {n}")
-    _require(
-        (family.big_d * family.d) ** n <= 2**15,
-        f"gamma operator dimension {(family.big_d * family.d) ** n} exceeds the budget",
-    )
+def _gamma_budget(family: GammaFamily, n: int, columns: int = 1) -> None:
+    _require(n >= 1, f"n must be at least 1, got {n}")
+    dim = (family.big_d * family.d) ** n
+    # a level holds a few dim-row factors: the operator's columns and up to
+    # 2^n reference vectors, each traced, extended and stacked
+    require_bytes(64 * dim * (columns + 2**n), f"a {dim}-wide gamma certificate")
 
 
 def _gamma_product(family: GammaFamily, subset: frozenset, n: int) -> np.ndarray:
@@ -969,10 +969,10 @@ def certify_gamma_comb(
 
     Every level is an eigenproblem on the span of the factor columns, not
     on a dense matrix.  A `gamma_vector` operator has one column, so the
-    span stays a few dozen wide at any dimension; a dense input is factored
+    span stays about 2^n wide at any dimension; a dense input is factored
     once by its full eigendecomposition.
     """
-    _gamma_budget(family, n)
+    _gamma_budget(family, n, op.dim if isinstance(op, LabelledOperator) else op.factor.shape[1])
     expected = _gamma_layout(family, n)
     _require(
         set(op.layout.labels) == set(expected.labels),

@@ -25,10 +25,14 @@ import numpy as np
 
 ATOL = 1e-9
 RANK_RTOL = 1e-10
+# Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
+MAX_BYTES = 2**31
 
 __all__ = [
     "ATOL",
     "RANK_RTOL",
+    "MAX_BYTES",
+    "require_bytes",
     "FactorLayout",
     "dag",
     "hermitianize",
@@ -51,6 +55,12 @@ __all__ = [
     "dft_matrix",
     "swap_operator",
 ]
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise ValueError when what needs more than MAX_BYTES of arrays."""
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, above the limit of {MAX_BYTES}")
 
 
 @dataclass(frozen=True)

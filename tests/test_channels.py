@@ -11,9 +11,14 @@ from ctlab.channels import (
     channel_to_json,
     dilate,
     random_channel,
-    random_dilation,
 )
 from ctlab.linalg import dag, haar_unitary, partial_trace, random_density
+
+
+def _random_dilation(ch, r, rng):
+    """(U kron I_out) V0 for a Haar U on the ancilla and the canonical V0."""
+    v = np.kron(haar_unitary(r, rng), np.eye(ch.d_out)) @ dilate(ch, r).matrix
+    return Dilation(v, r, ch.d_out)
 
 
 def _depolarizing_choi(p):
@@ -121,7 +126,7 @@ def test_choi_kraus_dilation_round_trips(case, pad):
         assert np.abs(got - want).max() == 0
     assert np.abs(Channel.from_kraus(dil.kraus_blocks()).choi - ch.choi).max() < 1e-10
     assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
-    other = random_dilation(ch, ch.rank + pad, rng)
+    other = _random_dilation(ch, ch.rank + pad, rng)
     assert np.abs(other.contract().choi - ch.choi).max() < 1e-10
 
 
@@ -241,7 +246,7 @@ def test_dilate_rejects_small_ancilla():
 def test_random_dilation_same_channel():
     rng = np.random.default_rng(15)
     ch = random_channel(2, 3, 2, rng)
-    dil = random_dilation(ch, 4, rng)
+    dil = _random_dilation(ch, 4, rng)
     assert dil.anc_dim == 4
     assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
 

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 import ctlab
-from ctlab.cli import DIM_BUDGET, main
+from ctlab import cli
+from ctlab.cli import _thread_count, main
+from ctlab.linalg import MAX_BYTES, require_bytes
 
 
 def _run(args, env=None):
@@ -94,7 +99,7 @@ def test_moments_budget_refusal():
     res = _run(["moments", "--seed", "0", "--d", "99"])
     assert res.exit_code == 3
     assert "declined" in res.stderr
-    assert str(DIM_BUDGET) in res.stderr
+    assert str(MAX_BYTES) in res.stderr
 
 
 def test_moments_usage_errors():
@@ -121,6 +126,12 @@ def test_moments_thread_pool_is_bit_identical():
 def test_bogus_thread_env_falls_back():
     res = _run(["verify", "--seed", "0"], env={"CTL_THREADS": "many"})
     assert res.exit_code == 0
+
+
+def test_thread_count_is_clamped_to_usable_cpus(monkeypatch):
+    # only the count is read; no command runs with such a value
+    monkeypatch.setenv("CTL_THREADS", "100000")
+    assert _thread_count() == len(os.sched_getaffinity(0))
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +281,66 @@ def test_failing_check_exits_one(monkeypatch):
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert report["all_passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# memory budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a 6.4 GB Ginibre draw before its QR
+        ["moments", "--d", "2", "--samples", "100000000"],
+        # 10 GB of dilation vectors
+        ["localtest", "--n", "2", "--samples", "10000000"],
+        # up to 1024 lifted Kraus operators of 16 MiB each, per channel
+        ["distances", "--d1", "32", "--d2", "32"],
+        # a pool of 128 Choi matrices of 256 MiB each
+        ["packing-net", "--d1", "64", "--d2", "64", "--r", "1"],
+    ],
+    ids=" ".join,
+)
+def test_over_budget_runs_are_declined_before_work(args):
+    start = time.perf_counter()
+    res = _run(args + ["--seed", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 3
+    assert "declined" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a 12 MiB Haar batch
+        ["moments", "--d", "4", "--samples", "50000"],
+        # a 20 MiB stack of two-copy dilation vectors
+        ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
+        # a 64 MiB dense dilation per candidate
+        ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
+        # a 64 MiB dense dilation of the estimate
+        ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
+        # 4 MiB of lifted Kraus operators per channel
+        ["distances", "--d1", "4", "--d2", "32", "--pairs", "1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_declared_bound_covers_traced_peak(args, monkeypatch):
+    declared = []
+
+    def record(nbytes, what):
+        declared.append(nbytes)
+        require_bytes(nbytes, what)
+
+    monkeypatch.setattr(cli, "require_bytes", record)
+    tracemalloc.start()
+    try:
+        res = _run(args + ["--seed", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert len(declared) == 1
+    assert peak <= declared[0], (peak, declared[0])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import combs
+from ctlab import linalg
 from ctlab.combs import COMB_ATOL, FactoredOperator, LabelledOperator
 from ctlab.hardness import (
     certify_gamma_comb,
@@ -124,8 +124,8 @@ def test_shape_guards():
 
 
 def test_largest_budgeted_gamma_operator_stays_factored():
-    # (8 * 4)^3 = 2^15 is the largest dimension the gamma budget admits; its
-    # dense form would take 16 GiB
+    # a 2^15-wide gamma operator: its factor takes 512 KiB, its dense form
+    # 16 GiB, above linalg.MAX_BYTES
     fam = type2_gamma_family(4, 8, 0.3)
     start = time.perf_counter()
     op = gamma_vector(fam, 1, 3)
@@ -145,7 +145,7 @@ def test_dense_input_is_guarded(monkeypatch):
     op = gamma_vector(fam, 1, 2)
     dense = LabelledOperator(op.op, op.layout)
     assert certify_gamma_comb(dense, fam, 2, index=1)
-    monkeypatch.setattr(combs, "DENSE_MAX_BYTES", 16 * 35 * 35)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 16 * 35 * 35)
     with pytest.raises(ValueError, match="bytes"):
         certify_gamma_comb(dense, fam, 2, index=1)
     with pytest.raises(ValueError, match="bytes"):

@@ -492,13 +492,14 @@ def test_gamma_vector_type2_weight():
 def test_gamma_budget():
     fam = type2_gamma_family(2, 3, 0.2)
     with pytest.raises(ValueError):
-        gamma_vector(fam, 1, 4)
-    wide = type2_gamma_family(7, 8, 0.2)
-    with pytest.raises(ValueError):
-        gamma_vector(wide, 1, 3)  # 56^3 > 2^15
+        gamma_vector(fam, 1, 0)
+    with pytest.raises(ValueError, match="bytes"):
+        gamma_vector(fam, 1, 12)  # 16 * 6^12 bytes > MAX_BYTES
+    with pytest.raises(ValueError, match="bytes"):
+        certify_gamma_comb(gamma_vector(fam, 1, 2), fam, 12, index=1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certify_type1_accepts(n):
     fam = type1_gamma_family(2, 3, 0.25)
     for subset in ([], [0], list(range(n))):
@@ -510,7 +511,7 @@ def test_certify_type1_accepts(n):
     assert certify_gamma_comb(op, fam, n, index=None)
 
 
-@pytest.mark.parametrize("n,w", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("n,w", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 2)])
 def test_certify_type2_accepts(n, w):
     fam = type2_gamma_family(3, 4, 0.2)
     op = gamma_vector(fam, w, n)

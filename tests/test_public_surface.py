@@ -1,9 +1,10 @@
 """Every name a ctlab submodule exports has a caller inside the package.
 
 Each submodule's ``__all__`` is read with ``ast``. A name counts as called
-when some module of the package refers to it (as a name, an attribute or an
-imported name) outside its own ``def``/``class`` statement; the ``__all__``
-string does not count. Names that only the test suite or the benchmark
+when some module of the package refers to it (as a name or an attribute)
+outside its own ``def``/``class`` statement. Importing a name does not count,
+so a re-export in ``__init__.py`` is no call, and the ``__all__`` string does
+not count either. Names that only the test suite or the benchmark
 reach are listed in TEST_ONLY, each with the reason it stays.
 """
 
@@ -51,8 +52,6 @@ def _references(tree) -> list:
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
-            elif isinstance(sub, ast.ImportFrom):
-                names.update(alias.name for alias in sub.names)
         out.append((owner, names))
     return out
 
