@@ -395,10 +395,11 @@ def packing_net(
 ):
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
-    # candidates with Choi, rows, Haar block and distance row; a dense dilation; two lifted
-    # Kraus sets; Choi-sized workspaces; JSON text and lists at ~24x each net Choi entry
-    candidate = choi + 5 * big * d1 + big * big + pool
-    _budget_guard(16 * (pool * candidate + (big * d1) ** 2 + 2 * big * d1**3 + (4 + 24 * count) * choi))
+    # candidates with Choi (kept, stacked and in a row of differences), rows, Haar block and
+    # distance row; a see-saw's two lifted Kraus sets about five times over; Choi-sized
+    # workspaces; JSON text and lists at ~24x each net Choi entry
+    candidate = 3 * choi + 5 * big * d1 + big * big + pool
+    _budget_guard(16 * (pool * candidate + 10 * big * d1**3 + (4 + 24 * count) * choi))
     try:
         net = sample_packing_net(
             Regime(regime), d1, d2, r, eps, count=count, metric=metric, seed=seed
@@ -471,8 +472,9 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
-    # reports keep a Choi matrix and a dilation; a trial a dense dilation, lifted Kraus, workspaces
-    per_trial = (big * d1) ** 2 + 2 * big * d1**3 + 6 * choi
+    # reports keep a Choi matrix and a dilation; a trial two stacks of the 360 phase-shifted
+    # dilation differences, a see-saw's two lifted Kraus sets about five times over, workspaces
+    per_trial = 720 * big * d1 + 10 * big * d1**3 + 6 * choi
     _budget_guard(16 * (trials * (choi + 2 * big * d1) + _thread_count() * per_trial))
 
     d_col = d2 if r == 0 else r * d2
@@ -526,8 +528,11 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
     _require_at_least(1, d1=d1, d2=d2, pairs=pairs)
     choi = (d1 * d2) ** 2
-    # a pair holds two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) and ~10 Choi-sized matrices
-    _budget_guard(16 * _thread_count() * (2 * choi * d1 * d1 + 10 * choi))
+    # a pair's see-saw holds two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about five
+    # times over: the stack, its signed adjoint, a transient and two restarts' pull-backs;
+    # the unitary check's 16 restarts pull back two d1^2 x d1^2 operators each; and ~10
+    # Choi-sized matrices
+    _budget_guard(16 * _thread_count() * (10 * choi * d1 * d1 + 36 * d1**4 + 10 * choi))
     min_rank = -(-d1 // d2)
 
     def pair_trial(index: int, rng: np.random.Generator):

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import Channel, Dilation, Isometry, channel_to_json
 from .combs import COMB_ATOL, CombCheck, FactoredOperator, LabelledOperator
 from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
-from .metrics import choi_trace_distance, diamond_distance
+from .metrics import choi_trace_distances, diamond_distance
 
 __all__ = [
     "Regime",
@@ -619,9 +619,10 @@ def sample_packing_net(
     pool = 8 * count
     candidates = tuple(build_instance(regime, d1, d2, r, eps, rng) for _ in range(pool))
     cand_channels = tuple(inst.channel() for inst in candidates)
+    chois = np.stack([ch.choi for ch in cand_channels])
     base = np.zeros((pool, pool))
-    for i, j in combinations(range(pool), 2):
-        base[i, j] = base[j, i] = choi_trace_distance(cand_channels[i], cand_channels[j])
+    for i in range(pool - 1):
+        base[i, i + 1 :] = base[i + 1 :, i] = choi_trace_distances(chois[i], chois[i + 1 :], d1)
     keep = _greedy_maximin(base, count)
     instances = tuple(candidates[k] for k in keep)
     channels = tuple(cand_channels[k] for k in keep)

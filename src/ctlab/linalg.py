@@ -27,6 +27,8 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
+# bytes of unitaries per in-place QR chunk of haar_unitaries
+_CHUNK_BYTES = 1 << 20
 
 __all__ = [
     "ATOL",
@@ -129,7 +131,8 @@ class FactorLayout:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -288,9 +291,17 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, d, d)."""
+    """Batch of Haar unitaries, shape (count, d, d).
+
+    The Ginibre batch is drawn whole, so the rng stream does not depend on the
+    chunking, and is then replaced by its unitaries in place, _CHUNK_BYTES at
+    a time: memory stays near one batch instead of four.
+    """
     g = random_gaussian_matrix(count * d, d, rng).reshape(count, d, d)
-    return _phase_corrected_qr(g)
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    for s in range(0, count, step):
+        g[s : s + step] = _phase_corrected_qr(g[s : s + step])
+    return g
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,6 +28,7 @@ from .linalg import (
 __all__ = [
     "DiamondEstimate",
     "choi_trace_distance",
+    "choi_trace_distances",
     "channel_fidelity",
     "fidelity_trace_conversion",
     "diamond_distance",
@@ -40,10 +41,15 @@ def _check_same_shape(a: Channel, b: Channel) -> None:
         raise ValueError("channels act between different spaces")
 
 
+def choi_trace_distances(choi: np.ndarray, chois: np.ndarray, d_in: int) -> np.ndarray:
+    """(1/d_in) || C - C_k ||_1 for every C_k of a (P, n, n) stack, one stacked SVD."""
+    return np.linalg.svd(choi - chois, compute_uv=False).sum(-1) / d_in
+
+
 def choi_trace_distance(a: Channel, b: Channel) -> float:
     """(1/d_in) || C_a - C_b ||_1."""
     _check_same_shape(a, b)
-    return trace_norm(a.choi - b.choi) / a.d_in
+    return float(choi_trace_distances(a.choi, b.choi[None], a.d_in)[0])
 
 
 def channel_fidelity(a: Channel, b: Channel) -> float:
@@ -79,35 +85,62 @@ class DiamondEstimate:
     iterations: int
 
 
-def _lifted_kraus(ch: Channel) -> list:
-    """Kraus operators of ch kron id_ref with ref a copy of the input."""
-    d = ch.d_in
-    return [np.kron(e, np.eye(d)) for e in ch.kraus]
+def _signed_lifted_kraus(a: Channel, b: Channel) -> tuple:
+    """Kraus operators of a kron id_ref then b kron id_ref (ref a copy of the
+    input), stacked as (n_out, R, n_in) so that the see-saw's forward map and
+    the first pull-back product read them as reshapes, with signs +1 for a and
+    -1 for b."""
+    kraus = np.stack(a.kraus + b.kraus).transpose(1, 0, 2)
+    d_out, r, d = kraus.shape
+    lifted = (kraus[:, None, :, :, None] * np.eye(d)[:, None, None, :]).reshape(d_out * d, r, d * d)
+    return lifted, np.repeat([1.0, -1.0], [a.rank, b.rank])
 
 
-def _seesaw_from(psi, ka, kb, tol, max_iter):
-    """Alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1."""
-    f_prev = -np.inf
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        xs = np.stack([k @ psi for k in ka])
-        ys = np.stack([k @ psi for k in kb])
-        omega = xs.T @ xs.conj() - ys.T @ ys.conj()
+def _seesaw(psi, lifted, signs, tol, max_iter):
+    """Alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1.
+
+    Each row of psi starts one restart, and all restarts ascend together:
+    per iteration one batched product maps the active inputs through every
+    lifted Kraus operator, one forms the outputs, a stacked eigh takes their
+    trace-norm witnesses, two batched products pull the witnesses back and a
+    stacked eigh gives the new inputs. Every product is stacked over restarts
+    rather than folded into one GEMM, so a restart's arithmetic, and with it
+    its result, does not depend on how many others are active. A restart
+    leaves the active set once f - f_prev < tol (keeping the larger of the
+    two) or at max_iter. Returns per-restart values, final inputs,
+    convergence flags and iteration counts.
+    """
+    n_out, r, n_in = lifted.shape
+    forward = lifted.reshape(n_out * r, n_in).T
+    spread = lifted.reshape(n_out, r * n_in)
+    back = (lifted.conj() * signs[:, None]).reshape(n_out * r, n_in).T
+    count = psi.shape[0]
+    f_out = np.full(count, -np.inf)
+    psi_out = psi.copy()
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.full(count, max_iter)
+    rows = np.arange(count)
+    f_prev = np.full(count, -np.inf)
+    for it in range(1, max_iter + 1):
+        p = rows.size
+        xs = (psi[:, None, :] @ forward).reshape(p, n_out, r)
+        omega = (xs * signs) @ dag(xs)
         w, v = np.linalg.eigh(hermitianize(omega))
-        f = float(np.sum(np.abs(w)))
-        sign = np.sign(w)
-        wmat = (v * sign) @ dag(v)
-        m = sum(dag(k) @ wmat @ k for k in ka) - sum(dag(k) @ wmat @ k for k in kb)
-        mw, mv = np.linalg.eigh(hermitianize(m))
-        psi = mv[:, -1]
-        iterations += 1
-        if f - f_prev < tol:
-            converged = True
-            f_prev = max(f_prev, f)
-            break
-        f_prev = f
-    return f_prev, psi, converged, iterations
+        f = np.abs(w).sum(-1)
+        wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
+        pulled = (wmat @ spread).reshape(p, n_out * r, n_in)
+        psi = np.linalg.eigh(hermitianize(back @ pulled))[1][:, :, -1]
+        done = f - f_prev < tol
+        f_prev = np.where(done, np.maximum(f_prev, f), f)
+        if done.any():
+            stop = rows[done]
+            f_out[stop], psi_out[stop], converged[stop], iterations[stop] = f_prev[done], psi[done], True, it
+            keep = ~done
+            rows, psi, f_prev = rows[keep], psi[keep], f_prev[keep]
+            if not rows.size:
+                break
+    f_out[rows], psi_out[rows] = f_prev, psi
+    return f_out, psi_out, converged, iterations
 
 
 def diamond_distance(
@@ -125,35 +158,27 @@ def diamond_distance(
     of the input): alternately take the optimal trace-norm witness of the
     output and the top eigenvector of its pull-back. The maximally entangled
     start is always included, so lower >= (1/d_in)||C_a - C_b||_1 up to the
-    ascent tolerance; the remaining restarts are Haar random. The upper route
-    is the Choi trace norm.
+    ascent tolerance; the remaining restarts are Haar random. All restarts
+    run as one stacked ascent. The upper route is the Choi trace norm.
     """
     _check_same_shape(a, b)
     if restarts < 1:
         raise ValueError("need at least one restart")
     rng = np.random.default_rng(0) if rng is None else rng
     d = a.d_in
-    ka = _lifted_kraus(a)
-    kb = _lifted_kraus(b)
     me = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     inits = [me] + [random_pure_state(d * d, rng) for _ in range(restarts - 1)]
-    best = (-np.inf, me, False, 0)
-    total_iter = 0
-    all_converged = True
-    for psi0 in inits:
-        f, psi, conv, iters = _seesaw_from(psi0, ka, kb, tol, max_iter)
-        total_iter += iters
-        all_converged = all_converged and conv
-        if f > best[0]:
-            best = (f, psi, conv, iters)
+    lifted, signs = _signed_lifted_kraus(a, b)
+    f, psi, converged, iterations = _seesaw(np.stack(inits), lifted, signs, tol, max_iter)
+    best = int(np.argmax(f))
     upper = trace_norm(a.choi - b.choi)
-    lower = min(best[0], upper)
+    lower = min(f[best], upper)
     return DiamondEstimate(
         lower=float(lower),
         upper=float(upper),
-        witness_state=best[1],
-        converged=all_converged,
-        iterations=total_iter,
+        witness_state=psi[best],
+        converged=bool(converged.all()),
+        iterations=int(iterations.sum()),
     )
 
 

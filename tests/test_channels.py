@@ -12,7 +12,7 @@ from ctlab.channels import (
     dilate,
     random_channel,
 )
-from ctlab.linalg import dag, haar_unitary, partial_trace, random_density
+from ctlab.linalg import dag, haar_unitary, partial_trace, random_density, random_isometry
 
 
 def _random_dilation(ch, r, rng):
@@ -112,6 +112,21 @@ def _channels(draw):
     rank = draw(st.integers(-(-d_in // d_out), d_in * d_out))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_channel(d_in, d_out, rank, rng), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    r=st.integers(1, 6),
+    d_out=st.integers(1, 4),
+    d_in=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_equals_traced_full_choi(r, d_out, d_in, seed):
+    if r * d_out < d_in:
+        d_in = r * d_out
+    dil = Dilation(random_isometry(r * d_out, d_in, np.random.default_rng(seed)), r, d_out)
+    want = partial_trace(dil.choi_full(), (r, d_out, d_in), (0,))
+    assert np.array_equal(dil.contract().choi, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctlab import linalg
 from ctlab.linalg import (
     ATOL,
     FactorLayout,
@@ -307,6 +308,23 @@ def test_haar_unitaries_batch():
     assert us.shape == (7, 3, 3)
     for u in us:
         assert np.abs(dag(u) @ u - np.eye(3)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 5),
+    per_chunk=st.integers(1, 7),
+    count=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_haar_unitaries_chunks_match_whole_batch_qr(d, per_chunk, count, seed):
+    want = _phase_corrected_qr(
+        random_gaussian_matrix(count * d, d, np.random.default_rng(seed)).reshape(count, d, d)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
+        got = haar_unitaries(d, count, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
 
 
 def test_haar_first_moment_twirl():

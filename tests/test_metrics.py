@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlab.channels import Channel, random_channel
-from ctlab.linalg import haar_unitary, trace_norm
+from ctlab.linalg import haar_unitary, random_pure_state, trace_norm
 from ctlab.metrics import (
     DiamondEstimate,
+    _seesaw,
+    _signed_lifted_kraus,
     channel_fidelity,
     choi_trace_distance,
+    choi_trace_distances,
     diamond_distance,
     fidelity_trace_conversion,
     unitary_diamond_distance,
@@ -17,6 +22,29 @@ def _depolarizing(p):
     omega = np.eye(2, dtype=complex).reshape(-1)
     choi = (1 - p) * np.outer(omega, omega) + p * np.eye(4) / 2
     return Channel(choi, 2, 2)
+
+
+@st.composite
+def _channel_pool(draw, min_size=2, max_size=6):
+    """Channels sharing d_in -> d_out, of random Kraus ranks."""
+    d_in = draw(st.integers(1, 3))
+    d_out = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(min_size, max_size))
+    lo = -(-d_in // d_out)
+    return [random_channel(d_in, d_out, int(rng.integers(lo, d_in * d_out + 1)), rng) for _ in range(size)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_channel_pool())
+def test_stacked_choi_rows_equal_per_pair_distances(pool):
+    # the row form sample_packing_net fills its distance matrix with
+    chois = np.stack([ch.choi for ch in pool])
+    d_in = pool[0].d_in
+    for i in range(len(pool) - 1):
+        row = choi_trace_distances(chois[i], chois[i + 1 :], d_in)
+        assert row.tolist() == [choi_trace_distance(pool[i], b) for b in pool[i + 1 :]]
+        assert row.tolist() == [trace_norm(pool[i].choi - b.choi) / d_in for b in pool[i + 1 :]]
 
 
 def test_choi_distance_zero_on_equal():
@@ -131,6 +159,34 @@ def test_diamond_estimate_fields():
     assert est.witness_state.shape == (4,)
     assert abs(np.linalg.norm(est.witness_state) - 1.0) < 1e-9
     assert est.iterations >= 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_channel_pool(max_size=2), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_batched_seesaw_properties(pair, restarts, seed):
+    a, b = pair
+    est = diamond_distance(a, b, restarts=restarts, rng=np.random.default_rng(seed))
+    choi = choi_trace_distance(a, b)
+    assert choi - 1e-9 <= est.lower <= est.upper + 1e-9
+    assert abs(np.linalg.norm(est.witness_state) - 1.0) < 1e-9
+    assert est.iterations >= restarts
+    # the first restart ascends from the same start whatever runs beside it
+    one = diamond_distance(a, b, restarts=1, rng=np.random.default_rng(seed))
+    assert est.lower >= one.lower - 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_channel_pool(max_size=2), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_seesaw_restart_does_not_depend_on_its_batch(pair, restarts, seed):
+    a, b = pair
+    lifted, signs = _signed_lifted_kraus(a, b)
+    rng = np.random.default_rng(seed)
+    starts = np.stack([random_pure_state(a.d_in**2, rng) for _ in range(restarts)])
+    f1, psi1, _, it1 = _seesaw(starts[:1], lifted, signs, 1e-8, 1000)
+    f, psi, _, it = _seesaw(starts, lifted, signs, 1e-8, 1000)
+    assert f[0] == f1[0]
+    assert np.array_equal(psi[0], psi1[0])
+    assert it[0] == it1[0]
 
 
 def test_diamond_restart_guard():
