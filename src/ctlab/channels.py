@@ -192,15 +192,8 @@ class Dilation:
         return np.outer(v, v.conj())
 
     def contract(self) -> Channel:
-        """Trace out the ancilla, returning the dilated channel.
-
-        Sums |E_k>><<E_k| over the Kraus blocks in ancilla order, which equals
-        tr_anc |V>><<V| bit for bit without building the (r d_out d_in)^2
-        operator.
-        """
-        m = self.matrix.reshape(self.anc_dim, -1)
-        c = sum(np.outer(row, row.conj()) for row in m)
-        return Channel(c, self.d_in, self.d_out)
+        """Trace out the ancilla: the channel of the Kraus blocks."""
+        return Channel.from_kraus(self.kraus_blocks())
 
 
 def dilate(ch: Channel, r: int | None = None) -> Dilation:

@@ -254,8 +254,9 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
     _require_at_least(1, d=d)
     _require_at_least(2, samples=samples)
-    # the Haar QR holds ~4.4 batches and per-sample diagonals; twirl2 seven d^2 x d^2 operators
-    _budget_guard(16 * (samples * (5 * d * d + 2 * d) + 7 * d**4))
+    # the Ginibre draw holds two batches until the in-place QR, the Monte Carlo two values
+    # per sample; twirl2 seven d^2 x d^2 operators
+    _budget_guard(16 * (samples * (2 * d * d + 2) + 7 * d**4))
     checks = []
 
     batch = haar_unitaries(d, samples, _trial_rng(seed, 0))
@@ -473,8 +474,8 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
     # reports keep a Choi matrix and a dilation; a trial two stacks of the 360 phase-shifted
-    # dilation differences, a see-saw's two lifted Kraus sets about five times over, workspaces
-    per_trial = 720 * big * d1 + 10 * big * d1**3 + 6 * choi
+    # dilation differences and workspaces
+    per_trial = 720 * big * d1 + 6 * choi
     _budget_guard(16 * (trials * (choi + 2 * big * d1) + _thread_count() * per_trial))
 
     d_col = d2 if r == 0 else r * d2
@@ -484,10 +485,10 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     def trial(index: int, rng: np.random.Generator):
         if r == 0:
             target = Isometry(random_isometry(d2, d1, rng))
-            return isometry_tomography(target, eps, rng, diamond_restarts=2)
+            return isometry_tomography(target, eps, rng)
         rank = int(rng.integers(min_rank, min(r, d1 * d2) + 1))
         ch = random_channel(d1, d2, rank, rng)
-        return channel_tomography(ch, r, eps, rng, diamond_restarts=2)
+        return channel_tomography(ch, r, eps, rng)
 
     reports = _map_trials(trial, trials, seed)
     successes = sum(1 for rep in reports if rep.success)

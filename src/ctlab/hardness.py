@@ -233,12 +233,9 @@ class HardInstance:
 
     def dilation(self) -> Dilation:
         """Reorder rows to the ancilla-major convention and wrap."""
-        d2, r = self.d2, self.r
-        perm = np.empty(r * d2, dtype=int)
-        for k in range(r):
-            for b in range(d2):
-                perm[k * d2 + b] = b * r + k
-        return Dilation(self.matrix[perm, :], r, d2)
+        d1, d2, r = self.dims
+        v = self.matrix.reshape(d2, r, d1).transpose(1, 0, 2).reshape(r * d2, d1)
+        return Dilation(v, r, d2)
 
     def channel(self) -> Channel:
         return self.dilation().contract()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import Channel, Dilation, Isometry, dilate
 from .linalg import dft_matrix, operator_norm
-from .metrics import choi_trace_distance, diamond_distance
+from .metrics import choi_trace_distance
 
 __all__ = [
     "PureStateOracleConfig",
@@ -37,23 +37,20 @@ class PureStateOracleConfig:
 
     Each prepared state deviates from the target column by at most eps_max
     in squared overlap; producing one column estimate of a d-dimensional
-    state is charged ceil(c_q * d / eps_max) oracle queries.
+    state is charged ceil(d / eps_max) oracle queries.
     """
 
     eps_max: float
-    c_q: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.eps_max <= 1.0:
             raise ValueError(f"eps_max must lie in [0, 1], got {self.eps_max}")
-        if self.c_q <= 0:
-            raise ValueError(f"c_q must be positive, got {self.c_q}")
 
     def copies_charged(self, d: int) -> int:
         """Query cost of one column estimate in dimension d (0 when exact)."""
         if self.eps_max == 0.0:
             return 0
-        return math.ceil(self.c_q * d / self.eps_max)
+        return math.ceil(d / self.eps_max)
 
 
 def pure_state_oracle(
@@ -143,19 +140,15 @@ class TomographyReport:
 
     op_error is the operator-norm error of the isometry estimate minimized
     over a global phase; choi_error the normalized Choi trace distance of
-    the induced channels; diamond_interval the (lower, upper) see-saw
-    bracket on their diamond distance.  For channel estimation,
-    dilation_estimate keeps the underlying isometry estimate.
+    the induced channels.  Further distances, such as a diamond bracket,
+    are for the caller to ask of metrics.
     """
 
     estimate: object
     queries_charged: int
     op_error: float
     choi_error: float
-    diamond_interval: tuple
     success: bool
-    seed: int | None = None
-    dilation_estimate: Isometry | None = None
 
 
 def min_phase_op_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -195,7 +188,7 @@ def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    cfg = PureStateOracleConfig(eps_max=eps * eps / 64.0, c_q=1.0)
+    cfg = PureStateOracleConfig(eps_max=eps * eps / 64.0)
     d1 = target.d_in
     vhat1 = weak_isometry_tomography(target, cfg, rng)
     rotated = Isometry(target.matrix @ dft_matrix(d1))
@@ -205,14 +198,7 @@ def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -
     return estimate, queries, min_phase_op_error(target.matrix, estimate.matrix)
 
 
-def isometry_tomography(
-    target: Isometry,
-    eps: float,
-    rng: np.random.Generator | None = None,
-    *,
-    seed: int | None = None,
-    diamond_restarts: int = 4,
-) -> TomographyReport:
+def isometry_tomography(target: Isometry, eps: float, rng: np.random.Generator) -> TomographyReport:
     """Full isometry estimation to operator-norm error eps/2.
 
     Runs the weak column procedure twice (second time against target @ DFT)
@@ -220,32 +206,18 @@ def isometry_tomography(
     verifies the result.  The success guarantee is derived for eps <= 1/8;
     larger values (up to 1) run the same procedure with extra slack.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     estimate, queries, op_error = _estimate_isometry(target, eps, rng)
-    est_channel = estimate.channel()
-    true_channel = target.channel()
-    choi_error = choi_trace_distance(est_channel, true_channel)
-    interval = diamond_distance(est_channel, true_channel, restarts=diamond_restarts, rng=rng)
     return TomographyReport(
         estimate=estimate,
         queries_charged=queries,
         op_error=op_error,
-        choi_error=choi_error,
-        diamond_interval=(interval.lower, interval.upper),
+        choi_error=choi_trace_distance(estimate.channel(), target.channel()),
         success=2.0 * op_error <= float(eps),
-        seed=seed,
     )
 
 
 def channel_tomography(
-    target: Channel,
-    r: int,
-    eps: float,
-    rng: np.random.Generator | None = None,
-    *,
-    seed: int | None = None,
-    diamond_restarts: int = 4,
+    target: Channel, r: int, eps: float, rng: np.random.Generator
 ) -> TomographyReport:
     """Estimate a channel through a fixed r-slot dilation.
 
@@ -256,20 +228,14 @@ def channel_tomography(
     """
     if r < target.rank:
         raise ValueError(f"ancilla budget r={r} below the target rank {target.rank}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     dil = dilate(target, r)
     est_iso, queries, op_error = _estimate_isometry(Isometry(dil.matrix), eps, rng)
     est_channel = Dilation(est_iso.matrix, r, target.d_out).contract()
     choi_error = choi_trace_distance(est_channel, target)
-    interval = diamond_distance(est_channel, target, restarts=diamond_restarts, rng=rng)
     return TomographyReport(
         estimate=est_channel,
         queries_charged=queries,
         op_error=op_error,
         choi_error=choi_error,
-        diamond_interval=(interval.lower, interval.upper),
         success=choi_error <= eps,
-        seed=seed,
-        dilation_estimate=est_iso,
     )

@@ -458,7 +458,7 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
     for trial in range(100):
         rng = np.random.default_rng(8000 + trial)
         target = Isometry(random_isometry(3, 2, rng))
-        rep = isometry_tomography(target, eps, rng, diamond_restarts=2)
+        rep = isometry_tomography(target, eps, rng)
         assert rep.queries_charged == expected
         successes += int(rep.success)
     rate = successes / 100.0
@@ -467,7 +467,7 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
     rng = np.random.default_rng(801)
     for _ in range(3):
         ch = random_channel(2, 2, int(rng.integers(1, 3)), rng)
-        rep = channel_tomography(ch, 2, 0.3, rng, diamond_restarts=2)
+        rep = channel_tomography(ch, 2, 0.3, rng)
         assert rep.queries_charged == 2 * 2 * math.ceil(64.0 * 4 / 0.3**2)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -123,6 +123,14 @@ def test_moments_thread_pool_is_bit_identical():
     assert serial.output == threaded.output
 
 
+def test_tomography_thread_pool_is_bit_identical():
+    args = ["tomography", "--seed", "3", "--trials", "6", "--r", "2"]
+    serial = _run(args, env={"CTL_THREADS": "1"})
+    threaded = _run(args, env={"CTL_THREADS": "2"})
+    assert serial.exit_code == 0
+    assert serial.output == threaded.output
+
+
 def test_bogus_thread_env_falls_back():
     res = _run(["verify", "--seed", "0"], env={"CTL_THREADS": "many"})
     assert res.exit_code == 0
@@ -344,3 +352,6 @@ def test_declared_bound_covers_traced_peak(args, monkeypatch):
     assert res.exit_code == 0, res.output
     assert len(declared) == 1
     assert peak <= declared[0], (peak, declared[0])
+    if args[0] == "moments":
+        # a bound far above the peak declines runs the machine could hold
+        assert declared[0] - 2**24 <= 1.5 * peak, (peak, declared[0])

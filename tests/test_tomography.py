@@ -5,6 +5,7 @@ import pytest
 
 from ctlab.channels import Channel, Isometry, random_channel
 from ctlab.linalg import dft_matrix, haar_unitary, random_isometry, random_pure_state
+from ctlab.metrics import diamond_distance
 from ctlab.tomography import (
     PureStateOracleConfig,
     TomographyReport,
@@ -18,20 +19,15 @@ from ctlab.tomography import (
 
 
 def test_oracle_config_validation():
-    cfg = PureStateOracleConfig(eps_max=0.01)
-    assert cfg.c_q == 1.0
     with pytest.raises(ValueError):
         PureStateOracleConfig(eps_max=-0.1)
     with pytest.raises(ValueError):
         PureStateOracleConfig(eps_max=1.5)
-    with pytest.raises(ValueError):
-        PureStateOracleConfig(eps_max=0.1, c_q=0.0)
 
 
 def test_copies_charged():
     assert PureStateOracleConfig(eps_max=0.0).copies_charged(7) == 0
     assert PureStateOracleConfig(eps_max=0.1).copies_charged(3) == 30
-    assert PureStateOracleConfig(eps_max=0.1, c_q=2.0).copies_charged(3) == 60
     # ceiling, not rounding
     assert PureStateOracleConfig(eps_max=0.07).copies_charged(2) == math.ceil(2 / 0.07)
 
@@ -126,34 +122,34 @@ def test_isometry_tomography_eps_guard():
     rng = np.random.default_rng(8)
     target = Isometry(random_isometry(3, 2, rng))
     with pytest.raises(ValueError):
-        isometry_tomography(target, 0.0)
+        isometry_tomography(target, 0.0, rng)
     with pytest.raises(ValueError):
-        isometry_tomography(target, 1.2)
+        isometry_tomography(target, 1.2, rng)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_isometry_tomography_runs(seed):
     rng = np.random.default_rng(42)
     target = Isometry(random_isometry(3, 2, rng))
-    rep = isometry_tomography(target, 0.2, seed=seed)
+    rep = isometry_tomography(target, 0.2, np.random.default_rng(seed))
     assert isinstance(rep, TomographyReport)
     assert rep.success
     assert 2.0 * rep.op_error <= 0.2
-    assert rep.seed == seed
     # charged per the ceiling formula: two weak runs of d1 columns each
     assert rep.queries_charged == 2 * 2 * math.ceil(64 * 3 / 0.2**2)
-    lo, hi = rep.diamond_interval
-    assert rep.choi_error <= lo + 1e-7
-    assert lo <= hi + 1e-9
+    interval = diamond_distance(
+        rep.estimate.channel(), target.channel(), restarts=2, rng=np.random.default_rng(seed)
+    )
+    assert rep.choi_error <= interval.lower + 1e-7
+    assert interval.lower <= interval.upper + 1e-9
     assert isinstance(rep.estimate, Isometry)
-    assert rep.dilation_estimate is None
 
 
 def test_isometry_tomography_deterministic_via_seed():
     rng = np.random.default_rng(43)
     target = Isometry(random_isometry(2, 2, rng))
-    a = isometry_tomography(target, 0.25, seed=11)
-    b = isometry_tomography(target, 0.25, seed=11)
+    a = isometry_tomography(target, 0.25, np.random.default_rng(11))
+    b = isometry_tomography(target, 0.25, np.random.default_rng(11))
     assert a.op_error == b.op_error
     assert a.choi_error == b.choi_error
     assert np.abs(a.estimate.matrix - b.estimate.matrix).max() == 0
@@ -162,7 +158,7 @@ def test_isometry_tomography_deterministic_via_seed():
 def test_isometry_tomography_unitary_target():
     rng = np.random.default_rng(44)
     target = Isometry(haar_unitary(2, rng))
-    rep = isometry_tomography(target, 0.3, seed=1)
+    rep = isometry_tomography(target, 0.3, np.random.default_rng(1))
     assert rep.success
 
 
@@ -175,18 +171,15 @@ def test_channel_tomography_rank_guard():
     rng = np.random.default_rng(9)
     ch = random_channel(2, 2, 3, rng)
     with pytest.raises(ValueError):
-        channel_tomography(ch, 2, 0.2)
+        channel_tomography(ch, 2, 0.2, rng)
 
 
 def test_channel_tomography_runs():
     rng = np.random.default_rng(45)
     ch = random_channel(2, 2, 2, rng)
-    rep = channel_tomography(ch, 2, 0.3, seed=5)
+    rep = channel_tomography(ch, 2, 0.3, np.random.default_rng(5))
     assert rep.success
     assert rep.choi_error <= 0.3
-    # dilation isometry has r * d_out rows
-    assert rep.dilation_estimate.d_out == 4
-    assert rep.dilation_estimate.d_in == 2
     assert isinstance(rep.estimate, Channel)
     assert rep.queries_charged == 2 * 2 * math.ceil(64 * 4 / 0.3**2)
     from ctlab.metrics import choi_trace_distance
@@ -199,25 +192,27 @@ def test_channel_tomography_padded_ancilla():
     rng = np.random.default_rng(46)
     u = haar_unitary(2, rng)
     ch = Channel.from_kraus([u])
-    rep = channel_tomography(ch, 3, 0.4, seed=2)
+    rep = channel_tomography(ch, 3, 0.4, np.random.default_rng(2))
     assert rep.success
     assert rep.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
 
 
 def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
-    from ctlab import tomography
+    from ctlab import metrics
 
     calls = []
-    real = tomography.diamond_distance
+    real = metrics._seesaw
 
-    def counting(a, b, **kwargs):
-        calls.append(b)
-        return real(a, b, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(tomography, "diamond_distance", counting)
+    monkeypatch.setattr(metrics, "_seesaw", counting)
     rng = np.random.default_rng(47)
     ch = random_channel(2, 2, 2, rng)
-    rep = channel_tomography(ch, 2, 0.3, seed=6)
-    assert calls == [ch]
-    lower, upper = rep.diamond_interval
-    assert rep.choi_error <= lower + 1e-9 and lower <= upper + 1e-9
+    target = Isometry(random_isometry(3, 2, rng))
+    isometry_tomography(target, 0.3, np.random.default_rng(6))
+    rep = channel_tomography(ch, 2, 0.3, np.random.default_rng(6))
+    assert calls == []
+    interval = diamond_distance(rep.estimate, ch, restarts=2, rng=np.random.default_rng(6))
+    assert rep.choi_error <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
