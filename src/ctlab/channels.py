@@ -40,7 +40,7 @@ __all__ = [
 class Channel:
     """A CPTP map held by its Choi matrix on H_out kron H_in."""
 
-    def __init__(self, choi, d_in: int, d_out: int, *, atol: float = ATOL, validate: bool = True):
+    def __init__(self, choi, d_in: int, d_out: int):
         choi = np.array(choi, dtype=complex)
         d_in = int(d_in)
         d_out = int(d_out)
@@ -52,23 +52,22 @@ class Channel:
         self.d_in = d_in
         self.d_out = d_out
         self._kraus: tuple | None = None
-        if validate:
-            self._validate(atol)
+        self._validate()
 
-    def _validate(self, atol: float) -> None:
+    def _validate(self) -> None:
         herm_defect = float(np.max(np.abs(self.choi - dag(self.choi))))
-        if herm_defect > atol:
+        if herm_defect > ATOL:
             raise ValueError(f"choi is not hermitian (defect {herm_defect:.3e})")
         w = np.linalg.eigvalsh(hermitianize(self.choi))
-        if w.size and float(w[0]) < -atol:
+        if w.size and float(w[0]) < -ATOL:
             raise ValueError(f"choi is not psd (min eigenvalue {float(w[0]):.3e})")
         marg = partial_trace(self.choi, (self.d_out, self.d_in), (0,))
         defect = float(np.max(np.abs(marg - np.eye(self.d_in))))
-        if defect > atol:
+        if defect > ATOL:
             raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
 
     @classmethod
-    def from_kraus(cls, kraus, *, atol: float = ATOL) -> "Channel":
+    def from_kraus(cls, kraus) -> "Channel":
         """Build the Choi matrix of sum_i E_i rho E_i^dag.
 
         The Kraus list need not be orthogonal; completeness sum E^dag E = I is
@@ -82,14 +81,14 @@ class Channel:
             raise ValueError("inconsistent Kraus shapes")
         comp = sum(dag(e) @ e for e in kraus)
         defect = float(np.max(np.abs(comp - np.eye(d_in))))
-        if defect > atol:
+        if defect > ATOL:
             raise ValueError(f"Kraus set is not complete (defect {defect:.3e})")
         n = d_in * d_out
         choi = np.zeros((n, n), dtype=complex)
         for e in kraus:
             v = vectorize(e)
             choi += np.outer(v, v.conj())
-        return cls(choi, d_in, d_out, atol=atol)
+        return cls(choi, d_in, d_out)
 
     @property
     def kraus(self) -> tuple:

@@ -17,7 +17,6 @@ import numpy as np
 from .channels import Channel, Dilation
 from .linalg import (
     FactorLayout,
-    hermitianize,
     min_eig,
     partial_trace,
     partial_transpose,
@@ -26,7 +25,6 @@ from .linalg import (
     psd_sqrt,
     random_density,
     random_gaussian_matrix,
-    require_bytes,
 )
 
 COMB_ATOL = 1e-8
@@ -67,10 +65,6 @@ class LabelledOperator:
     @property
     def labels(self) -> tuple:
         return self.layout.labels
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
 
     @property
     def scalar(self) -> complex:
@@ -143,7 +137,7 @@ class FactoredOperator:
     factor is a dim x k matrix and weights holds k reals, so the operator
     costs O(dim k) memory.  Partial traces move the traced index into the
     columns, and the smallest eigenvalue comes from a k x k problem on the
-    span of the columns; the dense matrix is only built on request.
+    span of the columns, so no dense matrix is ever built.
     """
 
     factor: np.ndarray
@@ -166,13 +160,6 @@ class FactoredOperator:
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def from_dense(cls, x: LabelledOperator) -> "FactoredOperator":
-        """Factor a dense Hermitian operator by its full eigendecomposition."""
-        require_bytes(32 * x.dim**2, f"factoring a dense {x.dim}x{x.dim} operator")
-        w, v = np.linalg.eigh(hermitianize(x.op))
-        return cls(v, w, x.layout)
-
     @property
     def labels(self) -> tuple:
         return self.layout.labels
@@ -180,11 +167,6 @@ class FactoredOperator:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    @property
-    def op(self) -> np.ndarray:
-        require_bytes(16 * self.dim**2, f"a dense {self.dim}x{self.dim} operator")
-        return (self.factor * self.weights) @ self.factor.conj().T
 
     def scaled(self, factor: float) -> "FactoredOperator":
         return FactoredOperator(self.factor, self.weights * float(factor), self.layout)
@@ -308,9 +290,7 @@ def _validate_ordering(x: LabelledOperator, ordering: Sequence) -> tuple:
     return groups
 
 
-def is_deterministic_comb(
-    x: LabelledOperator, ordering: Sequence, tol: float = COMB_ATOL
-) -> CombCheck:
+def is_deterministic_comb(x: LabelledOperator, ordering: Sequence) -> CombCheck:
     """Check the causality constraints of a deterministic comb.
 
     ordering alternates input and output label groups,
@@ -322,7 +302,7 @@ def is_deterministic_comb(
     groups = _validate_ordering(x, ordering)
     n = len(groups) // 2
     worst = max(0.0, -min_eig(x.op))
-    if worst > tol:
+    if worst > COMB_ATOL:
         return CombCheck(False, -1, worst)
     cur = x
     for j in range(n, 0, -1):
@@ -338,12 +318,12 @@ def is_deterministic_comb(
         else:
             target = nxt
         defect = float(np.max(np.abs(traced.op - target.op)))
-        if defect > tol:
+        if defect > COMB_ATOL:
             return CombCheck(False, j, defect)
         worst = max(worst, defect)
         cur = nxt
     defect = abs(cur.scalar - 1.0)
-    if defect > tol:
+    if defect > COMB_ATOL:
         return CombCheck(False, 0, float(defect))
     return CombCheck(True, None, max(worst, float(defect)))
 
@@ -356,16 +336,14 @@ class Tester:
     out_labels[j] are the label groups of the j-th query's input and output
     interfaces (the output group also carries an ancilla label when the
     tester probes dilations rather than channels). Group order is the
-    significance order of the corresponding factors. kind selects the
-    normalization that is enforced at construction: a parallel tester sums
-    to rho on the inputs tensor identity on the outputs, a sequential one
-    sums to a deterministic comb interleaving the query interfaces.
+    significance order of the corresponding factors. The tester is
+    parallel: construction checks that its outcomes sum to rho on the inputs
+    tensor identity on the outputs.
     """
 
     outcomes: tuple
     in_labels: tuple
     out_labels: tuple
-    kind: str = "parallel"
 
     def __post_init__(self):
         outcomes = tuple((lab, op) for lab, op in self.outcomes)
@@ -374,8 +352,6 @@ class Tester:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "in_labels", in_labels)
         object.__setattr__(self, "out_labels", out_labels)
-        if self.kind not in ("parallel", "sequential"):
-            raise ValueError(f"unknown tester kind {self.kind!r}")
         if not outcomes:
             raise ValueError("a tester needs at least one outcome")
         names = [lab for lab, _ in outcomes]
@@ -429,32 +405,19 @@ class Tester:
 
     def _check_normalization(self) -> None:
         s = self._sum()
-        if self.kind == "parallel":
-            rho = self.input_state()
-            if abs(rho.trace - 1.0) > COMB_ATOL:
-                raise ValueError("tester input state is not normalized")
-            if min_eig(rho.op) < -COMB_ATOL:
-                raise ValueError("tester input state is not psd")
-            out_layout = s.layout.without(rho.labels)
-            target = rho.tensor(identity_on(out_layout)).aligned_to(s.layout)
-            defect = float(np.max(np.abs(s.op - target.op)))
-            if defect > COMB_ATOL:
-                raise ValueError(
-                    f"parallel tester does not sum to rho x identity "
-                    f"(defect {defect:.3e})"
-                )
-        else:
-            ordering: list = [()]
-            for j in range(self.n_queries):
-                ordering.append(self.in_labels[j])
-                ordering.append(self.out_labels[j])
-            ordering.append(())
-            check = is_deterministic_comb(s, ordering)
-            if not check:
-                raise ValueError(
-                    f"sequential tester sum fails the comb constraint at level "
-                    f"{check.failed_level} (defect {check.defect:.3e})"
-                )
+        rho = self.input_state()
+        if abs(rho.trace - 1.0) > COMB_ATOL:
+            raise ValueError("tester input state is not normalized")
+        if min_eig(rho.op) < -COMB_ATOL:
+            raise ValueError("tester input state is not psd")
+        out_layout = s.layout.without(rho.labels)
+        target = rho.tensor(identity_on(out_layout)).aligned_to(s.layout)
+        defect = float(np.max(np.abs(s.op - target.op)))
+        if defect > COMB_ATOL:
+            raise ValueError(
+                f"parallel tester does not sum to rho x identity "
+                f"(defect {defect:.3e})"
+            )
 
 
 def _labelled_choi(process, out_group, in_group, ref: FactorLayout) -> LabelledOperator:
@@ -541,5 +504,4 @@ def random_parallel_tester(
         outcomes=outcomes,
         in_labels=tuple((("A", j),) for j in range(n_queries)),
         out_labels=out_groups,
-        kind="parallel",
     )

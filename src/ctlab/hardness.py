@@ -19,16 +19,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import Channel, Dilation, Isometry, channel_to_json
-from .combs import COMB_ATOL, CombCheck, FactoredOperator, LabelledOperator
+from .channels import Channel, Dilation, channel_to_json
+from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distance
 
 __all__ = [
     "Regime",
     "HardInstance",
-    "build_type1",
-    "build_type2",
     "build_instance",
     "kraus_partition",
     "GammaFamily",
@@ -227,10 +225,6 @@ class HardInstance:
     def dims(self) -> tuple:
         return (self.d1, self.d2, self.r)
 
-    @property
-    def iso(self) -> Isometry:
-        return Isometry(self.matrix)
-
     def dilation(self) -> Dilation:
         """Reorder rows to the ancilla-major convention and wrap."""
         d1, d2, r = self.dims
@@ -318,29 +312,14 @@ def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarra
     )
 
 
-def build_type1(d1: int, d2: int, r: int, eps: float, rng: np.random.Generator) -> HardInstance:
-    """Sample a near-square instance V = V0 + eps * U Delta U^dag."""
-    params = _regime_params(Regime.TYPE1, d1, d2, r)
-    return _assemble(Regime.TYPE1, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
-
-
-def build_type2(
-    regime: Regime | str, d1: int, d2: int, r: int, eps: float, rng: np.random.Generator
-) -> HardInstance:
-    """Sample a type II instance V = center + eps * U Delta."""
-    regime = Regime(regime)
-    _require(regime != Regime.TYPE1, "use build_type1 for the near-square regime")
-    params = _regime_params(regime, d1, d2, r)
-    return _assemble(regime, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
-
-
 def build_instance(
     regime: Regime | str, d1: int, d2: int, r: int, eps: float, rng: np.random.Generator
 ) -> HardInstance:
+    """Sample one member of a hard family: V = V0 + eps * U Delta U^dag in the
+    near-square (type1) regime, V = center + eps * U Delta in the type2 ones."""
     regime = Regime(regime)
-    if regime == Regime.TYPE1:
-        return build_type1(d1, d2, r, eps, rng)
-    return build_type2(regime, d1, d2, r, eps, rng)
+    params = _regime_params(regime, d1, d2, r)
+    return _assemble(regime, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +435,7 @@ def moment_experiment(
     eps: float,
     *,
     pairs: int = 200,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> MomentReport:
     """Estimate the second and fourth moments of the separation statistics.
 
@@ -467,7 +446,6 @@ def moment_experiment(
     tests/test_acceptance.py does.
     """
     regime = Regime(regime)
-    rng = np.random.default_rng(0) if rng is None else rng
     _require(pairs >= 2, "need at least two pairs for a standard error")
     params = _regime_params(regime, d1, d2, r)
     eps = _check_eps(eps)
@@ -692,19 +670,18 @@ def lipschitz_probe(
     eps: float,
     *,
     trials: int = 200,
-    rng: np.random.Generator | None = None,
-    step: float = 1e-3,
+    rng: np.random.Generator,
 ) -> LipschitzReport:
     """Finite-difference check of the stated Lipschitz constants.
 
     Each trial evaluates the separation statistic at a random pair of
-    unitaries and at a perturbed pair (alternating small geodesic steps and
-    independent redraws), and records |delta f| over the Frobenius distance
-    of the pair.  The ratio must stay below the stated constant. No command
-    runs this; tests/test_acceptance.py does.
+    unitaries and at a perturbed pair (alternating geodesic steps of
+    Frobenius size about 1e-3 and independent redraws), and records
+    |delta f| over the Frobenius distance of the pair.  The ratio must stay
+    below the stated constant. No command runs this; tests/test_acceptance.py
+    does.
     """
     regime = Regime(regime)
-    rng = np.random.default_rng(0) if rng is None else rng
     params = _regime_params(regime, d1, d2, r)
     eps = _check_eps(eps)
     hd = params["haar_dim"]
@@ -740,7 +717,7 @@ def lipschitz_probe(
     for trial in range(int(trials)):
         ux, uy = haar_unitary(hd, rng), haar_unitary(hd, rng)
         if trial % 2 == 0:
-            scale = step * rng.uniform(0.2, 1.0)
+            scale = 1e-3 * rng.uniform(0.2, 1.0)
             ux2 = _unitary_step(ux, scale, rng)
             uy2 = _unitary_step(uy, scale, rng)
         else:
@@ -881,9 +858,7 @@ def _level_gap(current: FactoredOperator, reference: FactoredOperator, level: in
     return reference.extended(traced.layout).minus(traced).min_eig()
 
 
-def _certify_type1(
-    op: FactoredOperator, family: GammaFamily, n: int, index, tol: float
-) -> CombCheck:
+def _certify_type1(op: FactoredOperator, family: GammaFamily, n: int, index) -> CombCheck:
     subset = None if index is None else frozenset(int(i) for i in index)
 
     def reference(level: int) -> FactoredOperator:
@@ -901,16 +876,14 @@ def _certify_type1(
     for level in range(n, 0, -1):
         prev = reference(level - 1)
         gap = _level_gap(current, prev, level)
-        if gap < -tol:
+        if gap < -COMB_ATOL:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))
         current = prev
     return CombCheck(True, None, worst)
 
 
-def _certify_type2(
-    op: FactoredOperator, family: GammaFamily, n: int, weight: int, tol: float
-) -> CombCheck:
+def _certify_type2(op: FactoredOperator, family: GammaFamily, n: int, weight: int) -> CombCheck:
     _require(0 <= weight <= n, f"weight must lie in [0, {n}], got {weight}")
     worst = 0.0
 
@@ -930,7 +903,7 @@ def _certify_type2(
             return None
         seen.add((level, w))
         gap = _level_gap(current, reference(level, w), level)
-        if gap < -tol:
+        if gap < -COMB_ATOL:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))
         if level > 1:
@@ -949,13 +922,7 @@ def _certify_type2(
     return CombCheck(True, None, worst)
 
 
-def certify_gamma_comb(
-    op: FactoredOperator | LabelledOperator,
-    family: GammaFamily,
-    n: int,
-    index=None,
-    tol: float = COMB_ATOL,
-) -> CombCheck:
+def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=None) -> CombCheck:
     """Run the recursive partial-trace certificate on a gamma operator.
 
     Checks positivity, then walks the teeth from the last to the first,
@@ -967,22 +934,19 @@ def certify_gamma_comb(
 
     Every level is an eigenproblem on the span of the factor columns, not
     on a dense matrix.  A `gamma_vector` operator has one column, so the
-    span stays about 2^n wide at any dimension; a dense input is factored
-    once by its full eigendecomposition.
+    span stays about 2^n wide at any dimension.
     """
-    _gamma_budget(family, n, op.dim if isinstance(op, LabelledOperator) else op.factor.shape[1])
+    _gamma_budget(family, n, op.factor.shape[1])
     expected = _gamma_layout(family, n)
     _require(
         set(op.layout.labels) == set(expected.labels),
         "operator labels do not match the gamma factor layout",
     )
-    if isinstance(op, LabelledOperator):
-        op = FactoredOperator.from_dense(op)
     op = op.aligned_to(expected)
     gap = op.min_eig()
-    if gap < -tol:
+    if gap < -COMB_ATOL:
         return CombCheck(False, -1, float(-gap))
     if family.kind == "type1":
-        return _certify_type1(op, family, n, index, tol)
+        return _certify_type1(op, family, n, index)
     _require(index is not None, "type2 certification needs the weight index")
-    return _certify_type2(op, family, n, int(index), tol)
+    return _certify_type2(op, family, n, int(index))

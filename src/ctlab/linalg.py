@@ -27,7 +27,8 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes of unitaries per in-place QR chunk of haar_unitaries
+# bytes of unitaries per chunk of the batch kernels: the in-place QR of
+# haar_unitaries and the fourth-moment Monte Carlo of moments
 _CHUNK_BYTES = 1 << 20
 
 __all__ = [

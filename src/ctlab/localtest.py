@@ -36,18 +36,14 @@ __all__ = [
 ]
 
 PERP_LABEL = "perp"
+# routes (a) and (b) of verify_dilation_identity agree to _ROUTE_ATOL; route
+# (c) agrees with (a) within _MC_SIGMAS standard errors
+_ROUTE_ATOL = 1e-7
+_MC_SIGMAS = 5.0
 
 
-def _find_anc_labels(tester: Tester, anc_labels) -> tuple:
-    """One ancilla label per query, either given or detected by name."""
-    if anc_labels is not None:
-        anc_labels = tuple(anc_labels)
-        if len(anc_labels) != tester.n_queries:
-            raise ValueError("need one ancilla label per query")
-        for j, lab in enumerate(anc_labels):
-            if lab not in tester.out_labels[j]:
-                raise ValueError(f"label {lab!r} is not in query {j}'s output group")
-        return anc_labels
+def _find_anc_labels(tester: Tester) -> tuple:
+    """One ancilla label per query, detected by its ("anc", j) name."""
     found = []
     for j, group in enumerate(tester.out_labels):
         hits = [
@@ -71,12 +67,12 @@ def _anc_dim(tester: Tester, anc_labels: tuple) -> int:
     return dims.pop()
 
 
-def average_tester(tester: Tester, anc_labels=None) -> Tester:
+def average_tester(tester: Tester) -> Tester:
     """Twirl every outcome over a shared Haar unitary on the ancilla factors.
 
     Supported for one or two queries (first and second moment twirls).
     """
-    anc_labels = _find_anc_labels(tester, anc_labels)
+    anc_labels = _find_anc_labels(tester)
     n = tester.n_queries
     outcomes = []
     for lab, op in tester.outcomes:
@@ -91,7 +87,6 @@ def average_tester(tester: Tester, anc_labels=None) -> Tester:
         outcomes=tuple(outcomes),
         in_labels=tester.in_labels,
         out_labels=tester.out_labels,
-        kind=tester.kind,
     )
 
 
@@ -107,10 +102,6 @@ class LocalizedTester:
     tester: Tester
     r: int
 
-    @property
-    def perp_index(self) -> int:
-        return len(self.tester.outcomes) - 1
-
 
 def _single_label(group, what: str):
     if len(group) != 1:
@@ -118,7 +109,17 @@ def _single_label(group, what: str):
     return group[0]
 
 
-def localize_tester(tester: Tester, anc_labels=None) -> LocalizedTester:
+def _query_labels(tester: Tester, anc_labels: tuple) -> tuple:
+    """The input label and the non-ancilla output label of each query."""
+    a_labels = [_single_label(g, "input") for g in tester.in_labels]
+    b_labels = []
+    for j, group in enumerate(tester.out_labels):
+        rest = tuple(lab for lab in group if lab != anc_labels[j])
+        b_labels.append(_single_label(rest, "output"))
+    return a_labels, b_labels
+
+
+def localize_tester(tester: Tester) -> LocalizedTester:
     """Remove the ancilla factors of a parallel dilation tester.
 
     One query: the localized outcome is tr_anc(T_i) / r. Two queries: split
@@ -130,18 +131,12 @@ def localize_tester(tester: Tester, anc_labels=None) -> LocalizedTester:
     cannot reach contribute a residual outcome "perp" built from the
     symmetrized input state, making the result a valid parallel tester.
     """
-    if tester.kind != "parallel":
-        raise ValueError("localization is defined for parallel testers")
-    anc_labels = _find_anc_labels(tester, anc_labels)
+    anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
     n = tester.n_queries
     if any(lab == PERP_LABEL for lab in tester.outcome_names):
         raise ValueError(f"outcome label {PERP_LABEL!r} is reserved")
-    a_labels = [_single_label(g, "input") for g in tester.in_labels]
-    b_labels = []
-    for j, group in enumerate(tester.out_labels):
-        rest = tuple(lab for lab in group if lab != anc_labels[j])
-        b_labels.append(_single_label(rest, "output"))
+    a_labels, b_labels = _query_labels(tester, anc_labels)
     ref = tester.outcomes[0][1].layout
     d1 = ref.dim_of(a_labels[0])
     d2 = ref.dim_of(b_labels[0])
@@ -209,7 +204,6 @@ def localize_tester(tester: Tester, anc_labels=None) -> LocalizedTester:
         outcomes=tuple(outcomes) + ((PERP_LABEL, perp),),
         in_labels=tuple((lab,) for lab in a_labels),
         out_labels=tuple((lab,) for lab in b_labels),
-        kind="parallel",
     )
     return LocalizedTester(tester=loc_tester, r=r)
 
@@ -227,10 +221,6 @@ class DilationCheck:
     max_fixed_dev: float
     max_sigma_dev: float
     ok: bool
-
-    @property
-    def perp_probability(self) -> float:
-        return float(self.localized[-1])
 
 
 def _dilation_vectors(
@@ -254,31 +244,23 @@ def verify_dilation_identity(
     *,
     samples: int = 10_000,
     rng: np.random.Generator,
-    anc_labels=None,
-    fixed_tol: float = 1e-7,
-    sigma: float = 5.0,
 ) -> DilationCheck:
     """Check localized = twirled-on-dilation = average-over-dilations.
 
     Route (a) applies the localized tester to copies of the channel, route
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
-    (these must agree to fixed_tol), and route (c) Monte Carlo averages the
-    raw tester over random dilations (must agree within sigma standard
-    errors).
+    (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
+    tester over random dilations (must agree within 5 standard errors).
     """
-    anc_labels = _find_anc_labels(tester, anc_labels)
+    anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
     n = tester.n_queries
-    loc = localize_tester(tester, anc_labels)
+    loc = localize_tester(tester)
     localized = apply_tester(loc.tester, channel)
     base = dilate(channel, r)
-    fixed = apply_tester(average_tester(tester, anc_labels), base)
+    fixed = apply_tester(average_tester(tester), base)
 
-    a_labels = [_single_label(g, "input") for g in tester.in_labels]
-    b_labels = []
-    for j, group in enumerate(tester.out_labels):
-        rest = tuple(lab for lab in group if lab != anc_labels[j])
-        b_labels.append(_single_label(rest, "output"))
+    a_labels, b_labels = _query_labels(tester, anc_labels)
     order = []
     for j in range(n):
         order += [anc_labels[j], b_labels[j], a_labels[j]]
@@ -288,7 +270,7 @@ def verify_dilation_identity(
     mc_stderr = np.empty(len(tester.outcomes))
     for i, (_, op) in enumerate(tester.outcomes):
         t_aligned = np.ascontiguousarray(op.aligned_to(order).op)
-        vals = np.sum(vbar.conj() * (vbar @ t_aligned.T), axis=1).real
+        vals = np.sum(vecs * (vbar @ t_aligned.T), axis=1).real
         mc_mean[i] = vals.mean()
         mc_stderr[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else np.inf
 
@@ -296,7 +278,7 @@ def verify_dilation_identity(
     max_fixed_dev = float(np.max(np.abs(localized[:k] - fixed)))
     denom = np.maximum(mc_stderr, 1e-12)
     max_sigma_dev = float(np.max(np.abs(localized[:k] - mc_mean) / denom))
-    ok = max_fixed_dev <= fixed_tol and max_sigma_dev <= sigma
+    ok = max_fixed_dev <= _ROUTE_ATOL and max_sigma_dev <= _MC_SIGMAS
     return DilationCheck(
         outcome_names=loc.tester.outcome_names,
         localized=localized,

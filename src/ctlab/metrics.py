@@ -25,6 +25,11 @@ from .linalg import (
     trace_norm,
 )
 
+# a see-saw restart stops once one iteration gains less than _SEESAW_TOL, or
+# after _SEESAW_MAX_ITER iterations
+_SEESAW_TOL = 1e-8
+_SEESAW_MAX_ITER = 1000
+
 __all__ = [
     "DiamondEstimate",
     "choi_trace_distance",
@@ -148,9 +153,7 @@ def diamond_distance(
     b: Channel,
     *,
     restarts: int = 16,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
+    rng: np.random.Generator,
 ) -> DiamondEstimate:
     """Dual-route diamond distance estimate.
 
@@ -164,12 +167,13 @@ def diamond_distance(
     _check_same_shape(a, b)
     if restarts < 1:
         raise ValueError("need at least one restart")
-    rng = np.random.default_rng(0) if rng is None else rng
     d = a.d_in
     me = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     inits = [me] + [random_pure_state(d * d, rng) for _ in range(restarts - 1)]
     lifted, signs = _signed_lifted_kraus(a, b)
-    f, psi, converged, iterations = _seesaw(np.stack(inits), lifted, signs, tol, max_iter)
+    f, psi, converged, iterations = _seesaw(
+        np.stack(inits), lifted, signs, _SEESAW_TOL, _SEESAW_MAX_ITER
+    )
     best = int(np.argmax(f))
     upper = trace_norm(a.choi - b.choi)
     lower = min(f[best], upper)

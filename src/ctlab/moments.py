@@ -13,16 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    _resolve,
-    haar_unitaries,
-    partial_trace,
-    permute_factors,
-    swap_operator,
-)
-
-# bytes of unitaries per chunk of the fourth-moment Monte Carlo kernel
-_CHUNK_BYTES = 1 << 20
+from . import linalg
+from .linalg import _resolve, partial_trace, permute_factors, swap_operator
 
 __all__ = [
     "twirl1",
@@ -132,27 +124,14 @@ class MonteCarloEstimate(NamedTuple):
     n_samples: int
 
 
-def mc_fourth_moment_trace(
-    a1,
-    b1,
-    a2,
-    b2,
-    *,
-    samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-    unitaries: np.ndarray | None = None,
-) -> MonteCarloEstimate:
-    """Monte Carlo twin of fourth_moment_trace.
+def mc_fourth_moment_trace(a1, b1, a2, b2, *, unitaries: np.ndarray) -> MonteCarloEstimate:
+    """Monte Carlo twin of fourth_moment_trace over a (count, d, d) Haar batch.
 
-    Pass a precomputed (count, d, d) Haar batch as unitaries to amortize the
-    sampling across many operator quadruples; otherwise rng is required.
+    The batch is drawn once by the caller (linalg.haar_unitaries), so the
+    sampling is amortized across many operator quadruples.
     """
     a1, b1, a2, b2 = _square_operators(a1, b1, a2, b2)
     d = a1.shape[0]
-    if unitaries is None:
-        if rng is None:
-            raise ValueError("need either a Haar batch or an rng")
-        unitaries = haar_unitaries(d, samples, rng)
     us = np.asarray(unitaries, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (d, d):
         raise ValueError("unitary batch shape does not match the operators")
@@ -169,13 +148,13 @@ def mc_fourth_moment_trace(
 
 def _fourth_moment_samples(us, a1, b1, a2, b2) -> np.ndarray:
     """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, in chunks
-    of _CHUNK_BYTES laid out sample index last: a fixed operator is one GEMM on a
+    of linalg._CHUNK_BYTES laid out sample index last: a fixed operator is one GEMM on a
     (d, d m) reshape, a batched d x d product one einsum; memory is O(N + chunk)."""
     n, d, _ = us.shape
     vals = np.empty(n, dtype=complex)
     def gemm(f, v):  # v[k, i, :] = V[i, k] for V = U or U^dag; returns (V F)^T
         return (f.T @ v.reshape(d, -1)).reshape(d, d, -1)
-    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    step = max(1, linalg._CHUNK_BYTES // (16 * d * d))
     for s in range(0, n, step):
         uk = np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0))
         uc = np.conjugate(uk.transpose(1, 0, 2), order="C")

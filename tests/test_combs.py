@@ -44,7 +44,7 @@ def test_labelled_operator_shape_guard():
 def test_labelled_operator_accepts_plain_factor_tuples():
     op = LabelledOperator(np.eye(6), ((("a"), 2), ("b", 3)))
     assert isinstance(op.layout, FactorLayout)
-    assert op.dim == 6
+    assert op.layout.dim == 6
 
 
 def test_aligned_to_round_trip():

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import linalg
-from ctlab.combs import COMB_ATOL, FactoredOperator, LabelledOperator
+from ctlab.combs import COMB_ATOL, FactoredOperator
 from ctlab.hardness import (
     certify_gamma_comb,
     gamma_vector,
@@ -44,8 +43,8 @@ def factored_operators(draw, max_dim=64):
     return FactoredOperator(f, w, layout)
 
 
-def _dense(f, w):
-    return (f * w) @ f.conj().T
+def _dense(x):
+    return (x.factor * x.weights) @ x.factor.conj().T
 
 
 @PROPERTY_SETTINGS
@@ -54,8 +53,8 @@ def test_partial_trace_matches_dense(x, data):
     traced = data.draw(st.lists(st.sampled_from(x.labels), unique=True))
     got = x.partial_trace(traced)
     assert got.labels == x.layout.without(traced).labels
-    want = partial_trace(x.op, x.layout, traced)
-    assert np.abs(got.op - want).max() < 1e-12
+    want = partial_trace(_dense(x), x.layout, traced)
+    assert np.abs(_dense(got) - want).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -64,20 +63,20 @@ def test_aligned_to_matches_dense(x, data):
     order = data.draw(st.permutations(x.labels))
     got = x.aligned_to(order)
     assert got.labels == tuple(order)
-    want = permute_factors(x.op, x.layout, order)
-    assert np.abs(got.op - want).max() < 1e-12
+    want = permute_factors(_dense(x), x.layout, order)
+    assert np.abs(_dense(got) - want).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(factored_operators(), st.floats(-3.0, 3.0))
 def test_scaled_matches_dense(x, s):
-    assert np.abs(x.scaled(s).op - s * x.op).max() < 1e-12
+    assert np.abs(_dense(x.scaled(s)) - s * _dense(x)).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(factored_operators())
 def test_min_eig_matches_dense(x):
-    assert abs(x.min_eig() - min_eig(x.op)) < 1e-12
+    assert abs(x.min_eig() - min_eig(_dense(x))) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -86,22 +85,12 @@ def test_minus_and_extended_match_dense(x, y):
     y = FactoredOperator(y.factor, y.weights, FactorLayout((("Y", y.dim),)))
     target = FactorLayout(x.layout.factors + y.layout.factors)
     big = x.extended(target)
-    assert np.abs(big.op - np.kron(x.op, np.eye(y.dim))).max() < 1e-12
+    assert np.abs(_dense(big) - np.kron(_dense(x), np.eye(y.dim))).max() < 1e-12
     other = y.extended(FactorLayout(y.layout.factors + x.layout.factors))
-    want = np.kron(x.op, np.eye(y.dim)) - np.kron(y.op, np.eye(x.dim)).reshape(
+    want = np.kron(_dense(x), np.eye(y.dim)) - np.kron(_dense(y), np.eye(x.dim)).reshape(
         y.dim, x.dim, y.dim, x.dim
     ).transpose(1, 0, 3, 2).reshape(target.dim, target.dim)
-    assert np.abs(big.minus(other).op - want).max() < 1e-12
-
-
-def test_from_dense_round_trip():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    m = m + m.conj().T
-    x = FactoredOperator.from_dense(LabelledOperator(m, ((("A", 0), 2), (("B", 0), 3))))
-    assert x.labels == (("A", 0), ("B", 0))
-    assert np.abs(x.op - m).max() < 1e-12
-    assert abs(x.min_eig() - min_eig(m)) < 1e-12
+    assert np.abs(_dense(big.minus(other)) - want).max() < 1e-12
 
 
 def test_shape_guards():
@@ -119,7 +108,7 @@ def test_shape_guards():
 
 
 # ---------------------------------------------------------------------------
-# Byte guard on dense materialisation
+# A gamma operator far above the dense byte budget
 # ---------------------------------------------------------------------------
 
 
@@ -136,20 +125,6 @@ def test_largest_budgeted_gamma_operator_stays_factored():
     assert not rejected.ok and rejected.failed_level == 3
     assert op.dim == 2**15 and op.factor.shape == (2**15, 1)
     assert elapsed < 1.0
-    with pytest.raises(ValueError, match="bytes"):
-        op.op
-
-
-def test_dense_input_is_guarded(monkeypatch):
-    fam = type2_gamma_family(2, 3, 0.2)
-    op = gamma_vector(fam, 1, 2)
-    dense = LabelledOperator(op.op, op.layout)
-    assert certify_gamma_comb(dense, fam, 2, index=1)
-    monkeypatch.setattr(linalg, "MAX_BYTES", 16 * 35 * 35)
-    with pytest.raises(ValueError, match="bytes"):
-        certify_gamma_comb(dense, fam, 2, index=1)
-    with pytest.raises(ValueError, match="bytes"):
-        op.op
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +235,6 @@ def test_certificate_matches_dense_reference(case):
     family, n, index, cert_index, scale = case
     op = gamma_vector(family, index, n).scaled(scale)
     got = certify_gamma_comb(op, family, n, index=cert_index)
-    ok, level, defect = dense_certificate(op.op, family, n, cert_index)
+    ok, level, defect = dense_certificate(_dense(op), family, n, cert_index)
     assert (got.ok, got.failed_level) == (ok, level)
     assert abs(got.defect - defect) <= 1e-12

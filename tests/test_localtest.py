@@ -30,15 +30,6 @@ def test_average_tester_single_query_matches_twirl1():
     assert avg.outcome_names == t.outcome_names
 
 
-def test_average_tester_explicit_labels():
-    rng = np.random.default_rng(1)
-    t = random_parallel_tester(1, 2, 2, 2, rng, anc_dim=3)
-    auto = average_tester(t)
-    manual = average_tester(t, anc_labels=(("anc", 0),))
-    for (_, a), (_, b) in zip(auto.outcomes, manual.outcomes):
-        assert np.abs(a.op - b.op).max() == 0
-
-
 def test_average_tester_rejects_three_queries():
     rng = np.random.default_rng(2)
     t = random_parallel_tester(3, 2, 1, 2, rng, anc_dim=2)
@@ -51,13 +42,6 @@ def test_average_tester_missing_ancilla():
     t = random_parallel_tester(1, 2, 2, 2, rng)  # no ancilla factor
     with pytest.raises(ValueError):
         average_tester(t)
-
-
-def test_average_tester_wrong_label_count():
-    rng = np.random.default_rng(4)
-    t = random_parallel_tester(2, 2, 2, 2, rng, anc_dim=2)
-    with pytest.raises(ValueError):
-        average_tester(t, anc_labels=(("anc", 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -74,25 +58,12 @@ def test_localize_single_query_identity():
     assert isinstance(loc, LocalizedTester)
     assert loc.r == 2
     assert loc.tester.outcome_names[-1] == PERP_LABEL
-    assert loc.perp_index == 3
+    assert len(loc.tester.outcomes) == 4
     local = apply_tester(loc.tester, ch)
     fixed = apply_tester(average_tester(t), dilate(ch, 2))
     assert np.abs(local[:3] - fixed).max() < 1e-10
     # one query localizes exactly: no unreachable sector
     assert abs(local[-1]) < 1e-12
-
-
-def test_localize_requires_parallel():
-    rng = np.random.default_rng(6)
-    t = random_parallel_tester(1, 2, 2, 2, rng, anc_dim=2)
-    seq = combs.Tester(
-        outcomes=t.outcomes,
-        in_labels=t.in_labels,
-        out_labels=t.out_labels,
-        kind="sequential",
-    )
-    with pytest.raises(ValueError, match="parallel"):
-        localize_tester(seq)
 
 
 def test_localize_rejects_reserved_label():
@@ -155,7 +126,6 @@ def test_verify_dilation_identity(n, d1, d2, r):
     assert check.fixed.shape == (k,)
     assert check.mc_mean.shape == (k,)
     assert check.outcome_names[-1] == PERP_LABEL
-    assert check.perp_probability == pytest.approx(float(check.localized[-1]))
     # consistency of the recorded deviations
     assert check.max_fixed_dev == pytest.approx(
         float(np.max(np.abs(check.localized[:k] - check.fixed)))

@@ -193,7 +193,7 @@ def test_diamond_restart_guard():
     rng = np.random.default_rng(7)
     ch = random_channel(2, 2, 1, rng)
     with pytest.raises(ValueError):
-        diamond_distance(ch, ch, restarts=0)
+        diamond_distance(ch, ch, restarts=0, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,89 @@
-"""Every name a ctlab submodule exports has a caller inside the package.
+"""Every library function has a caller: an export is called inside the
+package, and every function body runs from some ``ctlab`` command.
 
-Each submodule's ``__all__`` is read with ``ast``. A name counts as called
-when some module of the package refers to it (as a name or an attribute)
-outside its own ``def``/``class`` statement. Importing a name does not count,
-so a re-export in ``__init__.py`` is no call, and the ``__all__`` string does
-not count either. Names that only the test suite or the benchmark
-reach are listed in TEST_ONLY, each with the reason it stays.
+The first test reads each submodule's ``__all__`` with ``ast``. A name
+counts as called when some module of the package refers to it (as a name or
+an attribute) outside its own ``def``/``class`` statement. Importing a name
+does not count, so a re-export in ``__init__.py`` is no call, and the
+``__all__`` string does not count either.
+
+The second test runs the command set in-process under ``sys.setprofile`` and
+fails on any module-level function or method of ``src/ctlab`` that no
+command enters.
+
+TEST_ONLY is the one allowlist both tests read, keyed by ``module.qualname``:
+what only the test suite or the benchmark reaches, each with the reason it
+stays.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import sys
 from pathlib import Path
 
 import ctlab
+from ctlab import cli
 
 PACKAGE = Path(ctlab.__file__).resolve().parent
 
+_MOMENT_PROBE = (
+    "checks the paper's lower-bound moment constants; run by "
+    "tests/test_acceptance.py::test_06b_hard_instance_moment_bounds"
+)
+_LIPSCHITZ_PROBE = (
+    "checks the paper's Lipschitz constants; run by "
+    "tests/test_acceptance.py::test_09_lipschitz_probes_respect_constants"
+)
+_PROBE_STATISTIC = "a statistic of the moment and Lipschitz probes (test_06b, test_09)"
+_COMB_CHECK = (
+    "the deterministic-comb check of tests/test_acceptance.py::test_03 and test_03b"
+)
+_TYPE1_CERTIFICATE = "type1 gamma certificates: an input of the benchmark's certify workload"
+
 TEST_ONLY = {
-    "moment_experiment": (
-        "checks the paper's lower-bound moment constants; run by "
-        "tests/test_acceptance.py::test_06b_hard_instance_moment_bounds"
+    "hardness.moment_experiment": _MOMENT_PROBE,
+    "hardness.MomentReport.all_ok": _MOMENT_PROBE,
+    "hardness._record": _MOMENT_PROBE,
+    "hardness.lipschitz_probe": _LIPSCHITZ_PROBE,
+    "hardness.LipschitzReport.all_ok": _LIPSCHITZ_PROBE,
+    "hardness._unitary_step": _LIPSCHITZ_PROBE,
+    "hardness._tr_anc_outer": _PROBE_STATISTIC,
+    "hardness._pair_guard": _PROBE_STATISTIC,
+    "hardness.d_statistic": _PROBE_STATISTIC,
+    "hardness.amplitude_statistic": _PROBE_STATISTIC,
+    "hardness.choi_cross_statistic": _PROBE_STATISTIC,
+    "hardness.diamond_cross_statistic": _PROBE_STATISTIC,
+    "combs.is_deterministic_comb": _COMB_CHECK,
+    "combs._validate_ordering": _COMB_CHECK,
+    "combs.CombCheck.__bool__": "lets tests assert a certificate by its truth value",
+    "hardness.type1_gamma_family": _TYPE1_CERTIFICATE,
+    "hardness._certify_type1": _TYPE1_CERTIFICATE,
+    "hardness.HardInstance.anc_blocks": (
+        "the center's Kraus blocks, whose trace-orthogonality "
+        "tests/test_acceptance.py::test_06 checks"
     ),
-    "lipschitz_probe": (
-        "checks the paper's Lipschitz constants; run by "
-        "tests/test_acceptance.py::test_09_lipschitz_probes_respect_constants"
-    ),
-    "type1_gamma_family": "an input of the benchmark's certify workload",
+    "channels.Channel.__repr__": "readable channels in test failure messages",
+    "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
 }
+
+# The command set, each run at seed 3 with small counts: every command, all
+# four packing regimes, both tomography modes and both packing metrics.
+COMMANDS = (
+    ["verify"],
+    ["moments", "--d", "2", "--samples", "200"],
+    ["localtest", "--n", "1", "--samples", "40", "--testers", "1", "--channels", "1"],
+    ["localtest", "--n", "2", "--samples", "40", "--testers", "1", "--channels", "1"],
+    ["tomography", "--eps", "0.5", "--trials", "2"],
+    ["tomography", "--eps", "0.5", "--trials", "2", "--r", "2"],
+    ["distances", "--pairs", "2"],
+    ["packing-net", "--count", "2"],
+    ["packing-net", "--count", "2", "--regime", "type2-near", "--d1", "5", "--d2", "2", "--r", "3"],
+    ["packing-net", "--count", "2", "--regime", "type2-mid", "--d1", "4", "--d2", "3", "--r", "2"],
+    ["packing-net", "--count", "2", "--regime", "type2-large", "--d1", "2", "--d2", "4", "--r", "3"],
+    ["packing-net", "--count", "2", "--metric", "diamond_lower"],
+)
 
 
 def _trees() -> dict:
@@ -56,6 +114,17 @@ def _references(tree) -> list:
     return out
 
 
+def _functions(tree) -> list:
+    """Qualnames of the module-level functions and of the methods of module-level classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{f.name}" for f in node.body if isinstance(f, ast.FunctionDef)]
+    return out
+
+
 def test_every_export_has_a_caller():
     trees = _trees()
     refs = {module: _references(tree) for module, tree in trees.items()}
@@ -69,11 +138,52 @@ def test_every_export_has_a_caller():
                 for other, statements in refs.items()
                 for owner, names in statements
             )
-            if not called and name not in TEST_ONLY:
+            if not called and f"{module}.{name}" not in TEST_ONLY:
                 uncalled.append(f"{module}.{name}")
     assert not uncalled, "exported but never called inside ctlab: " + ", ".join(uncalled)
 
 
 def test_test_only_names_are_exported():
-    exported = {name for tree in _trees().values() for name in _exports(tree)}
-    assert set(TEST_ONLY) <= exported
+    # every allowlisted name is still a function its module exposes
+    for key in TEST_ONLY:
+        module, qualname = key.split(".", 1)
+        obj = importlib.import_module(f"ctlab.{module}")
+        for part in qualname.split("."):
+            obj = vars(obj)[part]
+        assert callable(obj.fget if isinstance(obj, property) else obj), key
+
+
+def _run_commands() -> set:
+    """module.qualname of every ctlab function a command of COMMANDS enters."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    for args in COMMANDS:
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(args=[*args, "--seed", "3"], prog_name="ctlab", standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0, (args, exc.code)
+        finally:
+            sys.setprofile(None)
+    return {
+        f"{Path(code.co_filename).stem}.{code.co_qualname}"
+        for code in codes
+        if Path(code.co_filename).resolve().parent == PACKAGE
+    }
+
+
+def test_every_function_runs_from_a_command(monkeypatch):
+    monkeypatch.setenv("CTL_THREADS", "1")
+    entered = _run_commands()
+    defined = {
+        f"{module}.{qualname}" for module, tree in _trees().items() for qualname in _functions(tree)
+    }
+    never = sorted(defined - entered - set(TEST_ONLY))
+    assert not never, "no ctlab command runs: " + ", ".join(never)
+    stale = sorted(set(TEST_ONLY) & entered)
+    assert not stale, "allowlisted but run by a command: " + ", ".join(stale)
