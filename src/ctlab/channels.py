@@ -22,6 +22,8 @@ from .linalg import (
     dag,
     hermitianize,
     partial_trace,
+    psd_inv_sqrt,
+    random_gaussian_matrix,
     unvectorize,
     vectorize,
 )
@@ -195,10 +197,10 @@ class Dilation:
         return Channel.from_kraus(self.kraus_blocks())
 
 
-def dilate(ch: Channel, r: int | None = None) -> Dilation:
+def dilate(ch: Channel, r: int) -> Dilation:
     """Canonical dilation from the eigen-Kraus set, zero-padded to rank r."""
     kraus = ch.kraus
-    r = len(kraus) if r is None else int(r)
+    r = int(r)
     if r < len(kraus):
         raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
     v = np.zeros((r * ch.d_out, ch.d_in), dtype=complex)
@@ -209,8 +211,6 @@ def dilate(ch: Channel, r: int | None = None) -> Dilation:
 
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
     """Random channel of Kraus rank <= rank (generically exactly rank)."""
-    from .linalg import psd_inv_sqrt, random_gaussian_matrix
-
     rank = int(rank)
     if rank < 1:
         raise ValueError("rank must be >= 1")

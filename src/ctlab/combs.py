@@ -82,7 +82,7 @@ class LabelledOperator:
             raise ValueError("alignment target must carry the same labels")
         if labels == self.labels:
             return self
-        op = permute_factors(self.op, self.layout, labels)
+        op = permute_factors(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout.restricted(labels))
 
     def extended(self, target: FactorLayout) -> "LabelledOperator":
@@ -115,14 +115,14 @@ class LabelledOperator:
         labels = tuple(labels)
         if not labels:
             return self
-        op = partial_trace(self.op, self.layout, labels)
+        op = partial_trace(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout.without(labels))
 
     def partial_transpose(self, labels: Sequence) -> "LabelledOperator":
         labels = tuple(labels)
         if not labels:
             return self
-        op = partial_transpose(self.op, self.layout, labels)
+        op = partial_transpose(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout)
 
     @property

@@ -145,19 +145,14 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1)
 
 
-def unvectorize(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
+def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(rows, cols)
 
 
-def _resolve(layout, which) -> tuple:
-    """Accept a FactorLayout with labels, or a plain dims tuple with positions."""
-    if isinstance(layout, FactorLayout):
-        dims = layout.dims
-        pos = sorted(layout.position(lab) for lab in which)
-    else:
-        dims = tuple(int(d) for d in layout)
-        pos = sorted(int(p) for p in which)
+def _resolve(dims, positions) -> tuple:
+    """The dims as ints and the positions sorted, each in range and distinct."""
+    dims = tuple(int(d) for d in dims)
+    pos = sorted(int(p) for p in positions)
     if len(set(pos)) != len(pos):
         raise ValueError("repeated factors")
     if pos and (pos[0] < 0 or pos[-1] >= len(dims)):
@@ -175,9 +170,9 @@ def _check_square(m: np.ndarray, dims: tuple) -> np.ndarray:
     return m
 
 
-def partial_trace(m: np.ndarray, layout, traced) -> np.ndarray:
-    """Trace out the named factors (labels for FactorLayout, else positions)."""
-    dims, pos = _resolve(layout, traced)
+def partial_trace(m: np.ndarray, dims, positions) -> np.ndarray:
+    """Trace out the factors at the given positions."""
+    dims, pos = _resolve(dims, positions)
     m = _check_square(m, dims)
     if not pos:
         return m.copy()
@@ -201,9 +196,9 @@ def partial_trace(m: np.ndarray, layout, traced) -> np.ndarray:
     return res.reshape(nk, nk)
 
 
-def partial_transpose(m: np.ndarray, layout, transposed) -> np.ndarray:
-    """Transpose the named factors in place, leaving the rest alone."""
-    dims, pos = _resolve(layout, transposed)
+def partial_transpose(m: np.ndarray, dims, positions) -> np.ndarray:
+    """Transpose the factors at the given positions, leaving the rest alone."""
+    dims, pos = _resolve(dims, positions)
     m = _check_square(m, dims)
     k = len(dims)
     t = m.reshape(dims + dims)
@@ -214,17 +209,13 @@ def partial_transpose(m: np.ndarray, layout, transposed) -> np.ndarray:
     return t.transpose(axes).reshape(n, n)
 
 
-def permute_factors(m: np.ndarray, layout, new_order) -> np.ndarray:
-    """Reorder tensor factors; new_order lists labels (or positions) in the
+def permute_factors(m: np.ndarray, dims, positions) -> np.ndarray:
+    """Reorder tensor factors; positions lists the input positions in the
     desired output order."""
-    if isinstance(layout, FactorLayout):
-        dims = layout.dims
-        perm = [layout.position(lab) for lab in new_order]
-    else:
-        dims = tuple(int(d) for d in layout)
-        perm = [int(p) for p in new_order]
+    dims = tuple(int(d) for d in dims)
+    perm = [int(p) for p in positions]
     if sorted(perm) != list(range(len(dims))):
-        raise ValueError("new_order must be a permutation of the layout")
+        raise ValueError("positions must be a permutation of the factors")
     m = _check_square(m, dims)
     k = len(dims)
     t = m.reshape(dims + dims)
@@ -258,11 +249,11 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dag(v)
 
 
-def psd_inv_sqrt(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Pseudo-inverse square root on the numeric support."""
+def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root on the numeric support (RANK_RTOL cutoff)."""
     w, v = _eigh_clipped(m)
     wmax = w.max(initial=0.0)
-    inv = np.where(w > rtol * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
+    inv = np.where(w > RANK_RTOL * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv) @ dag(v)
 
 
@@ -317,9 +308,8 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = d if rank is None else int(rank)
-    g = random_gaussian_matrix(d, rank, rng)
+def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = random_gaussian_matrix(d, d, rng)
     rho = g @ dag(g)
     return rho / np.trace(rho).real
 

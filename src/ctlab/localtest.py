@@ -29,7 +29,6 @@ from .moments import twirl1, twirl2
 
 __all__ = [
     "average_tester",
-    "LocalizedTester",
     "localize_tester",
     "DilationCheck",
     "verify_dilation_identity",
@@ -77,9 +76,9 @@ def average_tester(tester: Tester) -> Tester:
     outcomes = []
     for lab, op in tester.outcomes:
         if n == 1:
-            avg = twirl1(op.op, op.layout, anc_labels[0])
+            avg = twirl1(op.op, op.layout.dims, op.layout.position(anc_labels[0]))
         elif n == 2:
-            avg = twirl2(op.op, op.layout, anc_labels)
+            avg = twirl2(op.op, op.layout.dims, op.layout.positions(anc_labels))
         else:
             raise ValueError("ancilla twirls are implemented for n <= 2 queries")
         outcomes.append((lab, LabelledOperator(avg, op.layout)))
@@ -88,19 +87,6 @@ def average_tester(tester: Tester) -> Tester:
         in_labels=tester.in_labels,
         out_labels=tester.out_labels,
     )
-
-
-@dataclass(frozen=True)
-class LocalizedTester:
-    """Channel-side tester reproducing a dilation tester's twirled statistics.
-
-    tester acts on n copies of the channel and carries one extra outcome
-    labelled "perp": the statistical weight a rank-r dilation can never
-    reach. r is the ancilla dimension that was localized away.
-    """
-
-    tester: Tester
-    r: int
 
 
 def _single_label(group, what: str):
@@ -119,8 +105,13 @@ def _query_labels(tester: Tester, anc_labels: tuple) -> tuple:
     return a_labels, b_labels
 
 
-def localize_tester(tester: Tester) -> LocalizedTester:
+def localize_tester(tester: Tester) -> Tester:
     """Remove the ancilla factors of a parallel dilation tester.
+
+    The result is a channel-side tester reproducing the dilation tester's
+    twirled statistics on n copies of the channel. It carries one extra
+    outcome labelled "perp": the statistical weight a rank-r dilation can
+    never reach.
 
     One query: the localized outcome is tr_anc(T_i) / r. Two queries: split
     into symmetric and antisymmetric sectors of the pair swaps,
@@ -150,8 +141,7 @@ def localize_tester(tester: Tester) -> LocalizedTester:
         chan_layout = FactorLayout(((a_labels[0], d1), (b_labels[0], d2)))
         outcomes = []
         for lab, op in tester.outcomes:
-            m = op.aligned_to(order)
-            loc = partial_trace(m.op, m.layout, [anc_labels[0]]) / r
+            loc = op.aligned_to(order).partial_trace([anc_labels[0]]).op / r
             outcomes.append((lab, LabelledOperator(loc, chan_layout)))
         perp = LabelledOperator(
             np.zeros((d1 * d2, d1 * d2), dtype=complex), chan_layout
@@ -200,12 +190,11 @@ def localize_tester(tester: Tester) -> LocalizedTester:
     else:
         raise ValueError("localization is implemented for n <= 2 queries")
 
-    loc_tester = Tester(
+    return Tester(
         outcomes=tuple(outcomes) + ((PERP_LABEL, perp),),
         in_labels=tuple((lab,) for lab in a_labels),
         out_labels=tuple((lab,) for lab in b_labels),
     )
-    return LocalizedTester(tester=loc_tester, r=r)
 
 
 @dataclass(frozen=True)
@@ -256,7 +245,7 @@ def verify_dilation_identity(
     r = _anc_dim(tester, anc_labels)
     n = tester.n_queries
     loc = localize_tester(tester)
-    localized = apply_tester(loc.tester, channel)
+    localized = apply_tester(loc, channel)
     base = dilate(channel, r)
     fixed = apply_tester(average_tester(tester), base)
 
@@ -280,7 +269,7 @@ def verify_dilation_identity(
     max_sigma_dev = float(np.max(np.abs(localized[:k] - mc_mean) / denom))
     ok = max_fixed_dev <= _ROUTE_ATOL and max_sigma_dev <= _MC_SIGMAS
     return DilationCheck(
-        outcome_names=loc.tester.outcome_names,
+        outcome_names=loc.outcome_names,
         localized=localized,
         fixed=fixed,
         mc_mean=mc_mean,

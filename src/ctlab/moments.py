@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import _resolve, partial_trace, permute_factors, swap_operator
+from .linalg import partial_trace, permute_factors, swap_operator
 
 __all__ = [
     "twirl1",
@@ -25,20 +25,17 @@ __all__ = [
 ]
 
 
-def twirl1(m: np.ndarray, layout, target) -> np.ndarray:
-    """Average of (U M U^dag) over Haar U acting on one tensor factor.
+def twirl1(m: np.ndarray, dims, position: int) -> np.ndarray:
+    """Average of (U M U^dag) over Haar U acting on the factor at position.
 
-    The result replaces the target factor by its maximally mixed marginal:
+    The result replaces that factor by its maximally mixed marginal:
     identity/d tensor the partial trace.
     """
-    dims, pos = _resolve(layout, [target])
-    m = np.asarray(m, dtype=complex)
-    p = pos[0]
-    d = dims[p]
-    if d == 1:
-        return m.copy()
-    k = len(dims)
+    dims = tuple(int(d) for d in dims)
+    p = int(position)
     mt = partial_trace(m, dims, [p])
+    d = dims[p]
+    k = len(dims)
     r = np.kron(np.eye(d, dtype=complex) / d, mt)
     order = []
     nxt = 1
@@ -52,7 +49,7 @@ def twirl1(m: np.ndarray, layout, target) -> np.ndarray:
     return permute_factors(r, dims_r, order)
 
 
-def twirl2(m: np.ndarray, layout, targets) -> np.ndarray:
+def twirl2(m: np.ndarray, dims, positions) -> np.ndarray:
     """Average of (U tensor U) M (U tensor U)^dag over Haar U.
 
     Both target factors must share one dimension d; the closed form expands
@@ -64,18 +61,18 @@ def twirl2(m: np.ndarray, layout, targets) -> np.ndarray:
 
     with M_I = tr_t(M) and M_S = tr_t((S (x) I) M).
     """
-    dims, pos = _resolve(layout, targets)
-    m = np.asarray(m, dtype=complex)
+    dims = tuple(int(d) for d in dims)
+    pos = sorted(int(p) for p in positions)
     if len(pos) != 2:
         raise ValueError("twirl2 needs exactly two target factors")
+    k = len(dims)
+    order = pos + [q for q in range(k) if q not in pos]
+    mp = permute_factors(m, dims, order)
     d = dims[pos[0]]
     if dims[pos[1]] != d:
         raise ValueError("twirl2 targets must share one dimension")
     if d == 1:
-        return m.copy()
-    k = len(dims)
-    order = list(pos) + [q for q in range(k) if q not in pos]
-    mp = permute_factors(m, dims, order)
+        return np.array(m, dtype=complex)
     dims_p = tuple(dims[q] for q in order)
     rest = 1
     for q in dims_p[2:]:

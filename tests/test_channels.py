@@ -215,7 +215,7 @@ def test_dilation_block_layout():
     # ancilla-major rows: block k is the Kraus operator E_k
     rng = np.random.default_rng(11)
     ch = random_channel(2, 2, 2, rng)
-    dil = dilate(ch)
+    dil = dilate(ch, ch.rank)
     blocks = dil.kraus_blocks()
     assert len(blocks) == 2
     for blk, e in zip(blocks, ch.kraus):
@@ -236,7 +236,7 @@ def test_dilation_requires_isometry():
 def test_choi_full_is_pure():
     rng = np.random.default_rng(12)
     ch = random_channel(2, 2, 2, rng)
-    dil = dilate(ch)
+    dil = dilate(ch, ch.rank)
     full = dil.choi_full()
     assert full.shape == (8, 8)
     w = np.linalg.eigvalsh(full)
@@ -246,7 +246,7 @@ def test_choi_full_is_pure():
 def test_dilate_contract_round_trip():
     rng = np.random.default_rng(13)
     ch = random_channel(3, 2, 3, rng)
-    assert np.abs(dilate(ch).contract().choi - ch.choi).max() < 1e-10
+    assert np.abs(dilate(ch, ch.rank).contract().choi - ch.choi).max() < 1e-10
     # zero padding does not change the channel
     assert np.abs(dilate(ch, 5).contract().choi - ch.choi).max() < 1e-10
 

@@ -21,6 +21,9 @@ from ctlab.linalg import (
     FactorLayout,
     dag,
     haar_unitary,
+    partial_trace,
+    partial_transpose,
+    permute_factors,
     random_density,
     random_isometry,
 )
@@ -96,6 +99,59 @@ def test_partial_trace_and_scalar():
     assert abs(full.scalar - np.trace(a) * np.trace(b)) < 1e-12
     with pytest.raises(ValueError):
         op.scalar
+
+
+def test_aligned_to_by_label():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, 2))
+    b = rng.standard_normal((3, 3))
+    c = rng.standard_normal((2, 2))
+    op = LabelledOperator(np.kron(np.kron(a, b), c), (("p", 2), ("q", 3), ("s", 2)))
+    got = op.aligned_to(("s", "p", "q"))
+    assert np.abs(got.op - np.kron(np.kron(c, a), b)).max() < 1e-13
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _labelled_operators(draw, max_dim=16):
+    """A random complex operator on 1-3 labelled factors of total dimension <= max_dim."""
+    dims = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+            lambda ds: math.prod(ds) <= max_dim
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(dims)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return LabelledOperator(m, tuple((("X", j), d) for j, d in enumerate(dims)))
+
+
+@PROPERTY_SETTINGS
+@given(_labelled_operators(), st.data())
+def test_partial_trace_one_factor_at_a_time(op, data):
+    traced = data.draw(st.lists(st.sampled_from(op.labels), unique=True))
+    step = op
+    for lab in traced:
+        step = step.partial_trace((lab,))
+    whole = op.partial_trace(traced)
+    assert step.labels == whole.labels
+    assert np.abs(step.op - whole.op).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(_labelled_operators(), st.data())
+def test_label_methods_equal_positional_primitives(op, data):
+    # labels turn into positions in LabelledOperator and nowhere below it
+    dims = op.layout.dims
+    labels = data.draw(st.lists(st.sampled_from(op.labels), min_size=1, unique=True))
+    at = op.layout.positions(labels)
+    assert np.array_equal(op.partial_trace(labels).op, partial_trace(op.op, dims, at))
+    assert np.array_equal(op.partial_transpose(labels).op, partial_transpose(op.op, dims, at))
+    order = data.draw(st.permutations(op.labels))
+    aligned = op.aligned_to(order).op
+    assert np.array_equal(aligned, permute_factors(op.op, dims, op.layout.positions(order)))
 
 
 def test_identity_on():

@@ -38,6 +38,12 @@ def _rand_herm(d, rng):
     return (g + g.conj().T) / 2
 
 
+def _low_rank_density(d, rank, rng):
+    g = random_gaussian_matrix(d, rank, rng)
+    rho = g @ dag(g)
+    return rho / np.trace(rho).real
+
+
 # ---------------------------------------------------------------------------
 # FactorLayout
 # ---------------------------------------------------------------------------
@@ -97,9 +103,8 @@ def test_vectorize_row_major_round_trip():
     # row-major: entry (i, j) lands at position i * cols + j
     assert v[1 * 4 + 2] == m[1, 2]
     assert np.abs(unvectorize(v, 3, 4) - m).max() == 0
-    # square default for cols
     sq = rng.standard_normal((3, 3))
-    assert np.abs(unvectorize(vectorize(sq), 3) - sq).max() == 0
+    assert np.abs(unvectorize(vectorize(sq), 3, 3) - sq).max() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +121,6 @@ def test_partial_trace_on_kron():
     assert np.abs(got - np.trace(b) * a).max() < 1e-12
     got = partial_trace(m, (2, 3), (0,))
     assert np.abs(got - np.trace(a) * b).max() < 1e-12
-
-
-def test_partial_trace_label_dispatch_matches_positions():
-    rng = np.random.default_rng(4)
-    lay = FactorLayout((("x", 2), ("y", 2), ("z", 3)))
-    m = _rand_herm(12, rng)
-    by_label = partial_trace(m, lay, ("y",))
-    by_pos = partial_trace(m, (2, 2, 3), (1,))
-    assert np.abs(by_label - by_pos).max() == 0
 
 
 def test_partial_trace_multiple_factors_preserves_trace():
@@ -152,19 +148,6 @@ def _operators_on_factors(draw, max_dim=16):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return tuple(dims), _rand_complex(math.prod(dims), rng)
-
-
-@PROPERTY_SETTINGS
-@given(_operators_on_factors(), st.data())
-def test_partial_trace_one_factor_at_a_time(case, data):
-    dims, m = case
-    lay = FactorLayout(tuple(enumerate(dims)))
-    traced = data.draw(st.lists(st.sampled_from(lay.labels), unique=True))
-    step, step_lay = m, lay
-    for lab in traced:
-        step = partial_trace(step, step_lay, (lab,))
-        step_lay = step_lay.without((lab,))
-    assert np.abs(step - partial_trace(m, lay, traced)).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -216,23 +199,25 @@ def test_permute_factors_swaps_kron_order():
     assert np.abs(got - np.kron(b, a)).max() < 1e-14
 
 
-def test_permute_factors_by_label():
-    rng = np.random.default_rng(8)
-    lay = FactorLayout((("p", 2), ("q", 3), ("s", 2)))
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
-    c = rng.standard_normal((2, 2))
-    m = np.kron(np.kron(a, b), c)
-    got = permute_factors(m, lay, ("s", "p", "q"))
-    assert np.abs(got - np.kron(np.kron(c, a), b)).max() < 1e-13
-
-
 def test_permute_factors_round_trip():
     rng = np.random.default_rng(9)
     m = _rand_herm(12, rng)
     fwd = permute_factors(m, (2, 2, 3), (2, 0, 1))
     back = permute_factors(fwd, (3, 2, 2), (1, 2, 0))
     assert np.abs(back - m).max() < 1e-13
+
+
+def test_factor_positions_are_checked():
+    m = np.eye(6)
+    for fn in (partial_trace, partial_transpose):
+        with pytest.raises(ValueError, match="repeated"):
+            fn(m, (2, 3), (1, 1))
+        with pytest.raises(ValueError, match="out of range"):
+            fn(m, (2, 3), (2,))
+        with pytest.raises(ValueError, match="out of range"):
+            fn(m, (2, 3), (-1,))
+    with pytest.raises(ValueError, match="permutation"):
+        permute_factors(m, (2, 3), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +258,7 @@ def test_psd_sqrt_squares_back():
 
 def test_psd_inv_sqrt_on_support():
     rng = np.random.default_rng(14)
-    rho = random_density(5, rng, rank=3)
+    rho = _low_rank_density(5, 3, rng)
     inv = psd_inv_sqrt(rho)
     w, v = np.linalg.eigh(rho)
     support = v[:, w > 1e-10]
@@ -374,7 +359,7 @@ def test_random_pure_state_and_density():
     rho = random_density(4, rng)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert min_eig(rho) >= -ATOL
-    low = random_density(5, rng, rank=2)
+    low = _low_rank_density(5, 2, rng)
     assert np.linalg.matrix_rank(low) == 2
 
 

@@ -7,7 +7,6 @@ from ctlab.combs import apply_tester, random_parallel_tester
 from ctlab.linalg import haar_unitaries, haar_unitary
 from ctlab.localtest import (
     PERP_LABEL,
-    LocalizedTester,
     average_tester,
     localize_tester,
     verify_dilation_identity,
@@ -24,7 +23,7 @@ def test_average_tester_single_query_matches_twirl1():
     t = random_parallel_tester(1, 2, 2, 3, rng, anc_dim=2)
     avg = average_tester(t)
     for (_, raw), (_, tw) in zip(t.outcomes, avg.outcomes):
-        want = twirl1(raw.op, raw.layout, ("anc", 0))
+        want = twirl1(raw.op, raw.layout.dims, raw.layout.position(("anc", 0)))
         assert np.abs(tw.op - want).max() < 1e-11
     assert avg.n_queries == 1
     assert avg.outcome_names == t.outcome_names
@@ -55,11 +54,12 @@ def test_localize_single_query_identity():
     t = random_parallel_tester(1, 2, 2, 3, rng, anc_dim=2)
     ch = random_channel(2, 2, 2, rng)
     loc = localize_tester(t)
-    assert isinstance(loc, LocalizedTester)
-    assert loc.r == 2
-    assert loc.tester.outcome_names[-1] == PERP_LABEL
-    assert len(loc.tester.outcomes) == 4
-    local = apply_tester(loc.tester, ch)
+    assert isinstance(loc, combs.Tester)
+    # the two-dimensional ancilla is gone: outcomes act on input (x) output
+    assert loc.outcomes[0][1].layout.dims == (2, 2)
+    assert loc.outcome_names[-1] == PERP_LABEL
+    assert len(loc.outcomes) == 4
+    local = apply_tester(loc, ch)
     fixed = apply_tester(average_tester(t), dilate(ch, 2))
     assert np.abs(local[:3] - fixed).max() < 1e-10
     # one query localizes exactly: no unreachable sector
@@ -85,11 +85,11 @@ def test_localize_two_queries_perp_mass():
     t = random_parallel_tester(2, 2, 2, 2, rng, anc_dim=1)
     loc = localize_tester(t)
     u = haar_unitary(2, rng)
-    unitary_probs = apply_tester(loc.tester, Channel.from_kraus([u]))
+    unitary_probs = apply_tester(loc, Channel.from_kraus([u]))
     assert abs(unitary_probs.sum() - 1.0) < 1e-8
     assert abs(unitary_probs[-1]) < 1e-10
     noisy = random_channel(2, 2, 4, rng)
-    noisy_probs = apply_tester(loc.tester, noisy)
+    noisy_probs = apply_tester(loc, noisy)
     assert abs(noisy_probs.sum() - 1.0) < 1e-8
     assert noisy_probs[-1] > 1e-3
 
@@ -99,8 +99,8 @@ def test_localized_tester_is_valid_tester():
     t = random_parallel_tester(2, 2, 2, 3, rng, anc_dim=2)
     loc = localize_tester(t)
     # constructor re-validates: psd outcomes summing to rho x identity
-    assert loc.tester.n_queries == 2
-    assert len(loc.tester.outcomes) == 4
+    assert loc.n_queries == 2
+    assert len(loc.outcomes) == 4
 
 
 # ---------------------------------------------------------------------------

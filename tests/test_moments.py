@@ -132,6 +132,16 @@ def test_twirl2_requires_matching_dims():
         twirl2(m, (2, 3), (0, 1))
 
 
+def test_twirl_positions_are_checked():
+    m = np.eye(4)
+    with pytest.raises(ValueError, match="out of range"):
+        twirl1(m, (2, 2), 2)
+    with pytest.raises(ValueError, match="exactly two"):
+        twirl2(m, (2, 2), (0,))
+    with pytest.raises(ValueError, match="permutation"):
+        twirl2(m, (2, 2), (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Fourth-moment traces
 # ---------------------------------------------------------------------------

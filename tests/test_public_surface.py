@@ -11,7 +11,12 @@ The second test runs the command set in-process under ``sys.setprofile`` and
 fails on any module-level function or method of ``src/ctlab`` that no
 command enters.
 
-TEST_ONLY is the one allowlist both tests read, keyed by ``module.qualname``:
+A third test reads the import statements: no module imports an underscore
+name from another (``from .linalg import _resolve``). A private helper stays
+behind its module's public functions; reading a module attribute such as
+``linalg._CHUNK_BYTES`` at call time is a different form and is allowed.
+
+TEST_ONLY is the one allowlist the first two tests read, keyed by ``module.qualname``:
 what only the test suite or the benchmark reaches, each with the reason it
 stays.
 """
@@ -151,6 +156,18 @@ def test_test_only_names_are_exported():
         for part in qualname.split("."):
             obj = vars(obj)[part]
         assert callable(obj.fget if isinstance(obj, property) else obj), key
+
+
+def test_no_private_imports_across_modules():
+    private = [
+        f"{module}: from .{node.module or ''} import {alias.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, "private names imported across modules: " + ", ".join(private)
 
 
 def _run_commands() -> set:
