@@ -473,9 +473,9 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
-    # reports keep a Choi matrix and a dilation; a trial two stacks of the 360 phase-shifted
-    # dilation differences and workspaces
-    per_trial = 720 * big * d1 + 6 * choi
+    # reports keep a Choi matrix and a dilation; a trial four stacks of the 360 d1 x d1 grid
+    # pencils, four dilation-sized copies for the golden section's SVDs, and Choi workspaces
+    per_trial = 1440 * d1 * d1 + 4 * big * d1 + 6 * choi
     _budget_guard(16 * (trials * (choi + 2 * big * d1) + _thread_count() * per_trial))
 
     d_col = d2 if r == 0 else r * d2

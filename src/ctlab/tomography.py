@@ -139,28 +139,41 @@ class TomographyReport:
     """Outcome of one estimation run.
 
     op_error is the operator-norm error of the isometry estimate minimized
-    over a global phase; choi_error the normalized Choi trace distance of
-    the induced channels.  Further distances, such as a diamond bracket,
-    are for the caller to ask of metrics.
+    over a global phase, or None from channel_tomography, whose success is
+    judged on choi_error alone; choi_error is the normalized Choi trace
+    distance of the induced channels.  Further distances, such as a diamond
+    bracket, are for the caller to ask of metrics.
     """
 
     estimate: object
     queries_charged: int
-    op_error: float
+    op_error: float | None
     choi_error: float
     success: bool
 
 
 def min_phase_op_error(a: np.ndarray, b: np.ndarray) -> float:
-    """min over theta of the operator norm of a - e^{i theta} b."""
+    """min over theta of the operator norm of a - e^{i theta} b.
+
+    A 360-point grid picks the bracket of a golden-section search.  For
+    |z| = 1, ||a - z b||^2 is the largest eigenvalue of the d1 x d1 pencil
+    a^dag a + b^dag b - z a^dag b - conj(z) b^dag a, so the grid is one
+    stacked eigvalsh of d1 x d1 matrices; every reported value is an SVD
+    of a - e^{i theta} b itself.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"a and b must be matrices of one shape, got {a.shape} and {b.shape}")
 
     def val(theta: float) -> float:
         return operator_norm(a - np.exp(1j * theta) * b)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    # the grid as one stacked SVD; the same values, bit for bit, as val per point
-    values = np.linalg.svd(a - np.exp(1j * grid)[:, None, None] * b, compute_uv=False)[:, 0]
-    center = int(np.argmin(values))
+    ah = a.conj().T
+    shifted = np.exp(1j * grid)[:, None, None] * (ah @ b)
+    pencil = (ah @ a + b.conj().T @ b) - (shifted + shifted.conj().transpose(0, 2, 1))
+    center = int(np.argmin(np.linalg.eigvalsh(pencil)[:, -1]))
     step = grid[1] - grid[0]
     lo, hi = grid[center] - step, grid[center] + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -176,14 +189,15 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray) -> float:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = val(x2)
-    return min(float(values.min()), f1, f2)
+    return min(val(grid[center]), f1, f2)
 
 
 def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -> tuple:
     """Two weak runs (plain target, target @ DFT) with per-column noise
     eps_max = eps^2 / 64, aligned into one estimate.
 
-    Returns (estimate, queries charged, phase-minimized operator error).
+    Returns (estimate, queries charged); the caller measures the error it
+    reports.
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
@@ -195,7 +209,7 @@ def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -
     vhat2 = weak_isometry_tomography(rotated, cfg, rng)
     estimate = align_phases(vhat1, vhat2, d1)
     queries = 2 * d1 * cfg.copies_charged(target.d_out)
-    return estimate, queries, min_phase_op_error(target.matrix, estimate.matrix)
+    return estimate, queries
 
 
 def isometry_tomography(target: Isometry, eps: float, rng: np.random.Generator) -> TomographyReport:
@@ -206,7 +220,8 @@ def isometry_tomography(target: Isometry, eps: float, rng: np.random.Generator) 
     verifies the result.  The success guarantee is derived for eps <= 1/8;
     larger values (up to 1) run the same procedure with extra slack.
     """
-    estimate, queries, op_error = _estimate_isometry(target, eps, rng)
+    estimate, queries = _estimate_isometry(target, eps, rng)
+    op_error = min_phase_op_error(target.matrix, estimate.matrix)
     return TomographyReport(
         estimate=estimate,
         queries_charged=queries,
@@ -224,18 +239,19 @@ def channel_tomography(
     The query model fixes one dilation isometry of the target (zero padded
     to ancilla dimension r) and runs isometry estimation against it; the
     returned channel is the contraction of the estimated dilation.  Success
-    means the normalized Choi trace distance is at most eps.
+    means the normalized Choi trace distance is at most eps, so no
+    phase-minimized operator error is computed and op_error is None.
     """
     if r < target.rank:
         raise ValueError(f"ancilla budget r={r} below the target rank {target.rank}")
     dil = dilate(target, r)
-    est_iso, queries, op_error = _estimate_isometry(Isometry(dil.matrix), eps, rng)
+    est_iso, queries = _estimate_isometry(Isometry(dil.matrix), eps, rng)
     est_channel = Dilation(est_iso.matrix, r, target.d_out).contract()
     choi_error = choi_trace_distance(est_channel, target)
     return TomographyReport(
         estimate=est_channel,
         queries_charged=queries,
-        op_error=op_error,
+        op_error=None,
         choi_error=choi_error,
         success=choi_error <= eps,
     )

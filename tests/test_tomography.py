@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ctlab import tomography
 from ctlab.channels import Channel, Isometry, random_channel
-from ctlab.linalg import dft_matrix, haar_unitary, random_isometry, random_pure_state
+from ctlab.linalg import (
+    dft_matrix,
+    haar_unitary,
+    operator_norm,
+    random_isometry,
+    random_pure_state,
+)
 from ctlab.metrics import diamond_distance
 from ctlab.tomography import (
     PureStateOracleConfig,
@@ -113,6 +123,81 @@ def test_min_phase_op_error_basics():
     assert abs(got - 2.0 * np.sin(alpha / 4.0)) < 1e-6
 
 
+def test_min_phase_op_error_rejects_mismatched_shapes():
+    a = np.eye(3, 2)
+    for b in (np.ones((3, 1)), np.ones((1, 2)), np.ones(2), np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            min_phase_op_error(a, b)
+    with pytest.raises(ValueError):
+        min_phase_op_error(np.ones(3), np.ones(3))
+
+
+def _reference_min_phase_op_error(a, b):
+    """The phase minimization with its grid as a stacked SVD of a - e^{i theta} b."""
+
+    def val(theta):
+        return operator_norm(a - np.exp(1j * theta) * b)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    values = np.linalg.svd(a - np.exp(1j * grid)[:, None, None] * b, compute_uv=False)[:, 0]
+    center = int(np.argmin(values))
+    step = grid[1] - grid[0]
+    lo, hi = grid[center] - step, grid[center] + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = val(x1), val(x2)
+    for _ in range(60):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = val(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = val(x2)
+    return min(float(values.min()), f1, f2)
+
+
+@st.composite
+def near_isometry_pairs(draw):
+    """An isometry and a nearby isometry estimate under a global phase."""
+    d2 = draw(st.integers(1, 8))
+    d1 = draw(st.integers(1, min(d2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_isometry(d2, d1, rng)
+    scale = draw(st.floats(1e-8, 0.5))
+    noise = scale * (rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1)))
+    u, _, vh = np.linalg.svd(np.exp(2j * np.pi * rng.uniform()) * a + noise, full_matrices=False)
+    return a, u @ vh
+
+
+@st.composite
+def complex_pairs(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=4))
+    parts = [draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0))) for _ in range(4)]
+    return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(near_isometry_pairs(), st.floats(0.0, 2.0 * np.pi))
+def test_min_phase_op_error_equals_svd_grid_on_near_isometries(pair, theta):
+    a, b = pair
+    got = min_phase_op_error(a, b)
+    assert got == _reference_min_phase_op_error(a, b)
+    assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(complex_pairs(), st.floats(0.0, 2.0 * np.pi))
+def test_min_phase_op_error_matches_svd_grid_on_complex_pairs(pair, theta):
+    # exact ties (a = 0, real pairs) may centre the bracket on another grid point
+    a, b = pair
+    got = min_phase_op_error(a, b)
+    assert got == pytest.approx(_reference_min_phase_op_error(a, b), rel=1e-12, abs=1e-12)
+    assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Full isometry estimation
 # ---------------------------------------------------------------------------
@@ -216,3 +301,22 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     assert calls == []
     interval = diamond_distance(rep.estimate, ch, restarts=2, rng=np.random.default_rng(6))
     assert rep.choi_error <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
+
+
+def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
+    calls = []
+    real = tomography.min_phase_op_error
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(tomography, "min_phase_op_error", counting)
+    rng = np.random.default_rng(48)
+    target = Isometry(random_isometry(3, 2, rng))
+    rep = isometry_tomography(target, 0.3, np.random.default_rng(7))
+    assert calls == [(3, 2)]
+    assert rep.op_error == real(target.matrix, rep.estimate.matrix)
+    rep = channel_tomography(random_channel(2, 2, 2, rng), 2, 0.3, np.random.default_rng(7))
+    assert calls == [(3, 2)]
+    assert rep.op_error is None
