@@ -254,7 +254,7 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
     _require_at_least(1, d=d)
     _require_at_least(2, samples=samples)
-    # the Ginibre draw holds two batches until the in-place QR, the Monte Carlo two values
+    # the Ginibre draw holds two batches until its in-place Gram-Schmidt, the Monte Carlo two values
     # per sample; twirl2 seven d^2 x d^2 operators
     _budget_guard(16 * (samples * (2 * d * d + 2) + 7 * d**4))
     checks = []

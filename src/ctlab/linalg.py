@@ -27,7 +27,7 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes of unitaries per chunk of the batch kernels: the in-place QR of
+# bytes of unitaries per chunk of the batch kernels: the in-place Gram-Schmidt of
 # haar_unitaries and the fourth-moment Monte Carlo of moments
 _CHUNK_BYTES = 1 << 20
 
@@ -263,22 +263,33 @@ def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np
 
 
 def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR g = QR, with column phases making diag(R) positive.
+    """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank.
 
-    Takes one matrix or a stack (the diagonal runs over the last two axes).
-    For a complex Ginibre g the result is Haar distributed: U = Q diag(r_jj /
-    |r_jj|) removes the phase ambiguity of QR (Mezzadri,
-    arXiv:math-ph/0609050).
+    Takes one matrix or a stack (the matrix runs over the last two axes). For a
+    complex Ginibre g the result is Haar distributed: fixing diag(R) > 0 removes
+    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050).
+
+    Classical Gram-Schmidt run twice per column ("twice is enough": Giraud,
+    Langou and Rozloznik, Numer. Math. 2005): each pass subtracts the projection
+    onto all earlier columns at once, and the column is then divided by its
+    norm, which is r_jj, so diag(R) is positive without a phase correction.
+    The stack is laid out (column, sample, row): every inner product and norm
+    is a sum over one contiguous row vector and every projection a sum over
+    earlier columns, both elementwise across samples, so a sample's bits do not
+    depend on the stack it is in (haar_unitaries may chunk freely).
     """
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    absd = np.abs(diag)
-    ph = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * ph[..., None, :]
+    q = np.moveaxis(g, -1, 0).astype(complex, order="C")
+    for j in range(q.shape[0]):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            c = (q[:j].conj() * v).sum(-1)
+            v = v - (c[..., None] * q[:j]).sum(0)
+        q[j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR with the diagonal phase correction."""
+    """Haar-random unitary: the QR of a Ginibre matrix with diag(R) positive."""
     return _phase_corrected_qr(random_gaussian_matrix(d, d, rng))
 
 

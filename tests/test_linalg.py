@@ -325,7 +325,7 @@ def test_haar_first_moment_twirl():
 @given(
     st.integers(1, 8),
     st.integers(1, 8),
-    st.one_of(st.just(()), st.tuples(st.integers(1, 4))),
+    st.one_of(st.just(()), st.tuples(st.integers(1, 20))),
     st.integers(0, 2**32 - 1),
 )
 def test_phase_corrected_qr_properties(rows, cols, stack, seed):
@@ -342,6 +342,22 @@ def test_phase_corrected_qr_properties(rows, cols, stack, seed):
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     assert np.abs(diag.imag).max() < 1e-12
     assert diag.real.min() > 0
+    assert (np.abs(q @ r - g) <= 1e-12 * np.linalg.norm(g, axis=(-2, -1), keepdims=True)).all()
+    # a sample's bits do not depend on the stack it is in
+    for gi, qi in zip(g.reshape(-1, rows, cols), q.reshape(-1, rows, cols)):
+        assert np.array_equal(_phase_corrected_qr(gi), qi)
+
+
+def test_phase_corrected_qr_reorthogonalises_near_parallel_columns():
+    # one Gram-Schmidt pass loses orthogonality like cond(g)^2 * eps; the second restores it
+    rng = np.random.default_rng(23)
+    g = random_gaussian_matrix(6 * 5, 4, rng).reshape(5, 6, 4)
+    g[..., 1] = g[..., 0] + 1e-7 * g[..., 1]
+    g[..., 3] = g[..., 2] + 1e-7 * g[..., 3]
+    q = _phase_corrected_qr(g)
+    qd = np.conj(np.swapaxes(q, -1, -2))
+    assert np.abs(qd @ q - np.eye(4)).max() < 1e-12
+    assert np.abs(q @ (qd @ g) - g).max() < 1e-12 * np.linalg.norm(g, axis=(-2, -1)).max()
 
 
 def test_random_isometry():
