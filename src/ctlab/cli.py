@@ -103,6 +103,11 @@ def _budget_guard(nbytes: int) -> None:
         sys.exit(3)
 
 
+def _seesaws_converged(unconverged: int, total: int) -> dict:
+    """Check row counting the diamond see-saws that hit their iteration cap."""
+    return _check("see-saws converged", unconverged == 0, float(unconverged), f"{total} see-saws")
+
+
 def _emit(command: str, config: dict, checks: list, fmt: str, out: str, extra: dict | None = None):
     report = {
         "command": command,
@@ -396,11 +401,14 @@ def packing_net(
 ):
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
+    seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
     # candidates with Choi (kept, stacked and in a row of differences), rows, Haar block and
-    # distance row; a see-saw's two lifted Kraus sets about five times over; Choi-sized
+    # distance row; every row of the stacked see-saw (two restarts per pair) its pair's two
+    # lifted Kraus sets about five times over and four d1^2 x d1^2 pull-backs; Choi-sized
     # workspaces; JSON text and lists at ~24x each net Choi entry
     candidate = 3 * choi + 5 * big * d1 + big * big + pool
-    _budget_guard(16 * (pool * candidate + 10 * big * d1**3 + (4 + 24 * count) * choi))
+    seesaw_row = 10 * big * d1**3 + 4 * d1**4
+    _budget_guard(16 * (pool * candidate + seesaw_rows * seesaw_row + (4 + 24 * count) * choi))
     try:
         net = sample_packing_net(
             Regime(regime), d1, d2, r, eps, count=count, metric=metric, seed=seed
@@ -429,6 +437,8 @@ def packing_net(
         back = channel_from_json(json.dumps(doc))
         worst = max(worst, float(np.max(np.abs(back.choi - ch.choi))))
     checks.append(_check("net channels round-trip through JSON", worst == 0.0, worst))
+    if metric == "diamond_lower":
+        checks.append(_seesaws_converged(net.unconverged, count * (count - 1) // 2))
 
     config = {
         "seed": seed,
@@ -529,11 +539,12 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
     _require_at_least(1, d1=d1, d2=d2, pairs=pairs)
     choi = (d1 * d2) ** 2
-    # a pair's see-saw holds two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about five
-    # times over: the stack, its signed adjoint, a transient and two restarts' pull-backs;
-    # the unitary check's 16 restarts pull back two d1^2 x d1^2 operators each; and ~10
-    # Choi-sized matrices
-    _budget_guard(16 * _thread_count() * (10 * choi * d1 * d1 + 36 * d1**4 + 10 * choi))
+    # a pair's see-saw holds its two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about
+    # twelve times over: the pair's stack and, for each of its two restart rows, a copy, the
+    # signed adjoint, the pull-back and transients; the unitary check's 16 restart rows hold
+    # a copy, adjoint and pull-back of two d1^2 x d1^2 lifted operators each, and about six
+    # d1^2 x d1^2 pulled-back operators each; and ~10 Choi-sized matrices
+    _budget_guard(16 * _thread_count() * (24 * choi * d1 * d1 + 224 * d1**4 + 10 * choi))
     min_rank = -(-d1 // d2)
 
     def pair_trial(index: int, rng: np.random.Generator):
@@ -545,12 +556,12 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
         upper_dev = abs(est.upper - trace_norm(a.choi - b.choi))
         sandwich = choi <= est.lower + 1e-9 and est.lower <= est.upper + 1e-9
         fvg = choi <= fid_bound + 1e-9
-        return sandwich, fvg, upper_dev
+        return sandwich, fvg, upper_dev, est.converged
 
     results = _map_trials(pair_trial, pairs, seed)
-    sandwich_fails = sum(1 for s, _, _ in results if not s)
-    fvg_fails = sum(1 for _, f, _ in results if not f)
-    worst_upper = max(dev for _, _, dev in results)
+    sandwich_fails = sum(1 for s, _, _, _ in results if not s)
+    fvg_fails = sum(1 for _, f, _, _ in results if not f)
+    worst_upper = max(dev for _, _, dev, _ in results)
 
     checks = [
         _check("choi below diamond sandwich", sandwich_fails == 0, float(sandwich_fails), f"{pairs} pairs"),
@@ -565,10 +576,13 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
         est = diamond_distance(
             Isometry(u).channel(), Isometry(v).channel(), restarts=16, rng=rng
         )
-        return abs(est.lower - exact)
+        return abs(est.lower - exact), est.converged
 
-    devs = _map_trials(unitary_trial, 2, seed + 7919)
-    checks.append(_check("see-saw matches analytic unitary distance", max(devs) <= 1e-4, max(devs)))
+    unitary = _map_trials(unitary_trial, 2, seed + 7919)
+    worst = max(dev for dev, _ in unitary)
+    checks.append(_check("see-saw matches analytic unitary distance", worst <= 1e-4, worst))
+    unconverged = sum(1 for *_, ok in results + unitary if not ok)
+    checks.append(_seesaws_converged(unconverged, pairs + len(unitary)))
 
     config = {"seed": seed, "d1": d1, "d2": d2, "pairs": pairs}
     _emit("distances", config, checks, fmt, out)

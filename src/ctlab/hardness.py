@@ -22,7 +22,7 @@ import numpy as np
 from .channels import Channel, Dilation, channel_to_json
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
-from .metrics import choi_trace_distances, diamond_distance
+from .metrics import choi_trace_distances, diamond_distances
 
 __all__ = [
     "Regime",
@@ -531,6 +531,7 @@ class PackingNet:
     distances: np.ndarray
     min_pairwise: float
     seed: int | None = None
+    unconverged: int = 0  # diamond_lower pairs whose see-saw hit its iteration cap
 
     @property
     def separation_ratio(self) -> float:
@@ -583,7 +584,8 @@ def sample_packing_net(
     the reported pairwise distances use the requested one. metric "choi"
     records the normalized Choi trace norm; "diamond_lower" the see-saw
     lower bound on the diamond distance (never below the Choi value, since
-    the see-saw starts from the maximally entangled input).
+    the see-saw starts from the maximally entangled input), all pairs'
+    restarts ascending as one stacked see-saw.
     """
     regime = Regime(regime)
     count = int(count)
@@ -601,13 +603,18 @@ def sample_packing_net(
     keep = _greedy_maximin(base, count)
     instances = tuple(candidates[k] for k in keep)
     channels = tuple(cand_channels[k] for k in keep)
+    unconverged = 0
     if metric == "choi":
         dist = base[np.ix_(keep, keep)].copy()
     else:
+        pairs = list(combinations(range(count), 2))
+        estimates = diamond_distances(
+            [(channels[i], channels[j]) for i, j in pairs], restarts=2, rng=rng
+        )
         dist = np.zeros((count, count))
-        for i, j in combinations(range(count), 2):
-            val = diamond_distance(channels[i], channels[j], restarts=2, rng=rng).lower
-            dist[i, j] = dist[j, i] = val
+        for (i, j), est in zip(pairs, estimates):
+            dist[i, j] = dist[j, i] = est.lower
+        unconverged = sum(not est.converged for est in estimates)
     min_pairwise = float(min(dist[i, j] for i, j in combinations(range(count), 2)))
     return PackingNet(
         regime=regime,
@@ -621,6 +628,7 @@ def sample_packing_net(
         distances=dist,
         min_pairwise=min_pairwise,
         seed=seed,
+        unconverged=unconverged,
     )
 
 

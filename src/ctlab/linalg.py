@@ -18,7 +18,7 @@ Nothing here mutates its inputs; random sampling always takes an explicit
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -72,23 +72,25 @@ class FactorLayout:
 
     Labels are arbitrary hashable values (the rest of the package uses
     ``(role, index)`` tuples such as ``("A", 0)``). The first factor is the
-    most significant index of the composite space.
+    most significant index of the composite space. The labels and a
+    label-to-position index are built once, at construction.
     """
 
     factors: tuple
+    labels: tuple = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple((lab, int(dim)) for lab, dim in self.factors)
         object.__setattr__(self, "factors", factors)
-        labels = [lab for lab, _ in factors]
-        if len(set(labels)) != len(labels):
+        labels = tuple(lab for lab, _ in factors)
+        index = {lab: k for k, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError("duplicate factor labels in layout")
         if any(dim < 1 for _, dim in factors):
             raise ValueError("factor dimensions must be positive")
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.factors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", index)
 
     @property
     def dims(self) -> tuple:
@@ -105,12 +107,12 @@ class FactorLayout:
         return len(self.factors)
 
     def __contains__(self, label) -> bool:
-        return label in self.labels
+        return label in self._index
 
     def position(self, label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise KeyError(f"label {label!r} not in layout") from None
 
     def positions(self, labels: Iterable) -> list:

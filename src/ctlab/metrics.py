@@ -6,7 +6,10 @@ the maximization), and the Choi trace norm gives the upper bound
 
     (1/d_in) ||C_a - C_b||_1  <=  ||a - b||_diamond  <=  ||C_a - C_b||_1.
 
-For unitary channels an exact closed form is available for cross-checks.
+Choi distances are sums of |eigenvalues| of Hermitian Choi differences, one
+stacked eigvalsh for any number of pairs. Diamond estimates for many pairs
+ascend as one stacked see-saw, every restart of every pair a row of it. For
+unitary channels an exact closed form is available for cross-checks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "channel_fidelity",
     "fidelity_trace_conversion",
     "diamond_distance",
+    "diamond_distances",
     "unitary_diamond_distance",
 ]
 
@@ -47,8 +51,12 @@ def _check_same_shape(a: Channel, b: Channel) -> None:
 
 
 def choi_trace_distances(choi: np.ndarray, chois: np.ndarray, d_in: int) -> np.ndarray:
-    """(1/d_in) || C - C_k ||_1 for every C_k of a (P, n, n) stack, one stacked SVD."""
-    return np.linalg.svd(choi - chois, compute_uv=False).sum(-1) / d_in
+    """(1/d_in) || C - C_k ||_1 for every C_k of a (P, n, n) stack.
+
+    Choi differences are Hermitian, so each trace norm is the sum of the
+    absolute eigenvalues, all taken in one stacked eigvalsh.
+    """
+    return np.abs(np.linalg.eigvalsh(choi - chois)).sum(-1) / d_in
 
 
 def choi_trace_distance(a: Channel, b: Channel) -> float:
@@ -90,35 +98,38 @@ class DiamondEstimate:
     iterations: int
 
 
-def _signed_lifted_kraus(a: Channel, b: Channel) -> tuple:
+def _signed_lifted_kraus(pairs) -> tuple:
     """Kraus operators of a kron id_ref then b kron id_ref (ref a copy of the
-    input), stacked as (n_out, R, n_in) so that the see-saw's forward map and
-    the first pull-back product read them as reshapes, with signs +1 for a and
-    -1 for b."""
-    kraus = np.stack(a.kraus + b.kraus).transpose(1, 0, 2)
-    d_out, r, d = kraus.shape
-    lifted = (kraus[:, None, :, :, None] * np.eye(d)[:, None, None, :]).reshape(d_out * d, r, d * d)
-    return lifted, np.repeat([1.0, -1.0], [a.rank, b.rank])
+    input) for pairs (a, b) sharing their spaces and total Kraus rank R,
+    stacked as (P, n_out, R, n_in) so that the see-saw's forward map and the
+    first pull-back product read them as reshapes, with signs (P, R) of +1
+    for a and -1 for b."""
+    kraus = np.stack([np.stack(a.kraus + b.kraus) for a, b in pairs]).transpose(0, 2, 1, 3)
+    count, d_out, r, d = kraus.shape
+    lifted = kraus[:, :, None, :, :, None] * np.eye(d)[:, None, None, :]
+    signs = np.stack([np.repeat([1.0, -1.0], [a.rank, b.rank]) for a, b in pairs])
+    return lifted.reshape(count, d_out * d, r, d * d), signs
 
 
-def _seesaw(psi, lifted, signs, tol, max_iter):
+def _seesaw(psi, lifted, signs, owner, tol, max_iter):
     """Alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1.
 
-    Each row of psi starts one restart, and all restarts ascend together:
-    per iteration one batched product maps the active inputs through every
-    lifted Kraus operator, one forms the outputs, a stacked eigh takes their
-    trace-norm witnesses, two batched products pull the witnesses back and a
-    stacked eigh gives the new inputs. Every product is stacked over restarts
-    rather than folded into one GEMM, so a restart's arithmetic, and with it
-    its result, does not depend on how many others are active. A restart
-    leaves the active set once f - f_prev < tol (keeping the larger of the
-    two) or at max_iter. Returns per-restart values, final inputs,
-    convergence flags and iteration counts.
+    lifted (P, n_out, R, n_in) and signs (P, R) hold the signed lifted Kraus
+    operators of P pairs; row k of psi starts one restart of pair owner[k],
+    and all rows ascend together, each on its own copy of its pair's
+    operators. Per iteration one batched product maps the active inputs
+    through their lifted Kraus operators, one forms the outputs, a stacked
+    eigh takes their trace-norm witnesses, two batched products pull the
+    witnesses back and a stacked eigh gives the new inputs. Every product
+    is stacked over rows rather than folded into one GEMM, so a row's
+    arithmetic, and with it its result, does not depend on which other rows
+    are active. A row leaves the active set, its operators with it, once
+    f - f_prev < tol (keeping the larger of the two) or at max_iter. Returns
+    per-row values, final inputs, convergence flags and iteration counts.
     """
-    n_out, r, n_in = lifted.shape
-    forward = lifted.reshape(n_out * r, n_in).T
-    spread = lifted.reshape(n_out, r * n_in)
-    back = (lifted.conj() * signs[:, None]).reshape(n_out * r, n_in).T
+    _, n_out, r, n_in = lifted.shape
+    lifted, signs = lifted[owner], signs[owner][:, None, :]
+    back = (lifted.conj() * signs[..., None]).reshape(-1, n_out * r, n_in)
     count = psi.shape[0]
     f_out = np.full(count, -np.inf)
     psi_out = psi.copy()
@@ -128,13 +139,14 @@ def _seesaw(psi, lifted, signs, tol, max_iter):
     f_prev = np.full(count, -np.inf)
     for it in range(1, max_iter + 1):
         p = rows.size
+        forward = lifted.reshape(p, n_out * r, n_in).swapaxes(1, 2)
         xs = (psi[:, None, :] @ forward).reshape(p, n_out, r)
         omega = (xs * signs) @ dag(xs)
         w, v = np.linalg.eigh(hermitianize(omega))
         f = np.abs(w).sum(-1)
         wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
-        pulled = (wmat @ spread).reshape(p, n_out * r, n_in)
-        psi = np.linalg.eigh(hermitianize(back @ pulled))[1][:, :, -1]
+        pulled = (wmat @ lifted.reshape(p, n_out, r * n_in)).reshape(p, n_out * r, n_in)
+        psi = np.linalg.eigh(hermitianize(back.swapaxes(1, 2) @ pulled))[1][:, :, -1]
         done = f - f_prev < tol
         f_prev = np.where(done, np.maximum(f_prev, f), f)
         if done.any():
@@ -144,8 +156,59 @@ def _seesaw(psi, lifted, signs, tol, max_iter):
             rows, psi, f_prev = rows[keep], psi[keep], f_prev[keep]
             if not rows.size:
                 break
+            lifted, back, signs = lifted[keep], back[keep], signs[keep]
     f_out[rows], psi_out[rows] = f_prev, psi
     return f_out, psi_out, converged, iterations
+
+
+def diamond_distances(pairs, *, restarts: int = 16, rng: np.random.Generator) -> list:
+    """Dual-route diamond distance estimates, one DiamondEstimate per pair.
+
+    The lower route runs a see-saw over pure inputs on in kron ref (ref a copy
+    of the input): alternately take the optimal trace-norm witness of the
+    output and the top eigenvector of its pull-back. Each pair's maximally
+    entangled start is always included, so lower >= (1/d_in)||C_a - C_b||_1
+    up to the ascent tolerance; its remaining restarts are Haar random, drawn
+    pair by pair. Pairs acting between the same spaces ascend as one stacked
+    see-saw when they also share a total Kraus rank: zero-padded ranks would
+    change the length of the see-saw's inner products, and with it the low
+    bits of a pair's result. The upper route is the Choi trace norm.
+    """
+    pairs = list(pairs)
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    for a, b in pairs:
+        _check_same_shape(a, b)
+    starts = []
+    for a, _ in pairs:
+        d = a.d_in
+        me = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+        starts.append([me] + [random_pure_state(d * d, rng) for _ in range(restarts - 1)])
+    groups: dict = {}
+    for k, (a, b) in enumerate(pairs):
+        groups.setdefault((a.d_in, a.d_out, a.rank + b.rank), []).append(k)
+    estimates = [None] * len(pairs)
+    for members in groups.values():
+        f, psi, converged, iterations = _seesaw(
+            np.stack([s for k in members for s in starts[k]]),
+            *_signed_lifted_kraus([pairs[k] for k in members]),
+            np.repeat(np.arange(len(members)), restarts),
+            _SEESAW_TOL,
+            _SEESAW_MAX_ITER,
+        )
+        for slot, k in enumerate(members):
+            a, b = pairs[k]
+            rows = slice(slot * restarts, (slot + 1) * restarts)
+            best = slot * restarts + int(np.argmax(f[rows]))
+            upper = trace_norm(a.choi - b.choi)
+            estimates[k] = DiamondEstimate(
+                lower=float(min(f[best], upper)),
+                upper=float(upper),
+                witness_state=psi[best],
+                converged=bool(converged[rows].all()),
+                iterations=int(iterations[rows].sum()),
+            )
+    return estimates
 
 
 def diamond_distance(
@@ -155,35 +218,9 @@ def diamond_distance(
     restarts: int = 16,
     rng: np.random.Generator,
 ) -> DiamondEstimate:
-    """Dual-route diamond distance estimate.
-
-    The lower route runs a see-saw over pure inputs on in kron ref (ref a copy
-    of the input): alternately take the optimal trace-norm witness of the
-    output and the top eigenvector of its pull-back. The maximally entangled
-    start is always included, so lower >= (1/d_in)||C_a - C_b||_1 up to the
-    ascent tolerance; the remaining restarts are Haar random. All restarts
-    run as one stacked ascent. The upper route is the Choi trace norm.
-    """
-    _check_same_shape(a, b)
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    d = a.d_in
-    me = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    inits = [me] + [random_pure_state(d * d, rng) for _ in range(restarts - 1)]
-    lifted, signs = _signed_lifted_kraus(a, b)
-    f, psi, converged, iterations = _seesaw(
-        np.stack(inits), lifted, signs, _SEESAW_TOL, _SEESAW_MAX_ITER
-    )
-    best = int(np.argmax(f))
-    upper = trace_norm(a.choi - b.choi)
-    lower = min(f[best], upper)
-    return DiamondEstimate(
-        lower=float(lower),
-        upper=float(upper),
-        witness_state=psi[best],
-        converged=bool(converged.all()),
-        iterations=int(iterations.sum()),
-    )
+    """Dual-route diamond distance estimate of one pair: diamond_distances
+    of [(a, b)]."""
+    return diamond_distances([(a, b)], restarts=restarts, rng=rng)[0]
 
 
 def _hull_distance(points: np.ndarray) -> float:

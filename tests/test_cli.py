@@ -190,6 +190,17 @@ def test_packing_net_report():
     assert net["eps"] == 0.05
     assert len(net["channels"]) == 4
     assert net["min_pairwise"] > 0.0
+    assert "see-saws converged" not in [c["name"] for c in report["checks"]]
+
+
+def test_packing_net_diamond_report_counts_unconverged_seesaws():
+    args = ["packing-net", "--seed", "4", "--metric", "diamond_lower", "--count", "4"]
+    res = _run(args)
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["checks"][-1] == {
+        "name": "see-saws converged", "passed": True, "value": 0.0, "detail": "6 see-saws"
+    }
 
 
 def test_packing_net_rejects_invalid_dims():
@@ -253,6 +264,9 @@ def test_distances_report():
     names = [c["name"] for c in report["checks"]]
     assert "choi below diamond sandwich" in names
     assert "see-saw matches analytic unitary distance" in names
+    assert report["checks"][-1] == {
+        "name": "see-saws converged", "passed": True, "value": 0.0, "detail": "5 see-saws"
+    }
     assert report["all_passed"] is True
 
 
@@ -332,6 +346,13 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
         # 4 MiB of lifted Kraus operators per channel
         ["distances", "--d1", "4", "--d2", "32", "--pairs", "1"],
+        # the unitary check's 16 restart rows over 324 KiB pull-backs
+        pytest.param(["distances", "--d1", "12", "--d2", "1", "--pairs", "1"], id="distances-unitary"),
+        # 132 see-saw rows holding 27 MiB of lifted Kraus operators
+        pytest.param(
+            ["packing-net", "--metric", "diamond_lower", "--d1", "6", "--d2", "4", "--count", "12"],
+            id="packing-net-diamond_lower",
+        ),
     ],
     ids=lambda args: args[0],
 )

@@ -21,8 +21,8 @@ from ctlab.hardness import (
     type2_gamma_family,
 )
 from ctlab.channels import channel_from_json
-from ctlab.linalg import ATOL, FactorLayout, dag, min_eig, partial_trace, trace_norm
-from ctlab.metrics import choi_trace_distance, choi_trace_distances
+from ctlab.linalg import ATOL, FactorLayout, dag, min_eig, partial_trace
+from ctlab.metrics import choi_trace_distance, choi_trace_distances, diamond_distance
 
 # example dimensions, one per regime
 CASES = {
@@ -350,15 +350,19 @@ def test_packing_net_basics():
     assert net.separation_ratio == pytest.approx(net.min_pairwise / 0.1)
 
 
+def _hermitian_trace_norm(m):
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
 def test_pool_rows_equal_per_pair_trace_norms():
-    # near-identical candidates, as in a packing pool: reversing the
-    # subtraction changes the low bits of about 1 in 130 of these 2016 pairs
+    # near-identical candidates, as in a packing pool, where reversing the
+    # subtraction can change the low bits
     rng = np.random.default_rng(3)
     pool = [build_instance(Regime.TYPE1, 4, 2, 2, 0.05, rng).channel() for _ in range(64)]
     chois = np.stack([ch.choi for ch in pool])
     for i in range(63):
         row = choi_trace_distances(chois[i], chois[i + 1 :], 4)
-        assert row.tolist() == [trace_norm(pool[i].choi - b.choi) / 4 for b in pool[i + 1 :]]
+        assert row.tolist() == [_hermitian_trace_norm(pool[i].choi - b.choi) / 4 for b in pool[i + 1 :]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -368,7 +372,21 @@ def test_packing_net_choi_distances_equal_per_pair_calls(seed):
         for j in range(i + 1, 5):
             a, b = net.channels[i], net.channels[j]
             assert net.distances[i, j] == choi_trace_distance(a, b)
-            assert net.distances[i, j] == trace_norm(a.choi - b.choi) / 4
+            assert net.distances[i, j] == _hermitian_trace_norm(a.choi - b.choi) / 4
+
+
+def test_packing_net_diamond_distances_equal_per_pair_calls():
+    # the net's one stacked see-saw against one call per pair, in pair order,
+    # from the generator state the candidate draws leave
+    net = sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.05, count=5, metric="diamond_lower", seed=4)
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        build_instance(Regime.TYPE1, 4, 2, 2, 0.05, rng)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            est = diamond_distance(net.channels[i], net.channels[j], restarts=2, rng=rng)
+            assert net.distances[i, j] == net.distances[j, i] == est.lower
+    assert net.unconverged == 0
 
 
 def test_packing_net_diamond_dominates_choi():

@@ -82,6 +82,29 @@ def test_factor_layout_unknown_label():
         lay.position("b")
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.tuples(st.sampled_from("ABR"), st.integers(0, 3))),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    st.integers(-4, 4),
+)
+def test_factor_layout_position_agrees_with_labels_index(labels, stray):
+    # position and membership read an index built once at construction
+    lay = FactorLayout(tuple((lab, 2) for lab in labels))
+    assert lay.labels == tuple(labels)
+    for lab in labels:
+        assert lay.position(lab) == lay.labels.index(lab)
+        assert lab in lay
+    assert (stray in lay) == (stray in lay.labels)
+    if stray not in labels:
+        with pytest.raises(KeyError):
+            lay.position(stray)
+
+
 # ---------------------------------------------------------------------------
 # Elementary helpers
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ctlab.metrics import (
     choi_trace_distance,
     choi_trace_distances,
     diamond_distance,
+    diamond_distances,
     fidelity_trace_conversion,
     unitary_diamond_distance,
 )
@@ -35,6 +36,10 @@ def _channel_pool(draw, min_size=2, max_size=6):
     return [random_channel(d_in, d_out, int(rng.integers(lo, d_in * d_out + 1)), rng) for _ in range(size)]
 
 
+def _hermitian_trace_norm(m):
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_channel_pool())
 def test_stacked_choi_rows_equal_per_pair_distances(pool):
@@ -44,7 +49,19 @@ def test_stacked_choi_rows_equal_per_pair_distances(pool):
     for i in range(len(pool) - 1):
         row = choi_trace_distances(chois[i], chois[i + 1 :], d_in)
         assert row.tolist() == [choi_trace_distance(pool[i], b) for b in pool[i + 1 :]]
-        assert row.tolist() == [trace_norm(pool[i].choi - b.choi) / d_in for b in pool[i + 1 :]]
+        assert row.tolist() == [_hermitian_trace_norm(pool[i].choi - b.choi) / d_in for b in pool[i + 1 :]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_channel_pool())
+def test_choi_distances_by_eigvalsh_equal_singular_value_trace_norms(pool):
+    # a Choi difference is Hermitian, so its singular values are its |eigenvalues|
+    chois = np.stack([ch.choi for ch in pool])
+    d_in = pool[0].d_in
+    for i in range(len(pool) - 1):
+        row = choi_trace_distances(chois[i], chois[i + 1 :], d_in)
+        want = [trace_norm(pool[i].choi - b.choi) / d_in for b in pool[i + 1 :]]
+        assert np.max(np.abs(row - want)) <= 1e-13
 
 
 def test_choi_distance_zero_on_equal():
@@ -176,17 +193,34 @@ def test_batched_seesaw_properties(pair, restarts, seed):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_channel_pool(max_size=2), st.integers(2, 5), st.integers(0, 2**32 - 1))
-def test_seesaw_restart_does_not_depend_on_its_batch(pair, restarts, seed):
-    a, b = pair
-    lifted, signs = _signed_lifted_kraus(a, b)
+@given(_channel_pool(min_size=3, max_size=6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_seesaw_restart_does_not_depend_on_its_batch(pool, restarts, seed):
+    # pairs of mixed Kraus ranks: each pair's estimate in the batch equals its
+    # solo run, whose starts come from the same generator in pair order
+    pairs = list(zip(pool, pool[1:]))
+    batch = diamond_distances(pairs, restarts=restarts, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    starts = np.stack([random_pure_state(a.d_in**2, rng) for _ in range(restarts)])
-    f1, psi1, _, it1 = _seesaw(starts[:1], lifted, signs, 1e-8, 1000)
-    f, psi, _, it = _seesaw(starts, lifted, signs, 1e-8, 1000)
-    assert f[0] == f1[0]
-    assert np.array_equal(psi[0], psi1[0])
-    assert it[0] == it1[0]
+    for (a, b), est in zip(pairs, batch):
+        solo = diamond_distance(a, b, restarts=restarts, rng=rng)
+        assert (est.lower, est.upper, est.iterations, est.converged) == (
+            solo.lower,
+            solo.upper,
+            solo.iterations,
+            solo.converged,
+        )
+        assert np.array_equal(est.witness_state, solo.witness_state)
+    # every row of a stacked see-saw, of every pair of one rank, equals its solo row
+    rank = pool[0].rank + pool[1].rank
+    same = [(a, b) for a, b in pairs if a.rank + b.rank == rank]
+    lifted, signs = _signed_lifted_kraus(same)
+    owner = np.repeat(np.arange(len(same)), restarts)
+    starts = np.stack([random_pure_state(pool[0].d_in ** 2, rng) for _ in owner])
+    f, psi, _, it = _seesaw(starts, lifted, signs, owner, 1e-8, 1000)
+    for row, k in enumerate(owner):
+        f1, psi1, _, it1 = _seesaw(starts[row : row + 1], lifted[k : k + 1], signs[k : k + 1], [0], 1e-8, 1000)
+        assert f[row] == f1[0]
+        assert np.array_equal(psi[row], psi1[0])
+        assert it[row] == it1[0]
 
 
 def test_diamond_restart_guard():
