@@ -61,6 +61,7 @@ from .tomography import (
 )
 
 _REGIME_NAMES = [r.value for r in Regime]
+_POSITIVE = click.IntRange(min=1)
 
 
 def _trial_rng(root_seed: int, index: int) -> np.random.Generator:
@@ -89,12 +90,6 @@ def _check(name: str, passed: bool, value: float, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "value": float(value), "detail": detail}
 
 
-def _require_at_least(minimum: int, **options: int) -> None:
-    for name, value in options.items():
-        if value < minimum:
-            raise click.UsageError(f"--{name} must be at least {minimum}")
-
-
 def _budget_guard(nbytes: int) -> None:
     try:  # 16 MiB more for the interpreter, the report and fixed-size workspaces
         require_bytes(nbytes + 2**24, "the run")
@@ -108,11 +103,22 @@ def _seesaws_converged(unconverged: int, total: int) -> dict:
     return _check("see-saws converged", unconverged == 0, float(unconverged), f"{total} see-saws")
 
 
-def _emit(command: str, config: dict, checks: list, fmt: str, out: str, extra: dict | None = None):
+def _random_channel(d1: int, d2: int, r: int, rng: np.random.Generator):
+    """Random channel d1 -> d2 whose Kraus rank, drawn uniformly, admits a dilation with ancilla r."""
+    rank = int(rng.integers(-(-d1 // d2), min(r, d1 * d2) + 1))
+    return random_channel(d1, d2, rank, rng)
+
+
+def _emit(checks: list, extra: dict | None = None):
+    """Write the current command's report; its config lists the declared options in order."""
+    ctx = click.get_current_context()
+    fmt, out = ctx.params["fmt"], ctx.params["out"]
     report = {
-        "command": command,
+        "command": ctx.command.name,
         "version": __version__,
-        "config": config,
+        "config": {
+            p.name: ctx.params[p.name] for p in ctx.command.params if p.name not in ("fmt", "out")
+        },
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
@@ -147,7 +153,9 @@ def _common(fn):
         show_default=True,
         help="Report format (csv emits the checks table only).",
     )(fn)
-    fn = click.option("--seed", type=int, required=True, help="Root seed for all randomness.")(fn)
+    fn = click.option(
+        "--seed", type=click.IntRange(min=0), required=True, help="Root seed for all randomness."
+    )(fn)
     return fn
 
 
@@ -243,7 +251,7 @@ def verify(seed: int, fmt: str, out: str):
     ok = choi <= est.lower + 1e-9 and est.lower <= est.upper + 1e-9
     checks.append(_check("diamond estimate brackets the choi distance", ok, est.lower - choi))
 
-    _emit("verify", {"seed": seed}, checks, fmt, out)
+    _emit(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +261,12 @@ def verify(seed: int, fmt: str, out: str):
 
 @main.command()
 @_common
-@click.option("--d", type=int, default=3, show_default=True, help="Unitary dimension.")
-@click.option("--samples", type=int, default=20_000, show_default=True, help="Monte Carlo samples.")
+@click.option("--d", type=_POSITIVE, default=3, show_default=True, help="Unitary dimension.")
+@click.option(
+    "--samples", type=click.IntRange(min=2), default=20_000, show_default=True, help="Monte Carlo samples."
+)
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    _require_at_least(1, d=d)
-    _require_at_least(2, samples=samples)
     # the Ginibre draw holds two batches until its in-place Gram-Schmidt, the Monte Carlo two values
     # per sample; twirl2 seven d^2 x d^2 operators
     _budget_guard(16 * (samples * (2 * d * d + 2) + 7 * d**4))
@@ -303,7 +311,7 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     defect = abs(exact - d)
     checks.append(_check("identity quadruple equals d", defect < 1e-12, defect))
 
-    _emit("moments", {"seed": seed, "d": d, "samples": samples}, checks, fmt, out)
+    _emit(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +321,19 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
 
 @main.command()
 @_common
-@click.option("--n", type=int, default=1, show_default=True, help="Queries per tester (1 or 2).")
-@click.option("--d1", type=int, default=2, show_default=True, help="Channel input dimension.")
-@click.option("--d2", type=int, default=2, show_default=True, help="Channel output dimension.")
-@click.option("--r", type=int, default=2, show_default=True, help="Ancilla dimension.")
-@click.option("--samples", type=int, default=5_000, show_default=True, help="Monte Carlo samples.")
-@click.option("--testers", type=int, default=3, show_default=True, help="Random testers drawn.")
-@click.option("--channels", type=int, default=3, show_default=True, help="Random channels drawn.")
+@click.option("--n", type=click.IntRange(1, 2), default=1, show_default=True, help="Queries per tester.")
+@click.option("--d1", type=_POSITIVE, default=2, show_default=True, help="Channel input dimension.")
+@click.option("--d2", type=_POSITIVE, default=2, show_default=True, help="Channel output dimension.")
+@click.option("--r", type=_POSITIVE, default=2, show_default=True, help="Ancilla dimension.")
+@click.option(
+    "--samples", type=click.IntRange(min=2), default=5_000, show_default=True, help="Monte Carlo samples."
+)
+@click.option("--testers", type=_POSITIVE, default=3, show_default=True, help="Random testers drawn.")
+@click.option("--channels", type=_POSITIVE, default=3, show_default=True, help="Random channels drawn.")
 def localtest(
     seed: int, fmt: str, out: str, n: int, d1: int, d2: int, r: int, samples: int, testers: int, channels: int
 ):
     """Localized versus dilation-averaged tester statistics."""
-    if n not in (1, 2):
-        raise click.UsageError("--n must be 1 or 2")
-    _require_at_least(1, d1=d1, d2=d2, r=r, testers=testers, channels=channels)
-    _require_at_least(2, samples=samples)
     if r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     dim = (d1 * d2 * r) ** n
@@ -339,12 +345,10 @@ def localtest(
         random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
         for i in range(testers)
     ]
-    min_rank = -(-d1 // d2)
 
     def pair_trial(index: int, rng: np.random.Generator):
         i, j = divmod(index, channels)
-        rank = int(rng.integers(min_rank, min(r, d1 * d2) + 1))
-        ch = random_channel(d1, d2, rank, rng)
+        ch = _random_channel(d1, d2, r, rng)
         return i, j, verify_dilation_identity(tester_list[i], ch, samples=samples, rng=rng)
 
     results = _map_trials(pair_trial, testers * channels, seed)
@@ -357,17 +361,7 @@ def localtest(
         )
         for i, j, res in results
     ]
-    config = {
-        "seed": seed,
-        "n": n,
-        "d1": d1,
-        "d2": d2,
-        "r": r,
-        "samples": samples,
-        "testers": testers,
-        "channels": channels,
-    }
-    _emit("localtest", config, checks, fmt, out)
+    _emit(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +378,11 @@ def localtest(
     show_default=True,
     help="Hard instance family.",
 )
-@click.option("--d1", type=int, default=4, show_default=True, help="Input dimension.")
-@click.option("--d2", type=int, default=2, show_default=True, help="Output dimension.")
-@click.option("--r", type=int, default=2, show_default=True, help="Ancilla dimension.")
+@click.option("--d1", type=_POSITIVE, default=4, show_default=True, help="Input dimension.")
+@click.option("--d2", type=_POSITIVE, default=2, show_default=True, help="Output dimension.")
+@click.option("--r", type=_POSITIVE, default=2, show_default=True, help="Ancilla dimension.")
 @click.option("--eps", type=float, default=0.05, show_default=True, help="Perturbation strength.")
-@click.option("--count", type=int, default=16, show_default=True, help="Net size (2..64).")
+@click.option("--count", type=click.IntRange(2, 64), default=16, show_default=True, help="Net size.")
 @click.option(
     "--metric",
     type=click.Choice(["choi", "diamond_lower"]),
@@ -440,17 +434,7 @@ def packing_net(
     if metric == "diamond_lower":
         checks.append(_seesaws_converged(net.unconverged, count * (count - 1) // 2))
 
-    config = {
-        "seed": seed,
-        "regime": regime,
-        "d1": d1,
-        "d2": d2,
-        "r": r,
-        "eps": eps,
-        "count": count,
-        "metric": metric,
-    }
-    _emit("packing-net", config, checks, fmt, out, extra={"net": payload})
+    _emit(checks, extra={"net": payload})
 
 
 # ---------------------------------------------------------------------------
@@ -460,26 +444,23 @@ def packing_net(
 
 @main.command(name="tomography")
 @_common
-@click.option("--d1", type=int, default=2, show_default=True, help="Input dimension.")
-@click.option("--d2", type=int, default=3, show_default=True, help="Output dimension.")
+@click.option("--d1", type=_POSITIVE, default=2, show_default=True, help="Input dimension.")
+@click.option("--d2", type=_POSITIVE, default=3, show_default=True, help="Output dimension.")
 @click.option("--eps", type=float, default=0.1, show_default=True, help="Target accuracy, in (0, 1].")
-@click.option("--trials", type=int, default=20, show_default=True, help="Independent runs.")
+@click.option("--trials", type=_POSITIVE, default=20, show_default=True, help="Independent runs.")
 @click.option(
     "--r",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     help="Ancilla budget; 0 estimates a random isometry, >0 a random channel.",
 )
 def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, trials: int, r: int):
     """Repeated estimation runs with success-rate and query accounting."""
-    _require_at_least(1, d1=d1, d2=d2, trials=trials)
     if not 0.0 < eps <= 1.0:
         raise click.UsageError("--eps must lie in (0, 1]")
     if r == 0 and d2 < d1:
         raise click.UsageError("isometry estimation needs --d2 >= --d1")
-    if r < 0:
-        raise click.UsageError("--r must be nonnegative")
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
@@ -490,15 +471,12 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
 
     d_col = d2 if r == 0 else r * d2
     expected_queries = 2 * d1 * math.ceil(64.0 * d_col / (eps * eps))
-    min_rank = -(-d1 // d2)
 
     def trial(index: int, rng: np.random.Generator):
         if r == 0:
             target = Isometry(random_isometry(d2, d1, rng))
             return isometry_tomography(target, eps, rng)
-        rank = int(rng.integers(min_rank, min(r, d1 * d2) + 1))
-        ch = random_channel(d1, d2, rank, rng)
-        return channel_tomography(ch, r, eps, rng)
+        return channel_tomography(_random_channel(d1, d2, r, rng), r, eps, rng)
 
     reports = _map_trials(trial, trials, seed)
     successes = sum(1 for rep in reports if rep.success)
@@ -521,8 +499,7 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
             "operator-norm error" if r == 0 else "choi trace distance",
         ),
     ]
-    config = {"seed": seed, "d1": d1, "d2": d2, "eps": eps, "trials": trials, "r": r}
-    _emit("tomography", config, checks, fmt, out)
+    _emit(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +509,11 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
 
 @main.command()
 @_common
-@click.option("--d1", type=int, default=2, show_default=True, help="Input dimension.")
-@click.option("--d2", type=int, default=2, show_default=True, help="Output dimension.")
-@click.option("--pairs", type=int, default=10, show_default=True, help="Random channel pairs.")
+@click.option("--d1", type=_POSITIVE, default=2, show_default=True, help="Input dimension.")
+@click.option("--d2", type=_POSITIVE, default=2, show_default=True, help="Output dimension.")
+@click.option("--pairs", type=_POSITIVE, default=10, show_default=True, help="Random channel pairs.")
 def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
-    _require_at_least(1, d1=d1, d2=d2, pairs=pairs)
     choi = (d1 * d2) ** 2
     # a pair's see-saw holds its two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about
     # twelve times over: the pair's stack and, for each of its two restart rows, a copy, the
@@ -545,11 +521,10 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     # a copy, adjoint and pull-back of two d1^2 x d1^2 lifted operators each, and about six
     # d1^2 x d1^2 pulled-back operators each; and ~10 Choi-sized matrices
     _budget_guard(16 * _thread_count() * (24 * choi * d1 * d1 + 224 * d1**4 + 10 * choi))
-    min_rank = -(-d1 // d2)
 
     def pair_trial(index: int, rng: np.random.Generator):
-        a = random_channel(d1, d2, int(rng.integers(min_rank, d1 * d2 + 1)), rng)
-        b = random_channel(d1, d2, int(rng.integers(min_rank, d1 * d2 + 1)), rng)
+        a = _random_channel(d1, d2, d1 * d2, rng)
+        b = _random_channel(d1, d2, d1 * d2, rng)
         choi = choi_trace_distance(a, b)
         est = diamond_distance(a, b, restarts=2, rng=rng)
         fid_bound = fidelity_trace_conversion(channel_fidelity(a, b))
@@ -584,8 +559,7 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     unconverged = sum(1 for *_, ok in results + unitary if not ok)
     checks.append(_seesaws_converged(unconverged, pairs + len(unitary)))
 
-    config = {"seed": seed, "d1": d1, "d2": d2, "pairs": pairs}
-    _emit("distances", config, checks, fmt, out)
+    _emit(checks)
 
 
 if __name__ == "__main__":

@@ -223,40 +223,11 @@ def diamond_distance(
     return diamond_distances([(a, b)], restarts=restarts, rng=rng)[0]
 
 
-def _hull_distance(points: np.ndarray) -> float:
-    """Distance from the origin to the convex hull of points in the plane.
-
-    Exact for finitely many points: the support function max over candidate
-    directions (each point's own direction and each pair's segment normals)
-    of the minimal projection; clipped at zero when the origin is inside.
-    """
-    pts = np.asarray(points, dtype=complex).reshape(-1)
-    if pts.size == 1:
-        return float(abs(pts[0]))
-    best = 0.0
-    dirs = []
-    for p in pts:
-        if abs(p) > 0:
-            dirs.append(p / abs(p))
-    n = pts.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            seg = pts[j] - pts[i]
-            if abs(seg) > 0:
-                nrm = 1j * seg / abs(seg)
-                dirs.append(nrm)
-                dirs.append(-nrm)
-    for u in dirs:
-        m = float(np.min((pts * np.conj(u)).real))
-        if m > best:
-            best = m
-    return best
-
-
 def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Exact diamond distance 2 sqrt(1 - nu^2) between unitary channels.
+    """Exact diamond distance between unitary channels, from the eigenphases of U^dag V.
 
-    nu is the distance from the origin to the convex hull of eig(U^dag V).
+    w = 2 pi minus the largest gap between sorted eigenphases is the width of the
+    shortest arc holding them all; the distance is 2 sin(w / 2) below w = pi, else 2.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -266,6 +237,7 @@ def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
         defect = float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))))
         if defect > ATOL * 10:
             raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
-    evs = np.linalg.eigvals(dag(u) @ v)
-    nu = min(_hull_distance(evs), 1.0)
-    return 2.0 * float(np.sqrt(max(0.0, 1.0 - nu * nu)))
+    phases = np.sort(np.angle(np.linalg.eigvals(dag(u) @ v)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    width = 2.0 * np.pi - float(gaps.max())
+    return 2.0 * float(np.sin(min(width, np.pi) / 2.0))

@@ -246,6 +246,8 @@ def test_tomography_channel_route():
 def test_tomography_usage_errors():
     assert _run(["tomography", "--seed", "0", "--eps", "0"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--eps", "1.5"]).exit_code == 2
+    # a float range would admit nan, which then crashes the query count
+    assert _run(["tomography", "--seed", "0", "--eps", "nan"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--trials", "0"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--r", "-1"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--d1", "3", "--d2", "2"]).exit_code == 2
@@ -294,6 +296,31 @@ def test_bad_dimensions_and_counts_are_usage_errors(args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command", ["verify", "moments", "localtest", "packing-net", "tomography", "distances"]
+)
+def test_negative_seed_is_a_usage_error(command):
+    res = _run([command, "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [["--count", "100000"], ["--d1", "-5000"]], ids=" ".join)
+def test_packing_net_ranges_are_checked_before_the_byte_bound(args):
+    res = _run(["packing-net", "--seed", "0", *args])
+    assert res.exit_code == 2, res.output
+    assert "declined" not in res.stderr
+
+
+def test_config_follows_declared_order_not_command_line_order():
+    first = _run(["moments", "--samples", "200", "--d", "2", "--seed", "3"])
+    second = _run(["moments", "--seed", "3", "--d", "2", "--samples", "200"])
+    assert first.exit_code == 0, first.output
+    assert first.stdout == second.stdout
+    assert list(json.loads(first.stdout)["config"]) == ["seed", "d", "samples"]
 
 
 def test_failing_check_exits_one(monkeypatch):

@@ -318,6 +318,16 @@ def test_haar_unitaries_batch():
         assert np.abs(dag(u) @ u - np.eye(3)).max() < 1e-12
 
 
+def test_haar_batch_outputs_unitaries():
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3))
+    us = _phase_corrected_qr(np.ascontiguousarray(g / np.sqrt(2.0)))
+    assert us.shape == (64, 3, 3)
+    eye = np.eye(3)
+    for u in us:
+        assert np.abs(u.conj().T @ u - eye).max() < 1e-10
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     d=st.integers(1, 5),

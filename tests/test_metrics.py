@@ -238,7 +238,7 @@ def test_diamond_restart_guard():
 def test_unitary_diamond_equal():
     rng = np.random.default_rng(8)
     u = haar_unitary(3, rng)
-    assert unitary_diamond_distance(u, u) < 1e-7
+    assert unitary_diamond_distance(u, u) < 1e-12
 
 
 def test_unitary_diamond_antipodal():
@@ -255,6 +255,21 @@ def test_unitary_diamond_phase_pair(theta):
     v = np.diag([1.0, np.exp(1j * theta)])
     want = 2.0 * np.sin(theta / 2.0)
     assert abs(unitary_diamond_distance(u, v) - want) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_unitary_diamond_known_eigenphases(d):
+    # u^dag v = q diag(e^{i theta}) q^dag, theta spanning an arc of known width w < pi:
+    # the distance is 2 sin(w / 2), to rounding even for w = 1e-6
+    rng = np.random.default_rng(200 + d)
+    for width in np.geomspace(1e-6, 2.0, 40):
+        theta = rng.uniform(0.0, width, d)
+        theta[:2] = 0.0, width
+        theta += rng.uniform(-np.pi, np.pi)
+        q = haar_unitary(d, rng)
+        u = haar_unitary(d, rng)
+        v = u @ q @ np.diag(np.exp(1j * theta)) @ q.conj().T
+        assert abs(unitary_diamond_distance(u, v) - 2.0 * np.sin(width / 2.0)) < 1e-12
 
 
 def test_unitary_diamond_rejects_non_unitary():
