@@ -5,7 +5,9 @@ checks, and emits one report (JSON, or the checks table as CSV).  Exit code
 0 means every check passed, 1 that at least one failed, 2 a usage error and
 3 a run declined before any work because the bytes of arrays its options
 need, counts included, exceed linalg.MAX_BYTES.  Trial i uses the generator
-seeded by SeedSequence([seed, i]); CTL_THREADS runs trials on up to one thread per CPU.
+seeded by SeedSequence([seed, i]).  Isometry-mode tomography runs its trials as
+one batch; the other trial loops, channel-mode tomography included, run on up to
+CTL_THREADS threads, at most one per CPU, with output bit-identical to one thread.
 """
 
 from __future__ import annotations
@@ -143,8 +145,24 @@ def _emit(checks: list, extra: dict | None = None):
     sys.exit(0 if report["all_passed"] else 1)
 
 
+def _writable_out(ctx, param, value: str) -> str:
+    """Reject an --out path that cannot be written, before the command does any work."""
+    if value == "-":
+        return value
+    if os.path.exists(value):
+        ok = not os.path.isdir(value) and os.access(value, os.W_OK)
+    else:
+        parent = os.path.dirname(value) or "."
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise click.BadParameter(f"cannot write a report to {value!r}", ctx=ctx, param=param)
+    return value
+
+
 def _common(fn):
-    fn = click.option("--out", default="-", show_default=True, help="Output path, - for stdout.")(fn)
+    fn = click.option(
+        "--out", default="-", show_default=True, callback=_writable_out, help="Output path, - for stdout."
+    )(fn)
     fn = click.option(
         "--format",
         "fmt",
@@ -464,21 +482,29 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
-    # reports keep a Choi matrix and a dilation; a trial four stacks of the 360 d1 x d1 grid
-    # pencils, four dilation-sized copies for the golden section's SVDs, and Choi workspaces
-    per_trial = 1440 * d1 * d1 + 4 * big * d1 + 6 * choi
-    _budget_guard(16 * (trials * (choi + 2 * big * d1) + _thread_count() * per_trial))
+    expected_queries = 2 * d1 * math.ceil(64.0 * big / (eps * eps))
+    # in 16-byte words; a trial's generator, report and array headers take about 256 of them
+    if r == 0:
+        # per trial the target, the estimate its report keeps, the golden section's two stacked
+        # copies and two stacked temporaries; once, a grid of 360 d1 x d1 pencils (four stacks
+        # of it) and Choi workspaces
+        words = trials * (6 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
+    else:
+        # reports keep a Choi matrix and a dilation; each thread's trial four dilation-sized
+        # copies and Choi workspaces
+        words = trials * (choi + 2 * big * d1 + 256) + _thread_count() * (4 * big * d1 + 6 * choi)
+    _budget_guard(16 * words)
 
-    d_col = d2 if r == 0 else r * d2
-    expected_queries = 2 * d1 * math.ceil(64.0 * d_col / (eps * eps))
-
-    def trial(index: int, rng: np.random.Generator):
-        if r == 0:
-            target = Isometry(random_isometry(d2, d1, rng))
-            return isometry_tomography(target, eps, rng)
-        return channel_tomography(_random_channel(d1, d2, r, rng), r, eps, rng)
-
-    reports = _map_trials(trial, trials, seed)
+    if r == 0:
+        rngs = [_trial_rng(seed, i) for i in range(trials)]
+        targets = [Isometry(random_isometry(d2, d1, rng)) for rng in rngs]
+        reports = isometry_tomography(targets, eps, rngs).reports
+    else:
+        reports = _map_trials(
+            lambda index, rng: channel_tomography(_random_channel(d1, d2, r, rng), r, eps, rng),
+            trials,
+            seed,
+        )
     successes = sum(1 for rep in reports if rep.success)
     rate = successes / trials
     errors = [rep.op_error if r == 0 else rep.choi_error for rep in reports]

@@ -231,9 +231,15 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
 
 
-def operator_norm(m: np.ndarray) -> float:
+def operator_norm(m: np.ndarray):
+    """Largest singular value of a matrix, or the array of them for a stack (..., rows, cols).
+
+    A stack is one batched SVD, and each of its values equals the value of
+    that matrix alone.
+    """
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return float(top) if s.ndim == 1 else top
 
 
 def min_eig(m: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "align_phases",
     "min_phase_op_error",
     "TomographyReport",
+    "TomographyBatch",
     "isometry_tomography",
     "channel_tomography",
 ]
@@ -136,10 +138,12 @@ def align_phases(vhat1: Isometry, vhat2: Isometry, d1: int) -> Isometry:
 
 @dataclass(frozen=True)
 class TomographyReport:
-    """Outcome of one estimation run.
+    """Outcome of one estimation run: a trial of an isometry_tomography
+    batch, or a channel_tomography call.
 
     op_error is the operator-norm error of the isometry estimate minimized
-    over a global phase, or None from channel_tomography, whose success is
+    over a global phase (one row of the batch's stacked
+    min_phase_op_error), or None from channel_tomography, whose success is
     judged on choi_error alone; choi_error is the normalized Choi trace
     distance of the induced channels.  Further distances, such as a diamond
     bracket, are for the caller to ask of metrics.
@@ -152,57 +156,79 @@ class TomographyReport:
     success: bool
 
 
-def min_phase_op_error(a: np.ndarray, b: np.ndarray) -> float:
-    """min over theta of the operator norm of a - e^{i theta} b.
-
-    A 360-point grid picks the bracket of a golden-section search.  For
-    |z| = 1, ||a - z b||^2 is the largest eigenvalue of the d1 x d1 pencil
-    a^dag a + b^dag b - z a^dag b - conj(z) b^dag a, so the grid is one
-    stacked eigvalsh of d1 x d1 matrices; every reported value is an SVD
-    of a - e^{i theta} b itself.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"a and b must be matrices of one shape, got {a.shape} and {b.shape}")
-
-    def val(theta: float) -> float:
-        return operator_norm(a - np.exp(1j * theta) * b)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> int:
+    """Index of the grid angle with the least ||a - e^{i theta} b||, from the n x n pencils."""
     ah = a.conj().T
     shifted = np.exp(1j * grid)[:, None, None] * (ah @ b)
     pencil = (ah @ a + b.conj().T @ b) - (shifted + shifted.conj().transpose(0, 2, 1))
-    center = int(np.argmin(np.linalg.eigvalsh(pencil)[:, -1]))
+    return int(np.argmin(np.linalg.eigvalsh(pencil)[:, -1]))
+
+
+def min_phase_op_error(a: np.ndarray, b: np.ndarray):
+    """min over theta of the operator norm of a - e^{i theta} b.
+
+    a and b are one pair of matrices, or two stacks (T, m, n) of pairs; a
+    stack returns the T minima as an array, each equal bit for bit to its
+    pair's minimum alone.  Per pair, a 360-point grid picks the bracket of a
+    golden-section search.  For |z| = 1, ||a - z b||^2 is the largest
+    eigenvalue of the n x n pencil a^dag a + b^dag b - z a^dag b -
+    conj(z) b^dag a, so the grid is one stacked eigvalsh of n x n matrices
+    per pair.  The golden section (60 steps) runs all pairs at once: each
+    of its 63 evaluations is one stacked SVD of the a - e^{i theta} b, so
+    every reported value is such an SVD, and each pair keeps its own bracket.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape != b.shape:
+        raise ValueError(
+            f"a and b must be matrices or stacks of one shape, got {a.shape} and {b.shape}"
+        )
+    pair = a.ndim == 2
+    if pair:
+        a, b = a[None], b[None]
+
+    def val(theta: np.ndarray) -> np.ndarray:
+        return operator_norm(a - np.exp(1j * theta)[:, None, None] * b)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    center = grid[[_grid_argmin(ak, bk, grid) for ak, bk in zip(a, b)]]
     step = grid[1] - grid[0]
-    lo, hi = grid[center] - step, grid[center] + step
+    lo, hi = center - step, center + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = val(x1), val(x2)
     for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = val(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = val(x2)
-    return min(val(grid[center]), f1, f2)
+        # rows with f1 <= f2 keep [lo, x2] and probe a new x1, the others keep [x1, hi]
+        left = f1 <= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x1, x2 = (
+            np.where(left, hi - invphi * (hi - lo), x2),
+            np.where(left, x1, lo + invphi * (hi - lo)),
+        )
+        probed = val(np.where(left, x1, x2))
+        f1, f2 = np.where(left, probed, f2), np.where(left, f1, probed)
+    best = np.minimum(np.minimum(val(center), f1), f2)
+    return float(best[0]) if pair else best
 
 
-def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -> tuple:
-    """Two weak runs (plain target, target @ DFT) with per-column noise
-    eps_max = eps^2 / 64, aligned into one estimate.
+def _oracle_config(eps: float) -> PureStateOracleConfig:
+    """Per-column noise eps_max = eps^2 / 64 of a run to accuracy eps in (0, 1]."""
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return PureStateOracleConfig(eps_max=eps * eps / 64.0)
+
+
+def _estimate_isometry(
+    target: Isometry, cfg: PureStateOracleConfig, rng: np.random.Generator
+) -> tuple:
+    """Two weak runs (plain target, target @ DFT) aligned into one estimate.
 
     Returns (estimate, queries charged); the caller measures the error it
     reports.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    cfg = PureStateOracleConfig(eps_max=eps * eps / 64.0)
     d1 = target.d_in
     vhat1 = weak_isometry_tomography(target, cfg, rng)
     rotated = Isometry(target.matrix @ dft_matrix(d1))
@@ -212,23 +238,47 @@ def _estimate_isometry(target: Isometry, eps: float, rng: np.random.Generator) -
     return estimate, queries
 
 
-def isometry_tomography(target: Isometry, eps: float, rng: np.random.Generator) -> TomographyReport:
-    """Full isometry estimation to operator-norm error eps/2.
+class TomographyBatch(NamedTuple):
+    """Outcome of one isometry_tomography call: a report per target, in
+    target order, and the sum of their query charges.  A NamedTuple, which
+    costs less to create at import than a frozen dataclass."""
 
-    Runs the weak column procedure twice (second time against target @ DFT)
-    with per-column noise eps_max = eps^2 / 64, aligns the phases, and
-    verifies the result.  The success guarantee is derived for eps <= 1/8;
-    larger values (up to 1) run the same procedure with extra slack.
+    reports: tuple
+    queries_charged: int
+
+
+def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
+    """Full isometry estimation of each target to operator-norm error eps/2.
+
+    targets is a sequence of isometries of one shape, and rngs one generator
+    per target: trial k draws only from rngs[k].  Each trial runs the weak
+    column procedure twice (second time against target @ DFT) with
+    per-column noise eps_max = eps^2 / 64 and aligns the phases; then one
+    stacked min_phase_op_error verifies all trials.  A report equals that
+    of its trial run alone.  The success guarantee is derived for
+    eps <= 1/8; larger values (up to 1) run the same procedure with extra
+    slack.
     """
-    estimate, queries = _estimate_isometry(target, eps, rng)
-    op_error = min_phase_op_error(target.matrix, estimate.matrix)
-    return TomographyReport(
-        estimate=estimate,
-        queries_charged=queries,
-        op_error=op_error,
-        choi_error=choi_trace_distance(estimate.channel(), target.channel()),
-        success=2.0 * op_error <= float(eps),
+    cfg = _oracle_config(eps)
+    targets, rngs = list(targets), list(rngs)
+    if len(targets) != len(rngs):
+        raise ValueError(f"{len(targets)} targets but {len(rngs)} generators")
+    runs = [_estimate_isometry(target, cfg, rng) for target, rng in zip(targets, rngs)]
+    op_errors = min_phase_op_error(
+        np.stack([target.matrix for target in targets]),
+        np.stack([estimate.matrix for estimate, _ in runs]),
+    ).tolist()
+    reports = tuple(
+        TomographyReport(
+            estimate=estimate,
+            queries_charged=queries,
+            op_error=op_error,
+            choi_error=choi_trace_distance(estimate.channel(), target.channel()),
+            success=2.0 * op_error <= float(eps),
+        )
+        for target, (estimate, queries), op_error in zip(targets, runs, op_errors)
     )
+    return TomographyBatch(reports, sum(rep.queries_charged for rep in reports))
 
 
 def channel_tomography(
@@ -244,8 +294,9 @@ def channel_tomography(
     """
     if r < target.rank:
         raise ValueError(f"ancilla budget r={r} below the target rank {target.rank}")
+    cfg = _oracle_config(eps)
     dil = dilate(target, r)
-    est_iso, queries = _estimate_isometry(Isometry(dil.matrix), eps, rng)
+    est_iso, queries = _estimate_isometry(Isometry(dil.matrix), cfg, rng)
     est_channel = Dilation(est_iso.matrix, r, target.d_out).contract()
     choi_error = choi_trace_distance(est_channel, target)
     return TomographyReport(

@@ -455,10 +455,9 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
     eps = 0.2
     expected = 2 * 2 * math.ceil(64.0 * 3 / eps**2)
     successes = 0
-    for trial in range(100):
-        rng = np.random.default_rng(8000 + trial)
-        target = Isometry(random_isometry(3, 2, rng))
-        rep = isometry_tomography(target, eps, rng)
+    rngs = [np.random.default_rng(8000 + trial) for trial in range(100)]
+    targets = [Isometry(random_isometry(3, 2, rng)) for rng in rngs]
+    for rep in isometry_tomography(targets, eps, rngs).reports:
         assert rep.queries_charged == expected
         successes += int(rep.success)
     rate = successes / 100.0

@@ -81,6 +81,16 @@ def test_out_file(tmp_path):
     assert report["all_passed"] is True
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        res = _run(["verify", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "--out" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert isinstance(res.exception, SystemExit)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -371,6 +381,8 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
         # a 64 MiB dense dilation of the estimate
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
+        # 400 isometry trials in one batch, their generators and golden-section stacks
+        pytest.param(["tomography", "--d1", "3", "--d2", "8", "--trials", "400"], id="tomography-isometry"),
         # 4 MiB of lifted Kraus operators per channel
         ["distances", "--d1", "4", "--d2", "32", "--pairs", "1"],
         # the unitary check's 16 restart rows over 324 KiB pull-backs

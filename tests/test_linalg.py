@@ -261,6 +261,24 @@ def test_operator_norm_matches_top_singular_value():
     assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_operator_norm_on_a_stack_equals_its_matrices(lead, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, rows, cols)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = operator_norm(stack)
+    assert got.shape == tuple(lead)
+    assert got.reshape(-1).tolist() == [
+        operator_norm(m) for m in stack.reshape(math.prod(lead), rows, cols)
+    ]
+
+
 def test_min_eig():
     m = np.diag([1.0, 0.5, -0.25])
     assert abs(min_eig(m) + 0.25) < 1e-14

@@ -130,6 +130,10 @@ def test_min_phase_op_error_rejects_mismatched_shapes():
             min_phase_op_error(a, b)
     with pytest.raises(ValueError):
         min_phase_op_error(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        min_phase_op_error(np.ones((2, 3, 2)), np.ones((3, 3, 2)))
+    with pytest.raises(ValueError):
+        min_phase_op_error(np.ones((1, 2, 3, 2)), np.ones((1, 2, 3, 2)))
 
 
 def _reference_min_phase_op_error(a, b):
@@ -159,17 +163,30 @@ def _reference_min_phase_op_error(a, b):
     return min(float(values.min()), f1, f2)
 
 
+def _near_isometry_pair(d2, d1, scale, rng):
+    a = random_isometry(d2, d1, rng)
+    noise = scale * (rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1)))
+    u, _, vh = np.linalg.svd(np.exp(2j * np.pi * rng.uniform()) * a + noise, full_matrices=False)
+    return a, u @ vh
+
+
 @st.composite
 def near_isometry_pairs(draw):
     """An isometry and a nearby isometry estimate under a global phase."""
     d2 = draw(st.integers(1, 8))
     d1 = draw(st.integers(1, min(d2, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = random_isometry(d2, d1, rng)
-    scale = draw(st.floats(1e-8, 0.5))
-    noise = scale * (rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1)))
-    u, _, vh = np.linalg.svd(np.exp(2j * np.pi * rng.uniform()) * a + noise, full_matrices=False)
-    return a, u @ vh
+    return _near_isometry_pair(d2, d1, draw(st.floats(1e-8, 0.5)), rng)
+
+
+@st.composite
+def near_isometry_stacks(draw):
+    """One to eight near-isometry pairs of one shape."""
+    d2 = draw(st.integers(1, 8))
+    d1 = draw(st.integers(1, min(d2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.floats(1e-8, 0.5), min_size=1, max_size=8))
+    return [_near_isometry_pair(d2, d1, scale, rng) for scale in scales]
 
 
 @st.composite
@@ -198,6 +215,19 @@ def test_min_phase_op_error_matches_svd_grid_on_complex_pairs(pair, theta):
     assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(near_isometry_stacks(), st.data())
+def test_min_phase_op_error_on_a_stack_equals_its_pairs(pairs, data):
+    alone = [min_phase_op_error(a, b) for a, b in pairs]
+    a = np.stack([a for a, _ in pairs])
+    b = np.stack([b for _, b in pairs])
+    assert min_phase_op_error(a, b).tolist() == alone
+    # any sub-stack, in any order
+    order = data.draw(st.permutations(range(len(pairs))))
+    rows = order[: data.draw(st.integers(1, len(pairs)))]
+    assert min_phase_op_error(a[rows], b[rows]).tolist() == [alone[k] for k in rows]
+
+
 # ---------------------------------------------------------------------------
 # Full isometry estimation
 # ---------------------------------------------------------------------------
@@ -207,16 +237,16 @@ def test_isometry_tomography_eps_guard():
     rng = np.random.default_rng(8)
     target = Isometry(random_isometry(3, 2, rng))
     with pytest.raises(ValueError):
-        isometry_tomography(target, 0.0, rng)
+        isometry_tomography([target], 0.0, [rng])
     with pytest.raises(ValueError):
-        isometry_tomography(target, 1.2, rng)
+        isometry_tomography([target], 1.2, [rng])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_isometry_tomography_runs(seed):
     rng = np.random.default_rng(42)
     target = Isometry(random_isometry(3, 2, rng))
-    rep = isometry_tomography(target, 0.2, np.random.default_rng(seed))
+    (rep,) = isometry_tomography([target], 0.2, [np.random.default_rng(seed)]).reports
     assert isinstance(rep, TomographyReport)
     assert rep.success
     assert 2.0 * rep.op_error <= 0.2
@@ -233,8 +263,8 @@ def test_isometry_tomography_runs(seed):
 def test_isometry_tomography_deterministic_via_seed():
     rng = np.random.default_rng(43)
     target = Isometry(random_isometry(2, 2, rng))
-    a = isometry_tomography(target, 0.25, np.random.default_rng(11))
-    b = isometry_tomography(target, 0.25, np.random.default_rng(11))
+    (a,) = isometry_tomography([target], 0.25, [np.random.default_rng(11)]).reports
+    (b,) = isometry_tomography([target], 0.25, [np.random.default_rng(11)]).reports
     assert a.op_error == b.op_error
     assert a.choi_error == b.choi_error
     assert np.abs(a.estimate.matrix - b.estimate.matrix).max() == 0
@@ -243,7 +273,7 @@ def test_isometry_tomography_deterministic_via_seed():
 def test_isometry_tomography_unitary_target():
     rng = np.random.default_rng(44)
     target = Isometry(haar_unitary(2, rng))
-    rep = isometry_tomography(target, 0.3, np.random.default_rng(1))
+    (rep,) = isometry_tomography([target], 0.3, [np.random.default_rng(1)]).reports
     assert rep.success
 
 
@@ -296,7 +326,7 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     rng = np.random.default_rng(47)
     ch = random_channel(2, 2, 2, rng)
     target = Isometry(random_isometry(3, 2, rng))
-    isometry_tomography(target, 0.3, np.random.default_rng(6))
+    isometry_tomography([target], 0.3, [np.random.default_rng(6)])
     rep = channel_tomography(ch, 2, 0.3, np.random.default_rng(6))
     assert calls == []
     interval = diamond_distance(rep.estimate, ch, restarts=2, rng=np.random.default_rng(6))
@@ -313,10 +343,41 @@ def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
 
     monkeypatch.setattr(tomography, "min_phase_op_error", counting)
     rng = np.random.default_rng(48)
-    target = Isometry(random_isometry(3, 2, rng))
-    rep = isometry_tomography(target, 0.3, np.random.default_rng(7))
-    assert calls == [(3, 2)]
-    assert rep.op_error == real(target.matrix, rep.estimate.matrix)
+    targets = [Isometry(random_isometry(3, 2, rng)) for _ in range(4)]
+    rngs = [np.random.default_rng(7 + k) for k in range(4)]
+    batch = isometry_tomography(targets, 0.3, rngs)
+    assert calls == [(4, 3, 2)]
+    for target, rep in zip(targets, batch.reports):
+        assert rep.op_error == real(target.matrix, rep.estimate.matrix)
     rep = channel_tomography(random_channel(2, 2, 2, rng), 2, 0.3, np.random.default_rng(7))
-    assert calls == [(3, 2)]
+    assert calls == [(4, 3, 2)]
     assert rep.op_error is None
+
+
+def test_isometry_tomography_batch_equals_its_trials_alone():
+    # trial k draws only from rngs[k], so its report does not depend on the batch
+    rng = np.random.default_rng(49)
+    targets = [Isometry(random_isometry(4, 2, rng)) for _ in range(5)]
+    batch = isometry_tomography(targets, 0.3, [np.random.default_rng(k) for k in range(5)])
+    assert len(batch.reports) == 5
+    assert batch.queries_charged == sum(rep.queries_charged for rep in batch.reports)
+    for k, (target, rep) in enumerate(zip(targets, batch.reports)):
+        (alone,) = isometry_tomography([target], 0.3, [np.random.default_rng(k)]).reports
+        assert (rep.op_error, rep.choi_error, rep.success, rep.queries_charged) == (
+            alone.op_error,
+            alone.choi_error,
+            alone.success,
+            alone.queries_charged,
+        )
+        assert np.array_equal(rep.estimate.matrix, alone.estimate.matrix)
+
+
+def test_isometry_tomography_checks_its_batch_before_drawing():
+    rng = np.random.default_rng(50)
+    target = Isometry(random_isometry(3, 2, rng))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        isometry_tomography([target, target], 0.0, [rng, rng])
+    with pytest.raises(ValueError):
+        isometry_tomography([target, target], 0.2, [rng])
+    assert rng.bit_generator.state == state
