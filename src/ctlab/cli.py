@@ -4,10 +4,9 @@ Every subcommand takes a required --seed, runs a batch of deterministic
 checks, and emits one report (JSON, or the checks table as CSV).  Exit code
 0 means every check passed, 1 that at least one failed, 2 a usage error and
 3 a run declined before any work because the bytes of arrays its options
-need, counts included, exceed linalg.MAX_BYTES.  Trial i uses the generator
-seeded by SeedSequence([seed, i]).  Isometry-mode tomography runs its trials as
-one batch; the other trial loops, channel-mode tomography included, run on up to
-CTL_THREADS threads, at most one per CPU, with output bit-identical to one thread.
+need, counts included, exceed linalg.MAX_BYTES.  Trials run in index order on
+the calling thread, trial i on its own generator seeded by SeedSequence([seed, i]).
+Isometry-mode tomography runs its trials as one batch.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -70,22 +68,9 @@ def _trial_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([root_seed, index]))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CTL_THREADS", "1")
-    try:
-        return min(max(1, int(raw)), len(os.sched_getaffinity(0)))
-    except ValueError:
-        return 1
-
-
 def _map_trials(fn, count: int, root_seed: int) -> list:
-    """Run fn(index, rng) for each trial, results in index order."""
-    workers = _thread_count()
-    if workers <= 1 or count <= 1:
-        return [fn(i, _trial_rng(root_seed, i)) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i, _trial_rng(root_seed, i)) for i in range(count)]
-        return [f.result() for f in futures]
+    """Run fn(index, rng) for each trial in index order, trial i on its own generator."""
+    return [fn(i, _trial_rng(root_seed, i)) for i in range(count)]
 
 
 def _check(name: str, passed: bool, value: float, detail: str = "") -> dict:
@@ -357,7 +342,7 @@ def localtest(
     dim = (d1 * d2 * r) ** n
     # testers keep two dim^2 outcomes each; a trial ~10 more, an r x r Haar batch, 5 vector stacks
     per_trial = 10 * dim * dim + samples * (5 * dim + 4 * r * r + 2 * r)
-    _budget_guard(16 * (2 * testers * dim * dim + _thread_count() * per_trial))
+    _budget_guard(16 * (2 * testers * dim * dim + per_trial))
 
     tester_list = [
         random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
@@ -399,7 +384,13 @@ def localtest(
 @click.option("--d1", type=_POSITIVE, default=4, show_default=True, help="Input dimension.")
 @click.option("--d2", type=_POSITIVE, default=2, show_default=True, help="Output dimension.")
 @click.option("--r", type=_POSITIVE, default=2, show_default=True, help="Ancilla dimension.")
-@click.option("--eps", type=float, default=0.05, show_default=True, help="Perturbation strength.")
+@click.option(
+    "--eps",
+    type=click.FloatRange(0.0, 0.5, min_open=True, max_open=True),
+    default=0.05,
+    show_default=True,
+    help="Perturbation strength.",
+)
 @click.option("--count", type=click.IntRange(2, 64), default=16, show_default=True, help="Net size.")
 @click.option(
     "--metric",
@@ -490,9 +481,9 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
         # of it) and Choi workspaces
         words = trials * (6 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
     else:
-        # reports keep a Choi matrix and a dilation; each thread's trial four dilation-sized
+        # reports keep a Choi matrix and a dilation; the running trial four dilation-sized
         # copies and Choi workspaces
-        words = trials * (choi + 2 * big * d1 + 256) + _thread_count() * (4 * big * d1 + 6 * choi)
+        words = trials * (choi + 2 * big * d1 + 256) + 4 * big * d1 + 6 * choi
     _budget_guard(16 * words)
 
     if r == 0:
@@ -546,7 +537,7 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     # signed adjoint, the pull-back and transients; the unitary check's 16 restart rows hold
     # a copy, adjoint and pull-back of two d1^2 x d1^2 lifted operators each, and about six
     # d1^2 x d1^2 pulled-back operators each; and ~10 Choi-sized matrices
-    _budget_guard(16 * _thread_count() * (24 * choi * d1 * d1 + 224 * d1**4 + 10 * choi))
+    _budget_guard(16 * (24 * choi * d1 * d1 + 224 * d1**4 + 10 * choi))
 
     def pair_trial(index: int, rng: np.random.Generator):
         a = _random_channel(d1, d2, d1 * d2, rng)

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import time
 import tracemalloc
 
@@ -10,7 +9,7 @@ from click.testing import CliRunner
 
 import ctlab
 from ctlab import cli
-from ctlab.cli import _thread_count, main
+from ctlab.cli import main
 from ctlab.linalg import MAX_BYTES, require_bytes
 
 
@@ -126,32 +125,6 @@ def test_moments_csv_quotes_details():
     assert any("," in row[3] for row in rows[1:])
 
 
-def test_moments_thread_pool_is_bit_identical():
-    serial = _run(["moments", "--seed", "3", "--d", "2", "--samples", "2000"], env={"CTL_THREADS": "1"})
-    threaded = _run(["moments", "--seed", "3", "--d", "2", "--samples", "2000"], env={"CTL_THREADS": "4"})
-    assert serial.exit_code == 0
-    assert serial.output == threaded.output
-
-
-def test_tomography_thread_pool_is_bit_identical():
-    args = ["tomography", "--seed", "3", "--trials", "6", "--r", "2"]
-    serial = _run(args, env={"CTL_THREADS": "1"})
-    threaded = _run(args, env={"CTL_THREADS": "2"})
-    assert serial.exit_code == 0
-    assert serial.output == threaded.output
-
-
-def test_bogus_thread_env_falls_back():
-    res = _run(["verify", "--seed", "0"], env={"CTL_THREADS": "many"})
-    assert res.exit_code == 0
-
-
-def test_thread_count_is_clamped_to_usable_cpus(monkeypatch):
-    # only the count is read; no command runs with such a value
-    monkeypatch.setenv("CTL_THREADS", "100000")
-    assert _thread_count() == len(os.sched_getaffinity(0))
-
-
 # ---------------------------------------------------------------------------
 # localtest
 # ---------------------------------------------------------------------------
@@ -227,6 +200,14 @@ def test_packing_net_rejects_bad_count():
 def test_packing_net_unknown_regime():
     res = _run(["packing-net", "--seed", "0", "--regime", "type9"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("eps", ["0", "0.5", "nan"])
+def test_packing_net_eps_outside_open_half_interval_is_a_usage_error(eps):
+    # eps 0 gives an infinite separation ratio, which strict JSON cannot carry
+    res = _run(["packing-net", "--seed", "3", "--eps", eps, "--count", "4"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +392,8 @@ def test_declared_bound_covers_traced_peak(args, monkeypatch):
         tracemalloc.stop()
     assert res.exit_code == 0, res.output
     assert len(declared) == 1
-    assert peak <= declared[0], (peak, declared[0])
+    bound = declared[0] - 2**24  # without _budget_guard's fixed slack, so small cases can fail
+    assert peak <= bound, (peak, bound)
     if args[0] == "moments":
         # a bound far above the peak declines runs the machine could hold
-        assert declared[0] - 2**24 <= 1.5 * peak, (peak, declared[0])
+        assert bound <= 1.5 * peak, (peak, bound)

@@ -15,6 +15,8 @@ A third test reads the import statements: no module imports an underscore
 name from another (``from .linalg import _resolve``). A private helper stays
 behind its module's public functions; reading a module attribute such as
 ``linalg._CHUNK_BYTES`` at call time is a different form and is allowed.
+Next to it, no module reads the environment (``os.environ``, ``os.getenv``):
+a command's options and seed are all that fix its report.
 
 TEST_ONLY is the one allowlist the first two tests read, keyed by ``module.qualname``:
 what only the test suite or the benchmark reaches, each with the reason it
@@ -170,6 +172,19 @@ def test_no_private_imports_across_modules():
     assert not private, "private names imported across modules: " + ", ".join(private)
 
 
+def test_no_module_reads_the_environment():
+    # os.environ, os.getenv, or either name imported from os and then used
+    env = ("environ", "getenv")
+    reads = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in env)
+        or (isinstance(node, ast.Name) and node.id in env)
+    ]
+    assert not reads, "environment read in ctlab at " + ", ".join(reads)
+
+
 def _run_commands() -> set:
     """module.qualname of every ctlab function a command of COMMANDS enters."""
     codes = set()
@@ -194,8 +209,7 @@ def _run_commands() -> set:
     }
 
 
-def test_every_function_runs_from_a_command(monkeypatch):
-    monkeypatch.setenv("CTL_THREADS", "1")
+def test_every_function_runs_from_a_command():
     entered = _run_commands()
     defined = {
         f"{module}.{qualname}" for module, tree in _trees().items() for qualname in _functions(tree)
