@@ -33,6 +33,7 @@ __all__ = [
     "Isometry",
     "Dilation",
     "dilate",
+    "choi_from_kraus",
     "random_channel",
     "channel_to_json",
     "channel_from_json",
@@ -85,12 +86,7 @@ class Channel:
         defect = float(np.max(np.abs(comp - np.eye(d_in))))
         if defect > ATOL:
             raise ValueError(f"Kraus set is not complete (defect {defect:.3e})")
-        n = d_in * d_out
-        choi = np.zeros((n, n), dtype=complex)
-        for e in kraus:
-            v = vectorize(e)
-            choi += np.outer(v, v.conj())
-        return cls(choi, d_in, d_out)
+        return cls(choi_from_kraus(np.stack(kraus)), d_in, d_out)
 
     @property
     def kraus(self) -> tuple:
@@ -141,14 +137,6 @@ class Isometry:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def d_in(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.matrix.shape[0]
-
     def channel(self) -> Channel:
         return Channel.from_kraus([self.matrix])
 
@@ -195,6 +183,21 @@ class Dilation:
     def contract(self) -> Channel:
         """Trace out the ancilla: the channel of the Kraus blocks."""
         return Channel.from_kraus(self.kraus_blocks())
+
+
+def choi_from_kraus(kraus) -> np.ndarray:
+    """Choi matrices sum_i |E_i>><<E_i| of Kraus sets stacked (..., R, d_out, d_in).
+
+    Returns (..., d_out d_in, d_out d_in), built from the row-major |E_i>>
+    of linalg.vectorize and summed in Kraus order, so a set's Choi matrix is
+    the same bit for bit in any stack.  Completeness is not checked.
+    """
+    v = vectorize(kraus)
+    n = v.shape[-1]
+    choi = np.zeros(v.shape[:-2] + (n, n), dtype=complex)
+    for k in range(v.shape[-2]):
+        choi += v[..., k, :, None] * v[..., k, None, :].conj()
+    return choi
 
 
 def dilate(ch: Channel, r: int) -> Dilation:

@@ -6,7 +6,7 @@ checks, and emits one report (JSON, or the checks table as CSV).  Exit code
 3 a run declined before any work because the bytes of arrays its options
 need, counts included, exceed linalg.MAX_BYTES.  Trials run in index order on
 the calling thread, trial i on its own generator seeded by SeedSequence([seed, i]).
-Isometry-mode tomography runs its trials as one batch.
+Both tomography modes run their trials as one batch.
 """
 
 from __future__ import annotations
@@ -233,11 +233,11 @@ def verify(seed: int, fmt: str, out: str):
     checks.append(_check("gamma comb certificate accepts and rejects", ok, cert.defect))
 
     rng = _trial_rng(seed, 20)
-    target = Isometry(random_isometry(4, 2, rng))
+    target = random_isometry(4, 2, rng)[None]
     cfg = PureStateOracleConfig(eps_max=0.0)
-    v1 = weak_isometry_tomography(target, cfg, rng)
-    v2 = weak_isometry_tomography(Isometry(target.matrix @ dft_matrix(2)), cfg, rng)
-    err = min_phase_op_error(target.matrix, align_phases(v1, v2, 2).matrix)
+    v1 = weak_isometry_tomography(target, cfg, [rng])
+    v2 = weak_isometry_tomography(target @ dft_matrix(2), cfg, [rng])
+    err = min_phase_op_error(target[0], align_phases(v1, v2)[0])
     checks.append(_check("noiseless tomography recovers the target", err < 1e-9, err))
 
     rng = _trial_rng(seed, 21)
@@ -474,28 +474,25 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
     expected_queries = 2 * d1 * math.ceil(64.0 * big / (eps * eps))
-    # in 16-byte words; a trial's generator, report and array headers take about 256 of them
+    # in 16-byte words, per trial of the batch: its generator, report and array headers (about
+    # 256); the target, both weak runs' column estimates, their SVD factors and snaps, and the
+    # estimate (about ten target-sized copies, the golden section's stacks included); isometry
+    # mode four Choi stacks (estimates, targets, their difference and its eigvalsh copy),
+    # channel mode five, one the reports keep, and the targets' Kraus sets.  Once, Choi
+    # workspaces and the isometry grid of 360 d1 x d1 pencils (four stacks of it)
     if r == 0:
-        # per trial the target, the estimate its report keeps, the golden section's two stacked
-        # copies and two stacked temporaries; once, a grid of 360 d1 x d1 pencils (four stacks
-        # of it) and Choi workspaces
-        words = trials * (6 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
+        words = trials * (4 * choi + 10 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
     else:
-        # reports keep a Choi matrix and a dilation; the running trial four dilation-sized
-        # copies and Choi workspaces
-        words = trials * (choi + 2 * big * d1 + 256) + 4 * big * d1 + 6 * choi
+        words = trials * (5 * choi + 12 * big * d1 + 256) + 6 * choi
     _budget_guard(16 * words)
 
+    rngs = [_trial_rng(seed, i) for i in range(trials)]
     if r == 0:
-        rngs = [_trial_rng(seed, i) for i in range(trials)]
         targets = [Isometry(random_isometry(d2, d1, rng)) for rng in rngs]
         reports = isometry_tomography(targets, eps, rngs).reports
     else:
-        reports = _map_trials(
-            lambda index, rng: channel_tomography(_random_channel(d1, d2, r, rng), r, eps, rng),
-            trials,
-            seed,
-        )
+        targets = [_random_channel(d1, d2, r, rng) for rng in rngs]
+        reports = channel_tomography(targets, r, eps, rngs).reports
     successes = sum(1 for rep in reports if rep.success)
     rate = successes / trials
     errors = [rep.op_error if r == 0 else rep.choi_error for rep in reports]

@@ -143,8 +143,9 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
-    """Row-major |X>>."""
-    return np.asarray(x, dtype=complex).reshape(-1)
+    """Row-major |X>> of a matrix, or of each matrix in a stack (..., rows, cols)."""
+    x = np.asarray(x, dtype=complex)
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -266,8 +267,15 @@ def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Ginibre matrix (entries of unit variance)."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    """Standard complex Ginibre matrix (entries of unit variance).
+
+    Filled in place: the real parts are drawn first, then the imaginary parts.
+    """
+    out = np.empty((rows, cols), dtype=complex)
+    out.real = rng.standard_normal((rows, cols))
+    out.imag = rng.standard_normal((rows, cols))
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ def _check_same_shape(a: Channel, b: Channel) -> None:
 
 
 def choi_trace_distances(choi: np.ndarray, chois: np.ndarray, d_in: int) -> np.ndarray:
-    """(1/d_in) || C - C_k ||_1 for every C_k of a (P, n, n) stack.
+    """(1/d_in) || C - C_k ||_1 for every C_k of a (P, n, n) stack; choi is
+    one matrix, or a (P, n, n) stack paired row by row with chois.
 
     Choi differences are Hermitian, so each trace norm is the sum of the
     absolute eigenvalues, all taken in one stacked eigvalsh.
@@ -146,7 +147,7 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
         f = np.abs(w).sum(-1)
         wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
         pulled = (wmat @ lifted.reshape(p, n_out, r * n_in)).reshape(p, n_out * r, n_in)
-        psi = np.linalg.eigh(hermitianize(back.swapaxes(1, 2) @ pulled))[1][:, :, -1]
+        psi = np.linalg.eigh(hermitianize(back.swapaxes(1, 2) @ pulled))[1][:, :, -1].copy()
         done = f - f_prev < tol
         f_prev = np.where(done, np.maximum(f_prev, f), f)
         if done.any():

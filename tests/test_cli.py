@@ -364,6 +364,11 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
         # 400 isometry trials in one batch, their generators and golden-section stacks
         pytest.param(["tomography", "--d1", "3", "--d2", "8", "--trials", "400"], id="tomography-isometry"),
+        # 400 channel trials in one batch: targets' Choi and Kraus sets, dilations, both weak
+        # runs' column estimates and SVD factors, and the estimates' Choi matrices
+        pytest.param(
+            ["tomography", "--d1", "2", "--d2", "3", "--r", "2", "--trials", "400"], id="tomography-channel"
+        ),
         # 4 MiB of lifted Kraus operators per channel
         ["distances", "--d1", "4", "--d2", "32", "--pairs", "1"],
         # the unitary check's 16 restart rows over 324 KiB pull-backs

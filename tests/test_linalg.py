@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,10 @@ def test_vectorize_row_major_round_trip():
     assert np.abs(unvectorize(v, 3, 4) - m).max() == 0
     sq = rng.standard_normal((3, 3))
     assert np.abs(unvectorize(vectorize(sq), 3, 3) - sq).max() == 0
+    # a stack (..., rows, cols) is vectorized matrix by matrix
+    stack = rng.standard_normal((2, 5, 3, 4))
+    assert vectorize(stack).shape == (2, 5, 12)
+    assert np.array_equal(vectorize(stack)[1, 3], vectorize(stack[1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,24 @@ def test_psd_inv_sqrt_on_support():
 # ---------------------------------------------------------------------------
 # Random ensembles
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 1), (1, 5), (4, 4), (4000, 3)])
+def test_random_gaussian_matrix_is_the_sum_expression_in_one_array(shape):
+    # bit for bit (a + 1j b) / sqrt(2) of the same two draws, filled into one complex array
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        got = random_gaussian_matrix(*shape, np.random.default_rng(seed))
+        assert np.array_equal(got.view(float), want.view(float))
+    tracemalloc.start()
+    try:
+        random_gaussian_matrix(*shape, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result and one real draw, not three complex temporaries
+    assert peak <= 24 * shape[0] * shape[1] + 4096, peak
 
 
 def test_random_gaussian_matrix_moments():

@@ -84,7 +84,7 @@ def test_weak_tomography_noiseless_columns():
     rng = np.random.default_rng(4)
     target = Isometry(random_isometry(4, 3, rng))
     cfg = PureStateOracleConfig(eps_max=0.0)
-    est = weak_isometry_tomography(target, cfg, rng)
+    est = Isometry(weak_isometry_tomography(target.matrix[None], cfg, [rng])[0])
     # exact columns up to per-column phases
     overlaps = np.abs(np.diag(target.matrix.conj().T @ est.matrix))
     assert np.abs(overlaps - 1.0).max() < 1e-10
@@ -94,7 +94,7 @@ def test_weak_tomography_noisy_columns():
     rng = np.random.default_rng(5)
     target = Isometry(random_isometry(3, 2, rng))
     cfg = PureStateOracleConfig(eps_max=1e-4)
-    est = weak_isometry_tomography(target, cfg, rng)
+    est = Isometry(weak_isometry_tomography(target.matrix[None], cfg, [rng])[0])
     overlaps = np.abs(np.diag(target.matrix.conj().T @ est.matrix))
     assert overlaps.min() > 0.99
 
@@ -109,7 +109,7 @@ def test_align_phases_recovers_exactly():
     phi2 = np.exp(2j * np.pi * rng.uniform(size=d1))
     vhat1 = Isometry(v @ np.diag(phi1))
     vhat2 = Isometry(v @ f @ np.diag(phi2))
-    est = align_phases(vhat1, vhat2, d1)
+    est = Isometry(align_phases(vhat1.matrix[None], vhat2.matrix[None])[0])
     assert min_phase_op_error(v, est.matrix) < 1e-10
 
 
@@ -286,13 +286,13 @@ def test_channel_tomography_rank_guard():
     rng = np.random.default_rng(9)
     ch = random_channel(2, 2, 3, rng)
     with pytest.raises(ValueError):
-        channel_tomography(ch, 2, 0.2, rng)
+        channel_tomography([ch], 2, 0.2, [rng])
 
 
 def test_channel_tomography_runs():
     rng = np.random.default_rng(45)
     ch = random_channel(2, 2, 2, rng)
-    rep = channel_tomography(ch, 2, 0.3, np.random.default_rng(5))
+    (rep,) = channel_tomography([ch], 2, 0.3, [np.random.default_rng(5)]).reports
     assert rep.success
     assert rep.choi_error <= 0.3
     assert isinstance(rep.estimate, Channel)
@@ -307,7 +307,7 @@ def test_channel_tomography_padded_ancilla():
     rng = np.random.default_rng(46)
     u = haar_unitary(2, rng)
     ch = Channel.from_kraus([u])
-    rep = channel_tomography(ch, 3, 0.4, np.random.default_rng(2))
+    (rep,) = channel_tomography([ch], 3, 0.4, [np.random.default_rng(2)]).reports
     assert rep.success
     assert rep.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
 
@@ -327,7 +327,7 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     ch = random_channel(2, 2, 2, rng)
     target = Isometry(random_isometry(3, 2, rng))
     isometry_tomography([target], 0.3, [np.random.default_rng(6)])
-    rep = channel_tomography(ch, 2, 0.3, np.random.default_rng(6))
+    (rep,) = channel_tomography([ch], 2, 0.3, [np.random.default_rng(6)]).reports
     assert calls == []
     interval = diamond_distance(rep.estimate, ch, restarts=2, rng=np.random.default_rng(6))
     assert rep.choi_error <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
@@ -349,7 +349,9 @@ def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
     assert calls == [(4, 3, 2)]
     for target, rep in zip(targets, batch.reports):
         assert rep.op_error == real(target.matrix, rep.estimate.matrix)
-    rep = channel_tomography(random_channel(2, 2, 2, rng), 2, 0.3, np.random.default_rng(7))
+    (rep,) = channel_tomography(
+        [random_channel(2, 2, 2, rng)], 2, 0.3, [np.random.default_rng(7)]
+    ).reports
     assert calls == [(4, 3, 2)]
     assert rep.op_error is None
 
@@ -381,3 +383,136 @@ def test_isometry_tomography_checks_its_batch_before_drawing():
     with pytest.raises(ValueError):
         isometry_tomography([target, target], 0.2, [rng])
     assert rng.bit_generator.state == state
+
+
+@st.composite
+def channel_batches(draw):
+    """An ancilla budget r and one to five channels of one shape whose ranks are at most r."""
+    d1 = draw(st.integers(1, 3))
+    d2 = draw(st.integers(1, 3))
+    least = -(-d1 // d2)
+    r = draw(st.integers(least, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = draw(st.lists(st.integers(least, min(r, d1 * d2)), min_size=1, max_size=5))
+    return r, [random_channel(d1, d2, rank, rng) for rank in ranks]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(channel_batches(), st.sampled_from([0.05, 0.3, 1.0]), st.data())
+def test_channel_tomography_batch_equals_its_trials_alone(batch, eps, data):
+    r, targets = batch
+    alone = [
+        channel_tomography([target], r, eps, [np.random.default_rng(k)]).reports[0]
+        for k, target in enumerate(targets)
+    ]
+    # any sub-stack, in any order
+    order = data.draw(st.permutations(range(len(targets))))
+    rows = order[: data.draw(st.integers(1, len(targets)))]
+    got = channel_tomography([targets[k] for k in rows], r, eps, [np.random.default_rng(k) for k in rows])
+    assert len(got.reports) == len(rows)
+    assert got.queries_charged == sum(alone[k].queries_charged for k in rows)
+    for k, rep in zip(rows, got.reports):
+        assert isinstance(rep.estimate, Channel)
+        assert np.array_equal(rep.estimate.choi, alone[k].estimate.choi)
+        assert (rep.choi_error, rep.success, rep.queries_charged, rep.op_error) == (
+            alone[k].choi_error,
+            alone[k].success,
+            alone[k].queries_charged,
+            None,
+        )
+
+
+def test_channel_tomography_checks_its_batch_before_drawing():
+    rng = np.random.default_rng(51)
+    low, high = random_channel(2, 2, 1, rng), random_channel(2, 2, 3, rng)
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    states = [g.bit_generator.state for g in rngs]
+    for targets, eps, gens in [
+        ([low, low], 0.0, rngs),
+        ([low, low], 1.5, rngs),
+        ([low, low], 0.2, rngs[:1]),
+        ([low, high], 0.2, rngs),  # rank 3 above r = 2
+    ]:
+        with pytest.raises(ValueError):
+            channel_tomography(targets, 2, eps, gens)
+    assert [g.bit_generator.state for g in rngs] == states
+
+
+def test_isometry_tomography_choi_errors_equal_the_channel_distance():
+    from ctlab.metrics import choi_trace_distance
+
+    rng = np.random.default_rng(52)
+    targets = [Isometry(random_isometry(4, 3, rng)) for _ in range(4)]
+    batch = isometry_tomography(targets, 0.5, [np.random.default_rng(k) for k in range(4)])
+    for target, rep in zip(targets, batch.reports):
+        assert rep.choi_error == choi_trace_distance(rep.estimate.channel(), target.channel())
+
+
+def _reference_align_phases(vhat1, vhat2):
+    """One pair of weak runs aligned entry by entry: Python medians, math.hypot, complex division."""
+    d1 = vhat2.shape[1]
+    f = dft_matrix(d1)
+    phi3 = (vhat1.conj().T @ vhat2) / f
+    mags = np.abs(phi3[:, 0])
+    best = int(np.argmax(mags))
+    rows = []
+    for k in range(d1):
+        src = k if mags[k] >= 0.1 else best
+        ref = phi3[src, 0]
+        rows.append(np.ones(d1, dtype=complex) if abs(ref) < 1e-12 else phi3[src, :] / ref)
+    ratios = np.array(rows)
+    phases = np.ones(d1, dtype=complex)
+    for j in range(d1):
+        a = float(np.sort(ratios[:, j].real)[(d1 - 1) // 2])
+        b = float(np.sort(ratios[:, j].imag)[(d1 - 1) // 2])
+        mod = math.hypot(a, b)
+        if mod >= 1e-12:
+            phases[j] = (a + 1j * b) / mod
+    return vhat2 @ np.diag(phases.conj()) @ f.conj().T
+
+
+_SCALES = st.sampled_from([1.0, 1.0, 0.3, 0.05, 1e-11, 1e-13, 0.0])
+
+
+@st.composite
+def weak_run_stacks(draw):
+    """One to six pairs of weak runs (T, m, d1).  A pair is either the exact
+    model (per-column phases on the target and on target @ DFT, plus noise)
+    or runs whose Phi3 has entries scaled towards zero, reference column
+    included, so rows borrow the strongest row, fall back to ones, or give a
+    median below the modulus cutoff."""
+    d1 = draw(st.integers(1, 3))
+    m = draw(st.integers(d1, 5))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = dft_matrix(d1)
+    v1 = np.empty((count, m, d1), dtype=complex)
+    v2 = np.empty((count, m, d1), dtype=complex)
+    for t in range(count):
+        if draw(st.booleans()):
+            v = random_isometry(m, d1, rng)
+            phi1, phi2 = np.exp(2j * np.pi * rng.uniform(size=(2, d1)))
+            noise = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+            v1[t] = v * phi1 + noise * rng.standard_normal((m, d1))
+            v2[t] = (v @ f) * phi2 + noise * rng.standard_normal((m, d1))
+        else:
+            # vhat1 = [I; 0], so Phi3 is the top block of vhat2 over F
+            scales = np.array([[draw(_SCALES) for _ in range(d1)] for _ in range(d1)])
+            phi3 = scales * (rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1)))
+            v1[t] = np.eye(m, d1)
+            v2[t] = np.vstack([phi3 * f, rng.standard_normal((m - d1, d1))])
+    return v1, v2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weak_run_stacks(), st.data())
+def test_align_phases_on_a_stack_equals_its_pairs_one_by_one(stacks, data):
+    v1, v2 = stacks
+    got = align_phases(v1, v2)
+    assert got.shape == v2.shape
+    for t in range(len(v1)):
+        assert np.array_equal(got[t], align_phases(v1[t : t + 1], v2[t : t + 1])[0])
+        assert np.array_equal(got[t], _reference_align_phases(v1[t], v2[t]))
+    # any sub-stack, in any order
+    order = data.draw(st.permutations(range(len(v1))))
+    assert np.array_equal(align_phases(v1[order], v2[order]), got[order])
