@@ -407,10 +407,12 @@ def packing_net(
     seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
     # candidates with Choi (kept, stacked and in a row of differences), rows, Haar block and
     # distance row; every row of the stacked see-saw (two restarts per pair) its pair's two
-    # lifted Kraus sets about five times over and four d1^2 x d1^2 pull-backs; Choi-sized
-    # workspaces; JSON text and lists at ~24x each net Choi entry
+    # lifted Kraus sets about five times over (its copy, signed adjoint and pulled-back
+    # witness, and the copies made as finished rows leave) and three d1^2 x d1^2 matrices
+    # (the pull-back and two evaluations' eigenvectors); Choi-sized workspaces; JSON text
+    # and lists at ~24x each net Choi entry
     candidate = 3 * choi + 5 * big * d1 + big * big + pool
-    seesaw_row = 10 * big * d1**3 + 4 * d1**4
+    seesaw_row = 10 * big * d1**3 + 3 * d1**4
     _budget_guard(16 * (pool * candidate + seesaw_rows * seesaw_row + (4 + 24 * count) * choi))
     try:
         net = sample_packing_net(
@@ -531,10 +533,11 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     choi = (d1 * d2) ** 2
     # a pair's see-saw holds its two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about
     # twelve times over: the pair's stack and, for each of its two restart rows, a copy, the
-    # signed adjoint, the pull-back and transients; the unitary check's 16 restart rows hold
-    # a copy, adjoint and pull-back of two d1^2 x d1^2 lifted operators each, and about six
-    # d1^2 x d1^2 pulled-back operators each; and ~10 Choi-sized matrices
-    _budget_guard(16 * (24 * choi * d1 * d1 + 224 * d1**4 + 10 * choi))
+    # signed adjoint, the pulled-back witness and the copies made as finished rows leave; the
+    # unitary check's 16 restart rows hold the same five of two d1^2 x d1^2 lifted operators
+    # each, and three d1^2 x d1^2 matrices each (the pull-back and two evaluations'
+    # eigenvectors); and ~10 Choi-sized matrices
+    _budget_guard(16 * (24 * choi * d1 * d1 + 208 * d1**4 + 10 * choi))
 
     def pair_trial(index: int, rng: np.random.Generator):
         a = _random_channel(d1, d2, d1 * d2, rng)

@@ -1,15 +1,18 @@
 """Distances between channels: Choi trace distance, fidelity, diamond norm.
 
 The diamond distance comes as a dual route pair: a see-saw ascent over pure
-inputs gives a certified lower bound (every iterate is a feasible value of
-the maximization), and the Choi trace norm gives the upper bound
+inputs gives a certified lower bound (every reported value is f at an
+evaluated unit input, a feasible value of the maximization), and the Choi
+trace norm gives the upper bound
 
     (1/d_in) ||C_a - C_b||_1  <=  ||a - b||_diamond  <=  ||C_a - C_b||_1.
 
 Choi distances are sums of |eigenvalues| of Hermitian Choi differences, one
 stacked eigvalsh for any number of pairs. Diamond estimates for many pairs
-ascend as one stacked see-saw, every restart of every pair a row of it. For
-unitary channels an exact closed form is available for cross-checks.
+ascend as one stacked see-saw, every restart of every pair a row of it; each
+row over-relaxes its plain step and falls back to it when the relaxed point
+fails a certified test. For unitary channels an exact closed form is
+available for cross-checks.
 """
 
 from __future__ import annotations
@@ -22,16 +25,19 @@ from .channels import Channel
 from .linalg import (
     ATOL,
     dag,
-    hermitianize,
     psd_sqrt,
     random_pure_state,
     trace_norm,
 )
 
-# a see-saw restart stops once one iteration gains less than _SEESAW_TOL, or
-# after _SEESAW_MAX_ITER iterations
+# a see-saw restart stops once an accepted evaluation gains less than
+# _SEESAW_TOL, or after _SEESAW_MAX_ITER evaluations; its relaxation factor
+# grows by _SEESAW_RELAX per accepted over-relaxed point up to
+# _SEESAW_RELAX_MAX, and restarts at _SEESAW_RELAX after a plain step
 _SEESAW_TOL = 1e-8
 _SEESAW_MAX_ITER = 1000
+_SEESAW_RELAX = 1.5
+_SEESAW_RELAX_MAX = 8.0
 
 __all__ = [
     "DiamondEstimate",
@@ -90,7 +96,12 @@ def fidelity_trace_conversion(f: float) -> float:
 
 @dataclass(frozen=True)
 class DiamondEstimate:
-    """See-saw lower bound, trace-norm upper bound, and the best witness."""
+    """See-saw lower bound, trace-norm upper bound, and the best witness.
+
+    witness_state is the evaluated unit input whose value is lower (unless
+    lower was capped at upper); iterations counts the see-saw's evaluations
+    over all restarts, rejected over-relaxed points included.
+    """
 
     lower: float
     upper: float
@@ -113,20 +124,30 @@ def _signed_lifted_kraus(pairs) -> tuple:
 
 
 def _seesaw(psi, lifted, signs, owner, tol, max_iter):
-    """Alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1.
+    """Over-relaxed alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1.
 
     lifted (P, n_out, R, n_in) and signs (P, R) hold the signed lifted Kraus
     operators of P pairs; row k of psi starts one restart of pair owner[k],
     and all rows ascend together, each on its own copy of its pair's
-    operators. Per iteration one batched product maps the active inputs
-    through their lifted Kraus operators, one forms the outputs, a stacked
-    eigh takes their trace-norm witnesses, two batched products pull the
-    witnesses back and a stacked eigh gives the new inputs. Every product
-    is stacked over rows rather than folded into one GEMM, so a row's
-    arithmetic, and with it its result, does not depend on which other rows
-    are active. A row leaves the active set, its operators with it, once
-    f - f_prev < tol (keeping the larger of the two) or at max_iter. Returns
-    per-row values, final inputs, convergence flags and iteration counts.
+    operators. An evaluation at a unit vector c maps it through the lifted
+    Kraus operators, takes f(c) and the trace-norm witness of the output from
+    a stacked eigh, pulls the witness back to M_c and takes M_c's top
+    eigenpair (lambda_c, t_c) from a second stacked eigh.
+
+    Each row keeps its last accepted point b with f(b), its plain step t =
+    t_b, lambda_b and a relaxation factor w, and next evaluates c =
+    normalize(b + w (e^{i phi} t - b)), phi aligning t's global phase to b.
+    Since f(psi) >= <psi|M_b|psi> for every unit psi, f(t) >= lambda_b >=
+    f(b): c is accepted when f(c) >= lambda_b, and w then grows by
+    _SEESAW_RELAX up to _SEESAW_RELAX_MAX; a rejected c sends the row to t
+    itself, always accepted, after which w restarts at _SEESAW_RELAX. The
+    start is the first such plain step. Every product is stacked over rows
+    rather than folded into one GEMM, so a row's arithmetic, and with it its
+    result, does not depend on which other rows are active. A row leaves the
+    active set, its operators with it, once an accepted evaluation gains
+    less than tol (keeping the larger of the two values) or at max_iter.
+    Returns per-row values, the accepted points that attain them,
+    convergence flags and evaluation counts, rejected ones included.
     """
     _, n_out, r, n_in = lifted.shape
     lifted, signs = lifted[owner], signs[owner][:, None, :]
@@ -137,28 +158,56 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
     converged = np.zeros(count, dtype=bool)
     iterations = np.full(count, max_iter)
     rows = np.arange(count)
-    f_prev = np.full(count, -np.inf)
-    for it in range(1, max_iter + 1):
-        p = rows.size
+    # per-row scalars are (rows, 1) columns, so they broadcast against points
+    b, t = psi.copy(), psi.copy()
+    f_b = np.full((count, 1), -np.inf)
+    lam_b = f_b.copy()
+    plain = np.ones((count, 1), dtype=bool)
+    relax = np.full((count, 1), _SEESAW_RELAX)
+
+    def layouts(lifted, back):
+        # views of the row stacks: the forward map (n_in x n_out R), the first
+        # pull-back product (n_out x R n_in) and the signed adjoint (n_in x n_out R)
+        p = lifted.shape[0]
         forward = lifted.reshape(p, n_out * r, n_in).swapaxes(1, 2)
-        xs = (psi[:, None, :] @ forward).reshape(p, n_out, r)
-        omega = (xs * signs) @ dag(xs)
-        w, v = np.linalg.eigh(hermitianize(omega))
-        f = np.abs(w).sum(-1)
+        return p, forward, lifted.reshape(p, n_out, r * n_in), back.swapaxes(1, 2)
+
+    p, forward, wide, pullback = layouts(lifted, back)
+    for it in range(1, max_iter + 1):
+        # c = normalize(b + relax (e^{i phi} t - b)); e^{i phi} = sign(<t|b>), which for
+        # complex z is z / |z| since numpy 2
+        c = b + relax * (np.sign(np.vecdot(t, b, keepdims=True)) * t - b)
+        c /= np.sqrt(np.vecdot(c, c, keepdims=True).real)
+        np.copyto(c, t, where=plain)
+        xs = (c[:, None, :] @ forward).reshape(p, n_out, r)
+        # eigh reads one triangle, so neither Hermitian operator is symmetrized
+        w, v = np.linalg.eigh((xs * signs) @ dag(xs))
+        f = np.abs(w).sum(-1, keepdims=True)
         wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
-        pulled = (wmat @ lifted.reshape(p, n_out, r * n_in)).reshape(p, n_out * r, n_in)
-        psi = np.linalg.eigh(hermitianize(back.swapaxes(1, 2) @ pulled))[1][:, :, -1].copy()
-        done = f - f_prev < tol
-        f_prev = np.where(done, np.maximum(f_prev, f), f)
+        lam, vecs = np.linalg.eigh(pullback @ (wmat @ wide).reshape(p, n_out * r, n_in))
+        accept = plain | (f >= lam_b)
+        done = (accept & (f - f_b < tol))[:, 0]
         if done.any():
             stop = rows[done]
-            f_out[stop], psi_out[stop], converged[stop], iterations[stop] = f_prev[done], psi[done], True, it
+            f_out[stop] = np.maximum(f, f_b)[done, 0]
+            psi_out[stop] = np.where((f >= f_b)[done], c[done], b[done])
+            converged[stop], iterations[stop] = True, it
             keep = ~done
-            rows, psi, f_prev = rows[keep], psi[keep], f_prev[keep]
+            rows, b, f_b = rows[keep], b[keep], f_b[keep]
             if not rows.size:
                 break
             lifted, back, signs = lifted[keep], back[keep], signs[keep]
-    f_out[rows], psi_out[rows] = f_prev, psi
+            p, forward, wide, pullback = layouts(lifted, back)
+            t, c, f, lam, vecs = t[keep], c[keep], f[keep], lam[keep], vecs[keep]
+            lam_b, plain, relax, accept = lam_b[keep], plain[keep], relax[keep], accept[keep]
+        np.copyto(b, c, where=accept)
+        np.copyto(t, vecs[:, :, -1], where=accept)
+        np.copyto(f_b, f, where=accept)
+        np.copyto(lam_b, lam[:, -1:], where=accept)
+        grown = np.minimum(_SEESAW_RELAX * relax, _SEESAW_RELAX_MAX)
+        relax = np.where(plain, _SEESAW_RELAX, grown)
+        plain = ~accept
+    f_out[rows], psi_out[rows] = f_b[:, 0], b
     return f_out, psi_out, converged, iterations
 
 
@@ -166,14 +215,16 @@ def diamond_distances(pairs, *, restarts: int = 16, rng: np.random.Generator) ->
     """Dual-route diamond distance estimates, one DiamondEstimate per pair.
 
     The lower route runs a see-saw over pure inputs on in kron ref (ref a copy
-    of the input): alternately take the optimal trace-norm witness of the
-    output and the top eigenvector of its pull-back. Each pair's maximally
-    entangled start is always included, so lower >= (1/d_in)||C_a - C_b||_1
-    up to the ascent tolerance; its remaining restarts are Haar random, drawn
-    pair by pair. Pairs acting between the same spaces ascend as one stacked
-    see-saw when they also share a total Kraus rank: zero-padded ranks would
-    change the length of the see-saw's inner products, and with it the low
-    bits of a pair's result. The upper route is the Choi trace norm.
+    of the input): the plain step takes the optimal trace-norm witness of the
+    output and the top eigenvector of its pull-back, and each restart
+    over-relaxes that step while a certified test accepts the relaxed point
+    (see _seesaw). Each pair's maximally entangled start is always included,
+    so lower >= (1/d_in)||C_a - C_b||_1 up to the ascent tolerance; its
+    remaining restarts are Haar random, drawn pair by pair. Pairs acting
+    between the same spaces ascend as one stacked see-saw when they also
+    share a total Kraus rank: zero-padded ranks would change the length of
+    the see-saw's inner products, and with it the low bits of a pair's
+    result. The upper route is the Choi trace norm.
     """
     pairs = list(pairs)
     if restarts < 1:

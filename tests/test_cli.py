@@ -358,9 +358,10 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["moments", "--d", "4", "--samples", "50000"],
         # a 20 MiB stack of two-copy dilation vectors
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
-        # a 64 MiB dense dilation per candidate
+        # 16 candidates, each keeping its 1 MiB 256 x 256 Haar block
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
-        # a 64 MiB dense dilation of the estimate
+        # one channel-mode trial through a 512 x 4 dilation: its column estimates, SVD
+        # factors and 64 x 64 Choi matrices, about 0.5 MB
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
         # 400 isometry trials in one batch, their generators and golden-section stacks
         pytest.param(["tomography", "--d1", "3", "--d2", "8", "--trials", "400"], id="tomography-isometry"),

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctlab.channels import Channel, random_channel
-from ctlab.linalg import haar_unitary, random_pure_state, trace_norm
+from ctlab.linalg import dag, haar_unitary, hermitianize, random_pure_state, trace_norm
 from ctlab.metrics import (
+    _SEESAW_MAX_ITER,
+    _SEESAW_TOL,
     DiamondEstimate,
     _seesaw,
     _signed_lifted_kraus,
@@ -228,6 +230,97 @@ def test_diamond_restart_guard():
     ch = random_channel(2, 2, 1, rng)
     with pytest.raises(ValueError):
         diamond_distance(ch, ch, restarts=0, rng=rng)
+
+
+# the (d_in, d_out) pairs that the distances benchmark cycles through
+_DISTANCES_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
+
+
+def _distances_pair(d_in, d_out, rng):
+    lo = -(-d_in // d_out)
+    return tuple(random_channel(d_in, d_out, int(rng.integers(lo, d_in * d_out + 1)), rng) for _ in "ab")
+
+
+def _seesaw_value(a, b, psi):
+    """f(psi) = || sum_k s_k (K_k kron I) psi psi^dag (K_k kron I)^dag ||_1, by np.kron."""
+    eye = np.eye(a.d_in)
+    rho = np.outer(psi, psi.conj())
+    out = sum(np.kron(k, eye) @ rho @ np.kron(k, eye).conj().T for k in a.kraus)
+    out = out - sum(np.kron(k, eye) @ rho @ np.kron(k, eye).conj().T for k in b.kraus)
+    return _hermitian_trace_norm(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_DISTANCES_DIMS), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_witness_attains_the_lower_bound(dims, restarts, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _distances_pair(*dims, rng)
+    est = diamond_distance(a, b, restarts=restarts, rng=rng)
+    assert abs(np.linalg.norm(est.witness_state) - 1.0) < 1e-12
+    if est.lower < est.upper:
+        assert abs(_seesaw_value(a, b, est.witness_state) - est.lower) <= 1e-10
+
+
+def _plain_seesaw(psi, lifted, signs, owner, tol, max_iter):
+    """Referee: the see-saw without over-relaxation, as it stood before it.
+
+    Each iteration evaluates f at psi and moves to the top eigenvector of the
+    pull-back; a row stops once an iteration gains less than tol.
+    """
+    _, n_out, r, n_in = lifted.shape
+    lifted, signs = lifted[owner], signs[owner][:, None, :]
+    back = (lifted.conj() * signs[..., None]).reshape(-1, n_out * r, n_in)
+    count = psi.shape[0]
+    f_out = np.full(count, -np.inf)
+    psi_out = psi.copy()
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.full(count, max_iter)
+    rows = np.arange(count)
+    f_prev = np.full(count, -np.inf)
+    for it in range(1, max_iter + 1):
+        p = rows.size
+        forward = lifted.reshape(p, n_out * r, n_in).swapaxes(1, 2)
+        xs = (psi[:, None, :] @ forward).reshape(p, n_out, r)
+        omega = (xs * signs) @ dag(xs)
+        w, v = np.linalg.eigh(hermitianize(omega))
+        f = np.abs(w).sum(-1)
+        wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
+        pulled = (wmat @ lifted.reshape(p, n_out, r * n_in)).reshape(p, n_out * r, n_in)
+        psi = np.linalg.eigh(hermitianize(back.swapaxes(1, 2) @ pulled))[1][:, :, -1].copy()
+        done = f - f_prev < tol
+        f_prev = np.where(done, np.maximum(f_prev, f), f)
+        if done.any():
+            stop = rows[done]
+            f_out[stop], psi_out[stop], converged[stop], iterations[stop] = f_prev[done], psi[done], True, it
+            keep = ~done
+            rows, psi, f_prev = rows[keep], psi[keep], f_prev[keep]
+            if not rows.size:
+                break
+            lifted, back, signs = lifted[keep], back[keep], signs[keep]
+    f_out[rows], psi_out[rows] = f_prev, psi
+    return f_out, psi_out, converged, iterations
+
+
+def test_relaxed_seesaw_against_the_plain_loop():
+    # 80 pairs over the distances dimensions, two restarts each (the maximally
+    # entangled start and one Haar start), the same starts for both loops
+    rng = np.random.default_rng(20)
+    plain, relaxed = [], []
+    for k in range(80):
+        d_in, d_out = _DISTANCES_DIMS[k % 4]
+        a, b = _distances_pair(d_in, d_out, rng)
+        lifted, signs = _signed_lifted_kraus([(a, b)])
+        me = np.eye(d_in, dtype=complex).reshape(-1) / np.sqrt(d_in)
+        starts = np.stack([me, random_pure_state(d_in * d_in, rng)])
+        upper = trace_norm(a.choi - b.choi)
+        for seesaw, out in ((_plain_seesaw, plain), (_seesaw, relaxed)):
+            f, _, converged, iterations = seesaw(starts, lifted, signs, [0, 0], _SEESAW_TOL, _SEESAW_MAX_ITER)
+            assert converged.all()
+            out.append((min(f.max(), upper), iterations.sum()))
+    plain, relaxed = np.array(plain), np.array(relaxed)
+    assert relaxed[:, 1].sum() <= 0.7 * plain[:, 1].sum()
+    assert np.all(relaxed[:, 0] >= plain[:, 0] - 1e-8)
+    assert relaxed[:, 0].mean() >= plain[:, 0].mean()
 
 
 # ---------------------------------------------------------------------------
