@@ -21,6 +21,7 @@ from .linalg import (
     RANK_RTOL,
     dag,
     hermitianize,
+    isometry_defect,
     partial_trace,
     psd_inv_sqrt,
     random_gaussian_matrix,
@@ -131,7 +132,7 @@ class Isometry:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             raise ValueError(f"isometry needs rows >= cols, got shape {m.shape}")
-        defect = float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[1]))))
+        defect = isometry_defect(m)
         if defect > ATOL:
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
         m.setflags(write=False)
@@ -161,7 +162,7 @@ class Dilation:
         object.__setattr__(self, "d_out", d_out)
         if m.ndim != 2 or m.shape[0] != r * d_out:
             raise ValueError(f"matrix shape {m.shape} does not match anc*out = {r * d_out}")
-        defect = float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[1]))))
+        defect = isometry_defect(m)
         if defect > ATOL:
             raise ValueError(f"dilation is not an isometry (defect {defect:.3e})")
         m.setflags(write=False)

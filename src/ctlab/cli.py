@@ -34,9 +34,9 @@ from .hardness import (
 )
 from .linalg import (
     FactorLayout,
-    dft_matrix,
     haar_unitaries,
     haar_unitary,
+    isometry_defect,
     random_density,
     random_isometry,
     require_bytes,
@@ -52,12 +52,12 @@ from .metrics import (
 )
 from .moments import fourth_moment_trace, mc_fourth_moment_trace, twirl1, twirl2
 from .tomography import (
+    MIN_EPS,
     PureStateOracleConfig,
-    align_phases,
     channel_tomography,
     isometry_tomography,
     min_phase_op_error,
-    weak_isometry_tomography,
+    two_run_estimates,
 )
 
 _REGIME_NAMES = [r.value for r in Regime]
@@ -221,8 +221,7 @@ def verify(seed: int, fmt: str, out: str):
     ):
         rng = _trial_rng(seed, 10 + idx)
         inst = build_instance(regime, dims[0], dims[1], dims[2], 0.1, rng)
-        gram = inst.matrix.conj().T @ inst.matrix
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(dims[0])))))
+        worst = max(worst, isometry_defect(inst.matrix))
     checks.append(_check("hard instances are exact isometries", worst < 1e-9, worst))
 
     family = type2_gamma_family(2, 3, 0.2)
@@ -234,10 +233,8 @@ def verify(seed: int, fmt: str, out: str):
 
     rng = _trial_rng(seed, 20)
     target = random_isometry(4, 2, rng)[None]
-    cfg = PureStateOracleConfig(eps_max=0.0)
-    v1 = weak_isometry_tomography(target, cfg, [rng])
-    v2 = weak_isometry_tomography(target @ dft_matrix(2), cfg, [rng])
-    err = min_phase_op_error(target[0], align_phases(v1, v2)[0])
+    estimate = two_run_estimates(target, PureStateOracleConfig(eps_max=0.0), [rng])[0]
+    err = min_phase_op_error(target[0], estimate)
     checks.append(_check("noiseless tomography recovers the target", err < 1e-9, err))
 
     rng = _trial_rng(seed, 21)
@@ -405,15 +402,17 @@ def packing_net(
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
     seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
-    # candidates with Choi (kept, stacked and in a row of differences), rows, Haar block and
-    # distance row; every row of the stacked see-saw (two restarts per pair) its pair's two
-    # lifted Kraus sets about five times over (its copy, signed adjoint and pulled-back
-    # witness, and the copies made as finished rows leave) and three d1^2 x d1^2 matrices
-    # (the pull-back and two evaluations' eigenvectors); Choi-sized workspaces; JSON text
-    # and lists at ~24x each net Choi entry
-    candidate = 3 * choi + 5 * big * d1 + big * big + pool
+    # candidates with Choi (kept, stacked and in a row of differences), rows and distance
+    # row; once, the Haar draw of one candidate at a time (its Ginibre block, the QR's working
+    # copy and the result, each at most r d2 square); every row of the stacked see-saw (two
+    # restarts per pair) its pair's two lifted Kraus sets about five times over (its copy,
+    # signed adjoint and pulled-back witness, and the copies made as finished rows leave) and
+    # three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors); Choi-sized
+    # workspaces; JSON text and lists at ~24x each net Choi entry
+    candidate = 3 * choi + 5 * big * d1 + pool
     seesaw_row = 10 * big * d1**3 + 3 * d1**4
-    _budget_guard(16 * (pool * candidate + seesaw_rows * seesaw_row + (4 + 24 * count) * choi))
+    words = pool * candidate + 3 * big * big + seesaw_rows * seesaw_row + (4 + 24 * count) * choi
+    _budget_guard(16 * words)
     try:
         net = sample_packing_net(
             Regime(regime), d1, d2, r, eps, count=count, metric=metric, seed=seed
@@ -430,10 +429,7 @@ def packing_net(
             "min pairwise distance over eps",
         ),
     ]
-    worst = 0.0
-    for inst in net.instances:
-        gram = inst.matrix.conj().T @ inst.matrix
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(d1)))))
+    worst = max(isometry_defect(inst.matrix) for inst in net.instances)
     checks.append(_check("members are exact isometries", worst < 1e-9, worst))
 
     payload = json.loads(net.to_json())
@@ -457,7 +453,9 @@ def packing_net(
 @_common
 @click.option("--d1", type=_POSITIVE, default=2, show_default=True, help="Input dimension.")
 @click.option("--d2", type=_POSITIVE, default=3, show_default=True, help="Output dimension.")
-@click.option("--eps", type=float, default=0.1, show_default=True, help="Target accuracy, in (0, 1].")
+@click.option(
+    "--eps", type=float, default=0.1, show_default=True, help=f"Target accuracy, in [{MIN_EPS:g}, 1]."
+)
 @click.option("--trials", type=_POSITIVE, default=20, show_default=True, help="Independent runs.")
 @click.option(
     "--r",
@@ -468,20 +466,21 @@ def packing_net(
 )
 def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, trials: int, r: int):
     """Repeated estimation runs with success-rate and query accounting."""
-    if not 0.0 < eps <= 1.0:
-        raise click.UsageError("--eps must lie in (0, 1]")
+    if not MIN_EPS <= eps <= 1.0:
+        raise click.UsageError(f"--eps must lie in [{MIN_EPS:g}, 1]")
     if r == 0 and d2 < d1:
         raise click.UsageError("isometry estimation needs --d2 >= --d1")
     if r > 0 and r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     choi, big = (d1 * d2) ** 2, max(r, 1) * d2
     expected_queries = 2 * d1 * math.ceil(64.0 * big / (eps * eps))
-    # in 16-byte words, per trial of the batch: its generator, report and array headers (about
-    # 256); the target, both weak runs' column estimates, their SVD factors and snaps, and the
+    # in 16-byte words, per trial of the batch: its generator and array headers (about 256);
+    # the target, both weak runs' column estimates, their SVD factors and snaps, and the
     # estimate (about ten target-sized copies, the golden section's stacks included); isometry
     # mode four Choi stacks (estimates, targets, their difference and its eigvalsh copy),
-    # channel mode five, one the reports keep, and the targets' Kraus sets.  Once, Choi
-    # workspaces and the isometry grid of 360 d1 x d1 pencils (four stacks of it)
+    # channel mode five (the targets' own Choi matrices and their stack, the estimates', the
+    # difference and its eigvalsh copy) and the targets' Kraus sets.  Once, Choi workspaces
+    # and the isometry grid of 360 d1 x d1 pencils (four stacks of it)
     if r == 0:
         words = trials * (4 * choi + 10 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
     else:
@@ -491,21 +490,21 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     rngs = [_trial_rng(seed, i) for i in range(trials)]
     if r == 0:
         targets = [Isometry(random_isometry(d2, d1, rng)) for rng in rngs]
-        reports = isometry_tomography(targets, eps, rngs).reports
+        batch = isometry_tomography(targets, eps, rngs)
+        errors = batch.op_errors
     else:
         targets = [_random_channel(d1, d2, r, rng) for rng in rngs]
-        reports = channel_tomography(targets, r, eps, rngs).reports
-    successes = sum(1 for rep in reports if rep.success)
+        batch = channel_tomography(targets, r, eps, rngs)
+        errors = batch.choi_errors
+    successes = int(batch.success.sum())
     rate = successes / trials
-    errors = [rep.op_error if r == 0 else rep.choi_error for rep in reports]
-    queries_ok = all(rep.queries_charged == expected_queries for rep in reports)
 
     checks = [
         _check("success rate at least 2/3", rate >= 2.0 / 3.0, rate, f"{successes}/{trials}"),
         _check(
             "query accounting matches the formula",
-            queries_ok,
-            float(reports[0].queries_charged),
+            batch.queries_charged == trials * expected_queries,
+            float(batch.queries_charged // trials),
             f"expected {expected_queries} per run",
         ),
         _check(

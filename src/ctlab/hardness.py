@@ -112,8 +112,6 @@ def _regime_params(regime: Regime, d1: int, d2: int, r: int) -> dict:
             "haar_dim": r * (d2 - chi_hi),
             "base": r * chi_hi,
             "m": r * zeta,
-            "zeta": zeta,
-            "chi_hi": chi_hi,
             "m_diam": r * zeta,
             "kappa": min((big - d1) / d1, 1.0),
         }
@@ -202,11 +200,10 @@ class HardInstance:
 
     All matrices are (r*d2) x d1 with the visible output factor most
     significant in the row index.  `delta` is the fixed perturbation
-    template, `direction` the Haar-rotated copy actually added (both without
-    the eps factor), and `u` the sampled unitary on the rotated block.
-    `v0_core` is the sub-center whose ancilla row blocks satisfy the
-    trace-orthogonality bounds (it differs from v0 only in the
-    near-boundary regime, where the center carries an extra tail).
+    template and `direction` the Haar-rotated copy actually added (both
+    without the eps factor).  `v0_core` is the sub-center whose ancilla row
+    blocks satisfy the trace-orthogonality bounds (it differs from v0 only
+    in the near-boundary regime, where the center carries an extra tail).
     """
 
     regime: Regime
@@ -218,7 +215,6 @@ class HardInstance:
     v0_core: np.ndarray
     delta: np.ndarray
     direction: np.ndarray
-    u: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -307,7 +303,6 @@ def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarra
         v0_core=v0_core,
         delta=delta,
         direction=direction,
-        u=u,
         matrix=matrix,
     )
 

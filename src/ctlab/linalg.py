@@ -46,6 +46,7 @@ __all__ = [
     "permute_factors",
     "trace_norm",
     "operator_norm",
+    "isometry_defect",
     "min_eig",
     "psd_sqrt",
     "psd_inv_sqrt",
@@ -241,6 +242,13 @@ def operator_norm(m: np.ndarray):
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     return float(top) if s.ndim == 1 else top
+
+
+def isometry_defect(m: np.ndarray) -> float:
+    """Largest entry of |M^dag M - I| over a matrix, or over every matrix of a
+    stack (..., rows, cols)."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[-1]))))
 
 
 def min_eig(m: np.ndarray) -> float:

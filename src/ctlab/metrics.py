@@ -25,6 +25,7 @@ from .channels import Channel
 from .linalg import (
     ATOL,
     dag,
+    isometry_defect,
     psd_sqrt,
     random_pure_state,
     trace_norm,
@@ -286,7 +287,7 @@ def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("need two square matrices of equal dimension")
     for name, m in (("u", u), ("v", v)):
-        defect = float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))))
+        defect = isometry_defect(m)
         if defect > ATOL * 10:
             raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     phases = np.sort(np.angle(np.linalg.eigvals(dag(u) @ v)))

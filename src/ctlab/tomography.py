@@ -8,6 +8,9 @@ DFT, pins down the relative column phases.  Channel estimation reuses the
 same machinery on a fixed dilation of the target channel.  Both estimators
 run a batch of trials, each on its own generator: the oracle draws go trial
 by trial and column by column, and every later stage runs once per batch.
+A batch returns columns, one row per trial: the stack of estimated
+isometries (in channel mode, of the dilations) and arrays of errors and
+successes, with the batch's total query charge.
 """
 
 from __future__ import annotations
@@ -18,17 +21,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, Isometry, choi_from_kraus, dilate
+from .channels import choi_from_kraus, dilate
 from .linalg import dag, dft_matrix, operator_norm
 from .metrics import choi_trace_distances
 
+# The least target accuracy accepted.  Below about 1e-152 the per-column noise
+# eps^2 / 64 underflows: to zero, a noiseless oracle that charges no queries, or
+# to a subnormal whose charge ceil(d / eps_max) overflows.  From 1e-100 up, the
+# charge stays finite for any dimension d below 1e100.
+MIN_EPS = 1e-100
+
 __all__ = [
+    "MIN_EPS",
     "PureStateOracleConfig",
     "pure_state_oracle",
     "weak_isometry_tomography",
     "align_phases",
     "min_phase_op_error",
-    "TomographyReport",
+    "two_run_estimates",
     "TomographyBatch",
     "isometry_tomography",
     "channel_tomography",
@@ -144,27 +154,6 @@ def align_phases(vhat1, vhat2) -> np.ndarray:
     return vhat2 @ diag @ dag(f)
 
 
-@dataclass(frozen=True)
-class TomographyReport:
-    """Outcome of one trial of an isometry_tomography or channel_tomography
-    batch.
-
-    estimate is an Isometry, or a Channel from channel_tomography.  op_error
-    is the operator-norm error of the isometry estimate minimized over a
-    global phase (one row of the batch's stacked min_phase_op_error), or
-    None from channel_tomography, whose success is judged on choi_error
-    alone; choi_error is the normalized Choi trace distance of the induced
-    channels, one row of the batch's stacked eigvalsh.  Further distances,
-    such as a diamond bracket, are for the caller to ask of metrics.
-    """
-
-    estimate: object
-    queries_charged: int
-    op_error: float | None
-    choi_error: float
-    success: bool
-
-
 def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> int:
     """Index of the grid angle with the least ||a - e^{i theta} b||, from the n x n pencils."""
     ah = a.conj().T
@@ -223,10 +212,10 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
 
 
 def _oracle_config(eps: float) -> PureStateOracleConfig:
-    """Per-column noise eps_max = eps^2 / 64 of a run to accuracy eps in (0, 1]."""
+    """Per-column noise eps_max = eps^2 / 64 of a run to accuracy eps in [MIN_EPS, 1]."""
     eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if not MIN_EPS <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [{MIN_EPS:g}, 1], got {eps}")
     return PureStateOracleConfig(eps_max=eps * eps / 64.0)
 
 
@@ -239,7 +228,7 @@ def _checked_batch(targets, eps: float, rngs) -> tuple:
     return cfg, targets, rngs
 
 
-def _two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: list) -> np.ndarray:
+def two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: list) -> np.ndarray:
     """Each isometry of a (T, m, d1) stack estimated by two weak runs (plain
     target, then target @ DFT, from the trial's one generator) aligned into
     one estimate.
@@ -256,12 +245,26 @@ def _two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: li
 
 
 class TomographyBatch(NamedTuple):
-    """Outcome of one isometry_tomography or channel_tomography call: a
-    report per target, in target order, and the sum of their query charges.
-    A NamedTuple, which costs less to create at import than a frozen
-    dataclass."""
+    """Outcome of one isometry_tomography or channel_tomography call, one row
+    per target in target order.
 
-    reports: tuple
+    estimates is the (T, rows, d1) stack of estimated isometries: of the
+    targets themselves from isometry_tomography, and of their fixed r-slot
+    dilations from channel_tomography, where Dilation(estimates[k], r,
+    d2).contract() is trial k's channel estimate, its Choi matrix bit for bit
+    the one the batch measured.  op_errors are the operator-norm errors
+    minimized over a global phase, or None from channel_tomography, whose
+    success is judged on choi_errors alone; choi_errors are the normalized
+    Choi trace distances of the induced channels.  queries_charged is the
+    total over the trials, each charged alike.  Further distances, such as
+    a diamond bracket, are for the caller to ask of metrics.  A NamedTuple,
+    which costs less to create at import than a frozen dataclass.
+    """
+
+    estimates: np.ndarray
+    op_errors: np.ndarray | None
+    choi_errors: np.ndarray
+    success: np.ndarray
     queries_charged: int
 
 
@@ -275,30 +278,20 @@ def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
     after the oracle draws each run once for the batch: one stacked SVD
     snaps all column estimates, the alignment is vectorized over trials, one
     stacked min_phase_op_error verifies all trials and one stacked eigvalsh
-    gives their Choi errors.  A report equals that of its trial run alone.
+    gives their Choi errors.  A row equals that of its trial run alone.
     The success guarantee is derived for eps <= 1/8; larger values (up to 1)
     run the same procedure with extra slack.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
     matrices = np.stack([target.matrix for target in targets])
     count, d2, d1 = matrices.shape
-    estimates = _two_run_estimates(matrices, cfg, rngs)
-    op_errors = min_phase_op_error(matrices, estimates).tolist()
+    estimates = two_run_estimates(matrices, cfg, rngs)
+    op_errors = min_phase_op_error(matrices, estimates)
     choi_errors = choi_trace_distances(
         choi_from_kraus(estimates[:, None]), choi_from_kraus(matrices[:, None]), d1
-    ).tolist()
-    queries = 2 * d1 * cfg.copies_charged(d2)
-    reports = tuple(
-        TomographyReport(
-            estimate=Isometry(estimate),
-            queries_charged=queries,
-            op_error=op_error,
-            choi_error=choi_error,
-            success=2.0 * op_error <= float(eps),
-        )
-        for estimate, op_error, choi_error in zip(estimates, op_errors, choi_errors)
     )
-    return TomographyBatch(reports, queries * count)
+    queries = 2 * d1 * cfg.copies_charged(d2) * count
+    return TomographyBatch(estimates, op_errors, choi_errors, 2.0 * op_errors <= float(eps), queries)
 
 
 def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
@@ -313,28 +306,15 @@ def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
     gives all Choi errors.  eps, the list lengths and every target's rank
     against r are checked before any draw.  Success means the normalized
     Choi trace distance is at most eps, so no phase-minimized operator
-    error is computed and op_error is None.  A report equals that of its
+    error is computed and op_errors is None.  A row equals that of its
     trial run alone.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
     # dilate raises on a target whose rank exceeds r
     dilations = np.stack([dilate(target, r).matrix for target in targets])
     count, rows, d1 = dilations.shape
-    d2 = rows // r
-    estimates = _two_run_estimates(dilations, cfg, rngs)
-    chois = choi_from_kraus(estimates.reshape(count, r, d2, d1))
-    choi_errors = choi_trace_distances(
-        chois, np.stack([target.choi for target in targets]), d1
-    ).tolist()
-    queries = 2 * d1 * cfg.copies_charged(rows)
-    reports = tuple(
-        TomographyReport(
-            estimate=Channel(choi, d1, d2),
-            queries_charged=queries,
-            op_error=None,
-            choi_error=choi_error,
-            success=choi_error <= eps,
-        )
-        for choi, choi_error in zip(chois, choi_errors)
-    )
-    return TomographyBatch(reports, queries * count)
+    estimates = two_run_estimates(dilations, cfg, rngs)
+    chois = choi_from_kraus(estimates.reshape(count, r, rows // r, d1))
+    choi_errors = choi_trace_distances(chois, np.stack([target.choi for target in targets]), d1)
+    queries = 2 * d1 * cfg.copies_charged(rows) * count
+    return TomographyBatch(estimates, None, choi_errors, choi_errors <= eps, queries)

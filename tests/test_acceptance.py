@@ -454,20 +454,18 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
     start = time.perf_counter()
     eps = 0.2
     expected = 2 * 2 * math.ceil(64.0 * 3 / eps**2)
-    successes = 0
     rngs = [np.random.default_rng(8000 + trial) for trial in range(100)]
     targets = [Isometry(random_isometry(3, 2, rng)) for rng in rngs]
-    for rep in isometry_tomography(targets, eps, rngs).reports:
-        assert rep.queries_charged == expected
-        successes += int(rep.success)
-    rate = successes / 100.0
+    batch = isometry_tomography(targets, eps, rngs)
+    assert batch.queries_charged == 100 * expected
+    rate = int(batch.success.sum()) / 100.0
     assert rate >= 2.0 / 3.0
 
     rng = np.random.default_rng(801)
     for _ in range(3):
         ch = random_channel(2, 2, int(rng.integers(1, 3)), rng)
-        (rep,) = channel_tomography([ch], 2, 0.3, [rng]).reports
-        assert rep.queries_charged == 2 * 2 * math.ceil(64.0 * 4 / 0.3**2)
+        batch = channel_tomography([ch], 2, 0.3, [rng])
+        assert batch.queries_charged == 2 * 2 * math.ceil(64.0 * 4 / 0.3**2)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _line(f"noisy tomography: success rate {rate:.2f}, query formulas exact, {elapsed:.0f}s")

@@ -239,6 +239,8 @@ def test_tomography_usage_errors():
     assert _run(["tomography", "--seed", "0", "--eps", "1.5"]).exit_code == 2
     # a float range would admit nan, which then crashes the query count
     assert _run(["tomography", "--seed", "0", "--eps", "nan"]).exit_code == 2
+    # eps^2 / 64 underflows: no query charge could be counted
+    assert _run(["tomography", "--seed", "0", "--eps", "1e-200"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--trials", "0"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--r", "-1"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--d1", "3", "--d2", "2"]).exit_code == 2
@@ -358,7 +360,7 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["moments", "--d", "4", "--samples", "50000"],
         # a 20 MiB stack of two-copy dilation vectors
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
-        # 16 candidates, each keeping its 1 MiB 256 x 256 Haar block
+        # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
         # one channel-mode trial through a 512 x 4 dilation: its column estimates, SVD
         # factors and 64 x 64 Choi matrices, about 0.5 MB

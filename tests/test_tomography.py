@@ -2,23 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ctlab import tomography
-from ctlab.channels import Channel, Isometry, random_channel
+from ctlab.channels import Channel, Dilation, Isometry, random_channel
 from ctlab.linalg import (
+    ATOL,
     dft_matrix,
     haar_unitary,
+    isometry_defect,
     operator_norm,
     random_isometry,
     random_pure_state,
 )
-from ctlab.metrics import diamond_distance
+from ctlab.metrics import choi_trace_distance, diamond_distance
 from ctlab.tomography import (
+    MIN_EPS,
     PureStateOracleConfig,
-    TomographyReport,
+    TomographyBatch,
     align_phases,
     channel_tomography,
     isometry_tomography,
@@ -246,35 +249,35 @@ def test_isometry_tomography_eps_guard():
 def test_isometry_tomography_runs(seed):
     rng = np.random.default_rng(42)
     target = Isometry(random_isometry(3, 2, rng))
-    (rep,) = isometry_tomography([target], 0.2, [np.random.default_rng(seed)]).reports
-    assert isinstance(rep, TomographyReport)
-    assert rep.success
-    assert 2.0 * rep.op_error <= 0.2
+    batch = isometry_tomography([target], 0.2, [np.random.default_rng(seed)])
+    assert isinstance(batch, TomographyBatch)
+    assert batch.estimates.shape == (1, 3, 2)
+    assert batch.success[0]
+    assert 2.0 * batch.op_errors[0] <= 0.2
     # charged per the ceiling formula: two weak runs of d1 columns each
-    assert rep.queries_charged == 2 * 2 * math.ceil(64 * 3 / 0.2**2)
+    assert batch.queries_charged == 2 * 2 * math.ceil(64 * 3 / 0.2**2)
+    estimate = Isometry(batch.estimates[0])
     interval = diamond_distance(
-        rep.estimate.channel(), target.channel(), restarts=2, rng=np.random.default_rng(seed)
+        estimate.channel(), target.channel(), restarts=2, rng=np.random.default_rng(seed)
     )
-    assert rep.choi_error <= interval.lower + 1e-7
+    assert batch.choi_errors[0] <= interval.lower + 1e-7
     assert interval.lower <= interval.upper + 1e-9
-    assert isinstance(rep.estimate, Isometry)
 
 
 def test_isometry_tomography_deterministic_via_seed():
     rng = np.random.default_rng(43)
     target = Isometry(random_isometry(2, 2, rng))
-    (a,) = isometry_tomography([target], 0.25, [np.random.default_rng(11)]).reports
-    (b,) = isometry_tomography([target], 0.25, [np.random.default_rng(11)]).reports
-    assert a.op_error == b.op_error
-    assert a.choi_error == b.choi_error
-    assert np.abs(a.estimate.matrix - b.estimate.matrix).max() == 0
+    a = isometry_tomography([target], 0.25, [np.random.default_rng(11)])
+    b = isometry_tomography([target], 0.25, [np.random.default_rng(11)])
+    assert a.op_errors[0] == b.op_errors[0]
+    assert a.choi_errors[0] == b.choi_errors[0]
+    assert np.abs(a.estimates - b.estimates).max() == 0
 
 
 def test_isometry_tomography_unitary_target():
     rng = np.random.default_rng(44)
     target = Isometry(haar_unitary(2, rng))
-    (rep,) = isometry_tomography([target], 0.3, [np.random.default_rng(1)]).reports
-    assert rep.success
+    assert isometry_tomography([target], 0.3, [np.random.default_rng(1)]).success[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +295,14 @@ def test_channel_tomography_rank_guard():
 def test_channel_tomography_runs():
     rng = np.random.default_rng(45)
     ch = random_channel(2, 2, 2, rng)
-    (rep,) = channel_tomography([ch], 2, 0.3, [np.random.default_rng(5)]).reports
-    assert rep.success
-    assert rep.choi_error <= 0.3
-    assert isinstance(rep.estimate, Channel)
-    assert rep.queries_charged == 2 * 2 * math.ceil(64 * 4 / 0.3**2)
-    from ctlab.metrics import choi_trace_distance
-
-    assert rep.choi_error == pytest.approx(choi_trace_distance(rep.estimate, ch))
+    batch = channel_tomography([ch], 2, 0.3, [np.random.default_rng(5)])
+    assert batch.success[0]
+    assert batch.choi_errors[0] <= 0.3
+    # the estimates are the 4 x 2 dilations, d2 = 2 rows per ancilla level
+    estimate = Dilation(batch.estimates[0], 2, 2).contract()
+    assert isinstance(estimate, Channel)
+    assert batch.queries_charged == 2 * 2 * math.ceil(64 * 4 / 0.3**2)
+    assert batch.choi_errors[0] == pytest.approx(choi_trace_distance(estimate, ch))
 
 
 def test_channel_tomography_padded_ancilla():
@@ -307,9 +310,9 @@ def test_channel_tomography_padded_ancilla():
     rng = np.random.default_rng(46)
     u = haar_unitary(2, rng)
     ch = Channel.from_kraus([u])
-    (rep,) = channel_tomography([ch], 3, 0.4, [np.random.default_rng(2)]).reports
-    assert rep.success
-    assert rep.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
+    batch = channel_tomography([ch], 3, 0.4, [np.random.default_rng(2)])
+    assert batch.success[0]
+    assert batch.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
 
 
 def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
@@ -327,10 +330,11 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     ch = random_channel(2, 2, 2, rng)
     target = Isometry(random_isometry(3, 2, rng))
     isometry_tomography([target], 0.3, [np.random.default_rng(6)])
-    (rep,) = channel_tomography([ch], 2, 0.3, [np.random.default_rng(6)]).reports
+    batch = channel_tomography([ch], 2, 0.3, [np.random.default_rng(6)])
     assert calls == []
-    interval = diamond_distance(rep.estimate, ch, restarts=2, rng=np.random.default_rng(6))
-    assert rep.choi_error <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
+    estimate = Dilation(batch.estimates[0], 2, 2).contract()
+    interval = diamond_distance(estimate, ch, restarts=2, rng=np.random.default_rng(6))
+    assert batch.choi_errors[0] <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
 
 
 def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
@@ -347,31 +351,31 @@ def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
     rngs = [np.random.default_rng(7 + k) for k in range(4)]
     batch = isometry_tomography(targets, 0.3, rngs)
     assert calls == [(4, 3, 2)]
-    for target, rep in zip(targets, batch.reports):
-        assert rep.op_error == real(target.matrix, rep.estimate.matrix)
-    (rep,) = channel_tomography(
-        [random_channel(2, 2, 2, rng)], 2, 0.3, [np.random.default_rng(7)]
-    ).reports
+    for target, estimate, op_error in zip(targets, batch.estimates, batch.op_errors):
+        assert op_error == real(target.matrix, estimate)
+    batch = channel_tomography([random_channel(2, 2, 2, rng)], 2, 0.3, [np.random.default_rng(7)])
     assert calls == [(4, 3, 2)]
-    assert rep.op_error is None
+    assert batch.op_errors is None
 
 
 def test_isometry_tomography_batch_equals_its_trials_alone():
-    # trial k draws only from rngs[k], so its report does not depend on the batch
+    # trial k draws only from rngs[k], so its row does not depend on the batch
     rng = np.random.default_rng(49)
     targets = [Isometry(random_isometry(4, 2, rng)) for _ in range(5)]
     batch = isometry_tomography(targets, 0.3, [np.random.default_rng(k) for k in range(5)])
-    assert len(batch.reports) == 5
-    assert batch.queries_charged == sum(rep.queries_charged for rep in batch.reports)
-    for k, (target, rep) in enumerate(zip(targets, batch.reports)):
-        (alone,) = isometry_tomography([target], 0.3, [np.random.default_rng(k)]).reports
-        assert (rep.op_error, rep.choi_error, rep.success, rep.queries_charged) == (
-            alone.op_error,
-            alone.choi_error,
-            alone.success,
-            alone.queries_charged,
+    columns = (batch.estimates, batch.op_errors, batch.choi_errors, batch.success)
+    assert [len(column) for column in columns] == [5] * 4
+    charged = 0
+    for k, target in enumerate(targets):
+        alone = isometry_tomography([target], 0.3, [np.random.default_rng(k)])
+        charged += alone.queries_charged
+        assert (batch.op_errors[k], batch.choi_errors[k], batch.success[k]) == (
+            alone.op_errors[0],
+            alone.choi_errors[0],
+            alone.success[0],
         )
-        assert np.array_equal(rep.estimate.matrix, alone.estimate.matrix)
+        assert np.array_equal(batch.estimates[k], alone.estimates[0])
+    assert batch.queries_charged == charged
 
 
 def test_isometry_tomography_checks_its_batch_before_drawing():
@@ -402,22 +406,21 @@ def channel_batches(draw):
 def test_channel_tomography_batch_equals_its_trials_alone(batch, eps, data):
     r, targets = batch
     alone = [
-        channel_tomography([target], r, eps, [np.random.default_rng(k)]).reports[0]
+        channel_tomography([target], r, eps, [np.random.default_rng(k)])
         for k, target in enumerate(targets)
     ]
     # any sub-stack, in any order
     order = data.draw(st.permutations(range(len(targets))))
     rows = order[: data.draw(st.integers(1, len(targets)))]
     got = channel_tomography([targets[k] for k in rows], r, eps, [np.random.default_rng(k) for k in rows])
-    assert len(got.reports) == len(rows)
+    assert [len(column) for column in (got.estimates, got.choi_errors, got.success)] == [len(rows)] * 3
     assert got.queries_charged == sum(alone[k].queries_charged for k in rows)
-    for k, rep in zip(rows, got.reports):
-        assert isinstance(rep.estimate, Channel)
-        assert np.array_equal(rep.estimate.choi, alone[k].estimate.choi)
-        assert (rep.choi_error, rep.success, rep.queries_charged, rep.op_error) == (
-            alone[k].choi_error,
-            alone[k].success,
-            alone[k].queries_charged,
+    assert got.op_errors is None
+    for i, k in enumerate(rows):
+        assert np.array_equal(got.estimates[i], alone[k].estimates[0])
+        assert (got.choi_errors[i], got.success[i], alone[k].op_errors) == (
+            alone[k].choi_errors[0],
+            alone[k].success[0],
             None,
         )
 
@@ -439,13 +442,54 @@ def test_channel_tomography_checks_its_batch_before_drawing():
 
 
 def test_isometry_tomography_choi_errors_equal_the_channel_distance():
-    from ctlab.metrics import choi_trace_distance
-
     rng = np.random.default_rng(52)
     targets = [Isometry(random_isometry(4, 3, rng)) for _ in range(4)]
     batch = isometry_tomography(targets, 0.5, [np.random.default_rng(k) for k in range(4)])
-    for target, rep in zip(targets, batch.reports):
-        assert rep.choi_error == choi_trace_distance(rep.estimate.channel(), target.channel())
+    for target, estimate, choi_error in zip(targets, batch.estimates, batch.choi_errors):
+        assert choi_error == choi_trace_distance(Isometry(estimate).channel(), target.channel())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+)
+def test_batch_columns_hold_valid_estimates(d1, d2, r, eps, seeds):
+    """Every row of the columns is a valid estimate with the formula's charge:
+    r = 0 runs isometry estimation, r > 0 channel estimation through r-slot
+    dilations, whose contractions pass Channel validation."""
+    assume(d2 >= d1 if r == 0 else r * d2 >= d1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if r == 0:
+        targets = [Isometry(random_isometry(d2, d1, rng)) for rng in rngs]
+    else:
+        least = -(-d1 // d2)
+        ranks = [int(rng.integers(least, min(r, d1 * d2) + 1)) for rng in rngs]
+        targets = [random_channel(d1, d2, rank, rng) for rank, rng in zip(ranks, rngs)]
+
+    def run():
+        if r == 0:
+            return isometry_tomography(targets, eps, rngs)
+        return channel_tomography(targets, r, eps, rngs)
+
+    if eps < MIN_EPS:
+        # eps^2 / 64 would underflow to an uncharged oracle or an overflowing charge
+        with pytest.raises(ValueError):
+            run()
+        return
+    batch = run()
+    rows = max(r, 1) * d2
+    assert batch.estimates.shape == (len(seeds), rows, d1)
+    assert batch.queries_charged == len(seeds) * 2 * d1 * math.ceil(64 * rows / (eps * eps))
+    if r == 0:
+        assert isometry_defect(batch.estimates) <= ATOL
+        return
+    for estimate, target, choi_error in zip(batch.estimates, targets, batch.choi_errors):
+        channel = Dilation(estimate, r, d2).contract()
+        assert choi_trace_distance(channel, target) == choi_error
 
 
 def _reference_align_phases(vhat1, vhat2):
