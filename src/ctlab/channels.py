@@ -36,6 +36,7 @@ __all__ = [
     "dilate",
     "choi_from_kraus",
     "random_channel",
+    "channel_payload",
     "channel_to_json",
     "channel_from_json",
 ]
@@ -230,19 +231,24 @@ def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -
     return Channel.from_kraus([g @ norm for g in gs])
 
 
-def channel_to_json(ch: Channel) -> str:
-    """Serialize as {d_in, d_out, choi_re, choi_im}, row-major flat lists.
-
-    Python's shortest round-trip float repr makes the encoding exact at
-    double precision.
-    """
-    payload = {
+def channel_payload(ch: Channel) -> dict:
+    """The JSON document of a channel as a dict: {d_in, d_out, choi_re,
+    choi_im}, the Choi matrix as row-major flat lists of floats."""
+    return {
         "d_in": ch.d_in,
         "d_out": ch.d_out,
         "choi_re": [float(x) for x in ch.choi.real.reshape(-1)],
         "choi_im": [float(x) for x in ch.choi.imag.reshape(-1)],
     }
-    return json.dumps(payload)
+
+
+def channel_to_json(ch: Channel) -> str:
+    """Serialize channel_payload(ch).
+
+    Python's shortest round-trip float repr makes the encoding exact at
+    double precision.
+    """
+    return json.dumps(channel_payload(ch))
 
 
 def channel_from_json(text: str) -> Channel:

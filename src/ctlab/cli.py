@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .channels import Isometry, channel_from_json, dilate, random_channel
+from .channels import Isometry, channel_from_json, channel_to_json, dilate, random_channel
 from .combs import LabelledOperator, link_product, random_parallel_tester
 from .hardness import (
     Regime,
@@ -402,13 +402,15 @@ def packing_net(
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
     seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
-    # candidates with Choi (kept, stacked and in a row of differences), rows and distance
-    # row; once, the Haar draw of one candidate at a time (its Ginibre block, the QR's working
-    # copy and the result, each at most r d2 square); every row of the stacked see-saw (two
-    # restarts per pair) its pair's two lifted Kraus sets about five times over (its copy,
-    # signed adjoint and pulled-back witness, and the copies made as finished rows leave) and
-    # three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors); Choi-sized
-    # workspaces; JSON text and lists at ~24x each net Choi entry
+    # candidates with Choi (kept, stacked and in a row of differences), rows and a row of the
+    # one pool x pool float matrix (the pool's Gram matrix, made in place into distance bounds,
+    # then the kept points' exact distance rows); once, the Haar draw of one candidate at a
+    # time (its Ginibre block, the QR's working copy and the result, each at most r d2
+    # square); every row of the stacked see-saw (two restarts per pair) its pair's two lifted
+    # Kraus sets about five times over (its copy, signed adjoint and pulled-back witness, and
+    # the copies made as finished rows leave) and three d1^2 x d1^2 matrices (the pull-back
+    # and two evaluations' eigenvectors); Choi-sized workspaces; JSON text and lists at ~24x
+    # each net Choi entry
     candidate = 3 * choi + 5 * big * d1 + pool
     seesaw_row = 10 * big * d1**3 + 3 * d1**4
     words = pool * candidate + 3 * big * big + seesaw_rows * seesaw_row + (4 + 24 * count) * choi
@@ -432,16 +434,15 @@ def packing_net(
     worst = max(isometry_defect(inst.matrix) for inst in net.instances)
     checks.append(_check("members are exact isometries", worst < 1e-9, worst))
 
-    payload = json.loads(net.to_json())
     worst = 0.0
-    for doc, ch in zip(payload["channels"], net.channels):
-        back = channel_from_json(json.dumps(doc))
+    for ch in net.channels:
+        back = channel_from_json(channel_to_json(ch))
         worst = max(worst, float(np.max(np.abs(back.choi - ch.choi))))
     checks.append(_check("net channels round-trip through JSON", worst == 0.0, worst))
     if metric == "diamond_lower":
         checks.append(_seesaws_converged(net.unconverged, count * (count - 1) // 2))
 
-    _emit(checks, extra={"net": payload})
+    _emit(checks, extra={"net": net.payload()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import Channel, Dilation, channel_to_json
+from .channels import Channel, Dilation, channel_payload
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distances
@@ -532,31 +532,132 @@ class PackingNet:
     def separation_ratio(self) -> float:
         return self.min_pairwise / self.eps if self.eps > 0 else math.inf
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The net's JSON document as a dict, each channel as channel_payload gives it."""
+        return {
             "regime": self.regime.value,
             "dims": [self.d1, self.d2, self.r],
             "eps": self.eps,
             "metric": self.metric,
             "seed": self.seed,
             "min_pairwise": self.min_pairwise,
-            "channels": [json.loads(channel_to_json(ch)) for ch in self.channels],
+            "channels": [channel_payload(ch) for ch in self.channels],
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload())
 
 
-def _greedy_maximin(dist: np.ndarray, count: int) -> list:
-    """Farthest-point subset: start from the widest pair, grow by max-min gap."""
-    start = np.unravel_index(int(np.argmax(dist)), dist.shape)
-    chosen = [int(start[0]), int(start[1])]
-    gaps = np.minimum(dist[chosen[0]], dist[chosen[1]])
-    gaps[chosen] = -1.0
-    while len(chosen) < count:
-        nxt = int(np.argmax(gaps))
-        chosen.append(nxt)
-        gaps = np.minimum(gaps, dist[nxt])
-        gaps[nxt] = -1.0
-    return chosen
+# float64 unit roundoff, and the relative slack rho of the pool's distance bounds
+_UNIT_ROUNDOFF = 2.0**-53
+_BOUND_SLACK = 2.0**-16
+
+
+def _gram_gaps(chois: np.ndarray) -> tuple:
+    """(F, s) for a (P, n, n) pool: F[i, j] = g_ii + g_jj - 2 g_ij, one (P, P)
+    matrix built in place from the Gram matrix g_ij = Re <C_i, C_j> = x_i . x_j
+    (x_i: the m = 2 n^2 interleaved real and imaginary parts of C_i; one real
+    GEMM), and slacks s with |F[i, j] - ||C_i - C_j||_F^2| <= s_i + s_j.
+
+    Rounding (u = 2^-53, gamma_m = m u / (1 - m u)): in any summation order a
+    computed dot product is off by at most gamma_m sum_t |x_it x_jt| <=
+    gamma_m (g_ii + g_jj) / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1). So -2 g_ij and the two norms carry 2 gamma_m
+    (g_ii + g_jj), and the two additions round sums below 2 (1 + gamma_m)
+    (g_ii + g_jj) once each: (2 m + 5) u (g_ii + g_jj) in all. s_i =
+    4 (m + 3) u g_ii doubles that, which also covers rounding s and adding it.
+    The slack is absolute: for near-identical candidates (tiny eps) it
+    outweighs F, and the bounds merely loosen.
+    """
+    x = chois.reshape(len(chois), -1).view(np.float64)
+    gaps = x @ x.T
+    norms = gaps.diagonal().copy()
+    gaps *= -2.0
+    gaps += norms[:, None]
+    gaps += norms
+    return gaps, 4.0 * (x.shape[1] + 3) * _UNIT_ROUNDOFF * norms
+
+
+def _distance_upper_bounds(chois: np.ndarray, d_in: int, rank: int) -> np.ndarray:
+    """U[i, j] >= the computed choi_trace_distances of each pool pair i < j,
+    in one (P, P) matrix built in place (its lower triangle is unused).
+
+    A Choi matrix here sums `rank` rank-one Kraus terms, so a difference D has
+    rank at most k = min(2 rank, n) and ||D||_F <= ||D||_1 <= sqrt(k) ||D||_F.
+    With delta = s_i + s_j from _gram_gaps and rho = 2^-16,
+
+        U = (1 + rho) sqrt(k (F + 2 delta)) / d_in,
+        L = (1 - rho) sqrt(max(F - 2 delta, 0)) / d_in
+
+    bracket the computed value (only U is built; tests check both). That value
+    is the trace norm of D0 + E: D0 the exact rank-k difference, E the Choi
+    matrices' own rounding (which lifts their rank), the subtraction's and the
+    eigensolver's backward error, ||E||_F <= c n u (||C_i||_F + ||C_j||_F) for
+    a modest c. So it lies below sqrt(k) ||D||_F + (sqrt(k) + sqrt(n)) ||E||_F
+    and above ||D||_F - sqrt(n) ||E||_F. As delta >= (2 n)^2 u (||C_i||_F +
+    ||C_j||_F)^2, ||E||_F <= c sqrt(u) sqrt(delta) / 2, and the extra delta
+    makes these terms relative ones below (1 + sqrt(n)) c sqrt(u) / 2, about
+    5e-9 (1 + sqrt(n)) c; rho covers that, with the roundings of the sum and
+    of U, for (1 + sqrt(n)) c up to about 2800.
+    """
+    bounds, slack = _gram_gaps(chois)
+    slack *= 2.0
+    bounds += slack[:, None]
+    bounds += slack
+    np.sqrt(bounds, out=bounds)
+    n = chois.shape[-1]
+    bounds *= (1.0 + _BOUND_SLACK) * math.sqrt(min(2 * rank, n)) / d_in
+    return bounds
+
+
+def _maximin_net(chois: np.ndarray, d_in: int, rank: int, count: int) -> tuple:
+    """The farthest-point subset of a pool, in pick order, and its
+    choi_trace_distances: bit for bit those of the greedy over the full pool
+    matrix (the widest pair first, by argmax's tie rule the smallest (i, j)
+    with i < j; then the largest minimum distance to the points kept).
+
+    Exact distances are taken only where that greedy reads them. For the
+    widest pair, rows go in descending order of their top bound, and only
+    pairs whose bound reaches the best exact distance so far are evaluated.
+    Then each kept point but the last gets an exact row, written over its row
+    of bounds. Differences are taken lower index first (C_i - C_j, i < j), so
+    a distance has the same bits in any row.
+    """
+    pool = len(chois)
+    table = _distance_upper_bounds(chois, d_in, rank)
+    tops = np.array([table[i, i + 1 :].max() for i in range(pool - 1)])
+    order = np.argsort(-tops, kind="stable")
+    i = int(order[0])
+    j = i + 1 + int(np.argmax(table[i, i + 1 :]))
+    best, start = float(choi_trace_distances(chois[i], chois[j][None], d_in)[0]), (i, j)
+    for i in order.tolist():
+        if tops[i] < best:
+            break
+        js = i + 1 + np.flatnonzero(table[i, i + 1 :] >= best)
+        dists = choi_trace_distances(chois[i], chois[js], d_in)
+        k = int(np.argmax(dists))
+        if dists[k] > best or (dists[k] == best and (i, int(js[k])) < start):
+            best, start = float(dists[k]), (i, int(js[k]))
+    if best == 0.0:
+        start = (0, 0)  # all candidates coincide: argmax over the full matrix lands on the diagonal
+
+    def row(k: int) -> np.ndarray:
+        out = table[k]
+        out[:k] = choi_trace_distances(chois[:k], chois[k], d_in)
+        out[k] = 0.0
+        out[k + 1 :] = choi_trace_distances(chois[k], chois[k + 1 :], d_in)
+        return out
+
+    keep = list(start)
+    gaps = row(keep[0])
+    while len(keep) < count:
+        gaps = np.minimum(gaps, row(keep[-1]))
+        gaps[keep] = -1.0
+        keep.append(int(np.argmax(gaps)))
+    dist = np.zeros((count, count))
+    dist[:-1] = table[np.ix_(keep[:-1], keep)]
+    dist[-1] = dist[:, -1]
+    return keep, dist
 
 
 def sample_packing_net(
@@ -573,10 +674,14 @@ def sample_packing_net(
 ) -> PackingNet:
     """Sample a packing of `count` well-separated perturbed channels.
 
-    Draws an oversampled candidate cloud around the shared center and keeps
-    a greedy maximin (farthest point) subset, the numerical stand-in for a
-    maximal separated family. Selection always uses the cheap Choi metric;
-    the reported pairwise distances use the requested one. metric "choi"
+    Draws an oversampled cloud of 8 count candidates around the shared
+    center and keeps a greedy maximin (farthest point) subset, the numerical
+    stand-in for a maximal separated family. Selection always uses the cheap
+    Choi metric, and takes exact distances only where the greedy reads them
+    (see _maximin_net): a certified bound from the pool's Gram matrix prunes
+    the search for the widest pair, and only the kept points get exact rows.
+    The net is the same, bit for bit, as a greedy over all pool distances.
+    The reported pairwise distances use the requested metric: "choi"
     records the normalized Choi trace norm; "diamond_lower" the see-saw
     lower bound on the diamond distance (never below the Choi value, since
     the see-saw starts from the maximally entangled input), all pairs'
@@ -591,16 +696,12 @@ def sample_packing_net(
     pool = 8 * count
     candidates = tuple(build_instance(regime, d1, d2, r, eps, rng) for _ in range(pool))
     cand_channels = tuple(inst.channel() for inst in candidates)
-    chois = np.stack([ch.choi for ch in cand_channels])
-    base = np.zeros((pool, pool))
-    for i in range(pool - 1):
-        base[i, i + 1 :] = base[i + 1 :, i] = choi_trace_distances(chois[i], chois[i + 1 :], d1)
-    keep = _greedy_maximin(base, count)
+    keep, choi_dist = _maximin_net(np.stack([ch.choi for ch in cand_channels]), d1, r, count)
     instances = tuple(candidates[k] for k in keep)
     channels = tuple(cand_channels[k] for k in keep)
     unconverged = 0
     if metric == "choi":
-        dist = base[np.ix_(keep, keep)].copy()
+        dist = choi_dist
     else:
         pairs = list(combinations(range(count), 2))
         estimates = diamond_distances(

@@ -30,6 +30,9 @@ from .metrics import choi_trace_distances
 # to a subnormal whose charge ceil(d / eps_max) overflows.  From 1e-100 up, the
 # charge stays finite for any dimension d below 1e100.
 MIN_EPS = 1e-100
+# The least positive per-column noise, the estimators' eps^2 / 64 at MIN_EPS; the
+# config declines smaller ones, whose charge d / eps_max can overflow to inf.
+_MIN_EPS_MAX = MIN_EPS * MIN_EPS / 64.0
 
 __all__ = [
     "MIN_EPS",
@@ -59,6 +62,8 @@ class PureStateOracleConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps_max <= 1.0:
             raise ValueError(f"eps_max must lie in [0, 1], got {self.eps_max}")
+        if 0.0 < self.eps_max < _MIN_EPS_MAX:
+            raise ValueError(f"a positive eps_max must be at least {_MIN_EPS_MAX:g}, got {self.eps_max}")
 
     def copies_charged(self, d: int) -> int:
         """Query cost of one column estimate in dimension d (0 when exact)."""

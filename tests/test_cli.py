@@ -8,9 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 import ctlab
-from ctlab import cli
+from ctlab import cli, hardness, metrics
 from ctlab.cli import main
 from ctlab.linalg import MAX_BYTES, require_bytes
+from ctlab.metrics import choi_trace_distances
 
 
 def _run(args, env=None):
@@ -184,6 +185,24 @@ def test_packing_net_diamond_report_counts_unconverged_seesaws():
     assert report["checks"][-1] == {
         "name": "see-saws converged", "passed": True, "value": 0.0, "detail": "6 see-saws"
     }
+
+
+def test_packing_net_takes_exact_distances_only_where_the_greedy_reads_them(monkeypatch):
+    count, pool = 64, 8 * 64
+    evaluated = []
+
+    def counted(choi, chois, d_in):
+        out = choi_trace_distances(choi, chois, d_in)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(metrics, "choi_trace_distances", counted)
+    monkeypatch.setattr(hardness, "choi_trace_distances", counted)
+    res = _run(["packing-net", "--seed", "3", "--count", str(count)])
+    assert res.exit_code == 0, res.output
+    # one exact row per kept point, and a few for the widest pair; all pool
+    # pairs would be pool (pool - 1) / 2 = 130,816
+    assert 0 < sum(evaluated) <= count * (pool - 1) + 64
 
 
 def test_packing_net_rejects_invalid_dims():

@@ -1,8 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctlab import hardness
 from ctlab.combs import FactoredOperator
 from ctlab.hardness import (
     Regime,
@@ -22,7 +26,7 @@ from ctlab.hardness import (
 )
 from ctlab.channels import channel_from_json
 from ctlab.linalg import ATOL, FactorLayout, dag, min_eig, partial_trace
-from ctlab.metrics import choi_trace_distance, choi_trace_distances, diamond_distance
+from ctlab.metrics import choi_trace_distance, choi_trace_distances, diamond_distance, diamond_distances
 
 # example dimensions, one per regime
 CASES = {
@@ -419,6 +423,95 @@ def test_packing_net_json_document():
     assert len(doc["channels"]) == 2
     ch = channel_from_json(json.dumps(doc["channels"][0]))
     assert ch.d_in == 2 and ch.d_out == 4
+
+
+def _greedy_maximin(dist, count):
+    """Farthest-point subset over a full distance matrix: start from the
+    widest pair, grow by max-min gap. The referee of the pruned selection."""
+    start = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    chosen = [int(start[0]), int(start[1])]
+    gaps = np.minimum(dist[chosen[0]], dist[chosen[1]])
+    gaps[chosen] = -1.0
+    while len(chosen) < count:
+        nxt = int(np.argmax(gaps))
+        chosen.append(nxt)
+        gaps = np.minimum(gaps, dist[nxt])
+        gaps[nxt] = -1.0
+    return chosen
+
+
+def _pool(regime, eps, size, rng):
+    d1, d2, r = CASES[regime]
+    candidates = [build_instance(regime, d1, d2, r, eps, rng) for _ in range(size)]
+    return candidates, np.stack([inst.channel().choi for inst in candidates])
+
+
+def _pool_distances(chois, d1):
+    """Every exact pool distance, one row of differences at a time."""
+    size = len(chois)
+    dist = np.zeros((size, size))
+    for i in range(size - 1):
+        dist[i, i + 1 :] = dist[i + 1 :, i] = choi_trace_distances(chois[i], chois[i + 1 :], d1)
+    return dist
+
+
+@pytest.mark.parametrize("metric", ["choi", "diamond_lower"])
+@pytest.mark.parametrize("regime", list(Regime))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(count=st.integers(2, 8), eps=st.floats(1e-6, 0.45), seed=st.integers(0, 2**16))
+def test_packing_net_equals_the_exhaustive_greedy(regime, metric, count, eps, seed):
+    d1, d2, r = CASES[regime]
+    net = sample_packing_net(regime, d1, d2, r, eps, count=count, metric=metric, seed=seed)
+    rng = np.random.default_rng(seed)
+    candidates, chois = _pool(regime, eps, 8 * count, rng)
+    full = _pool_distances(chois, d1)
+    keep = _greedy_maximin(full, count)
+    assert [inst.matrix.tobytes() for inst in net.instances] == [
+        candidates[k].matrix.tobytes() for k in keep
+    ]
+    if metric == "choi":
+        expected = full[np.ix_(keep, keep)]
+    else:
+        channels = [candidates[k].channel() for k in keep]
+        pairs = list(combinations(range(count), 2))
+        estimates = diamond_distances([(channels[i], channels[j]) for i, j in pairs], restarts=2, rng=rng)
+        expected = np.zeros((count, count))
+        for (i, j), est in zip(pairs, estimates):
+            expected[i, j] = expected[j, i] = est.lower
+    assert net.distances.tobytes() == expected.tobytes()
+    assert net.min_pairwise == min(expected[i, j] for i, j in combinations(range(count), 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    regime=st.sampled_from(list(Regime)),
+    # near-identical pools (1e-6 and below) and coinciding ones (0) included
+    eps=st.one_of(st.sampled_from([0.0, 1e-6]), st.floats(1e-9, 0.45)),
+    seed=st.integers(0, 2**16),
+)
+def test_pool_bounds_bracket_every_exact_distance(regime, eps, seed):
+    d1, _, r = CASES[regime]
+    _, chois = _pool(regime, eps, 24, np.random.default_rng(seed))
+    exact = _pool_distances(chois, d1)
+    gaps, slack = hardness._gram_gaps(chois)
+    delta = slack[:, None] + slack[None, :]
+    rho = hardness._BOUND_SLACK
+    lower = (1.0 - rho) * np.sqrt(np.maximum(gaps - 2.0 * delta, 0.0)) / d1
+    upper = hardness._distance_upper_bounds(chois, d1, r)
+    rows, cols = np.triu_indices(len(chois), k=1)
+    assert np.all(lower[rows, cols] <= exact[rows, cols])
+    assert np.all(exact[rows, cols] <= upper[rows, cols])
+
+
+def test_packing_net_of_coinciding_candidates_starts_on_the_diagonal():
+    # with all distances 0, argmax over the full matrix picks (0, 0) and the
+    # greedy then takes the pool in order
+    net = sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.0, count=4, seed=1)
+    assert _greedy_maximin(np.zeros((32, 32)), 4) == [0, 0, 1, 2]
+    assert net.instances[0] is net.instances[1]
+    assert net.instances[1] is not net.instances[2]
+    assert net.min_pairwise == 0.0
+    assert np.all(net.distances == 0.0)
 
 
 def test_packing_net_guards():

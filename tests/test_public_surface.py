@@ -72,6 +72,10 @@ TEST_ONLY = {
         "tests/test_acceptance.py::test_06 checks"
     ),
     "channels.Channel.__repr__": "readable channels in test failure messages",
+    "hardness.PackingNet.to_json": (
+        "the net as one JSON text for library callers; `ctlab packing-net` "
+        "writes PackingNet.payload() into its report instead"
+    ),
     "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
 }
 

@@ -38,6 +38,20 @@ def test_oracle_config_validation():
         PureStateOracleConfig(eps_max=1.5)
 
 
+@pytest.mark.parametrize("eps_max", [1e-320, 1e-308])
+def test_oracle_config_declines_noise_below_the_estimators_least(eps_max):
+    # d / eps_max is inf here, so a charge could not be counted
+    with pytest.raises(ValueError):
+        PureStateOracleConfig(eps_max=eps_max)
+
+
+def test_oracle_config_accepts_the_least_estimator_noise():
+    cfg = PureStateOracleConfig(eps_max=MIN_EPS**2 / 64)
+    charge = cfg.copies_charged(3)
+    assert charge == math.ceil(3 / (MIN_EPS**2 / 64))
+    assert math.isfinite(float(charge))
+
+
 def test_copies_charged():
     assert PureStateOracleConfig(eps_max=0.0).copies_charged(7) == 0
     assert PureStateOracleConfig(eps_max=0.1).copies_charged(3) == 30
