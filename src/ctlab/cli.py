@@ -11,6 +11,7 @@ Both tomography modes run their trials as one batch.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .channels import Isometry, channel_from_json, channel_to_json, dilate, random_channel
 from .combs import LabelledOperator, link_product, random_parallel_tester
 from .hardness import (
@@ -112,7 +113,12 @@ def _emit(checks: list, extra: dict | None = None):
     if extra:
         report.update(extra)
     if fmt == "json":
-        text = json.dumps(report, indent=2)
+        # json.dump writes the encoder's chunks as they come, where json.dumps would join
+        # them all into one string first (indent=2 runs the pure-Python encoder)
+        with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+            fh.flush()
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -120,13 +126,11 @@ def _emit(checks: list, extra: dict | None = None):
         for c in checks:
             writer.writerow([c["name"], c["passed"], repr(c["value"]), c["detail"]])
         text = buf.getvalue()
-    if out == "-":
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        if out == "-":
+            click.echo(text)
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
     sys.exit(0 if report["all_passed"] else 1)
 
 
@@ -267,9 +271,13 @@ def verify(seed: int, fmt: str, out: str):
 )
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    # the Ginibre draw holds two batches until its in-place Gram-Schmidt, the Monte Carlo two values
-    # per sample; twirl2 seven d^2 x d^2 operators
-    _budget_guard(16 * (samples * (2 * d * d + 2) + 7 * d**4))
+    # the Ginibre draw holds two batches until its in-place Gram-Schmidt; then the Monte Carlo
+    # holds one batch and seven arrays of one linalg._CHUNK_BYTES chunk of samples (the chunk's
+    # two transposed copies, four GEMM products and the partial product), and two values per
+    # sample; twirl2 seven d^2 x d^2 operators
+    chunk_words = d * d * min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
+    batch_words = samples * d * d
+    _budget_guard(16 * (max(2 * batch_words, batch_words + 7 * chunk_words) + 2 * samples + 7 * d**4))
     checks = []
 
     batch = haar_unitaries(d, samples, _trial_rng(seed, 0))
@@ -478,14 +486,16 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     # in 16-byte words, per trial of the batch: its generator and array headers (about 256);
     # the target, both weak runs' column estimates, their SVD factors and snaps, and the
     # estimate (about ten target-sized copies, the golden section's stacks included); isometry
-    # mode four Choi stacks (estimates, targets, their difference and its eigvalsh copy),
-    # channel mode five (the targets' own Choi matrices and their stack, the estimates', the
-    # difference and its eigvalsh copy) and the targets' Kraus sets.  Once, Choi workspaces
-    # and the isometry grid of 360 d1 x d1 pencils (four stacks of it)
+    # mode the phase grid's 360 points at 17 bytes each (the Frobenius bracket, then their
+    # eigenvalues, in one float row; a flag and an index per kept point, all 360 kept at
+    # worst), channel mode the target's own Choi matrix and Kraus set.  Once, five arrays of
+    # one linalg._CHUNK_BYTES run of Choi matrices (both modes take their Choi errors in such
+    # runs of trials) or of the grid's kept d1 x d1 pencils, and Choi workspaces
+    workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi
     if r == 0:
-        words = trials * (4 * choi + 10 * big * d1 + 256) + 1440 * d1 * d1 + 6 * choi
+        words = trials * (10 * big * d1 + 400 + 256) + workspace
     else:
-        words = trials * (5 * choi + 12 * big * d1 + 256) + 6 * choi
+        words = trials * (choi + 12 * big * d1 + 256) + workspace
     _budget_guard(16 * words)
 
     rngs = [_trial_rng(seed, i) for i in range(trials)]

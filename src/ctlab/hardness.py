@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import linalg
 from .channels import Channel, Dilation, channel_payload
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
@@ -548,11 +549,6 @@ class PackingNet:
         return json.dumps(self.payload())
 
 
-# float64 unit roundoff, and the relative slack rho of the pool's distance bounds
-_UNIT_ROUNDOFF = 2.0**-53
-_BOUND_SLACK = 2.0**-16
-
-
 def _gram_gaps(chois: np.ndarray) -> tuple:
     """(F, s) for a (P, n, n) pool: F[i, j] = g_ii + g_jj - 2 g_ij, one (P, P)
     matrix built in place from the Gram matrix g_ij = Re <C_i, C_j> = x_i . x_j
@@ -575,7 +571,7 @@ def _gram_gaps(chois: np.ndarray) -> tuple:
     gaps *= -2.0
     gaps += norms[:, None]
     gaps += norms
-    return gaps, 4.0 * (x.shape[1] + 3) * _UNIT_ROUNDOFF * norms
+    return gaps, 4.0 * (x.shape[1] + 3) * linalg._UNIT_ROUNDOFF * norms
 
 
 def _distance_upper_bounds(chois: np.ndarray, d_in: int, rank: int) -> np.ndarray:
@@ -606,7 +602,7 @@ def _distance_upper_bounds(chois: np.ndarray, d_in: int, rank: int) -> np.ndarra
     bounds += slack
     np.sqrt(bounds, out=bounds)
     n = chois.shape[-1]
-    bounds *= (1.0 + _BOUND_SLACK) * math.sqrt(min(2 * rank, n)) / d_in
+    bounds *= (1.0 + linalg._BOUND_SLACK) * math.sqrt(min(2 * rank, n)) / d_in
     return bounds
 
 

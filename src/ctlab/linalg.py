@@ -27,9 +27,14 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes of unitaries per chunk of the batch kernels: the in-place Gram-Schmidt of
-# haar_unitaries and the fourth-moment Monte Carlo of moments
+# bytes per chunk of the batch kernels: the in-place Gram-Schmidt of haar_unitaries,
+# the fourth-moment Monte Carlo of moments, and tomography's phase-grid pencils and
+# Choi errors
 _CHUNK_BYTES = 1 << 20
+# float64 unit roundoff, and the relative slack rho of the certified bounds that
+# prune exact work (the packing pool's distances, the phase-error grid)
+_UNIT_ROUNDOFF = 2.0**-53
+_BOUND_SLACK = 2.0**-16
 
 __all__ = [
     "ATOL",

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .channels import choi_from_kraus, dilate
 from .linalg import dag, dft_matrix, operator_norm
 from .metrics import choi_trace_distances
@@ -159,12 +160,59 @@ def align_phases(vhat1, vhat2) -> np.ndarray:
     return vhat2 @ diag @ dag(f)
 
 
-def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> int:
-    """Index of the grid angle with the least ||a - e^{i theta} b||, from the n x n pencils."""
-    ah = a.conj().T
-    shifted = np.exp(1j * grid)[:, None, None] * (ah @ b)
-    pencil = (ah @ a + b.conj().T @ b) - (shifted + shifted.conj().transpose(0, 2, 1))
-    return int(np.argmin(np.linalg.eigvalsh(pencil)[:, -1]))
+def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per pair of the (T, m, n) stacks, the index of the grid angle with the
+    least ||a - z b||, z = e^{i theta}: np.argmin over the top eigenvalues of
+    the n x n pencils P(z) = G - z C - conj(z) C^dag (G = a^dag a + b^dag b,
+    C = a^dag b), eigensolving only the pencils that can hold the minimum.
+
+    P(z) = (a - z b)^dag (a - z b) is PSD with trace F(z) = tr G - 2 Re(z
+    tr C) = ||a - z b||_F^2, so F / n <= lambda_max <= F.  A grid point k
+    can hold a row's least computed top eigenvalue only if F_k <= n (min_j
+    F_j + s) with s = (4 (m n + m + 6 n + 17) u + rho) tr G (u = 2^-53, rho =
+    2^-16), and only those pencils are formed and eigensolved, all pairs' in
+    one stacked eigvalsh run _CHUNK_BYTES at a time.  A kept pencil and its
+    eigenvalues have the same bits as in the full grid, and the least index
+    attaining the least value is the full grid's np.argmin, since the pruned
+    points, set to inf, are never below it.
+
+    Rounding: the stored G, C and z (|z|^2 = 1 + eta, |eta| <= 4 u) make
+    the exact G - z C - conj(z) C^dag = P + D, P PSD and ||D||_2 <= (2 m +
+    10) u tr G, from the m-term dot products of G and C and from eta
+    ||b||_F^2.  The formed pencil differs from G - z C - conj(z) C^dag by at
+    most 18 u tr G in Frobenius norm (a complex product, one conjugate sum
+    and one difference per entry), and eigvalsh's backward error is p(n) u
+    ||P||_2 <= 2 p(n) u tr G for a modest p(n).  The computed F, from n-term
+    diagonal sums, is within (2 n + 6) u tr G of tr(P + D), itself within
+    n ||D||_2 of tr P.  So the computed top eigenvalue lies within e = (2 m
+    + 28 + 2 p(n)) u tr G of lambda_max(P), and the computed F within e_F =
+    (2 m n + 12 n + 6) u tr G of tr P.  Point k holds the least computed
+    value only if F_k / n - e_F / n - e <= F_j + e_F + e for every j, which
+    implies F_k <= n (min_j F_j + 2 (e + e_F)).  The first term of s is 2 (e
+    + e_F) without the eigensolver's 4 p(n) u tr G, and rho = 2^37 u covers
+    that and the test's own few roundings for any p(n) below 2^34.
+    """
+    count, rows, n = a.shape
+    z = np.exp(1j * grid)
+    gram = dag(a) @ a + dag(b) @ b
+    cross = dag(a) @ b
+    norms = np.trace(gram, axis1=1, axis2=2).real
+    trace = np.trace(cross, axis1=1, axis2=2)
+    frob = np.stack([trace.real, -trace.imag], axis=1) @ np.stack([z.real, z.imag])
+    frob *= -2.0
+    frob += norms[:, None]
+    rounding = 4.0 * (rows * n + rows + 6 * n + 17) * linalg._UNIT_ROUNDOFF
+    slack = (rounding + linalg._BOUND_SLACK) * norms
+    kept = np.flatnonzero(frob <= n * (frob.min(axis=1) + slack)[:, None])
+    tops = frob.reshape(-1)  # the bracket is spent: its entries now take the top eigenvalues
+    tops.fill(np.inf)
+    step = max(1, linalg._CHUNK_BYTES // (16 * n * n))
+    for s in range(0, kept.size, step):
+        pair, k = np.divmod(kept[s : s + step], len(grid))
+        shifted = z[k, None, None] * cross[pair]
+        pencil = gram[pair] - (shifted + dag(shifted))
+        tops[kept[s : s + step]] = np.linalg.eigvalsh(pencil)[:, -1]
+    return np.argmin(tops.reshape(count, len(grid)), axis=1)
 
 
 def min_phase_op_error(a: np.ndarray, b: np.ndarray):
@@ -175,9 +223,15 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     pair's minimum alone.  Per pair, a 360-point grid picks the bracket of a
     golden-section search.  For |z| = 1, ||a - z b||^2 is the largest
     eigenvalue of the n x n pencil a^dag a + b^dag b - z a^dag b -
-    conj(z) b^dag a, so the grid is one stacked eigvalsh of n x n matrices
-    per pair.  The golden section (60 steps) runs all pairs at once: each
-    of its 63 evaluations is one stacked SVD of the a - e^{i theta} b, so
+    conj(z) b^dag a.  Its trace ||a - z b||_F^2 is a closed form, and the
+    Frobenius bracket trace / n <= ||a - z b||^2 <= trace, with a rounding
+    slack of about 2^-16 (||a||_F^2 + ||b||_F^2), prunes the grid: only the
+    kept pencils of all pairs are eigensolved, as one stacked eigvalsh (see
+    _grid_argmin).  In 60-pair tomography batches at eps 0.05 to 0.2 and
+    d1 = 1 to 4, a pair keeps 1 to 4 of the 360 points in the median and at
+    most 6; a = 0 keeps all 360.  The bracket centre is bit for bit the full
+    grid's np.argmin.  The golden section (60 steps) runs all pairs at once:
+    each of its 63 evaluations is one stacked SVD of the a - e^{i theta} b, so
     every reported value is such an SVD, and each pair keeps its own bracket.
     """
     a = np.asarray(a, dtype=complex)
@@ -194,7 +248,7 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
         return operator_norm(a - np.exp(1j * theta)[:, None, None] * b)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    center = grid[[_grid_argmin(ak, bk, grid) for ak, bk in zip(a, b)]]
+    center = grid[_grid_argmin(a, b, grid)]
     step = grid[1] - grid[0]
     lo, hi = center - step, center + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -249,6 +303,19 @@ def two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: lis
     return align_phases(vhat[:, 0], vhat[:, 1])
 
 
+def _choi_errors(count: int, d1: int, d2: int, chois) -> np.ndarray:
+    """The choi_trace_distances of count trials of channels d1 -> d2, taken
+    over runs of trials that each hold about linalg._CHUNK_BYTES of Choi
+    matrices: chois(run) gives the estimates' and the targets' Choi stacks
+    of the slice run.  A Choi matrix and its eigenvalues do not depend on
+    the stack they are in, so each error has the bits of one stack over the
+    whole batch.
+    """
+    step = max(1, linalg._CHUNK_BYTES // (16 * (d1 * d2) ** 2))
+    runs = [slice(s, s + step) for s in range(0, count, step)]
+    return np.concatenate([choi_trace_distances(*chois(run), d1) for run in runs])
+
+
 class TomographyBatch(NamedTuple):
     """Outcome of one isometry_tomography or channel_tomography call, one row
     per target in target order.
@@ -282,18 +349,22 @@ def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
     per-column noise eps_max = eps^2 / 64 and aligns the phases; the stages
     after the oracle draws each run once for the batch: one stacked SVD
     snaps all column estimates, the alignment is vectorized over trials, one
-    stacked min_phase_op_error verifies all trials and one stacked eigvalsh
-    gives their Choi errors.  A row equals that of its trial run alone.
-    The success guarantee is derived for eps <= 1/8; larger values (up to 1)
-    run the same procedure with extra slack.
+    stacked min_phase_op_error verifies all trials and stacked eigvalsh runs
+    of about linalg._CHUNK_BYTES each give their Choi errors.  A row equals
+    that of its trial run alone.  The success guarantee is derived for
+    eps <= 1/8; larger values (up to 1) run the same procedure with extra
+    slack.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
     matrices = np.stack([target.matrix for target in targets])
     count, d2, d1 = matrices.shape
     estimates = two_run_estimates(matrices, cfg, rngs)
     op_errors = min_phase_op_error(matrices, estimates)
-    choi_errors = choi_trace_distances(
-        choi_from_kraus(estimates[:, None]), choi_from_kraus(matrices[:, None]), d1
+    choi_errors = _choi_errors(
+        count,
+        d1,
+        d2,
+        lambda run: (choi_from_kraus(estimates[run, None]), choi_from_kraus(matrices[run, None])),
     )
     queries = 2 * d1 * cfg.copies_charged(d2) * count
     return TomographyBatch(estimates, op_errors, choi_errors, 2.0 * op_errors <= float(eps), queries)
@@ -307,19 +378,24 @@ def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
     query model fixes one dilation isometry of each target (zero padded to
     ancilla dimension r) and runs isometry estimation against it, both weak
     runs of all trials in one stack as in isometry_tomography; an estimate
-    is the contraction of its estimated dilation, and one stacked eigvalsh
-    gives all Choi errors.  eps, the list lengths and every target's rank
-    against r are checked before any draw.  Success means the normalized
-    Choi trace distance is at most eps, so no phase-minimized operator
-    error is computed and op_errors is None.  A row equals that of its
-    trial run alone.
+    is the contraction of its estimated dilation, and stacked eigvalsh runs
+    of about linalg._CHUNK_BYTES each give all Choi errors.  eps, the list
+    lengths and every target's rank against r are checked before any draw.
+    Success means the normalized Choi trace distance is at most eps, so no
+    phase-minimized operator error is computed and op_errors is None.  A
+    row equals that of its trial run alone.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
     # dilate raises on a target whose rank exceeds r
     dilations = np.stack([dilate(target, r).matrix for target in targets])
     count, rows, d1 = dilations.shape
     estimates = two_run_estimates(dilations, cfg, rngs)
-    chois = choi_from_kraus(estimates.reshape(count, r, rows // r, d1))
-    choi_errors = choi_trace_distances(chois, np.stack([target.choi for target in targets]), d1)
+    kraus = estimates.reshape(count, r, rows // r, d1)
+    choi_errors = _choi_errors(
+        count,
+        d1,
+        rows // r,
+        lambda run: (choi_from_kraus(kraus[run]), np.stack([target.choi for target in targets[run]])),
+    )
     queries = 2 * d1 * cfg.copies_charged(rows) * count
     return TomographyBatch(estimates, None, choi_errors, choi_errors <= eps, queries)

@@ -81,6 +81,26 @@ def test_out_file(tmp_path):
     assert report["all_passed"] is True
 
 
+def test_json_report_is_its_indented_dump_on_stdout_and_in_a_file(tmp_path, monkeypatch):
+    reports = []
+    real = json.dump
+
+    def recording(obj, fh, **kwargs):
+        reports.append(obj)
+        real(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", recording)
+    args = ["packing-net", "--seed", "3", "--count", "2"]
+    path = tmp_path / "report.json"
+    printed = _run(args)
+    written = _run(args + ["--out", str(path)])
+    assert printed.exit_code == written.exit_code == 0
+    assert len(reports) == 2 and reports[0] == reports[1]
+    expected = json.dumps(reports[0], indent=2) + "\n"
+    assert printed.stdout == expected
+    assert path.read_text() == expected
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path):
     for out in (tmp_path / "missing" / "report.json", tmp_path):
         res = _run(["verify", "--seed", "0", "--out", str(out)])
@@ -377,6 +397,10 @@ def test_over_budget_runs_are_declined_before_work(args):
     [
         # a 12 MiB Haar batch
         ["moments", "--d", "4", "--samples", "50000"],
+        # batches of one or a few Monte Carlo chunks, where the chunk workspace outweighs the batch
+        pytest.param(["moments", "--d", "2", "--samples", "16064"], id="moments-one-chunk"),
+        pytest.param(["moments", "--d", "5", "--samples", "1129"], id="moments-part-chunk"),
+        pytest.param(["moments", "--d", "2", "--samples", "56118"], id="moments-four-chunks"),
         # a 20 MiB stack of two-copy dilation vectors
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
         # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time

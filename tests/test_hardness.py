@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import hardness
+from ctlab import hardness, linalg
 from ctlab.combs import FactoredOperator
 from ctlab.hardness import (
     Regime,
@@ -495,7 +495,7 @@ def test_pool_bounds_bracket_every_exact_distance(regime, eps, seed):
     exact = _pool_distances(chois, d1)
     gaps, slack = hardness._gram_gaps(chois)
     delta = slack[:, None] + slack[None, :]
-    rho = hardness._BOUND_SLACK
+    rho = linalg._BOUND_SLACK
     lower = (1.0 - rho) * np.sqrt(np.maximum(gaps - 2.0 * delta, 0.0)) / d1
     upper = hardness._distance_upper_bounds(chois, d1, r)
     rows, cols = np.triu_indices(len(chois), k=1)

@@ -245,6 +245,76 @@ def test_min_phase_op_error_on_a_stack_equals_its_pairs(pairs, data):
     assert min_phase_op_error(a[rows], b[rows]).tolist() == [alone[k] for k in rows]
 
 
+GRID = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+
+
+def _full_grid_argmin(a, b):
+    """np.argmin over the top eigenvalues of all 360 pencils of one pair."""
+    ah = a.conj().T
+    shifted = np.exp(1j * GRID)[:, None, None] * (ah @ b)
+    pencil = (ah @ a + b.conj().T @ b) - (shifted + shifted.conj().transpose(0, 2, 1))
+    return int(np.argmin(np.linalg.eigvalsh(pencil)[:, -1]))
+
+
+@st.composite
+def grid_stacks(draw):
+    """One to six pairs of one shape: near isometries, far pairs, or exact ties
+    (a = 0, real pairs, b = z a with z on the grid or off it)."""
+    kind = draw(st.sampled_from(["near", "far", "zero", "real", "phase"]))
+    d2 = draw(st.integers(1, 8))
+    d1 = draw(st.integers(1, min(d2, 3)))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near":
+        pairs = [_near_isometry_pair(d2, d1, draw(st.floats(1e-8, 0.5)), rng) for _ in range(count)]
+        return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+    a, b = rng.standard_normal((2, count, d2, d1)) + 1j * rng.standard_normal((2, count, d2, d1))
+    if kind == "zero":
+        a[:] = 0.0
+    elif kind == "real":
+        a, b = a.real + 0j, b.real + 0j
+    elif kind == "phase":
+        angle = draw(st.one_of(st.integers(0, 359).map(lambda k: GRID[k]), st.floats(0.0, 2.0 * np.pi)))
+        b = np.exp(1j * angle) * a
+    return a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid_stacks(), st.integers(1, 7))
+def test_pruned_grid_centre_equals_the_full_grid_argmin(stack, per_chunk):
+    a, b = stack
+    full = [_full_grid_argmin(x, y) for x, y in zip(a, b)]
+    assert tomography._grid_argmin(a, b, GRID).tolist() == full
+    # runs of a few pencils, so a row's kept points span several eigvalsh calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography.linalg, "_CHUNK_BYTES", per_chunk * 16 * a.shape[-1] ** 2)
+        assert tomography._grid_argmin(a, b, GRID).tolist() == full
+
+
+def test_phase_grid_eigensolves_few_pencils_per_trial(monkeypatch):
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counting(pencils):
+        solved.append(len(pencils))
+        return real(pencils)
+
+    rngs = [np.random.default_rng([23, k]) for k in range(60)]
+    targets = np.stack([random_isometry(3, 2, rng) for rng in rngs])
+    estimates = tomography.two_run_estimates(targets, tomography._oracle_config(0.2), rngs)
+    monkeypatch.setattr(tomography.np.linalg, "eigvalsh", counting)
+    batch = min_phase_op_error(targets, estimates)
+    assert len(solved) == 1 and solved[0] <= 5 * 60
+    for target, estimate, error in zip(targets, estimates, batch):
+        solved.clear()
+        assert min_phase_op_error(target, estimate) == error
+        assert 1 <= sum(solved) <= 5
+    # a = 0 gives every grid point the same pencil, and all 360 are kept
+    solved.clear()
+    min_phase_op_error(np.zeros((3, 2)), targets[0])
+    assert sum(solved) == 360
+
+
 # ---------------------------------------------------------------------------
 # Full isometry estimation
 # ---------------------------------------------------------------------------
