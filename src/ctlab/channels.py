@@ -177,11 +177,6 @@ class Dilation:
         d2 = self.d_out
         return tuple(self.matrix[k * d2 : (k + 1) * d2, :] for k in range(self.anc_dim))
 
-    def choi_full(self) -> np.ndarray:
-        """|V>><<V| on H_anc kron H_out kron H_in."""
-        v = vectorize(self.matrix)
-        return np.outer(v, v.conj())
-
     def contract(self) -> Channel:
         """Trace out the ancilla: the channel of the Kraus blocks."""
         return Channel.from_kraus(self.kraus_blocks())

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, Dilation
+from .channels import Channel, Dilation, choi_from_kraus
 from .linalg import (
     FactorLayout,
     min_eig,
@@ -433,7 +433,7 @@ def _labelled_choi(process, out_group, in_group, ref: FactorLayout) -> LabelledO
     if isinstance(process, Dilation):
         if d_out != process.anc_dim * process.d_out or d_in != process.d_in:
             raise ValueError("tester query dimensions do not match the dilation")
-        op = process.choi_full()
+        op = choi_from_kraus(process.matrix[None])
     elif isinstance(process, Channel):
         if d_out != process.d_out or d_in != process.d_in:
             raise ValueError("tester query dimensions do not match the channel")

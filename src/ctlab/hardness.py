@@ -935,6 +935,12 @@ def _span(vectors: list, weights, family: GammaFamily, level: int) -> FactoredOp
     return FactoredOperator(np.stack(vectors, axis=1), weights, _gamma_layout(family, level))
 
 
+def _type1_subset(index, n: int) -> frozenset:
+    subset = frozenset(int(i) for i in index)
+    _require(subset <= set(range(n)), f"subset {sorted(subset)} outside range({n})")
+    return subset
+
+
 def gamma_vector(family: GammaFamily, index, n: int) -> FactoredOperator:
     """|gamma><gamma| over n (output, input) factor pairs, as a rank-one factor.
 
@@ -944,9 +950,7 @@ def gamma_vector(family: GammaFamily, index, n: int) -> FactoredOperator:
     """
     _gamma_budget(family, n)
     if family.kind == "type1":
-        subset = frozenset(int(i) for i in index)
-        _require(subset <= set(range(n)), f"subset {sorted(subset)} outside range({n})")
-        vec = _gamma_product(family, subset, n)
+        vec = _gamma_product(family, _type1_subset(index, n), n)
     else:
         vec = _gamma_weight_vector(family, int(index), n)
     return _span([vec], [1.0], family, n)
@@ -958,68 +962,49 @@ def _level_gap(current: FactoredOperator, reference: FactoredOperator, level: in
     return reference.extended(traced.layout).minus(traced).min_eig()
 
 
-def _certify_type1(op: FactoredOperator, family: GammaFamily, n: int, index) -> CombCheck:
-    subset = None if index is None else frozenset(int(i) for i in index)
+def _type1_steps(op: FactoredOperator, family: GammaFamily, n: int, subset):
+    """(level, current, reference) steps of a type1 certificate, level n first.
 
-    def reference(level: int) -> FactoredOperator:
-        if subset is None:
-            chosen = [
-                frozenset(c) for size in range(level + 1) for c in combinations(range(level), size)
-            ]
-        else:
-            chosen = [subset & set(range(level))]
-        vectors = [_gamma_product(family, c, level) for c in chosen]
-        return _span(vectors, np.ones(len(vectors)), family, level)
-
-    worst = 0.0
+    A level's reference spans the subset's product vectors one level down
+    (every subset's for None: the full family sum) and is the next level's
+    current.
+    """
     current = op
     for level in range(n, 0, -1):
-        prev = reference(level - 1)
-        gap = _level_gap(current, prev, level)
-        if gap < -COMB_ATOL:
-            return CombCheck(False, level, float(-gap))
-        worst = max(worst, max(0.0, -gap))
-        current = prev
-    return CombCheck(True, None, worst)
+        if subset is None:
+            chosen = [
+                frozenset(c) for size in range(level) for c in combinations(range(level - 1), size)
+            ]
+        else:
+            chosen = [subset & set(range(level - 1))]
+        vectors = [_gamma_product(family, c, level - 1) for c in chosen]
+        reference = _span(vectors, np.ones(len(vectors)), family, level - 1)
+        yield level, current, reference
+        current = reference
 
 
-def _certify_type2(op: FactoredOperator, family: GammaFamily, n: int, weight: int) -> CombCheck:
-    _require(0 <= weight <= n, f"weight must lie in [0, {n}], got {weight}")
-    worst = 0.0
+def _type2_steps(op: FactoredOperator, family: GammaFamily, n: int, weight: int):
+    """(level, current, reference) steps of a type2 certificate, level n first.
 
-    def reference(level: int, w: int) -> FactoredOperator:
-        vectors, weights = [], []
-        if w <= level - 1:
-            vectors.append(_gamma_weight_vector(family, w, level - 1))
-            weights.append(math.comb(level - 1, w) / math.comb(level, w))
-        if w >= 1:
-            vectors.append(_gamma_weight_vector(family, w - 1, level - 1))
-            weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
-        return _span(vectors, weights, family, level - 1)
-
-    def check(level: int, w: int, current: FactoredOperator, seen: set) -> CombCheck | None:
-        nonlocal worst
-        if (level, w) in seen:
-            return None
-        seen.add((level, w))
-        gap = _level_gap(current, reference(level, w), level)
-        if gap < -COMB_ATOL:
-            return CombCheck(False, level, float(-gap))
-        worst = max(worst, max(0.0, -gap))
-        if level > 1:
-            for w_next in ([w, w - 1] if w >= 1 else [w]):
-                if w_next > level - 1:
-                    continue
-                v = _gamma_weight_vector(family, w_next, level - 1)
-                result = check(level - 1, w_next, _span([v], [1.0], family, level - 1), seen)
-                if result is not None:
-                    return result
-        return None
-
-    failure = check(n, weight, op, set())
-    if failure is not None:
-        return failure
-    return CombCheck(True, None, worst)
+    Level l takes every weight w that `weight` reaches by dropping at most
+    one per level, min(weight, l) down to max(0, weight - (n - l)).  The
+    reference mixes the weight vectors w and w - 1 one level down,
+    binomially weighted.
+    """
+    for level in range(n, 0, -1):
+        for w in range(min(weight, level), max(0, weight - (n - level)) - 1, -1):
+            if level == n:
+                current = op
+            else:
+                current = _span([_gamma_weight_vector(family, w, level)], [1.0], family, level)
+            vectors, weights = [], []
+            if w <= level - 1:
+                vectors.append(_gamma_weight_vector(family, w, level - 1))
+                weights.append(math.comb(level - 1, w) / math.comb(level, w))
+            if w >= 1:
+                vectors.append(_gamma_weight_vector(family, w - 1, level - 1))
+                weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
+            yield level, current, _span(vectors, weights, family, level - 1)
 
 
 def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=None) -> CombCheck:
@@ -1030,7 +1015,10 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
     the appropriate lower-level family operator tensored with identity
     (for type2 families, the binomially weighted mixture of the two
     adjacent weights).  `index` selects the branch: a subset for type1
-    (None certifies against the full family sum), the weight for type2.
+    (None certifies against the full family sum), the weight for type2;
+    it is checked before any eigensolve.  Both families run one loop over
+    their steps and report the first level whose gap falls below
+    -COMB_ATOL; below level n a step compares family vectors only.
 
     Every level is an eigenproblem on the span of the factor columns, not
     on a dense matrix.  A `gamma_vector` operator has one column, so the
@@ -1043,10 +1031,20 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
         "operator labels do not match the gamma factor layout",
     )
     op = op.aligned_to(expected)
+    if family.kind == "type1":
+        steps = _type1_steps(op, family, n, None if index is None else _type1_subset(index, n))
+    else:
+        _require(index is not None, "type2 certification needs the weight index")
+        weight = int(index)
+        _require(0 <= weight <= n, f"weight must lie in [0, {n}], got {weight}")
+        steps = _type2_steps(op, family, n, weight)
     gap = op.min_eig()
     if gap < -COMB_ATOL:
         return CombCheck(False, -1, float(-gap))
-    if family.kind == "type1":
-        return _certify_type1(op, family, n, index)
-    _require(index is not None, "type2 certification needs the weight index")
-    return _certify_type2(op, family, n, int(index))
+    worst = 0.0
+    for level, current, reference in steps:
+        gap = _level_gap(current, reference, level)
+        if gap < -COMB_ATOL:
+            return CombCheck(False, level, float(-gap))
+        worst = max(worst, max(0.0, -gap))
+    return CombCheck(True, None, worst)

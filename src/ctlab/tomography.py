@@ -110,9 +110,11 @@ def weak_isometry_tomography(targets, cfg: PureStateOracleConfig, rngs) -> np.nd
     """
     targets = np.asarray(targets, dtype=complex)
     rngs = list(rngs)
-    if targets.ndim != 3 or len(rngs) != len(targets):
+    shape_ok = targets.ndim == 3 and targets.shape[1] >= targets.shape[2] >= 1
+    if not shape_ok or len(rngs) != len(targets):
         raise ValueError(
-            f"need a (T, m, n) stack and T generators, got {targets.shape} and {len(rngs)}"
+            f"need a (T, m, n) stack with m >= n >= 1 and T generators, "
+            f"got {targets.shape} and {len(rngs)}"
         )
     tilde = np.empty_like(targets)
     for target, rng, out in zip(targets, rngs, tilde):
@@ -236,9 +238,10 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape != b.shape:
+    if a.ndim not in (2, 3) or a.shape != b.shape or 0 in a.shape[-2:]:
         raise ValueError(
-            f"a and b must be matrices or stacks of one shape, got {a.shape} and {b.shape}"
+            "a and b must be matrices or stacks of one shape with at least one row and "
+            f"column, got {a.shape} and {b.shape}"
         )
     pair = a.ndim == 2
     if pair:

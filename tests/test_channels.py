@@ -140,7 +140,7 @@ def test_contract_equals_traced_full_choi(r, d_out, d_in, seed):
     if r * d_out < d_in:
         d_in = r * d_out
     dil = Dilation(random_isometry(r * d_out, d_in, np.random.default_rng(seed)), r, d_out)
-    want = partial_trace(dil.choi_full(), (r, d_out, d_in), (0,))
+    want = partial_trace(choi_from_kraus(dil.matrix[None]), (r, d_out, d_in), (0,))
     assert np.array_equal(dil.contract().choi, want)
 
 
@@ -248,11 +248,11 @@ def test_dilation_requires_isometry():
         Dilation(np.ones((4, 2)), 2, 2)
 
 
-def test_choi_full_is_pure():
+def test_dilation_choi_is_pure():
     rng = np.random.default_rng(12)
     ch = random_channel(2, 2, 2, rng)
     dil = dilate(ch, ch.rank)
-    full = dil.choi_full()
+    full = choi_from_kraus(dil.matrix[None])
     assert full.shape == (8, 8)
     w = np.linalg.eigvalsh(full)
     assert w[-1] > 1.0 and np.abs(w[:-1]).max() < 1e-12
@@ -281,11 +281,11 @@ def test_random_dilation_same_channel():
     assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
 
 
-def test_partial_trace_of_choi_full():
+def test_partial_trace_of_dilation_choi():
     rng = np.random.default_rng(16)
     ch = random_channel(2, 2, 2, rng)
     dil = dilate(ch, 3)
-    marg = partial_trace(dil.choi_full(), (3, 2, 2), (0,))
+    marg = partial_trace(choi_from_kraus(dil.matrix[None]), (3, 2, 2), (0,))
     assert np.abs(marg - ch.choi).max() < 1e-10
 
 

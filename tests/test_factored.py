@@ -1,8 +1,10 @@
 """Factored operators F diag(w) F^dag against their dense counterparts.
 
 Property tests draw random factored operators and compare every operation
-with the dense linalg result; a dense reference certificate (small
-dimensions only) checks the factored gamma comb certificate level by level.
+with the dense linalg result.  Two referees check the gamma comb
+certificate: a dense one level by level (small dimensions only), and a
+factored one, the depth-first search over (level, weight) pairs that the
+certificate's one loop replaced, which must agree with it bit for bit.
 """
 
 import math
@@ -238,3 +240,109 @@ def test_certificate_matches_dense_reference(case):
     ok, level, defect = dense_certificate(_dense(op), family, n, cert_index)
     assert (got.ok, got.failed_level) == (ok, level)
     assert abs(got.defect - defect) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Factored referee: the depth-first search over (level, weight) pairs
+# ---------------------------------------------------------------------------
+
+
+def _span(vectors, weights, family, level):
+    layout = FactorLayout(
+        tuple(f for j in range(level) for f in ((("B", j), family.big_d), (("A", j), family.d)))
+    )
+    return FactoredOperator(np.stack(vectors, axis=1), weights, layout)
+
+
+def _factored_gap(current, reference, level):
+    traced = current.partial_trace([("B", level - 1)])
+    return reference.extended(traced.layout).minus(traced).min_eig()
+
+
+def factored_certificate(op, family, n, index, tol=COMB_ATOL):
+    """(ok, failed_level, defect) of the comb recursion on FactoredOperators.
+
+    Type1 walks its levels with each reference becoming the next current;
+    type2 searches depth first from (n, index), stepping to weights w and
+    w - 1 one level down and skipping pairs already seen.
+    """
+    gap = op.min_eig()
+    if gap < -tol:
+        return False, -1, float(-gap)
+    worst = 0.0
+    if family.kind == "type1":
+        current = op
+        for level in range(n, 0, -1):
+            if index is None:
+                chosen = [set(c) for s in range(level) for c in combinations(range(level - 1), s)]
+            else:
+                chosen = [set(index) & set(range(level - 1))]
+            vectors = [_product(family, c, level - 1) for c in chosen]
+            reference = _span(vectors, np.ones(len(vectors)), family, level - 1)
+            gap = _factored_gap(current, reference, level)
+            if gap < -tol:
+                return False, level, float(-gap)
+            worst = max(worst, max(0.0, -gap))
+            current = reference
+        return True, None, worst
+
+    seen = set()
+
+    def check(level, w, current):
+        nonlocal worst
+        if (level, w) in seen:
+            return None
+        seen.add((level, w))
+        vectors, weights = [], []
+        if w <= level - 1:
+            vectors.append(_weight_vector(family, w, level - 1))
+            weights.append(math.comb(level - 1, w) / math.comb(level, w))
+        if w >= 1:
+            vectors.append(_weight_vector(family, w - 1, level - 1))
+            weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
+        gap = _factored_gap(current, _span(vectors, weights, family, level - 1), level)
+        if gap < -tol:
+            return False, level, float(-gap)
+        worst = max(worst, max(0.0, -gap))
+        for w_next in [w, w - 1] if w >= 1 else [w]:
+            if level > 1 and w_next <= level - 1:
+                v = _weight_vector(family, w_next, level - 1)
+                failure = check(level - 1, w_next, _span([v], [1.0], family, level - 1))
+                if failure is not None:
+                    return failure
+        return None
+
+    failure = check(n, index, op)
+    return failure if failure is not None else (True, None, worst)
+
+
+@st.composite
+def factored_gamma_cases(draw):
+    """Like gamma_cases, with n up to 6 and operators up to 4096 wide."""
+    kind = draw(st.sampled_from(["type1", "type2"]))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(2 if kind == "type1" else 1, 3))
+    lo = d if kind == "type1" else d + 1
+    big_d = draw(st.integers(lo, lo + 2))
+    while n > 1 and (big_d * d) ** n > 4096:
+        n -= 1
+    eps = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    if kind == "type1":
+        family = type1_gamma_family(d, big_d, eps)
+        index = frozenset(draw(st.sets(st.integers(0, n - 1))))
+        cert_index = draw(st.sampled_from([index, None]))
+    else:
+        family = type2_gamma_family(d, big_d, eps)
+        index = cert_index = draw(st.integers(0, n))
+    scale = draw(st.sampled_from([1.0, 1.5, -1.0, 0.7, 1.0 + 1e-7]))
+    return family, n, index, cert_index, scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(factored_gamma_cases())
+def test_certificate_matches_factored_reference(case):
+    family, n, index, cert_index, scale = case
+    op = gamma_vector(family, index, n).scaled(scale)
+    got = certify_gamma_comb(op, family, n, index=cert_index)
+    want = factored_certificate(op, family, n, cert_index)
+    assert (got.ok, got.failed_level, got.defect.hex()) == (want[0], want[1], want[2].hex())

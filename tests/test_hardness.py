@@ -671,6 +671,17 @@ def test_certify_rejects_negative():
     assert check.failed_level == -1
 
 
+def test_certify_type1_rejects_a_subset_outside_the_slots():
+    # the subset is checked before any eigensolve: a negative operator,
+    # which would fail positivity, still raises
+    fam = type1_gamma_family(2, 3, 0.2)
+    op = gamma_vector(fam, [0], 2)
+    for index in ([0, 5], [-1]):
+        for scale in (1.0, -1.0):
+            with pytest.raises(ValueError, match="outside range"):
+                certify_gamma_comb(op.scaled(scale), fam, 2, index=index)
+
+
 def test_certify_type2_needs_weight():
     fam = type2_gamma_family(2, 3, 0.2)
     op = gamma_vector(fam, 1, 2)

@@ -66,7 +66,8 @@ TEST_ONLY = {
     "combs._validate_ordering": _COMB_CHECK,
     "combs.CombCheck.__bool__": "lets tests assert a certificate by its truth value",
     "hardness.type1_gamma_family": _TYPE1_CERTIFICATE,
-    "hardness._certify_type1": _TYPE1_CERTIFICATE,
+    "hardness._type1_subset": _TYPE1_CERTIFICATE,
+    "hardness._type1_steps": _TYPE1_CERTIFICATE,
     "hardness.HardInstance.anc_blocks": (
         "the center's Kraus blocks, whose trace-orthogonality "
         "tests/test_acceptance.py::test_06 checks"

@@ -116,6 +116,17 @@ def test_weak_tomography_noisy_columns():
     assert overlaps.min() > 0.99
 
 
+def test_weak_tomography_rejects_non_isometry_shapes_before_drawing():
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    cfg = PureStateOracleConfig(eps_max=0.01)
+    # more columns than rows, no columns, no rows
+    for shape in ((1, 2, 3), (1, 3, 0), (1, 0, 0)):
+        with pytest.raises(ValueError, match="m >= n >= 1"):
+            weak_isometry_tomography(np.ones(shape), cfg, [rng])
+    assert rng.bit_generator.state == state
+
+
 def test_align_phases_recovers_exactly():
     # feed the aligner the exact model it assumes: per-column phase freedom
     rng = np.random.default_rng(6)
@@ -151,6 +162,9 @@ def test_min_phase_op_error_rejects_mismatched_shapes():
         min_phase_op_error(np.ones((2, 3, 2)), np.ones((3, 3, 2)))
     with pytest.raises(ValueError):
         min_phase_op_error(np.ones((1, 2, 3, 2)), np.ones((1, 2, 3, 2)))
+    for shape in ((3, 0), (0, 2), (2, 3, 0), (2, 0, 2)):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            min_phase_op_error(np.ones(shape), np.ones(shape))
 
 
 def _reference_min_phase_op_error(a, b):
