@@ -271,10 +271,11 @@ def verify(seed: int, fmt: str, out: str):
 )
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    # the Ginibre draw holds two batches until its in-place Gram-Schmidt; then the Monte Carlo
-    # holds one batch and seven arrays of one linalg._CHUNK_BYTES chunk of samples (the chunk's
-    # two transposed copies, four GEMM products and the partial product), and two values per
-    # sample; twirl2 seven d^2 x d^2 operators
+    # the Ginibre draw holds two batches until its in-place Gram-Schmidt, which holds one batch
+    # and six chunk arrays; then the Monte Carlo holds one batch and seven arrays of one
+    # linalg._CHUNK_BYTES chunk of samples (the chunk's two transposed copies, four GEMM
+    # products and the partial product), and two values per sample; twirl2 seven d^2 x d^2
+    # operators
     chunk_words = d * d * min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
     batch_words = samples * d * d
     _budget_guard(16 * (max(2 * batch_words, batch_words + 7 * chunk_words) + 2 * samples + 7 * d**4))
@@ -344,9 +345,15 @@ def localtest(
     """Localized versus dilation-averaged tester statistics."""
     if r * d2 < d1:
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
-    dim = (d1 * d2 * r) ** n
-    # testers keep two dim^2 outcomes each; a trial ~10 more, an r x r Haar batch, 5 vector stacks
-    per_trial = 10 * dim * dim + samples * (5 * dim + 4 * r * r + 2 * r)
+    m = d1 * d2 * r
+    dim = m**n
+    # testers keep two dim^2 outcomes each; a trial ~10 more, an r x r Haar batch drawn as
+    # 1.5 batches and orthonormalised with six arrays of one linalg._CHUNK_BYTES chunk (its
+    # two transposed copies, conjugates, products and temporaries), and 5 stacks of dilation
+    # vectors, m wide for one query and m(m+1)/2 (the symmetric subspace) for two
+    width = m if n == 1 else m * (m + 1) // 2
+    chunk = r * r * min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)))
+    per_trial = 10 * dim * dim + 6 * chunk + samples * (5 * width + 2 * r * r)
     _budget_guard(16 * (2 * testers * dim * dim + per_trial))
 
     tester_list = [

@@ -989,20 +989,28 @@ def _type2_steps(op: FactoredOperator, family: GammaFamily, n: int, weight: int)
     Level l takes every weight w that `weight` reaches by dropping at most
     one per level, min(weight, l) down to max(0, weight - (n - l)).  The
     reference mixes the weight vectors w and w - 1 one level down,
-    binomially weighted.
+    binomially weighted.  Each (weight, level) vector is built once: the
+    references of one level are the currents of the next.
     """
+    built = {}
+
+    def vector(w: int, level: int) -> np.ndarray:
+        if (w, level) not in built:
+            built[w, level] = _gamma_weight_vector(family, w, level)
+        return built[w, level]
+
     for level in range(n, 0, -1):
         for w in range(min(weight, level), max(0, weight - (n - level)) - 1, -1):
             if level == n:
                 current = op
             else:
-                current = _span([_gamma_weight_vector(family, w, level)], [1.0], family, level)
+                current = _span([vector(w, level)], [1.0], family, level)
             vectors, weights = [], []
             if w <= level - 1:
-                vectors.append(_gamma_weight_vector(family, w, level - 1))
+                vectors.append(vector(w, level - 1))
                 weights.append(math.comb(level - 1, w) / math.comb(level, w))
             if w >= 1:
-                vectors.append(_gamma_weight_vector(family, w - 1, level - 1))
+                vectors.append(vector(w - 1, level - 1))
                 weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
             yield level, current, _span(vectors, weights, family, level - 1)
 

@@ -17,6 +17,7 @@ Nothing here mutates its inputs; random sampling always takes an explicit
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -291,6 +292,35 @@ def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np
     return out
 
 
+def _row_sum(x: np.ndarray, lanes: int) -> np.ndarray:
+    """x.sum(-2), with the rows added in the order numpy adds a contiguous axis.
+
+    np.add.reduce over a contiguous run of n values (its pairwise sum) adds
+    them one by one when n < lanes, runs `lanes` interleaved accumulators and
+    folds them as a balanced tree when n <= 16 * lanes, and else splits the run
+    at a multiple of lanes near its middle; lanes is 8 for float64 and 4 for
+    complex128. Here each value is a row of samples, so the order does not
+    depend on how many samples there are. A lone sample's row axis is
+    contiguous, and numpy reduces it in this very order.
+    """
+    n = x.shape[-2]
+    if n < lanes or x.shape[-1] == 1:
+        return x.sum(-2)
+    if n > 16 * lanes:
+        half = n // 2 - n // 2 % lanes
+        return _row_sum(x[..., :half, :], lanes) + _row_sum(x[..., half:, :], lanes)
+    m = n - n % lanes
+    acc = x[..., :m, :]
+    if m > lanes:
+        acc = acc.reshape(x.shape[:-2] + (m // lanes, lanes, x.shape[-1])).sum(-3)
+    while acc.shape[-2] > 1:
+        acc = acc[..., ::2, :] + acc[..., 1::2, :]
+    out = acc[..., 0, :]
+    for i in range(m, n):
+        out = out + x[..., i, :]
+    return out
+
+
 def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
     """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank.
 
@@ -300,21 +330,29 @@ def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
 
     Classical Gram-Schmidt run twice per column ("twice is enough": Giraud,
     Langou and Rozloznik, Numer. Math. 2005): each pass subtracts the projection
-    onto all earlier columns at once, and the column is then divided by its
-    norm, which is r_jj, so diag(R) is positive without a phase correction.
-    The stack is laid out (column, sample, row): every inner product and norm
-    is a sum over one contiguous row vector and every projection a sum over
-    earlier columns, both elementwise across samples, so a sample's bits do not
-    depend on the stack it is in (haar_unitaries may chunk freely).
+    onto all earlier columns at once, and the column is then scaled by the
+    inverse of its norm, which is r_jj, so diag(R) is positive without a phase
+    correction. The stack is laid out (column, row, sample), sample index last:
+    every inner product and norm is a _row_sum of contiguous sample vectors and
+    every projection a sum over earlier columns, both elementwise across
+    samples, so a sample's bits do not depend on the stack it is in
+    (haar_unitaries may chunk freely). _row_sum adds in numpy's order for a
+    contiguous row, so the bits are also those of a row-last stack summed by numpy.
     """
-    q = np.moveaxis(g, -1, 0).astype(complex, order="C")
-    for j in range(q.shape[0]):
+    shape = g.shape
+    rows, cols = shape[-2:]
+    samples = math.prod(shape[:-2])
+    q = g.reshape(samples, rows, cols).transpose(2, 1, 0).astype(complex, order="C")
+    qbar = np.empty_like(q)
+    work = np.empty_like(q[:-1])
+    for j in range(cols):
         v = q[j]
         for _ in range(2 if j else 0):
-            c = (q[:j].conj() * v).sum(-1)
-            v = v - (c[..., None] * q[:j]).sum(0)
-        q[j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+            c = _row_sum(np.multiply(qbar[:j], v, out=work[:j]), 4)
+            v -= np.multiply(c[:, None, :], q[:j], out=work[:j]).sum(0)
+        v *= 1.0 / np.sqrt(_row_sum((v.conj() * v).real, 8))
+        np.conjugate(v, out=qbar[j])
+    return np.ascontiguousarray(q.transpose(2, 1, 0)).reshape(shape)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

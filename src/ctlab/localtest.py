@@ -212,10 +212,22 @@ class DilationCheck:
     ok: bool
 
 
+def _symmetric_pairs(m: int) -> tuple:
+    """The pairs a <= b indexing the symmetric subspace of C^m (x) C^m, and the
+    weight of each coordinate w_a w_b of w (x) w: 1 on the diagonal, sqrt 2 off it."""
+    a, b = np.triu_indices(m)
+    return a, b, np.where(a == b, 1.0, np.sqrt(2.0))
+
+
 def _dilation_vectors(
     base_matrix: np.ndarray, n: int, count: int, r: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized Choi vectors of (U (x) 1) V for a batch of Haar U."""
+    """Choi vector coordinates of (U (x) 1) V for a batch of Haar U.
+
+    One query: the vectorized Choi vector w, m = r d2 d1 wide. Two queries:
+    w (x) w lies in the symmetric subspace, so it is given by its m(m+1)/2
+    coordinates in the orthonormal basis |aa>, (|ab> + |ba>)/sqrt 2 (a < b).
+    """
     us = haar_unitaries(r, count, rng)
     rows, d1 = base_matrix.shape
     d2 = rows // r
@@ -223,8 +235,23 @@ def _dilation_vectors(
     w = np.einsum("skl,lba->skba", us, v0).reshape(count, rows * d1)
     if n == 1:
         return w
-    v2 = np.einsum("sx,sy->sxy", w, w)
-    return v2.reshape(count, (rows * d1) ** 2)
+    a, b, weight = _symmetric_pairs(rows * d1)
+    return w[:, a] * (w[:, b] * weight)
+
+
+def _quad_form_operator(t: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The operator whose quadratic form on _dilation_vectors' coordinates is t's on the
+    Choi vectors: t itself for one query; for two, t symmetrised on both sides under
+    the swap of the two m-dimensional copies and restricted to the symmetric subspace."""
+    if n == 1:
+        return t
+    t4 = t.reshape(m, m, m, m)
+    t4 = t4 + t4.transpose(1, 0, 2, 3)
+    t4 = t4 + t4.transpose(0, 1, 3, 2)
+    a, b, weight = _symmetric_pairs(m)
+    idx = a * m + b
+    half = weight / 2
+    return t4.reshape(m * m, m * m)[np.ix_(idx, idx)] * np.outer(half, half)
 
 
 def verify_dilation_identity(
@@ -255,10 +282,11 @@ def verify_dilation_identity(
         order += [anc_labels[j], b_labels[j], a_labels[j]]
     vecs = _dilation_vectors(base.matrix, n, samples, r, rng)
     vbar = np.ascontiguousarray(np.conj(vecs))
+    m = base.matrix.size
     mc_mean = np.empty(len(tester.outcomes))
     mc_stderr = np.empty(len(tester.outcomes))
     for i, (_, op) in enumerate(tester.outcomes):
-        t_aligned = np.ascontiguousarray(op.aligned_to(order).op)
+        t_aligned = np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m))
         vals = np.sum(vecs * (vbar @ t_aligned.T), axis=1).real
         mc_mean[i] = vals.mean()
         mc_stderr[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else np.inf

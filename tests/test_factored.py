@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctlab import hardness
 from ctlab.combs import COMB_ATOL, FactoredOperator
 from ctlab.hardness import (
     certify_gamma_comb,
@@ -345,4 +346,23 @@ def test_certificate_matches_factored_reference(case):
     op = gamma_vector(family, index, n).scaled(scale)
     got = certify_gamma_comb(op, family, n, index=cert_index)
     want = factored_certificate(op, family, n, cert_index)
+    assert (got.ok, got.failed_level, got.defect.hex()) == (want[0], want[1], want[2].hex())
+
+
+def test_type2_certificate_builds_each_weight_vector_once(monkeypatch):
+    # n = 6, weight 3 reaches 15 distinct (weight, level) pairs below level 6; a step's
+    # references one level down are the next level's currents, so each is built once
+    family = type2_gamma_family(2, 3, 0.3)
+    op = gamma_vector(family, 3, 6)
+    calls = []
+    build = hardness._gamma_weight_vector
+
+    def counted(fam, weight, level):
+        calls.append((weight, level))
+        return build(fam, weight, level)
+
+    monkeypatch.setattr(hardness, "_gamma_weight_vector", counted)
+    got = certify_gamma_comb(op, family, 6, index=3)
+    assert len(calls) == len(set(calls)) == 15
+    want = factored_certificate(op, family, 6, 3)
     assert (got.ok, got.failed_level, got.defect.hex()) == (want[0], want[1], want[2].hex())

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctlab import linalg
@@ -420,6 +420,60 @@ def test_phase_corrected_qr_properties(rows, cols, stack, seed):
     # a sample's bits do not depend on the stack it is in
     for gi, qi in zip(g.reshape(-1, rows, cols), q.reshape(-1, rows, cols)):
         assert np.array_equal(_phase_corrected_qr(gi), qi)
+
+
+def _householder_q(g):
+    """Referee: LAPACK's Householder QR, each column of Q turned by the phase of r_jj."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def test_phase_corrected_qr_matches_householder(rows, cols, stack, seed):
+    rows, cols = max(rows, cols), min(rows, cols)
+    g = random_gaussian_matrix(stack * rows, cols, np.random.default_rng(seed)).reshape(
+        stack, rows, cols
+    )
+    assert np.abs(_phase_corrected_qr(g) - _householder_q(g)).max() <= 1e-12
+
+
+def _row_last_qr(g):
+    """Referee: the same Gram-Schmidt over a (column, sample, row) stack, whose inner
+    products and norms are numpy's own sums over a contiguous row."""
+    q = np.moveaxis(g, -1, 0).astype(complex, order="C")
+    for j in range(q.shape[0]):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            c = (q[:j].conj() * v).sum(-1)
+            v = v - (c[..., None] * q[:j]).sum(0)
+        q[j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 160),
+    st.integers(1, 6),
+    st.one_of(st.just(()), st.tuples(st.integers(1, 6))),
+    st.integers(0, 2**32 - 1),
+)
+@example(70, 3, (4,), 1)
+@example(150, 2, (), 2)
+@example(160, 4, (3,), 3)
+def test_phase_corrected_qr_equals_the_row_last_layout_bit_for_bit(rows, cols, stack, seed):
+    # rows up to 160 reach every branch of _row_sum's order, the split above 64 complex
+    # and above 128 real rows included
+    cols = min(rows, cols)
+    rng = np.random.default_rng(seed)
+    g = random_gaussian_matrix(math.prod(stack) * rows, cols, rng).reshape(stack + (rows, cols))
+    assert np.array_equal(_phase_corrected_qr(g), _row_last_qr(g))
 
 
 def test_phase_corrected_qr_reorthogonalises_near_parallel_columns():

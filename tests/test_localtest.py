@@ -1,12 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlab import combs
 from ctlab.channels import Channel, Dilation, dilate, random_channel
+from ctlab.cli import main
 from ctlab.combs import apply_tester, random_parallel_tester
-from ctlab.linalg import haar_unitaries, haar_unitary
+from ctlab.linalg import haar_unitaries, haar_unitary, random_gaussian_matrix, random_isometry
 from ctlab.localtest import (
     PERP_LABEL,
+    _dilation_vectors,
+    _quad_form_operator,
     average_tester,
     localize_tester,
     verify_dilation_identity,
@@ -165,3 +173,36 @@ def test_dilation_average_matches_direct_evaluation(n):
         axis=0,
     )
     assert np.abs(check.mc_mean - direct).max() < 1e-10
+
+
+def _full_quad_forms(w, t):
+    """Referee: the quadratic form of t on each m^2-wide vector w (x) w itself."""
+    v = np.einsum("sx,sy->sxy", w, w).reshape(len(w), -1)
+    return np.sum(v * (np.conj(v) @ t.T), axis=1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.sampled_from([1, 2, 3]),
+    d1=st.integers(1, 3),
+    d2=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_query_quad_form_on_the_symmetric_subspace_matches_the_full_form(r, d1, d2, seed):
+    d1 = min(d1, r * d2)
+    rng = np.random.default_rng(seed)
+    base = random_isometry(r * d2, d1, rng)
+    m = r * d2 * d1
+    t = random_gaussian_matrix(m * m, m * m, rng)
+    # one seed, so both calls draw the same Haar batch
+    w = _dilation_vectors(base, 1, 16, r, np.random.default_rng(seed))
+    y = _dilation_vectors(base, 2, 16, r, np.random.default_rng(seed))
+    assert y.shape == (16, m * (m + 1) // 2)
+    got = np.sum(y * (np.conj(y) @ _quad_form_operator(t, 2, m).T), axis=1)
+    assert np.abs(got - _full_quad_forms(w, t)).max() <= 1e-12 * np.linalg.norm(t)
+
+
+def test_localtest_two_queries_seed_3_passes_every_check():
+    res = CliRunner().invoke(main, ["localtest", "--n", "2", "--seed", "3"])
+    assert res.exit_code == 0, res.output
+    assert [c["passed"] for c in json.loads(res.output)["checks"]] == [True] * 9
