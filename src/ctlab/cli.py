@@ -35,7 +35,6 @@ from .hardness import (
 )
 from .linalg import (
     FactorLayout,
-    haar_unitaries,
     haar_unitary,
     isometry_defect,
     random_density,
@@ -43,7 +42,7 @@ from .linalg import (
     require_bytes,
     trace_norm,
 )
-from .localtest import verify_dilation_identity
+from .localtest import average_tester, localize_tester, verify_dilation_identity
 from .metrics import (
     channel_fidelity,
     choi_trace_distance,
@@ -51,7 +50,7 @@ from .metrics import (
     fidelity_trace_conversion,
     unitary_diamond_distance,
 )
-from .moments import fourth_moment_trace, mc_fourth_moment_trace, twirl1, twirl2
+from .moments import fourth_moment_trace, mc_fourth_moment_traces, twirl1, twirl2
 from .tomography import (
     MIN_EPS,
     PureStateOracleConfig,
@@ -271,30 +270,26 @@ def verify(seed: int, fmt: str, out: str):
 )
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    # the Ginibre draw holds two batches until its in-place Gram-Schmidt, which holds one batch
-    # and six chunk arrays; then the Monte Carlo holds one batch and seven arrays of one
-    # linalg._CHUNK_BYTES chunk of samples (the chunk's two transposed copies, four GEMM
-    # products and the partial product), and two values per sample; twirl2 seven d^2 x d^2
-    # operators
+    # no Haar batch is held: the Monte Carlo keeps each quadruple's value per sample, and the
+    # Haar stream feeding it ten arrays of one linalg._CHUNK_BYTES chunk of samples at most
+    # (the Ginibre buffer, the Gram-Schmidt stack with its conjugate and work array, the four
+    # Monte Carlo products, and room for temporaries); the estimates then a float per sample,
+    # and twirl2 seven d^2 x d^2 operators
     chunk_words = d * d * min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
-    batch_words = samples * d * d
-    _budget_guard(16 * (max(2 * batch_words, batch_words + 7 * chunk_words) + 2 * samples + 7 * d**4))
+    _budget_guard(16 * (3 * samples + 7 * d**4) + max(16 * 10 * chunk_words, 8 * samples))
     checks = []
 
-    batch = haar_unitaries(d, samples, _trial_rng(seed, 0))
+    def quadruple(index: int, rng: np.random.Generator):
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(4)]
 
-    def quadruple_trial(index: int, rng: np.random.Generator):
-        ops = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(4)
-        ]
+    quads = _map_trials(quadruple, 3, seed)
+    # the Haar stream draws from an index of its own, apart from every trial's
+    estimates = mc_fourth_moment_traces(quads, samples, _trial_rng(seed, 1_000))
+    for i, (ops, mc) in enumerate(zip(quads, estimates)):
         exact = fourth_moment_trace(*ops)
-        mc = mc_fourth_moment_trace(*ops, unitaries=batch)
         z_re = abs(mc.mean.real - exact.real) / max(mc.stderr_real, 1e-15)
         z_im = abs(mc.mean.imag - exact.imag) / max(mc.stderr_imag, 1e-15)
-        return exact, mc, max(z_re, z_im)
-
-    results = _map_trials(quadruple_trial, 3, seed)
-    for i, (exact, mc, z) in enumerate(results):
+        z = max(z_re, z_im)
         checks.append(
             _check(
                 f"fourth moment quadruple {i}",
@@ -347,24 +342,31 @@ def localtest(
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     m = d1 * d2 * r
     dim = m**n
-    # testers keep two dim^2 outcomes each; a trial ~10 more, an r x r Haar batch drawn as
-    # 1.5 batches and orthonormalised with six arrays of one linalg._CHUNK_BYTES chunk (its
-    # two transposed copies, conjugates, products and temporaries), and 5 stacks of dilation
-    # vectors, m wide for one query and m(m+1)/2 (the symmetric subspace) for two
+    # testers keep two dim^2 outcomes each, their twirled forms two more and their localized
+    # forms three at most; a trial ~10 more, an r x r Haar batch filled from a stream that
+    # holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre buffer, the
+    # Gram-Schmidt stack with its conjugate and work array, and temporaries), and 5 stacks of
+    # dilation vectors, m wide for one query and m(m+1)/2 (the symmetric subspace) for two
     width = m if n == 1 else m * (m + 1) // 2
     chunk = r * r * min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)))
-    per_trial = 10 * dim * dim + 6 * chunk + samples * (5 * width + 2 * r * r)
-    _budget_guard(16 * (2 * testers * dim * dim + per_trial))
+    per_trial = 10 * dim * dim + 6 * chunk + samples * (5 * width + r * r)
+    _budget_guard(16 * (7 * testers * dim * dim + per_trial))
 
     tester_list = [
         random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
         for i in range(testers)
     ]
 
+    # each tester's localized and twirled forms depend on the tester alone
+    prepared = [(t, localize_tester(t), average_tester(t)) for t in tester_list]
+
     def pair_trial(index: int, rng: np.random.Generator):
         i, j = divmod(index, channels)
         ch = _random_channel(d1, d2, r, rng)
-        return i, j, verify_dilation_identity(tester_list[i], ch, samples=samples, rng=rng)
+        tester, loc, avg = prepared[i]
+        return i, j, verify_dilation_identity(
+            tester, ch, samples=samples, rng=rng, localized_tester=loc, averaged_tester=avg
+        )
 
     results = _map_trials(pair_trial, testers * channels, seed)
     checks = [

@@ -17,6 +17,7 @@ Nothing here mutates its inputs; random sampling always takes an explicit
 
 from __future__ import annotations
 
+import copy
 import math
 import string
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes per chunk of the batch kernels: the in-place Gram-Schmidt of haar_unitaries,
-# the fourth-moment Monte Carlo of moments, and tomography's phase-grid pencils and
+# bytes per chunk of the batch kernels: the Haar stream (_haar_chunks) and the
+# fourth-moment Monte Carlo of moments that reads it, and tomography's phase-grid pencils and
 # Choi errors
 _CHUNK_BYTES = 1 << 20
 # float64 unit roundoff, and the relative slack rho of the certified bounds that
@@ -321,37 +322,42 @@ def _row_sum(x: np.ndarray, lanes: int) -> np.ndarray:
     return out
 
 
-def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank.
-
-    Takes one matrix or a stack (the matrix runs over the last two axes). For a
-    complex Ginibre g the result is Haar distributed: fixing diag(R) > 0 removes
-    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050).
+def _gram_schmidt(q: np.ndarray, qbar: np.ndarray, work: np.ndarray) -> None:
+    """Orthonormalise in place the columns of a (column, row, sample) stack q.
 
     Classical Gram-Schmidt run twice per column ("twice is enough": Giraud,
     Langou and Rozloznik, Numer. Math. 2005): each pass subtracts the projection
     onto all earlier columns at once, and the column is then scaled by the
     inverse of its norm, which is r_jj, so diag(R) is positive without a phase
-    correction. The stack is laid out (column, row, sample), sample index last:
-    every inner product and norm is a _row_sum of contiguous sample vectors and
-    every projection a sum over earlier columns, both elementwise across
-    samples, so a sample's bits do not depend on the stack it is in
-    (haar_unitaries may chunk freely). _row_sum adds in numpy's order for a
-    contiguous row, so the bits are also those of a row-last stack summed by numpy.
+    correction. Every inner product and norm is a _row_sum of contiguous sample
+    vectors and every projection a sum over earlier columns, both elementwise
+    across samples, so a sample's bits do not depend on the stack it is in.
+    qbar (q's shape) and work (one column fewer) are scratch; qbar ends as conj(q).
     """
-    shape = g.shape
-    rows, cols = shape[-2:]
-    samples = math.prod(shape[:-2])
-    q = g.reshape(samples, rows, cols).transpose(2, 1, 0).astype(complex, order="C")
-    qbar = np.empty_like(q)
-    work = np.empty_like(q[:-1])
-    for j in range(cols):
+    for j in range(q.shape[0]):
         v = q[j]
         for _ in range(2 if j else 0):
             c = _row_sum(np.multiply(qbar[:j], v, out=work[:j]), 4)
             v -= np.multiply(c[:, None, :], q[:j], out=work[:j]).sum(0)
         v *= 1.0 / np.sqrt(_row_sum((v.conj() * v).real, 8))
         np.conjugate(v, out=qbar[j])
+
+
+def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank.
+
+    Takes one matrix or a stack (the matrix runs over the last two axes). For a
+    complex Ginibre g the result is Haar distributed: fixing diag(R) > 0 removes
+    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050). The stack is
+    moved to (column, row, sample), sample index last, and orthonormalised by
+    _gram_schmidt. _row_sum adds in numpy's order for a contiguous row, so the
+    bits are also those of a row-last stack summed by numpy.
+    """
+    shape = g.shape
+    rows, cols = shape[-2:]
+    samples = math.prod(shape[:-2])
+    q = g.reshape(samples, rows, cols).transpose(2, 1, 0).astype(complex, order="C")
+    _gram_schmidt(q, np.empty_like(q), np.empty_like(q[:-1]))
     return np.ascontiguousarray(q.transpose(2, 1, 0)).reshape(shape)
 
 
@@ -360,18 +366,47 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return _phase_corrected_qr(random_gaussian_matrix(d, d, rng))
 
 
-def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, d, d).
+def _haar_chunks(d: int, count: int, rng: np.random.Generator):
+    """Yield the unitaries of haar_unitaries(d, count, rng) as (column, row, sample)
+    chunks of at most _CHUNK_BYTES, each a view into a workspace that the next
+    chunk overwrites.
 
-    The Ginibre batch is drawn whole, so the rng stream does not depend on the
-    chunking, and is then replaced by its unitaries in place, _CHUNK_BYTES at
-    a time: memory stays near one batch instead of four.
+    The Ginibre stream is that of one random_gaussian_matrix(count * d, d, rng):
+    all real parts, then all imaginary parts. A batch of one chunk draws them in
+    that order. A longer one draws its real parts chunk by chunk from a copy of
+    rng, while rng itself skips past them once, through a chunk-sized buffer, and
+    then draws the imaginary parts chunk by chunk; so no batch-sized array exists,
+    every unitary keeps its bits, and rng ends where haar_unitaries leaves it.
     """
-    g = random_gaussian_matrix(count * d, d, rng).reshape(count, d, d)
-    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    step = min(count, max(1, _CHUNK_BYTES // (16 * d * d)))
+    buf = np.empty(step * d * d)
+    stacks = np.empty((2, step * d * d), dtype=complex)
+    work = np.empty(step * d * (d - 1), dtype=complex)
+    re_rng = rng
+    if step < count:
+        re_rng = copy.deepcopy(rng)
+        for s in range(0, count * d * d, buf.size):
+            rng.standard_normal(out=buf[: count * d * d - s])
     for s in range(0, count, step):
-        g[s : s + step] = _phase_corrected_qr(g[s : s + step])
-    return g
+        n = min(step, count - s)
+        q, qbar = (a[: n * d * d].reshape(d, d, n) for a in stacks)
+        part = buf[: n * d * d]
+        q.real = re_rng.standard_normal(out=part).reshape(n, d, d).transpose(2, 1, 0)
+        q.imag = rng.standard_normal(out=part).reshape(n, d, d).transpose(2, 1, 0)
+        q *= 1.0 / np.sqrt(2.0)
+        _gram_schmidt(q, qbar, work[: n * d * (d - 1)].reshape(d - 1, d, n))
+        yield q
+
+
+def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Batch of Haar unitaries, shape (count, d, d), filled from _haar_chunks."""
+    out = np.empty((count, d, d), dtype=complex)
+    s = 0
+    for q in _haar_chunks(d, count, rng):
+        n = q.shape[-1]
+        out[s : s + n] = q.transpose(2, 1, 0)
+        s += n
+    return out
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

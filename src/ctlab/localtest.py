@@ -260,6 +260,8 @@ def verify_dilation_identity(
     *,
     samples: int = 10_000,
     rng: np.random.Generator,
+    localized_tester: Tester | None = None,
+    averaged_tester: Tester | None = None,
 ) -> DilationCheck:
     """Check localized = twirled-on-dilation = average-over-dilations.
 
@@ -267,14 +269,17 @@ def verify_dilation_identity(
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
     tester over random dilations (must agree within 5 standard errors).
+    A caller checking one tester on several channels makes its
+    localize_tester and average_tester once and passes them in.
     """
     anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
     n = tester.n_queries
-    loc = localize_tester(tester)
+    loc = localize_tester(tester) if localized_tester is None else localized_tester
     localized = apply_tester(loc, channel)
     base = dilate(channel, r)
-    fixed = apply_tester(average_tester(tester), base)
+    avg = average_tester(tester) if averaged_tester is None else averaged_tester
+    fixed = apply_tester(avg, base)
 
     a_labels, b_labels = _query_labels(tester, anc_labels)
     order = []

@@ -22,6 +22,7 @@ __all__ = [
     "fourth_moment_trace",
     "MonteCarloEstimate",
     "mc_fourth_moment_trace",
+    "mc_fourth_moment_traces",
 ]
 
 
@@ -122,17 +123,32 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def mc_fourth_moment_trace(a1, b1, a2, b2, *, unitaries: np.ndarray) -> MonteCarloEstimate:
-    """Monte Carlo twin of fourth_moment_trace over a (count, d, d) Haar batch.
-
-    The batch is drawn once by the caller (linalg.haar_unitaries), so the
-    sampling is amortized across many operator quadruples.
-    """
+    """Monte Carlo twin of fourth_moment_trace over a (count, d, d) Haar batch."""
     a1, b1, a2, b2 = _square_operators(a1, b1, a2, b2)
     d = a1.shape[0]
     us = np.asarray(unitaries, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (d, d):
         raise ValueError("unitary batch shape does not match the operators")
-    vals = _fourth_moment_samples(us, a1, b1, a2, b2)
+    return _estimate(_fourth_moment_samples(us, a1, b1, a2, b2))
+
+
+def mc_fourth_moment_traces(quadruples, samples: int, rng: np.random.Generator) -> list:
+    """Monte Carlo twins of fourth_moment_trace for several quadruples over one Haar sample.
+
+    The unitaries are those of linalg.haar_unitaries(d, samples, rng), and rng
+    ends where that call leaves it, but they arrive as a stream of chunks
+    (linalg._haar_chunks) that every quadruple reads while it is in cache, so no
+    batch is ever held.
+    """
+    quads = [_square_operators(*ops) for ops in quadruples]
+    d = quads[0][0].shape[0]
+    if any(ops[0].shape[0] != d for ops in quads):
+        raise ValueError("all quadruples must share one dimension")
+    values = _fourth_moment_values(linalg._haar_chunks(d, samples, rng), samples, quads)
+    return [_estimate(vals) for vals in values]
+
+
+def _estimate(vals: np.ndarray) -> MonteCarloEstimate:
     n = vals.size
     mean = complex(vals.mean())
     if n > 1:
@@ -144,17 +160,43 @@ def mc_fourth_moment_trace(a1, b1, a2, b2, *, unitaries: np.ndarray) -> MonteCar
 
 
 def _fourth_moment_samples(us, a1, b1, a2, b2) -> np.ndarray:
-    """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, in chunks
-    of linalg._CHUNK_BYTES laid out sample index last: a fixed operator is one GEMM on a
-    (d, d m) reshape, a batched d x d product one einsum; memory is O(N + chunk)."""
+    """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, taken in
+    chunks of linalg._CHUNK_BYTES moved to the (column, row, sample) layout."""
     n, d, _ = us.shape
-    vals = np.empty(n, dtype=complex)
-    def gemm(f, v):  # v[k, i, :] = V[i, k] for V = U or U^dag; returns (V F)^T
-        return (f.T @ v.reshape(d, -1)).reshape(d, d, -1)
     step = max(1, linalg._CHUNK_BYTES // (16 * d * d))
-    for s in range(0, n, step):
-        uk = np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0))
-        uc = np.conjugate(uk.transpose(1, 0, 2), order="C")
-        q = np.einsum("kib,jkb->ijb", gemm(a2, uk), gemm(b2, uc))  # X2 Y2
-        np.einsum("kib,jkb,jib->b", gemm(a1, uk), gemm(b1, uc), q, out=vals[s : s + step])
-    return vals
+    chunks = (np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0)) for s in range(0, n, step))
+    return _fourth_moment_values(chunks, n, [(a1, b1, a2, b2)])[0]
+
+
+def _fourth_moment_values(chunks, count: int, quads) -> np.ndarray:
+    """Each quadruple's tr(X1 Y1 X2 Y2) for every unitary of a stream of chunks
+    uk[k, i, :] = U[i, k], count in all, as a (quadruples, count) array.
+
+    A fixed operator is one GEMM on a (d, d m) reshape, a batched d x d product one
+    einsum, and all of them write into one workspace of four arrays the size of the
+    first chunk, made once and reused by every chunk.
+    """
+    values = np.empty((len(quads), count), dtype=complex)
+    work = None
+    s = 0
+    for uk in chunks:
+        d, _, n = uk.shape
+        if work is None:
+            work = np.empty((4, uk.size), dtype=complex)
+        uc, x, y, q = (w[: uk.size].reshape(d, d, n) for w in work)
+        # X2 Y2 in the (j, i, sample) memory order einsum gives its own output, which fixes
+        # the order in which the trace below sums, and so its bits
+        q = q.transpose(1, 0, 2)
+        np.conjugate(uk.transpose(1, 0, 2), out=uc)
+        for (a1, b1, a2, b2), out in zip(quads, values[:, s : s + n]):
+            np.einsum("kib,jkb->ijb", _gemm(a2, uk, x), _gemm(b2, uc, y), out=q)
+            np.einsum("kib,jkb,jib->b", _gemm(a1, uk, x), _gemm(b1, uc, y), q, out=out)
+        s += n
+    return values
+
+
+def _gemm(f: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(V F)^T into out, for v[k, i, :] = V[i, k] (V = U or U^dag) over a chunk."""
+    d = f.shape[0]
+    np.matmul(f.T, v.reshape(d, -1), out=out.reshape(d, -1))
+    return out

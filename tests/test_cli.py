@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctlab
-from ctlab import cli, hardness, metrics
+from ctlab import cli, hardness, localtest, metrics
 from ctlab.cli import main
 from ctlab.linalg import MAX_BYTES, require_bytes
 from ctlab.metrics import choi_trace_distances
@@ -146,6 +146,19 @@ def test_moments_csv_quotes_details():
     assert any("," in row[3] for row in rows[1:])
 
 
+def test_moments_holds_no_haar_batch():
+    # the parent drew a 24.4 MiB (100000, 4, 4) batch and traced 37.4 MiB; the stream keeps
+    # 4.8 MB of per-sample values and a workspace of a few 1 MiB chunks
+    tracemalloc.start()
+    try:
+        res = _run(["moments", "--seed", "3", "--d", "4", "--samples", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < 20 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # localtest
 # ---------------------------------------------------------------------------
@@ -161,6 +174,24 @@ def test_localtest_single_query():
     report = json.loads(res.output)
     assert len(report["checks"]) == 4
     assert report["checks"][0]["name"] == "tester 0 channel 0"
+
+
+def test_localtest_localizes_and_twirls_each_tester_once(monkeypatch):
+    calls = {"localize_tester": 0, "average_tester": 0}
+    for name in calls:
+        fn = getattr(localtest, name)
+
+        def counted(tester, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(tester)
+
+        monkeypatch.setattr(localtest, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    args = ["localtest", "--seed", "3", "--n", "2", "--samples", "200", "--testers", "3", "--channels", "3"]
+    res = _run(args)
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["checks"]) == 9
+    assert calls == {"localize_tester": 3, "average_tester": 3}
 
 
 def test_localtest_usage_errors():
@@ -340,6 +371,35 @@ def test_negative_seed_is_a_usage_error(command):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify"],
+        ["moments", "--d", "2", "--samples", "200"],
+        ["localtest", "--samples", "200"],
+        ["packing-net", "--count", "4"],
+        ["tomography", "--trials", "4"],
+        ["tomography", "--r", "2", "--trials", "4"],
+        ["distances", "--pairs", "3"],
+    ],
+    ids=" ".join,
+)
+def test_no_two_draws_of_a_command_share_a_generator_seed(args, monkeypatch):
+    # every (root seed, index) a command seeds a generator with is its own stream
+    seeds = []
+
+    def recorded(root_seed, index):
+        seeds.append((root_seed, index))
+        return trial_rng(root_seed, index)
+
+    trial_rng = cli._trial_rng
+    monkeypatch.setattr(cli, "_trial_rng", recorded)
+    res = _run(args + ["--seed", "3"])
+    assert res.exit_code == 0, res.output
+    assert seeds or args[0] == "packing-net"  # which seeds its draws in sample_packing_net
+    assert len(set(seeds)) == len(seeds), sorted(seeds)
+
+
 @pytest.mark.parametrize("args", [["--count", "100000"], ["--d1", "-5000"]], ids=" ".join)
 def test_packing_net_ranges_are_checked_before_the_byte_bound(args):
     res = _run(["packing-net", "--seed", "0", *args])
@@ -372,7 +432,7 @@ def test_failing_check_exits_one(monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
-        # a 6.4 GB Ginibre draw before its QR
+        # 5.6 GB of Monte Carlo values: three complex and one float per sample
         ["moments", "--d", "2", "--samples", "100000000"],
         # 10 GB of dilation vectors
         ["localtest", "--n", "2", "--samples", "10000000"],
@@ -395,9 +455,9 @@ def test_over_budget_runs_are_declined_before_work(args):
 @pytest.mark.parametrize(
     "args",
     [
-        # a 12 MiB Haar batch
+        # 50000 Haar samples streamed in 4096-sample chunks: 2.4 MB of values and the workspace
         ["moments", "--d", "4", "--samples", "50000"],
-        # batches of one or a few Monte Carlo chunks, where the chunk workspace outweighs the batch
+        # one or a few chunks of samples, where the chunk workspace outweighs the values
         pytest.param(["moments", "--d", "2", "--samples", "16064"], id="moments-one-chunk"),
         pytest.param(["moments", "--d", "5", "--samples", "1129"], id="moments-part-chunk"),
         pytest.param(["moments", "--d", "2", "--samples", "56118"], id="moments-four-chunks"),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctlab import linalg
@@ -384,6 +384,31 @@ def test_haar_unitaries_chunks_match_whole_batch_qr(d, per_chunk, count, seed):
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
         got = haar_unitaries(d, count, np.random.default_rng(seed))
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 5),
+    per_chunk=st.integers(2, 7),
+    count=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_haar_chunks_stream_the_whole_batch_qr(d, per_chunk, count, seed):
+    # the stream, ending in a partial chunk, against one Ginibre batch orthonormalised
+    # whole; the caller's generator must end where that draw leaves it
+    assume(count % per_chunk)
+    rng_want = np.random.default_rng(seed)
+    want = _phase_corrected_qr(random_gaussian_matrix(count * d, d, rng_want).reshape(count, d, d))
+    rng_chunks, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
+        got = [q.transpose(2, 1, 0).copy() for q in linalg._haar_chunks(d, count, rng_chunks)]
+        batch = haar_unitaries(d, count, rng_batch)
+    assert [len(u) for u in got] == [min(per_chunk, count - s) for s in range(0, count, per_chunk)]
+    assert np.array_equal(np.concatenate(got), want)
+    assert np.array_equal(batch, want)
+    state = rng_want.bit_generator.state
+    assert rng_chunks.bit_generator.state == state == rng_batch.bit_generator.state
 
 
 def test_haar_first_moment_twirl():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctlab import linalg, moments
@@ -10,6 +10,7 @@ from ctlab.linalg import dag, haar_unitaries, swap_operator
 from ctlab.moments import (
     fourth_moment_trace,
     mc_fourth_moment_trace,
+    mc_fourth_moment_traces,
     twirl1,
     twirl2,
 )
@@ -226,6 +227,61 @@ def test_mc_fourth_moment_chunks_match_direct_traces(d, per_chunk, n, seed):
     else:
         assert abs(est.stderr_real - want.real.std(ddof=1) / np.sqrt(n)) < 1e-10
         assert abs(est.stderr_imag - want.imag.std(ddof=1) / np.sqrt(n)) < 1e-10
+
+
+def _allocating_samples(us, a1, b1, a2, b2):
+    """The fourth-moment kernel with fresh arrays for every product (the referee of the
+    workspace kernel): each einsum picks its own output layout, and so its summation order."""
+    n, d, _ = us.shape
+    vals = np.empty(n, dtype=complex)
+
+    def gemm(f, v):
+        return (f.T @ v.reshape(d, -1)).reshape(d, d, -1)
+
+    step = max(1, linalg._CHUNK_BYTES // (16 * d * d))
+    for s in range(0, n, step):
+        uk = np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0))
+        uc = np.conjugate(uk.transpose(1, 0, 2), order="C")
+        q = np.einsum("kib,jkb->ijb", gemm(a2, uk), gemm(b2, uc))
+        np.einsum("kib,jkb,jib->b", gemm(a1, uk), gemm(b1, uc), q, out=vals[s : s + step])
+    return vals
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 5),
+    per_chunk=st.integers(2, 7),
+    count=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=4, per_chunk=3, count=1000, seed=5)  # hundreds of chunks, the last partial
+def test_streamed_quadruples_equal_the_batch_kernel_bit_for_bit(d, per_chunk, count, seed):
+    assume(count % per_chunk)
+    rng = np.random.default_rng(seed)
+    quads = [
+        [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(4)]
+        for _ in range(3)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
+        stream_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        chunks = linalg._haar_chunks(d, count, np.random.default_rng(seed + 1))
+        streamed = moments._fourth_moment_values(chunks, count, quads)
+        estimates = moments.mc_fourth_moment_traces(quads, count, stream_rng)
+        us = haar_unitaries(d, count, batch_rng)
+        for ops, vals, est in zip(quads, streamed, estimates):
+            assert np.array_equal(vals, moments._fourth_moment_samples(us, *ops))
+            assert np.array_equal(vals, _allocating_samples(us, *ops))
+            assert est == mc_fourth_moment_trace(*ops, unitaries=us)
+    assert stream_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
+def test_mc_fourth_moment_traces_shape_guard():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="one dimension"):
+        mc_fourth_moment_traces([[np.eye(2)] * 4, [np.eye(3)] * 4], 10, rng)
+    with pytest.raises(ValueError, match="square and equal size"):
+        mc_fourth_moment_traces([[np.eye(2), np.eye(2), np.eye(3), np.eye(2)]], 10, rng)
 
 
 def test_mc_fourth_moment_memory_stays_below_one_batch():

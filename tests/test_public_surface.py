@@ -48,6 +48,10 @@ _COMB_CHECK = (
     "the deterministic-comb check of tests/test_acceptance.py::test_03 and test_03b"
 )
 _TYPE1_CERTIFICATE = "type1 gamma certificates: an input of the benchmark's certify workload"
+_BATCH_MONTE_CARLO = (
+    "the fourth-moment Monte Carlo over a caller's Haar batch: perfbench/tracing.py wraps "
+    "it by name, and tests/test_moments.py holds the streamed mc_fourth_moment_traces to it"
+)
 
 TEST_ONLY = {
     "hardness.moment_experiment": _MOMENT_PROBE,
@@ -72,6 +76,8 @@ TEST_ONLY = {
         "the center's Kraus blocks, whose trace-orthogonality "
         "tests/test_acceptance.py::test_06 checks"
     ),
+    "moments.mc_fourth_moment_trace": _BATCH_MONTE_CARLO,
+    "moments._fourth_moment_samples": _BATCH_MONTE_CARLO,
     "channels.Channel.__repr__": "readable channels in test failure messages",
     "hardness.PackingNet.to_json": (
         "the net as one JSON text for library callers; `ctlab packing-net` "
