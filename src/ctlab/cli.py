@@ -42,7 +42,7 @@ from .linalg import (
     require_bytes,
     trace_norm,
 )
-from .localtest import average_tester, localize_tester, verify_dilation_identity
+from .localtest import dilation_forms, verify_dilation_identity
 from .metrics import (
     channel_fidelity,
     choi_trace_distance,
@@ -342,33 +342,32 @@ def localtest(
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     m = d1 * d2 * r
     dim = m**n
-    # testers keep two dim^2 outcomes each, their twirled forms two more and their localized
-    # forms three at most; a trial ~10 more, an r x r Haar batch filled from a stream that
-    # holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre buffer, the
-    # Gram-Schmidt stack with its conjugate and work array, and temporaries), and 5 stacks of
-    # dilation vectors, m wide for one query and m(m+1)/2 (the symmetric subspace) for two
+    # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
+    # more and its localized forms three at most; a trial ~10 more, an r x r Haar batch filled
+    # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre
+    # buffer, the Gram-Schmidt stack with its conjugate and work array, and temporaries), and
+    # 5 stacks of dilation vectors, m wide for one query and m(m+1)/2 (the symmetric subspace)
+    # for two
     width = m if n == 1 else m * (m + 1) // 2
     chunk = r * r * min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)))
     per_trial = 10 * dim * dim + 6 * chunk + samples * (5 * width + r * r)
-    _budget_guard(16 * (7 * testers * dim * dim + per_trial))
+    _budget_guard(16 * ((2 * testers + 5) * dim * dim + per_trial))
 
     tester_list = [
         random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
         for i in range(testers)
     ]
 
-    # each tester's localized and twirled forms depend on the tester alone
-    prepared = [(t, localize_tester(t), average_tester(t)) for t in tester_list]
-
-    def pair_trial(index: int, rng: np.random.Generator):
-        i, j = divmod(index, channels)
-        ch = _random_channel(d1, d2, r, rng)
-        tester, loc, avg = prepared[i]
-        return i, j, verify_dilation_identity(
-            tester, ch, samples=samples, rng=rng, localized_tester=loc, averaged_tester=avg
-        )
-
-    results = _map_trials(pair_trial, testers * channels, seed)
+    # trial i * channels + j checks tester i on channel j; a tester's forms are made once, for
+    # all its channels, and dropped before the next tester's
+    results = []
+    for i, tester in enumerate(tester_list):
+        forms = dilation_forms(tester)
+        for j in range(channels):
+            rng = _trial_rng(seed, i * channels + j)
+            ch = _random_channel(d1, d2, r, rng)
+            results.append((i, j, verify_dilation_identity(forms, ch, samples=samples, rng=rng)))
+        del forms
     checks = [
         _check(
             f"tester {i} channel {j}",

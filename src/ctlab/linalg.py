@@ -378,7 +378,7 @@ def _haar_chunks(d: int, count: int, rng: np.random.Generator):
     then draws the imaginary parts chunk by chunk; so no batch-sized array exists,
     every unitary keeps its bits, and rng ends where haar_unitaries leaves it.
     """
-    step = min(count, max(1, _CHUNK_BYTES // (16 * d * d)))
+    step = max(1, min(count, _CHUNK_BYTES // (16 * d * d)))
     buf = np.empty(step * d * d)
     stacks = np.empty((2, step * d * d), dtype=complex)
     work = np.empty(step * d * (d - 1), dtype=complex)

@@ -31,6 +31,8 @@ __all__ = [
     "average_tester",
     "localize_tester",
     "DilationCheck",
+    "DilationForms",
+    "dilation_forms",
     "verify_dilation_identity",
 ]
 
@@ -212,6 +214,20 @@ class DilationCheck:
     ok: bool
 
 
+@dataclass(frozen=True)
+class DilationForms:
+    """A dilation tester with its localized and ancilla-twirled forms."""
+
+    tester: Tester
+    localized: Tester
+    averaged: Tester
+
+
+def dilation_forms(tester: Tester) -> DilationForms:
+    """The forms verify_dilation_identity compares, made once for any number of channels."""
+    return DilationForms(tester, localize_tester(tester), average_tester(tester))
+
+
 def _symmetric_pairs(m: int) -> tuple:
     """The pairs a <= b indexing the symmetric subspace of C^m (x) C^m, and the
     weight of each coordinate w_a w_b of w (x) w: 1 on the diagonal, sqrt 2 off it."""
@@ -255,13 +271,11 @@ def _quad_form_operator(t: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def verify_dilation_identity(
-    tester: Tester,
+    forms: DilationForms,
     channel: Channel,
     *,
     samples: int = 10_000,
     rng: np.random.Generator,
-    localized_tester: Tester | None = None,
-    averaged_tester: Tester | None = None,
 ) -> DilationCheck:
     """Check localized = twirled-on-dilation = average-over-dilations.
 
@@ -269,17 +283,14 @@ def verify_dilation_identity(
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
     tester over random dilations (must agree within 5 standard errors).
-    A caller checking one tester on several channels makes its
-    localize_tester and average_tester once and passes them in.
     """
+    tester = forms.tester
     anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
     n = tester.n_queries
-    loc = localize_tester(tester) if localized_tester is None else localized_tester
-    localized = apply_tester(loc, channel)
+    localized = apply_tester(forms.localized, channel)
     base = dilate(channel, r)
-    avg = average_tester(tester) if averaged_tester is None else averaged_tester
-    fixed = apply_tester(avg, base)
+    fixed = apply_tester(forms.averaged, base)
 
     a_labels, b_labels = _query_labels(tester, anc_labels)
     order = []
@@ -302,7 +313,7 @@ def verify_dilation_identity(
     max_sigma_dev = float(np.max(np.abs(localized[:k] - mc_mean) / denom))
     ok = max_fixed_dev <= _ROUTE_ATOL and max_sigma_dev <= _MC_SIGMAS
     return DilationCheck(
-        outcome_names=loc.outcome_names,
+        outcome_names=forms.localized.outcome_names,
         localized=localized,
         fixed=fixed,
         mc_mean=mc_mean,

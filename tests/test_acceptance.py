@@ -37,7 +37,7 @@ from ctlab.linalg import (
     random_isometry,
     trace_norm,
 )
-from ctlab.localtest import verify_dilation_identity
+from ctlab.localtest import dilation_forms, verify_dilation_identity
 from ctlab.metrics import (
     choi_trace_distance,
     diamond_distance,
@@ -324,7 +324,7 @@ def test_05_localized_testers_match_dilation_averages():
             for _ in range(10):
                 rank = int(rng.integers(-(-d1 // d2), min(r, d1 * d2) + 1))
                 ch = random_channel(d1, d2, rank, rng)
-                res = verify_dilation_identity(tester, ch, samples=10_000, rng=rng)
+                res = verify_dilation_identity(dilation_forms(tester), ch, samples=10_000, rng=rng)
                 worst_fixed = max(worst_fixed, res.max_fixed_dev)
                 worst_sigma = max(worst_sigma, res.max_sigma_dev)
                 assert res.ok, (n, d1, d2, r, res.max_fixed_dev, res.max_sigma_dev)

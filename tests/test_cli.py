@@ -186,7 +186,6 @@ def test_localtest_localizes_and_twirls_each_tester_once(monkeypatch):
             return _fn(tester)
 
         monkeypatch.setattr(localtest, name, counted)
-        monkeypatch.setattr(cli, name, counted)
     args = ["localtest", "--seed", "3", "--n", "2", "--samples", "200", "--testers", "3", "--channels", "3"]
     res = _run(args)
     assert res.exit_code == 0, res.output

@@ -411,6 +411,15 @@ def test_haar_chunks_stream_the_whole_batch_qr(d, per_chunk, count, seed):
     assert rng_chunks.bit_generator.state == state == rng_batch.bit_generator.state
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_haar_unitaries_of_no_samples_draw_nothing(d):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert haar_unitaries(d, 0, rng).shape == (0, d, d)
+    assert list(linalg._haar_chunks(d, 0, rng)) == []
+    assert rng.bit_generator.state == state
+
+
 def test_haar_first_moment_twirl():
     # E[U e0 e0^dag U^dag] = I/d, checked loosely by sample mean
     rng = np.random.default_rng(20)

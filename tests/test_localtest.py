@@ -16,6 +16,7 @@ from ctlab.localtest import (
     _dilation_vectors,
     _quad_form_operator,
     average_tester,
+    dilation_forms,
     localize_tester,
     verify_dilation_identity,
 )
@@ -124,7 +125,7 @@ def test_verify_dilation_identity(n, d1, d2, r):
     rng = np.random.default_rng(10 * n + d1 + d2 + r)
     t = random_parallel_tester(n, d1, d2, 3, rng, anc_dim=r)
     ch = random_channel(d1, d2, min(r, d1 * d2), rng)
-    check = verify_dilation_identity(t, ch, samples=4000, rng=rng)
+    check = verify_dilation_identity(dilation_forms(t), ch, samples=4000, rng=rng)
     assert check.ok
     assert check.max_fixed_dev <= 1e-7
     assert check.max_sigma_dev <= 5.0
@@ -144,8 +145,8 @@ def test_verify_dilation_identity_deterministic():
     rng_a = np.random.default_rng(11)
     t = random_parallel_tester(1, 2, 2, 2, rng_a, anc_dim=2)
     ch = random_channel(2, 2, 2, rng_a)
-    one = verify_dilation_identity(t, ch, samples=500, rng=np.random.default_rng(3))
-    two = verify_dilation_identity(t, ch, samples=500, rng=np.random.default_rng(3))
+    one = verify_dilation_identity(dilation_forms(t), ch, samples=500, rng=np.random.default_rng(3))
+    two = verify_dilation_identity(dilation_forms(t), ch, samples=500, rng=np.random.default_rng(3))
     assert np.abs(one.mc_mean - two.mc_mean).max() == 0
 
 
@@ -154,7 +155,7 @@ def test_verify_dilation_identity_low_rank_channel():
     rng = np.random.default_rng(12)
     t = random_parallel_tester(1, 2, 2, 2, rng, anc_dim=3)
     ch = random_channel(2, 2, 1, rng)
-    check = verify_dilation_identity(t, ch, samples=3000, rng=rng)
+    check = verify_dilation_identity(dilation_forms(t), ch, samples=3000, rng=rng)
     assert check.ok
 
 
@@ -165,7 +166,7 @@ def test_dilation_average_matches_direct_evaluation(n):
     rng = np.random.default_rng(13 + n)
     t = random_parallel_tester(n, 2, 2, 3, rng, anc_dim=2)
     ch = random_channel(2, 2, 2, rng)
-    check = verify_dilation_identity(t, ch, samples=64, rng=np.random.default_rng(5))
+    check = verify_dilation_identity(dilation_forms(t), ch, samples=64, rng=np.random.default_rng(5))
     base = dilate(ch, 2)
     us = haar_unitaries(2, 64, np.random.default_rng(5))
     direct = np.mean(
