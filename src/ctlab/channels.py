@@ -19,12 +19,12 @@ import numpy as np
 from .linalg import (
     ATOL,
     RANK_RTOL,
+    chunk_slices,
     dag,
+    fill_ginibre,
     hermitianize,
-    isometry_defect,
-    partial_trace,
+    isometry_defects,
     psd_inv_sqrt,
-    random_gaussian_matrix,
     unvectorize,
     vectorize,
 )
@@ -34,8 +34,13 @@ __all__ = [
     "Isometry",
     "Dilation",
     "dilate",
+    "dilation_matrices",
+    "contract_dilations",
+    "kraus_sets",
     "choi_from_kraus",
+    "channels_from_kraus",
     "random_channel",
+    "random_channels",
     "channel_payload",
     "channel_to_json",
     "channel_from_json",
@@ -43,7 +48,12 @@ __all__ = [
 
 
 class Channel:
-    """A CPTP map held by its Choi matrix on H_out kron H_in."""
+    """A CPTP map held by its Choi matrix on H_out kron H_in.
+
+    Channels built from a stack (channels_from_kraus, random_channels) hold
+    read-only views into the Choi stack of their linalg.chunk_slices run; a
+    channel built alone is the stack of one.
+    """
 
     def __init__(self, choi, d_in: int, d_out: int):
         choi = np.array(choi, dtype=complex)
@@ -52,24 +62,15 @@ class Channel:
         n = d_in * d_out
         if choi.shape != (n, n):
             raise ValueError(f"choi shape {choi.shape} does not match d_out*d_in = {n}")
+        _validate_chois(choi[None], d_in, d_out)
+        self._hold(choi, d_in, d_out)
+
+    def _hold(self, choi: np.ndarray, d_in: int, d_out: int) -> None:
         choi.setflags(write=False)
         self.choi = choi
         self.d_in = d_in
         self.d_out = d_out
         self._kraus: tuple | None = None
-        self._validate()
-
-    def _validate(self) -> None:
-        herm_defect = float(np.max(np.abs(self.choi - dag(self.choi))))
-        if herm_defect > ATOL:
-            raise ValueError(f"choi is not hermitian (defect {herm_defect:.3e})")
-        w = np.linalg.eigvalsh(hermitianize(self.choi))
-        if w.size and float(w[0]) < -ATOL:
-            raise ValueError(f"choi is not psd (min eigenvalue {float(w[0]):.3e})")
-        marg = partial_trace(self.choi, (self.d_out, self.d_in), (0,))
-        defect = float(np.max(np.abs(marg - np.eye(self.d_in))))
-        if defect > ATOL:
-            raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
 
     @classmethod
     def from_kraus(cls, kraus) -> "Channel":
@@ -84,28 +85,16 @@ class Channel:
         d_out, d_in = kraus[0].shape
         if any(e.shape != (d_out, d_in) for e in kraus):
             raise ValueError("inconsistent Kraus shapes")
-        comp = sum(dag(e) @ e for e in kraus)
-        defect = float(np.max(np.abs(comp - np.eye(d_in))))
-        if defect > ATOL:
-            raise ValueError(f"Kraus set is not complete (defect {defect:.3e})")
-        return cls(choi_from_kraus(np.stack(kraus)), d_in, d_out)
+        return channels_from_kraus(np.stack(kraus)[None])[0]
 
     @property
     def kraus(self) -> tuple:
-        """Canonical Kraus set from the Choi eigendecomposition.
+        """Canonical Kraus set from the Choi eigendecomposition (see kraus_sets).
 
         Pairwise Hilbert-Schmidt orthogonal; eigenvalues below
         ``RANK_RTOL * lambda_max`` are dropped.
         """
-        if self._kraus is None:
-            w, v = np.linalg.eigh(hermitianize(self.choi))
-            wmax = float(w.max(initial=0.0))
-            keep = w > RANK_RTOL * max(wmax, 0.0)
-            ops = []
-            for i in np.flatnonzero(keep)[::-1]:
-                ops.append(np.sqrt(w[i]) * unvectorize(v[:, i], self.d_out, self.d_in))
-            self._kraus = tuple(ops)
-        return self._kraus
+        return kraus_sets([self])[0]
 
     @property
     def rank(self) -> int:
@@ -123,6 +112,56 @@ class Channel:
         return f"Channel(d_in={self.d_in}, d_out={self.d_out}, rank={self.rank})"
 
 
+def _validate_chois(chois: np.ndarray, d_in: int, d_out: int) -> None:
+    """Raise ValueError for the first Choi matrix of a (T, n, n) stack that is
+    not Hermitian, not PSD or not trace preserving, with the message it gives
+    alone.
+
+    Each matrix's Hermitian defect, eigvalsh and marginal tr_out C (a sum
+    over the output level in order) are its own, so a matrix passes or
+    fails, with the same defect, in any stack.
+    """
+    herm = np.abs(chois - dag(chois)).max(axis=(-2, -1), initial=0.0)
+    low = np.linalg.eigvalsh(hermitianize(chois)).min(axis=-1, initial=0.0)
+    c4 = chois.reshape(-1, d_out, d_in, d_out, d_in)
+    marg = c4[:, 0, :, 0, :]
+    for a in range(1, d_out):
+        marg = marg + c4[:, a, :, a, :]
+    tp = np.abs(marg - np.eye(d_in)).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero((herm > ATOL) | (low < -ATOL) | (tp > ATOL))
+    if not bad.size:
+        return
+    t = bad[0]
+    if herm[t] > ATOL:
+        raise ValueError(f"choi is not hermitian (defect {herm[t]:.3e})")
+    if low[t] < -ATOL:
+        raise ValueError(f"choi is not psd (min eigenvalue {low[t]:.3e})")
+    raise ValueError(f"channel is not trace preserving (defect {tp[t]:.3e})")
+
+
+def _channels_of(chois: np.ndarray, d_in: int, d_out: int) -> list:
+    """Channels holding the matrices of a (T, n, n) Choi stack, validated as
+    one stack (callers pass one chunk_slices run); the stack is made
+    read-only and each channel holds a view."""
+    _validate_chois(chois, d_in, d_out)
+    chois.setflags(write=False)
+    out = []
+    for choi in chois:
+        ch = Channel.__new__(Channel)
+        ch._hold(choi, d_in, d_out)
+        out.append(ch)
+    return out
+
+
+def _check_isometric(m: np.ndarray, what: str) -> None:
+    """Raise ValueError(what and the defect) for the first matrix of a stack
+    whose columns are not orthonormal."""
+    defects = isometry_defects(m)
+    bad = np.flatnonzero(defects > ATOL)
+    if bad.size:
+        raise ValueError(f"{what} (defect {defects[bad[0]]:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """A matrix with orthonormal columns (d_out x d_in, d_out >= d_in)."""
@@ -133,9 +172,7 @@ class Isometry:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             raise ValueError(f"isometry needs rows >= cols, got shape {m.shape}")
-        defect = isometry_defect(m)
-        if defect > ATOL:
-            raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
+        _check_isometric(m[None], "columns are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -163,9 +200,7 @@ class Dilation:
         object.__setattr__(self, "d_out", d_out)
         if m.ndim != 2 or m.shape[0] != r * d_out:
             raise ValueError(f"matrix shape {m.shape} does not match anc*out = {r * d_out}")
-        defect = isometry_defect(m)
-        if defect > ATOL:
-            raise ValueError(f"dilation is not an isometry (defect {defect:.3e})")
+        _check_isometric(m[None], "dilation is not an isometry")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -197,33 +232,139 @@ def choi_from_kraus(kraus) -> np.ndarray:
     return choi
 
 
+def channels_from_kraus(kraus) -> list:
+    """The channels of a (T, R, d_out, d_in) stack of Kraus sets, in stack order.
+
+    Run by chunk_slices run: each set's completeness sum E^dag E = I (its R
+    Gram products added in Kraus order), then the run's choi_from_kraus
+    stack, validated as one (_validate_chois). Every step is per set, so a
+    channel has the bits of Channel.from_kraus of its set alone, and a
+    failing set raises the message it raises alone.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.ndim != 4 or not kraus.shape[1]:
+        raise ValueError(f"need a (T, R, d_out, d_in) stack with R >= 1, got shape {kraus.shape}")
+    count, rank, d_out, d_in = kraus.shape
+    n = d_out * d_in
+    eye = np.eye(d_in)
+    out = []
+    for run in chunk_slices(count, 16 * max(rank * n, n * n)):
+        sets = kraus[run]
+        comp = sum(dag(sets[:, k]) @ sets[:, k] for k in range(rank))
+        defects = np.abs(comp - eye).max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(defects > ATOL)
+        if bad.size:
+            raise ValueError(f"Kraus set is not complete (defect {defects[bad[0]]:.3e})")
+        out += _channels_of(choi_from_kraus(sets), d_in, d_out)
+    return out
+
+
+def kraus_sets(channels) -> list:
+    """The canonical Kraus sets of channels of one shape, in order.
+
+    A channel's set is computed once and kept: the channels that lack one get
+    it from a stacked eigh of their Choi matrices, run in chunk_slices runs.
+    A set holds sqrt(w_i) times the eigenvector of each eigenvalue w_i above
+    RANK_RTOL * max(w, 0), as a d_out x d_in matrix, largest first; each is
+    its channel's own eigh and products, so the same bits as alone.
+    """
+    channels = list(channels)
+    todo = list({id(ch): ch for ch in channels if ch._kraus is None}.values())
+    if todo:
+        d_in, d_out = todo[0].d_in, todo[0].d_out
+        n = d_in * d_out
+        for run in chunk_slices(len(todo), 16 * n * n):
+            group = todo[run]
+            w, v = np.linalg.eigh(hermitianize(np.stack([ch.choi for ch in group])))
+            for ch, wt, vt in zip(group, w, v):
+                wmax = float(wt.max(initial=0.0))
+                keep = np.flatnonzero(wt > RANK_RTOL * max(wmax, 0.0))[::-1]
+                ch._kraus = tuple(unvectorize((np.sqrt(wt[keep]) * vt[:, keep]).T, d_out, d_in))
+    return [ch._kraus for ch in channels]
+
+
+def _dilation_stack(channels, r: int) -> np.ndarray:
+    """The canonical Kraus sets of channels of one shape zero-padded to r
+    blocks, stacked (T, r d_out, d_in); raises for a rank above r."""
+    sets = kraus_sets(channels)
+    r = int(r)
+    d_in, d_out = channels[0].d_in, channels[0].d_out
+    v = np.zeros((len(sets), r, d_out, d_in), dtype=complex)
+    for out, kraus in zip(v, sets):
+        if r < len(kraus):
+            raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
+        out[: len(kraus)] = kraus
+    return v.reshape(len(sets), r * d_out, d_in)
+
+
 def dilate(ch: Channel, r: int) -> Dilation:
     """Canonical dilation from the eigen-Kraus set, zero-padded to rank r."""
-    kraus = ch.kraus
-    r = int(r)
-    if r < len(kraus):
-        raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
-    v = np.zeros((r * ch.d_out, ch.d_in), dtype=complex)
-    for k, e in enumerate(kraus):
-        v[k * ch.d_out : (k + 1) * ch.d_out, :] = e
-    return Dilation(v, r, ch.d_out)
+    return Dilation(_dilation_stack([ch], r)[0], r, ch.d_out)
+
+
+def dilation_matrices(channels, r: int) -> np.ndarray:
+    """The matrices of dilate(ch, r) for channels of one shape, stacked
+    (T, r d_out, d_in): one kraus_sets call and one stacked Dilation check."""
+    v = _dilation_stack(list(channels), r)
+    _check_isometric(v, "dilation is not an isometry")
+    return v
+
+
+def contract_dilations(matrices, anc_dim: int, d_out: int) -> list:
+    """The channels of a (T, anc_dim d_out, d_in) stack of dilation matrices:
+    Dilation(m, anc_dim, d_out).contract() of each, from one stacked Dilation
+    check and one channels_from_kraus of the Kraus blocks."""
+    matrices = np.asarray(matrices, dtype=complex)
+    count, rows, d_in = matrices.shape
+    if rows != anc_dim * d_out:
+        raise ValueError(f"matrix shape {matrices.shape[1:]} does not match anc*out = {anc_dim * d_out}")
+    _check_isometric(matrices, "dilation is not an isometry")
+    return channels_from_kraus(matrices.reshape(count, anc_dim, d_out, d_in))
+
+
+def random_channels(d_in: int, d_out: int, ranks, rngs) -> list:
+    """Random channels d_in -> d_out, channel t of Kraus rank <= ranks[t]
+    (generically exactly), drawn from rngs[t].
+
+    Every rank is checked first; then trial t draws its ranks[t] Ginibre
+    matrices G_k from rngs[t], the trials in order. The trials of one rank are
+    built together, in chunk_slices runs: the Gram sums S = sum_k G_k^dag G_k,
+    one stacked psd_inv_sqrt and the Kraus products G_k S^-1/2, then
+    channels_from_kraus. Each step is per trial, so channel t has the bits of
+    random_channel(d_in, d_out, ranks[t], rngs[t]).
+    """
+    ranks = [int(rank) for rank in ranks]
+    rngs = list(rngs)
+    if len(ranks) != len(rngs):
+        raise ValueError(f"{len(ranks)} ranks but {len(rngs)} generators")
+    for rank in ranks:
+        if rank < 1:
+            raise ValueError("rank must be >= 1")
+        if rank * d_out < d_in:
+            # trace preservation forces rank(choi) * d_out >= d_in
+            raise ValueError(
+                f"no channel of Kraus rank {rank} exists for {d_in} -> {d_out}; "
+                f"need rank >= ceil(d_in / d_out)"
+            )
+    draws = [np.empty((rank, d_out, d_in), dtype=complex) for rank in ranks]
+    for g, rng in zip(draws, rngs):
+        for gk in g:
+            fill_ginibre(gk, rng)
+    out = [None] * len(ranks)
+    for rank in sorted(set(ranks)):
+        trials = [t for t, k in enumerate(ranks) if k == rank]
+        for run in chunk_slices(len(trials), 16 * max(rank * d_out * d_in, (d_in * d_out) ** 2)):
+            g = np.stack([draws[t] for t in trials[run]])
+            gram = sum(dag(g[:, k]) @ g[:, k] for k in range(rank))
+            built = channels_from_kraus(g @ psd_inv_sqrt(gram)[:, None])
+            for t, ch in zip(trials[run], built):
+                out[t] = ch
+    return out
 
 
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
     """Random channel of Kraus rank <= rank (generically exactly rank)."""
-    rank = int(rank)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if rank * d_out < d_in:
-        # trace preservation forces rank(choi) * d_out >= d_in
-        raise ValueError(
-            f"no channel of Kraus rank {rank} exists for {d_in} -> {d_out}; "
-            f"need rank >= ceil(d_in / d_out)"
-        )
-    gs = [random_gaussian_matrix(d_out, d_in, rng) for _ in range(rank)]
-    s = sum(dag(g) @ g for g in gs)
-    norm = psd_inv_sqrt(s)
-    return Channel.from_kraus([g @ norm for g in gs])
+    return random_channels(d_in, d_out, [rank], [rng])[0]
 
 
 def channel_payload(ch: Channel) -> dict:

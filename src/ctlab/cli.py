@@ -23,7 +23,14 @@ import click
 import numpy as np
 
 from . import __version__, linalg
-from .channels import Isometry, channel_from_json, channel_to_json, dilate, random_channel
+from .channels import (
+    Isometry,
+    channel_from_json,
+    channel_to_json,
+    dilate,
+    random_channel,
+    random_channels,
+)
 from .combs import LabelledOperator, link_product, random_parallel_tester
 from .hardness import (
     Regime,
@@ -38,6 +45,7 @@ from .linalg import (
     haar_unitary,
     isometry_defect,
     random_density,
+    random_isometries,
     random_isometry,
     require_bytes,
     trace_norm,
@@ -90,10 +98,14 @@ def _seesaws_converged(unconverged: int, total: int) -> dict:
     return _check("see-saws converged", unconverged == 0, float(unconverged), f"{total} see-saws")
 
 
+def _channel_rank(d1: int, d2: int, r: int, rng: np.random.Generator) -> int:
+    """A Kraus rank, drawn uniformly, of channels d1 -> d2 that admit a dilation with ancilla r."""
+    return int(rng.integers(-(-d1 // d2), min(r, d1 * d2) + 1))
+
+
 def _random_channel(d1: int, d2: int, r: int, rng: np.random.Generator):
-    """Random channel d1 -> d2 whose Kraus rank, drawn uniformly, admits a dilation with ancilla r."""
-    rank = int(rng.integers(-(-d1 // d2), min(r, d1 * d2) + 1))
-    return random_channel(d1, d2, rank, rng)
+    """Random channel d1 -> d2 of a _channel_rank drawn from rng first."""
+    return random_channel(d1, d2, _channel_rank(d1, d2, r, rng), rng)
 
 
 def _emit(checks: list, extra: dict | None = None):
@@ -418,18 +430,24 @@ def packing_net(
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
     seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
-    # candidates with Choi (kept, stacked and in a row of differences), rows and a row of the
-    # one pool x pool float matrix (the pool's Gram matrix, made in place into distance bounds,
-    # then the kept points' exact distance rows); once, the Haar draw of one candidate at a
-    # time (its Ginibre block, the QR's working copy and the result, each at most r d2
-    # square); every row of the stacked see-saw (two restarts per pair) its pair's two lifted
-    # Kraus sets about five times over (its copy, signed adjoint and pulled-back witness, and
-    # the copies made as finished rows leave) and three d1^2 x d1^2 matrices (the pull-back
-    # and two evaluations' eigenvectors); Choi-sized workspaces; JSON text and lists at ~24x
-    # each net Choi entry
-    candidate = 3 * choi + 5 * big * d1 + pool
+    # candidates with Choi (kept, stacked and in a row of differences), their five matrices
+    # and their dilations twice (the ancilla-major pool stack contracted to the channels, and
+    # the stack it is reordered from), rows and a row of the one pool x pool float matrix (the
+    # pool's Gram matrix, made in place into distance bounds, then the kept points' exact
+    # distance rows); once, five arrays of one linalg._CHUNK_BYTES run of the pool, or of one
+    # Haar block (r d2 square at most) where that alone is larger: the pool is drawn and
+    # orthonormalised in such runs (the Ginibre blocks, the QR's two working copies and work
+    # array, and the unitaries), and checked and contracted in such runs (Choi matrices, their
+    # temporaries and their validation, which for a Choi matrix above a run are the Choi-sized
+    # workspaces below); every row of the stacked see-saw (two restarts per pair) its pair's
+    # two lifted Kraus sets about five times over (its copy, signed adjoint and pulled-back
+    # witness, and the copies made as finished rows leave) and three d1^2 x d1^2 matrices (the
+    # pull-back and two evaluations' eigenvectors); Choi-sized workspaces; JSON text and lists
+    # at ~24x each net Choi entry
+    candidate = 3 * choi + 7 * big * d1 + pool
+    workspace = 5 * max(linalg._CHUNK_BYTES // 16, big * big)
     seesaw_row = 10 * big * d1**3 + 3 * d1**4
-    words = pool * candidate + 3 * big * big + seesaw_rows * seesaw_row + (4 + 24 * count) * choi
+    words = pool * candidate + workspace + seesaw_rows * seesaw_row + (4 + 24 * count) * choi
     _budget_guard(16 * words)
     try:
         net = sample_packing_net(
@@ -496,9 +514,13 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     # estimate (about ten target-sized copies, the golden section's stacks included); isometry
     # mode the phase grid's 360 points at 17 bytes each (the Frobenius bracket, then their
     # eigenvalues, in one float row; a flag and an index per kept point, all 360 kept at
-    # worst), channel mode the target's own Choi matrix and Kraus set.  Once, five arrays of
-    # one linalg._CHUNK_BYTES run of Choi matrices (both modes take their Choi errors in such
-    # runs of trials) or of the grid's kept d1 x d1 pencils, and Choi workspaces
+    # worst), channel mode the target's own Choi matrix, Kraus set and Ginibre draws.  Once,
+    # five arrays of one linalg._CHUNK_BYTES run of trials, or of one Choi matrix where that
+    # alone is larger: the targets are built in such runs (isometry mode their Ginibre stack,
+    # the QR's two working copies and work array; channel mode the Gram eigensolves, Kraus
+    # products, Choi matrices and their validation), both modes take their Choi errors in
+    # such runs, and the grid's kept d1 x d1 pencils are eigensolved in such runs; and Choi
+    # workspaces
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi
     if r == 0:
         words = trials * (10 * big * d1 + 400 + 256) + workspace
@@ -508,11 +530,11 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
 
     rngs = [_trial_rng(seed, i) for i in range(trials)]
     if r == 0:
-        targets = [Isometry(random_isometry(d2, d1, rng)) for rng in rngs]
+        targets = [Isometry(m) for m in random_isometries(d2, d1, rngs)]
         batch = isometry_tomography(targets, eps, rngs)
         errors = batch.op_errors
     else:
-        targets = [_random_channel(d1, d2, r, rng) for rng in rngs]
+        targets = random_channels(d1, d2, [_channel_rank(d1, d2, r, rng) for rng in rngs], rngs)
         batch = channel_tomography(targets, r, eps, rngs)
         errors = batch.choi_errors
     successes = int(batch.success.sum())

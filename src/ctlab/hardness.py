@@ -11,7 +11,6 @@ ancilla-major convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,15 +19,17 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .channels import Channel, Dilation, channel_payload
+from .channels import Channel, Dilation, channel_payload, contract_dilations
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
-from .linalg import FactorLayout, haar_unitary, require_bytes, trace_norm
+from .linalg import FactorLayout, haar_unitary, random_isometries, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distances
 
 __all__ = [
     "Regime",
     "HardInstance",
     "build_instance",
+    "build_instances",
+    "instance_channels",
     "kraus_partition",
     "GammaFamily",
     "type1_gamma_family",
@@ -224,12 +225,12 @@ class HardInstance:
 
     def dilation(self) -> Dilation:
         """Reorder rows to the ancilla-major convention and wrap."""
-        d1, d2, r = self.dims
-        v = self.matrix.reshape(d2, r, d1).transpose(1, 0, 2).reshape(r * d2, d1)
-        return Dilation(v, r, d2)
+        _, d2, r = self.dims
+        return Dilation(_ancilla_major([self])[0], r, d2)
 
     def channel(self) -> Channel:
-        return self.dilation().contract()
+        """self.dilation().contract(), as the stack of one of instance_channels."""
+        return instance_channels([self])[0]
 
     def anc_blocks(self, core: bool = True) -> tuple:
         """The d2 x d1 row blocks K_i of the center, one per ancilla level."""
@@ -308,14 +309,45 @@ def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarra
     )
 
 
+def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, rngs) -> list:
+    """Sample one member of a hard family per generator, in list order.
+
+    The Haar rotations' Ginibre blocks are drawn in list order (a generator
+    listed again draws again, in turn) and orthonormalised by
+    linalg.random_isometries, one stacked QR per linalg.chunk_slices run of
+    blocks, so only one run of blocks is held at a time. Member t has the
+    bits of build_instance(regime, d1, d2, r, eps, rngs[t]).
+    """
+    regime = Regime(regime)
+    hd = _regime_params(regime, d1, d2, r)["haar_dim"]
+    rngs = list(rngs)
+    out = []
+    for run in linalg.chunk_slices(len(rngs), 16 * hd * hd):
+        out += [_assemble(regime, d1, d2, r, eps, u) for u in random_isometries(hd, hd, rngs[run])]
+    return out
+
+
 def build_instance(
     regime: Regime | str, d1: int, d2: int, r: int, eps: float, rng: np.random.Generator
 ) -> HardInstance:
     """Sample one member of a hard family: V = V0 + eps * U Delta U^dag in the
     near-square (type1) regime, V = center + eps * U Delta in the type2 ones."""
-    regime = Regime(regime)
-    params = _regime_params(regime, d1, d2, r)
-    return _assemble(regime, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
+    return build_instances(regime, d1, d2, r, eps, [rng])[0]
+
+
+def _ancilla_major(instances) -> np.ndarray:
+    """The matrices of instances of one family with rows reordered to the
+    ancilla-major convention, stacked (T, r d2, d1)."""
+    d1, d2, r = instances[0].dims
+    v = np.stack([inst.matrix for inst in instances]).reshape(-1, d2, r, d1)
+    return v.transpose(0, 2, 1, 3).reshape(-1, r * d2, d1)
+
+
+def instance_channels(instances) -> list:
+    """inst.dilation().contract() of each hard instance of one family, from
+    one channels.contract_dilations of their stacked dilation matrices."""
+    _, d2, r = instances[0].dims
+    return contract_dilations(_ancilla_major(instances), r, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +577,6 @@ class PackingNet:
             "channels": [channel_payload(ch) for ch in self.channels],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.payload())
-
 
 def _gram_gaps(chois: np.ndarray) -> tuple:
     """(F, s) for a (P, n, n) pool: F[i, j] = g_ii + g_jj - 2 g_ij, one (P, P)
@@ -671,11 +700,14 @@ def sample_packing_net(
     """Sample a packing of `count` well-separated perturbed channels.
 
     Draws an oversampled cloud of 8 count candidates around the shared
-    center and keeps a greedy maximin (farthest point) subset, the numerical
-    stand-in for a maximal separated family. Selection always uses the cheap
-    Choi metric, and takes exact distances only where the greedy reads them
-    (see _maximin_net): a certified bound from the pool's Gram matrix prunes
-    the search for the widest pair, and only the kept points get exact rows.
+    center (build_instances from rng, then instance_channels: stacked QR,
+    dilation checks and Choi matrices, each candidate with the bits of
+    build_instance(...).channel() alone) and keeps a greedy maximin
+    (farthest point) subset, the numerical stand-in for a maximal separated
+    family. Selection always uses the cheap Choi metric, and takes exact
+    distances only where the greedy reads them (see _maximin_net): a
+    certified bound from the pool's Gram matrix prunes the search for the
+    widest pair, and only the kept points get exact rows.
     The net is the same, bit for bit, as a greedy over all pool distances.
     The reported pairwise distances use the requested metric: "choi"
     records the normalized Choi trace norm; "diamond_lower" the see-saw
@@ -689,9 +721,8 @@ def sample_packing_net(
     _require(metric in ("choi", "diamond_lower"), f"unknown metric {metric!r}")
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
-    pool = 8 * count
-    candidates = tuple(build_instance(regime, d1, d2, r, eps, rng) for _ in range(pool))
-    cand_channels = tuple(inst.channel() for inst in candidates)
+    candidates = build_instances(regime, d1, d2, r, eps, [rng] * (8 * count))
+    cand_channels = instance_channels(candidates)
     keep, choi_dist = _maximin_net(np.stack([ch.choi for ch in cand_channels]), d1, r, count)
     instances = tuple(candidates[k] for k in keep)
     channels = tuple(cand_channels[k] for k in keep)

@@ -30,8 +30,9 @@ RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
 # bytes per chunk of the batch kernels: the Haar stream (_haar_chunks) and the
-# fourth-moment Monte Carlo of moments that reads it, and tomography's phase-grid pencils and
-# Choi errors
+# fourth-moment Monte Carlo of moments that reads it, tomography's phase-grid pencils and
+# Choi errors, and the stacked QR, validation and eigensolves of channel and isometry stacks
+# (chunk_slices)
 _CHUNK_BYTES = 1 << 20
 # float64 unit roundoff, and the relative slack rho of the certified bounds that
 # prune exact work (the packing pool's distances, the phase-error grid)
@@ -43,6 +44,7 @@ __all__ = [
     "RANK_RTOL",
     "MAX_BYTES",
     "require_bytes",
+    "chunk_slices",
     "FactorLayout",
     "dag",
     "hermitianize",
@@ -54,13 +56,16 @@ __all__ = [
     "trace_norm",
     "operator_norm",
     "isometry_defect",
+    "isometry_defects",
     "min_eig",
     "psd_sqrt",
     "psd_inv_sqrt",
     "haar_unitary",
     "haar_unitaries",
+    "fill_ginibre",
     "random_gaussian_matrix",
     "random_isometry",
+    "random_isometries",
     "random_pure_state",
     "random_density",
     "dft_matrix",
@@ -72,6 +77,13 @@ def require_bytes(nbytes: int, what: str) -> None:
     """Raise ValueError when what needs more than MAX_BYTES of arrays."""
     if nbytes > MAX_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, above the limit of {MAX_BYTES}")
+
+
+def chunk_slices(count: int, member_bytes: int) -> list:
+    """Slices of range(count) in runs of about _CHUNK_BYTES of members of
+    member_bytes each, one member per run where a member alone is larger."""
+    step = max(1, _CHUNK_BYTES // max(1, member_bytes))
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,9 @@ def vectorize(x: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(rows, cols)
+    """The matrix of a row-major |X>>, or of each vector in a stack (..., rows * cols)."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(v.shape[:-1] + (rows, cols))
 
 
 def _resolve(dims, positions) -> tuple:
@@ -251,11 +265,27 @@ def operator_norm(m: np.ndarray):
     return float(top) if s.ndim == 1 else top
 
 
+def isometry_defects(m: np.ndarray) -> np.ndarray:
+    """Largest entry of |M^dag M - I| of each matrix of a stack (..., rows,
+    cols), as an array over the leading axes, taken in chunk_slices runs.
+
+    Each Gram product is its own GEMM, so a matrix has the same defect in any
+    stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape[-2:]
+    flat = m.reshape((-1, rows, cols))
+    eye = np.eye(cols)
+    out = np.empty(len(flat))
+    for run in chunk_slices(len(flat), 16 * max(rows, cols) * cols):
+        out[run] = np.abs(dag(flat[run]) @ flat[run] - eye).max(axis=(-2, -1))
+    return out.reshape(m.shape[:-2])
+
+
 def isometry_defect(m: np.ndarray) -> float:
     """Largest entry of |M^dag M - I| over a matrix, or over every matrix of a
     stack (..., rows, cols)."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[-1]))))
+    return float(np.max(isometry_defects(m)))
 
 
 def min_eig(m: np.ndarray) -> float:
@@ -274,23 +304,27 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root on the numeric support (RANK_RTOL cutoff)."""
+    """Pseudo-inverse square root on the numeric support (RANK_RTOL cutoff) of
+    a matrix, or of each matrix of a stack, each one eigh and GEMM of its own."""
     w, v = _eigh_clipped(m)
-    wmax = w.max(initial=0.0)
+    wmax = w.max(axis=-1, keepdims=True, initial=0.0)
     inv = np.where(w > RANK_RTOL * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    return (v * inv) @ dag(v)
+    return (v * inv[..., None, :]) @ dag(v)
+
+
+def fill_ginibre(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the complex array out in place with standard complex Ginibre
+    entries (unit variance) and return it: the real parts are drawn first,
+    then the imaginary parts."""
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Ginibre matrix (entries of unit variance).
-
-    Filled in place: the real parts are drawn first, then the imaginary parts.
-    """
-    out = np.empty((rows, cols), dtype=complex)
-    out.real = rng.standard_normal((rows, cols))
-    out.imag = rng.standard_normal((rows, cols))
-    out *= 1.0 / np.sqrt(2.0)
-    return out
+    """Standard complex Ginibre matrix (entries of unit variance), by fill_ginibre."""
+    return fill_ginibre(np.empty((rows, cols), dtype=complex), rng)
 
 
 def _row_sum(x: np.ndarray, lanes: int) -> np.ndarray:
@@ -348,22 +382,27 @@ def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
 
     Takes one matrix or a stack (the matrix runs over the last two axes). For a
     complex Ginibre g the result is Haar distributed: fixing diag(R) > 0 removes
-    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050). The stack is
-    moved to (column, row, sample), sample index last, and orthonormalised by
-    _gram_schmidt. _row_sum adds in numpy's order for a contiguous row, so the
-    bits are also those of a row-last stack summed by numpy.
+    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050). Each
+    chunk_slices run of the stack is moved to (column, row, sample), sample
+    index last, and orthonormalised by _gram_schmidt, whose bits per sample do
+    not depend on the run. _row_sum adds in numpy's order for a contiguous row,
+    so the bits are also those of a row-last stack summed by numpy.
     """
     shape = g.shape
     rows, cols = shape[-2:]
     samples = math.prod(shape[:-2])
-    q = g.reshape(samples, rows, cols).transpose(2, 1, 0).astype(complex, order="C")
-    _gram_schmidt(q, np.empty_like(q), np.empty_like(q[:-1]))
-    return np.ascontiguousarray(q.transpose(2, 1, 0)).reshape(shape)
+    g = g.reshape(samples, rows, cols)
+    out = np.empty((samples, rows, cols), dtype=complex)
+    for run in chunk_slices(samples, 16 * rows * cols):
+        q = g[run].transpose(2, 1, 0).astype(complex, order="C")
+        _gram_schmidt(q, np.empty_like(q), np.empty_like(q[:-1]))
+        out[run] = q.transpose(2, 1, 0)
+    return out.reshape(shape)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: the QR of a Ginibre matrix with diag(R) positive."""
-    return _phase_corrected_qr(random_gaussian_matrix(d, d, rng))
+    return random_isometry(d, d, rng)
 
 
 def _haar_chunks(d: int, count: int, rng: np.random.Generator):
@@ -409,11 +448,25 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random isometry (rows >= cols) with orthonormal columns."""
+def random_isometries(rows: int, cols: int, rngs) -> np.ndarray:
+    """Haar-random isometries (rows >= cols), one per generator, stacked (T, rows, cols).
+
+    Each generator draws its Ginibre matrix in list order (a generator listed
+    twice draws twice, in turn), and one stacked _phase_corrected_qr
+    orthonormalises them all, each to the bits of random_isometry alone.
+    """
     if rows < cols:
         raise ValueError("an isometry needs rows >= cols")
-    return _phase_corrected_qr(random_gaussian_matrix(rows, cols, rng))
+    rngs = list(rngs)
+    g = np.empty((len(rngs), rows, cols), dtype=complex)
+    for rng, out in zip(rngs, g):
+        fill_ginibre(out, rng)
+    return _phase_corrected_qr(g)
+
+
+def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random isometry (rows >= cols) with orthonormal columns."""
+    return random_isometries(rows, cols, [rng])[0]
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, kraus_sets
 from .linalg import (
     ATOL,
     dag,
@@ -116,8 +116,10 @@ def _signed_lifted_kraus(pairs) -> tuple:
     input) for pairs (a, b) sharing their spaces and total Kraus rank R,
     stacked as (P, n_out, R, n_in) so that the see-saw's forward map and the
     first pull-back product read them as reshapes, with signs (P, R) of +1
-    for a and -1 for b."""
-    kraus = np.stack([np.stack(a.kraus + b.kraus) for a, b in pairs]).transpose(0, 2, 1, 3)
+    for a and -1 for b. The canonical Kraus sets come from one kraus_sets
+    call over all pairs."""
+    sets = iter(kraus_sets([ch for pair in pairs for ch in pair]))
+    kraus = np.stack([np.stack(next(sets) + next(sets)) for _ in pairs]).transpose(0, 2, 1, 3)
     count, d_out, r, d = kraus.shape
     lifted = kraus[:, :, None, :, :, None] * np.eye(d)[:, None, None, :]
     signs = np.stack([np.repeat([1.0, -1.0], [a.rank, b.rank]) for a, b in pairs])

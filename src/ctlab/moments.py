@@ -163,8 +163,8 @@ def _fourth_moment_samples(us, a1, b1, a2, b2) -> np.ndarray:
     """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, taken in
     chunks of linalg._CHUNK_BYTES moved to the (column, row, sample) layout."""
     n, d, _ = us.shape
-    step = max(1, linalg._CHUNK_BYTES // (16 * d * d))
-    chunks = (np.ascontiguousarray(us[s : s + step].transpose(2, 1, 0)) for s in range(0, n, step))
+    runs = linalg.chunk_slices(n, 16 * d * d)
+    chunks = (np.ascontiguousarray(us[run].transpose(2, 1, 0)) for run in runs)
     return _fourth_moment_values(chunks, n, [(a1, b1, a2, b2)])[0]
 
 

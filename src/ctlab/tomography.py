@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import choi_from_kraus, dilate
+from .channels import choi_from_kraus, dilation_matrices
 from .linalg import dag, dft_matrix, operator_norm
 from .metrics import choi_trace_distances
 
@@ -208,12 +208,11 @@ def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
     kept = np.flatnonzero(frob <= n * (frob.min(axis=1) + slack)[:, None])
     tops = frob.reshape(-1)  # the bracket is spent: its entries now take the top eigenvalues
     tops.fill(np.inf)
-    step = max(1, linalg._CHUNK_BYTES // (16 * n * n))
-    for s in range(0, kept.size, step):
-        pair, k = np.divmod(kept[s : s + step], len(grid))
+    for run in linalg.chunk_slices(kept.size, 16 * n * n):
+        pair, k = np.divmod(kept[run], len(grid))
         shifted = z[k, None, None] * cross[pair]
         pencil = gram[pair] - (shifted + dag(shifted))
-        tops[kept[s : s + step]] = np.linalg.eigvalsh(pencil)[:, -1]
+        tops[kept[run]] = np.linalg.eigvalsh(pencil)[:, -1]
     return np.argmin(tops.reshape(count, len(grid)), axis=1)
 
 
@@ -314,8 +313,7 @@ def _choi_errors(count: int, d1: int, d2: int, chois) -> np.ndarray:
     the stack they are in, so each error has the bits of one stack over the
     whole batch.
     """
-    step = max(1, linalg._CHUNK_BYTES // (16 * (d1 * d2) ** 2))
-    runs = [slice(s, s + step) for s in range(0, count, step)]
+    runs = linalg.chunk_slices(count, 16 * (d1 * d2) ** 2)
     return np.concatenate([choi_trace_distances(*chois(run), d1) for run in runs])
 
 
@@ -378,8 +376,10 @@ def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
 
     targets is a sequence of channels acting between one pair of spaces,
     and rngs one generator per target: trial k draws only from rngs[k].  The
-    query model fixes one dilation isometry of each target (zero padded to
-    ancilla dimension r) and runs isometry estimation against it, both weak
+    query model fixes one dilation isometry of each target, dilate(target,
+    r) (all targets' from one channels.dilation_matrices: stacked Kraus
+    eigensolves and one stacked isometry check), and runs isometry
+    estimation against it, both weak
     runs of all trials in one stack as in isometry_tomography; an estimate
     is the contraction of its estimated dilation, and stacked eigvalsh runs
     of about linalg._CHUNK_BYTES each give all Choi errors.  eps, the list
@@ -389,8 +389,8 @@ def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
     row equals that of its trial run alone.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
-    # dilate raises on a target whose rank exceeds r
-    dilations = np.stack([dilate(target, r).matrix for target in targets])
+    # raises on a target whose rank exceeds r
+    dilations = dilation_matrices(targets, r)
     count, rows, d1 = dilations.shape
     estimates = two_run_estimates(dilations, cfg, rngs)
     kraus = estimates.reshape(count, r, rows // r, d1)

@@ -1,19 +1,38 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctlab import channels, linalg
 from ctlab.channels import (
     Channel,
     Dilation,
     Isometry,
     channel_from_json,
     channel_to_json,
+    channels_from_kraus,
     choi_from_kraus,
+    contract_dilations,
     dilate,
+    dilation_matrices,
+    kraus_sets,
     random_channel,
+    random_channels,
 )
-from ctlab.linalg import dag, haar_unitary, partial_trace, random_density, random_isometry
+from ctlab.linalg import (
+    RANK_RTOL,
+    dag,
+    haar_unitary,
+    hermitianize,
+    partial_trace,
+    psd_inv_sqrt,
+    random_density,
+    random_gaussian_matrix,
+    random_isometries,
+    random_isometry,
+)
 
 
 def _random_dilation(ch, r, rng):
@@ -323,3 +342,139 @@ def test_json_round_trip_exact():
     assert back.d_in == ch.d_in and back.d_out == ch.d_out
     # repr round trip of doubles is exact
     assert np.abs(back.choi - ch.choi).max() == 0
+
+
+# ---------------------------------------------------------------------------
+# Channel stacks
+# ---------------------------------------------------------------------------
+
+
+def _one_at_a_time_channel(d_in, d_out, rank, rng):
+    """(Choi matrix, canonical Kraus set) of a random channel built alone,
+    matrix by matrix: the referee of the stacked constructors."""
+    gs = [random_gaussian_matrix(d_out, d_in, rng) for _ in range(rank)]
+    norm = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
+    choi = choi_from_kraus(np.stack([g @ norm for g in gs]))
+    w, v = np.linalg.eigh(hermitianize(choi))
+    keep = w > RANK_RTOL * max(float(w.max(initial=0.0)), 0.0)
+    kraus = [np.sqrt(w[i]) * v[:, i].reshape(d_out, d_in) for i in np.flatnonzero(keep)[::-1]]
+    return choi, kraus
+
+
+@st.composite
+def _channel_stacks(draw):
+    d_in = draw(st.integers(1, 4))
+    d_out = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 8))
+    ranks = draw(st.lists(st.integers(-(-d_in // d_out), d_in * d_out), min_size=count, max_size=count))
+    # trial t draws from generator owners[t]; a generator serving several trials serves them in order
+    owners = draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count))
+    pad = draw(st.integers(0, 2))
+    chunk = draw(st.sampled_from([1, 4096, linalg._CHUNK_BYTES]))
+    return d_in, d_out, ranks, owners, pad, chunk, draw(st.integers(0, 2**32 - 1))
+
+
+def _generators(seed, owners):
+    pool = [np.random.default_rng([seed, g]) for g in range(max(owners) + 1)]
+    return pool, [pool[g] for g in owners]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_channel_stacks())
+def test_channel_stacks_equal_each_channel_made_alone(case):
+    d_in, d_out, ranks, owners, pad, chunk, seed = case
+    r = max(ranks) + pad
+    stacked_pool, rngs = _generators(seed, owners)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        stacked = random_channels(d_in, d_out, ranks, rngs)
+        sets = kraus_sets(stacked)
+        dilations = dilation_matrices(stacked, r)
+    alone_pool, _ = _generators(seed, owners)
+    referee_pool, _ = _generators(seed, owners)
+    for t, (rank, owner) in enumerate(zip(ranks, owners)):
+        alone = random_channel(d_in, d_out, rank, alone_pool[owner])
+        choi, kraus = _one_at_a_time_channel(d_in, d_out, rank, referee_pool[owner])
+        assert stacked[t].choi.tobytes() == alone.choi.tobytes() == choi.tobytes()
+        assert [e.tobytes() for e in sets[t]] == [e.tobytes() for e in alone.kraus]
+        assert [e.tobytes() for e in sets[t]] == [e.tobytes() for e in kraus]
+        assert dilations[t].tobytes() == dilate(alone, r).matrix.tobytes()
+        assert stacked[t].kraus is sets[t]
+    states = [[g.bit_generator.state for g in pool] for pool in (stacked_pool, alone_pool, referee_pool)]
+    assert states[0] == states[1] == states[2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_channel_stacks())
+def test_kraus_and_dilation_stacks_equal_each_set_alone(case):
+    # channels_from_kraus and contract_dilations on complete (isometric) Kraus stacks
+    d_in, d_out, ranks, owners, _, chunk, seed = case
+    rank = max(ranks)
+    _, rngs = _generators(seed, owners)
+    mats = random_isometries(rank * d_out, d_in, rngs)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        from_kraus = channels_from_kraus(mats.reshape(len(mats), rank, d_out, d_in))
+        contracted = contract_dilations(mats, rank, d_out)
+    for m, a, b in zip(mats, from_kraus, contracted):
+        alone = Dilation(m, rank, d_out).contract()
+        assert a.choi.tobytes() == b.choi.tobytes() == alone.choi.tobytes()
+        assert not a.choi.flags.writeable
+
+
+def _complete_kraus(count, d_in, d_out, rank, seed):
+    rng = np.random.default_rng(seed)
+    return random_isometries(rank * d_out, d_in, [rng] * count).reshape(count, rank, d_out, d_in)
+
+
+def _message(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("chunk", [1, linalg._CHUNK_BYTES])
+@pytest.mark.parametrize("bad", [0, 3, 5])
+def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
+    d_in, d_out, rank, count = 2, 3, 2, 6
+    kraus = _complete_kraus(count, d_in, d_out, rank, 11)
+    chois = choi_from_kraus(kraus)
+    spoilers = {
+        "complete": lambda k: 0.5 * k,
+        "hermitian": lambda c: c + np.eye(len(c), k=1) * 1e-3,
+        # 2 C - I / d_out keeps tr_out = I, but C has rank 2 < 6, so -1 / d_out is an eigenvalue
+        "psd": lambda c: 2.0 * c - np.eye(len(c)) / d_out,
+        "trace preserving": lambda c: 1.5 * c,
+        "isometry": lambda m: 1.01 * m,
+    }
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        spoilt = kraus.copy()
+        spoilt[bad] = spoilers["complete"](spoilt[bad])
+        alone = _message(Channel.from_kraus, list(spoilt[bad]))
+        assert "complete" in alone
+        assert _message(channels_from_kraus, spoilt) == alone
+        for check in ("hermitian", "psd", "trace preserving"):
+            spoilt = chois.copy()
+            spoilt[bad] = spoilers[check](spoilt[bad])
+            alone = _message(Channel, spoilt[bad], d_in, d_out)
+            assert check in alone
+            assert _message(channels._channels_of, spoilt, d_in, d_out) == alone
+        mats = kraus.reshape(count, rank * d_out, d_in).copy()
+        mats[bad] = spoilers["isometry"](mats[bad])
+        alone = _message(Dilation, mats[bad], rank, d_out)
+        assert "not an isometry" in alone
+        assert _message(contract_dilations, mats, rank, d_out) == alone
+        # rank-1 members, and one of rank 2 above a one-level ancilla
+        members = channels_from_kraus(_complete_kraus(count, d_in, d_out, 1, 12))
+        members[bad] = channels_from_kraus(kraus)[bad]
+        alone = _message(dilate, members[bad], 1)
+        assert "below channel rank 2" in alone
+        assert _message(dilation_matrices, members, 1) == alone
+
+
+def test_random_channels_check_every_rank_before_drawing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="rank"):
+        random_channels(3, 2, [2, 1], [rng, rng])
+    with pytest.raises(ValueError, match="generators"):
+        random_channels(3, 2, [2, 2], [rng])
+    assert rng.bit_generator.state == state

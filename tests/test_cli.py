@@ -464,6 +464,12 @@ def test_over_budget_runs_are_declined_before_work(args):
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
         # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
+        # 256 candidates drawn and orthonormalised in 1 MiB runs of 148 21 x 21 Haar blocks:
+        # the peak is the stacked pool's, not the net's
+        pytest.param(
+            ["packing-net", "--regime", "type2-large", "--d1", "1", "--d2", "10", "--r", "3", "--count", "32"],
+            id="packing-net-stacked-pool",
+        ),
         # one channel-mode trial through a 512 x 4 dilation: its column estimates, SVD
         # factors and 64 x 64 Choi matrices, about 0.5 MB
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],

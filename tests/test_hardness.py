@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from ctlab.hardness import (
     Regime,
     amplitude_statistic,
     build_instance,
+    build_instances,
     certify_gamma_comb,
     choi_cross_statistic,
     d_statistic,
     diamond_cross_statistic,
     gamma_vector,
+    instance_channels,
     kraus_partition,
     lipschitz_probe,
     moment_experiment,
@@ -414,7 +417,7 @@ def test_packing_net_json_document():
     import json
 
     net = sample_packing_net(Regime.TYPE2_LARGE, 2, 4, 3, 0.05, count=2, seed=7)
-    doc = json.loads(net.to_json())
+    doc = json.loads(json.dumps(net.payload()))
     assert doc["regime"] == "type2-large"
     assert doc["dims"] == [2, 4, 3]
     assert doc["eps"] == 0.05
@@ -441,9 +444,33 @@ def _greedy_maximin(dist, count):
 
 
 def _pool(regime, eps, size, rng):
+    """The one-at-a-time packing pool: build_instance(...).channel() per candidate."""
     d1, d2, r = CASES[regime]
     candidates = [build_instance(regime, d1, d2, r, eps, rng) for _ in range(size)]
     return candidates, np.stack([inst.channel().choi for inst in candidates])
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    regime=st.sampled_from(list(Regime)),
+    size=st.integers(1, 24),
+    eps=st.floats(0.0, 0.45),
+    chunk=st.sampled_from([1, 2048, linalg._CHUNK_BYTES]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_pool_equals_the_one_at_a_time_pool(regime, size, eps, chunk, seed):
+    # chunk 1 runs the pool's QR, checks and Choi matrices one member at a time
+    d1, d2, r = CASES[regime]
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        pool = build_instances(regime, d1, d2, r, eps, [rng] * size)
+        chans = instance_channels(pool)
+    referee = np.random.default_rng(seed)
+    candidates, chois = _pool(regime, eps, size, referee)
+    assert [inst.matrix.tobytes() for inst in pool] == [inst.matrix.tobytes() for inst in candidates]
+    assert [inst.direction.tobytes() for inst in pool] == [inst.direction.tobytes() for inst in candidates]
+    assert [ch.choi.tobytes() for ch in chans] == [c.tobytes() for c in chois]
+    assert rng.bit_generator.state == referee.bit_generator.state
 
 
 def _pool_distances(chois, d1):
@@ -469,6 +496,7 @@ def test_packing_net_equals_the_exhaustive_greedy(regime, metric, count, eps, se
     assert [inst.matrix.tobytes() for inst in net.instances] == [
         candidates[k].matrix.tobytes() for k in keep
     ]
+    assert [ch.choi.tobytes() for ch in net.channels] == [chois[k].tobytes() for k in keep]
     if metric == "choi":
         expected = full[np.ix_(keep, keep)]
     else:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from ctlab.linalg import (
     ATOL,
     FactorLayout,
     _phase_corrected_qr,
+    chunk_slices,
     dag,
     dft_matrix,
     haar_unitaries,
     haar_unitary,
     hermitianize,
+    isometry_defect,
+    isometry_defects,
     min_eig,
     operator_norm,
     partial_trace,
@@ -25,6 +29,7 @@ from ctlab.linalg import (
     psd_sqrt,
     random_density,
     random_gaussian_matrix,
+    random_isometries,
     random_isometry,
     random_pure_state,
     swap_operator,
@@ -528,6 +533,58 @@ def test_random_isometry():
     assert np.abs(dag(v) @ v - np.eye(3)).max() < 1e-12
     with pytest.raises(ValueError):
         random_isometry(2, 4, rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cols=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    owners=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    chunk=st.sampled_from([1, 200, linalg._CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_isometries_equal_each_isometry_made_alone(cols, extra, owners, chunk, seed):
+    # trial t draws from generator owners[t], a shared generator in trial order; chunk 1 runs
+    # the QR one member at a time, 200 bytes in runs of a few small members
+    rows = cols + extra
+    stacked = [np.random.default_rng([seed, g]) for g in range(4)]
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        isometries = random_isometries(rows, cols, [stacked[g] for g in owners])
+    alone = [np.random.default_rng([seed, g]) for g in range(4)]
+    referee = [np.random.default_rng([seed, g]) for g in range(4)]
+    assert isometries.shape == (len(owners), rows, cols)
+    for m, g in zip(isometries, owners):
+        assert m.tobytes() == random_isometry(rows, cols, alone[g]).tobytes()
+        assert m.tobytes() == _phase_corrected_qr(random_gaussian_matrix(rows, cols, referee[g])).tobytes()
+    states = [[g.bit_generator.state for g in gens] for gens in (stacked, alone, referee)]
+    assert states[0] == states[1] == states[2]
+    if rows == cols:
+        again = np.random.default_rng([seed, owners[0]])
+        assert haar_unitary(rows, again).tobytes() == isometries[0].tobytes()
+
+
+def test_random_isometries_of_no_generators_draw_nothing():
+    assert random_isometries(3, 2, []).shape == (0, 3, 2)
+    with pytest.raises(ValueError):
+        random_isometries(2, 3, [])
+
+
+@pytest.mark.parametrize("count,member,runs", [(0, 8, []), (5, 1 << 21, [1] * 5), (10, 1 << 18, [4, 4, 2])])
+def test_chunk_slices_cover_the_range_in_order(count, member, runs):
+    slices = chunk_slices(count, member)
+    assert [len(range(count)[s]) for s in slices] == runs
+    assert [i for s in slices for i in range(count)[s]] == list(range(count))
+
+
+def test_isometry_defects_per_member():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_isometry(4, 2, rng) for _ in range(3)])
+    stack[1] *= 1.5
+    defects = isometry_defects(stack)
+    assert defects.shape == (3,)
+    for m, d in zip(stack, defects):
+        assert d == isometry_defect(m)
+    assert isometry_defect(stack) == defects.max() == defects[1] > 1.0
 
 
 def test_random_pure_state_and_density():

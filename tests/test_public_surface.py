@@ -52,6 +52,10 @@ _BATCH_MONTE_CARLO = (
     "the fourth-moment Monte Carlo over a caller's Haar batch: perfbench/tracing.py wraps "
     "it by name, and tests/test_moments.py holds the streamed mc_fourth_moment_traces to it"
 )
+_ONE_AT_A_TIME_POOL = (
+    "one instance's dilation and channel, the stack of one of hardness.instance_channels: "
+    "tests/test_hardness.py holds the stacked packing pool to them member for member"
+)
 
 TEST_ONLY = {
     "hardness.moment_experiment": _MOMENT_PROBE,
@@ -79,10 +83,8 @@ TEST_ONLY = {
     "moments.mc_fourth_moment_trace": _BATCH_MONTE_CARLO,
     "moments._fourth_moment_samples": _BATCH_MONTE_CARLO,
     "channels.Channel.__repr__": "readable channels in test failure messages",
-    "hardness.PackingNet.to_json": (
-        "the net as one JSON text for library callers; `ctlab packing-net` "
-        "writes PackingNet.payload() into its report instead"
-    ),
+    "hardness.HardInstance.channel": _ONE_AT_A_TIME_POOL,
+    "hardness.HardInstance.dilation": _ONE_AT_A_TIME_POOL,
     "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
 }
 
