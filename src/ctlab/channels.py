@@ -32,6 +32,7 @@ from .linalg import (
 __all__ = [
     "Channel",
     "Isometry",
+    "isometries",
     "Dilation",
     "dilate",
     "dilation_matrices",
@@ -164,20 +165,51 @@ def _check_isometric(m: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """A matrix with orthonormal columns (d_out x d_in, d_out >= d_in)."""
+    """A matrix with orthonormal columns (d_out x d_in, d_out >= d_in).
+
+    Isometries built by isometries hold read-only views into one validated
+    stack; an isometry built alone is the stack of one.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] < m.shape[1]:
+        if m.ndim != 2:
             raise ValueError(f"isometry needs rows >= cols, got shape {m.shape}")
-        _check_isometric(m[None], "columns are not orthonormal")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _isometric_stack(m[None])[0])
 
     def channel(self) -> Channel:
         return Channel.from_kraus([self.matrix])
+
+
+def _isometric_stack(m: np.ndarray) -> np.ndarray:
+    """The (T, rows, cols) stack m, made read-only, after one shape check and
+    one _check_isometric of all its matrices."""
+    if m.shape[-2] < m.shape[-1]:
+        raise ValueError(f"isometry needs rows >= cols, got shape {m.shape[-2:]}")
+    _check_isometric(m, "columns are not orthonormal")
+    m.setflags(write=False)
+    return m
+
+
+def isometries(matrices) -> list:
+    """The Isometry of each matrix of a (T, rows, cols) stack, in stack order.
+
+    The stack is copied and validated once (one isometry_defects run per
+    linalg.chunk_slices run); each isometry holds a read-only view of its
+    matrix.  A defect is per matrix, so a member has the bits of Isometry(m)
+    alone, and a bad member raises the message it raises alone.
+    """
+    m = np.array(matrices, dtype=complex)
+    if m.ndim != 3:
+        raise ValueError(f"need a (T, rows, cols) stack, got shape {m.shape}")
+    out = []
+    for matrix in _isometric_stack(m):
+        iso = Isometry.__new__(Isometry)
+        object.__setattr__(iso, "matrix", matrix)
+        out.append(iso)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

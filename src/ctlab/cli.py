@@ -28,6 +28,7 @@ from .channels import (
     channel_from_json,
     channel_to_json,
     dilate,
+    isometries,
     random_channel,
     random_channels,
 )
@@ -520,17 +521,20 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     # the QR's two working copies and work array; channel mode the Gram eigensolves, Kraus
     # products, Choi matrices and their validation), both modes take their Choi errors in
     # such runs, and the grid's kept d1 x d1 pencils are eigensolved in such runs; and Choi
-    # workspaces
+    # workspaces.  And per trial, the oracle batch of both weak runs' 2 d1 columns: two uniforms
+    # and 2 big normals per column (a word per two doubles), and its complex (d1, big) draw,
+    # projection and combination stacks per run
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi
+    oracle = 2 * d1 * (1 + big) + 6 * d1 * big
     if r == 0:
-        words = trials * (10 * big * d1 + 400 + 256) + workspace
+        words = trials * (10 * big * d1 + 400 + 256 + oracle) + workspace
     else:
-        words = trials * (choi + 12 * big * d1 + 256) + workspace
+        words = trials * (choi + 12 * big * d1 + 256 + oracle) + workspace
     _budget_guard(16 * words)
 
     rngs = [_trial_rng(seed, i) for i in range(trials)]
     if r == 0:
-        targets = [Isometry(m) for m in random_isometries(d2, d1, rngs)]
+        targets = isometries(random_isometries(d2, d1, rngs))
         batch = isometry_tomography(targets, eps, rngs)
         errors = batch.op_errors
     else:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +207,8 @@ class HardInstance:
     without the eps factor).  `v0_core` is the sub-center whose ancilla row
     blocks satisfy the trace-orthogonality bounds (it differs from v0 only
     in the near-boundary regime, where the center carries an extra tail).
+    v0, v0_core and delta are read-only, and the members built by one
+    build_instances call share them.
     """
 
     regime: Regime
@@ -257,19 +260,31 @@ def _plus_minus_i_diagonal(rows: int, cols: int, dp: int) -> np.ndarray:
     return delta
 
 
-def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarray) -> HardInstance:
+class _Family(NamedTuple):
+    """The fixed parts of one hard family, shared by all its members: the
+    first eight fields of HardInstance (the center v0, sub-center v0_core
+    and template delta read-only, eps checked), then its _regime_params."""
+
+    regime: Regime
+    d1: int
+    d2: int
+    r: int
+    eps: float
+    v0: np.ndarray
+    v0_core: np.ndarray
+    delta: np.ndarray
+    params: dict
+
+
+def _family(regime: Regime, d1: int, d2: int, r: int, eps: float) -> _Family:
+    """Check a family's regime inequalities and eps and build its fixed parts once."""
     params = _regime_params(regime, d1, d2, r)
     eps = _check_eps(eps)
     big = r * d2
     m = params["m"]
-    base = params["base"]
     if regime == Regime.TYPE1:
-        dp = params["dp"]
-        v0 = _damped_diagonal(big, d1, d1, dp, eps)
-        delta = _plus_minus_i_diagonal(big, d1, dp)
-        rot = np.zeros((big, d1), dtype=complex)
-        rot[:dp, :dp] = u @ delta[:dp, :dp] @ u.conj().T
-        direction = rot
+        v0 = _damped_diagonal(big, d1, d1, params["dp"], eps)
+        delta = _plus_minus_i_diagonal(big, d1, params["dp"])
         v0_core = v0
     else:
         if regime == Regime.TYPE2_NEAR:
@@ -291,22 +306,23 @@ def _assemble(regime: Regime, d1: int, d2: int, r: int, eps: float, u: np.ndarra
             v0_core = v0
         delta = np.zeros((big, d1), dtype=complex)
         for t in range(m):
-            delta[base + t, t] = 1.0
-        direction = np.zeros((big, d1), dtype=complex)
-        direction[base : base + params["haar_dim"], :m] = u[:, :m]
-    matrix = v0 + eps * direction
-    return HardInstance(
-        regime=regime,
-        d1=d1,
-        d2=d2,
-        r=r,
-        eps=eps,
-        v0=v0,
-        v0_core=v0_core,
-        delta=delta,
-        direction=direction,
-        matrix=matrix,
-    )
+            delta[params["base"] + t, t] = 1.0
+    for fixed in (v0, v0_core, delta):
+        fixed.setflags(write=False)
+    return _Family(regime, d1, d2, r, eps, v0, v0_core, delta, params)
+
+
+def _assemble(family: _Family, u: np.ndarray) -> HardInstance:
+    """The member of family rotated by the Haar block u, sharing the family's fixed parts."""
+    params = family.params
+    direction = np.zeros(family.v0.shape, dtype=complex)
+    if family.regime == Regime.TYPE1:
+        dp = params["dp"]
+        direction[:dp, :dp] = u @ family.delta[:dp, :dp] @ u.conj().T
+    else:
+        base = params["base"]
+        direction[base : base + params["haar_dim"], : params["m"]] = u[:, : params["m"]]
+    return HardInstance(*family[:-1], direction, family.v0 + family.eps * direction)
 
 
 def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, rngs) -> list:
@@ -318,12 +334,12 @@ def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, 
     blocks, so only one run of blocks is held at a time. Member t has the
     bits of build_instance(regime, d1, d2, r, eps, rngs[t]).
     """
-    regime = Regime(regime)
-    hd = _regime_params(regime, d1, d2, r)["haar_dim"]
+    family = _family(Regime(regime), d1, d2, r, eps)
+    hd = family.params["haar_dim"]
     rngs = list(rngs)
     out = []
     for run in linalg.chunk_slices(len(rngs), 16 * hd * hd):
-        out += [_assemble(regime, d1, d2, r, eps, u) for u in random_isometries(hd, hd, rngs[run])]
+        out += [_assemble(family, u) for u in random_isometries(hd, hd, rngs[run])]
     return out
 
 
@@ -475,8 +491,8 @@ def moment_experiment(
     """
     regime = Regime(regime)
     _require(pairs >= 2, "need at least two pairs for a standard error")
-    params = _regime_params(regime, d1, d2, r)
-    eps = _check_eps(eps)
+    family = _family(regime, d1, d2, r, eps)
+    params, eps = family.params, family.eps
 
     columns: dict = {}
 
@@ -484,8 +500,8 @@ def moment_experiment(
         columns.setdefault(name, []).append(value)
 
     for _ in range(int(pairs)):
-        x = _assemble(regime, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
-        y = _assemble(regime, d1, d2, r, eps, haar_unitary(params["haar_dim"], rng))
+        x = _assemble(family, haar_unitary(params["haar_dim"], rng))
+        y = _assemble(family, haar_unitary(params["haar_dim"], rng))
         if regime == Regime.TYPE1:
             dmat = d_statistic(x, y)
             push("tr|D|^2", float(np.sum(np.abs(dmat) ** 2)))
@@ -813,12 +829,12 @@ def lipschitz_probe(
     does.
     """
     regime = Regime(regime)
-    params = _regime_params(regime, d1, d2, r)
-    eps = _check_eps(eps)
+    family = _family(regime, d1, d2, r, eps)
+    params, eps = family.params, family.eps
     hd = params["haar_dim"]
 
     def make(u: np.ndarray) -> HardInstance:
-        return _assemble(regime, d1, d2, r, eps, u)
+        return _assemble(family, u)
 
     probes: list = []
     if regime == Regime.TYPE1:

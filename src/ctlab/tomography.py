@@ -6,8 +6,11 @@ phase.  Column estimates are snapped to the nearest isometry by SVD; running
 the procedure twice, the second time against the target precomposed with a
 DFT, pins down the relative column phases.  Channel estimation reuses the
 same machinery on a fixed dilation of the target channel.  Both estimators
-run a batch of trials, each on its own generator: the oracle draws go trial
-by trial and column by column, and every later stage runs once per batch.
+run a batch of trials, each on its own generator.  The oracle is one batch
+function, pure_state_oracles, over a stack of columns: its draws go trial by
+trial and column by column, two generator calls per column, and its
+arithmetic runs once over the stack; pure_state_oracle is its stack of one.
+Every later stage runs once per batch.
 A batch returns columns, one row per trial: the stack of estimated
 isometries (in channel mode, of the dilations) and arrays of errors and
 successes, with the batch's total query charge.
@@ -39,6 +42,7 @@ __all__ = [
     "MIN_EPS",
     "PureStateOracleConfig",
     "pure_state_oracle",
+    "pure_state_oracles",
     "weak_isometry_tomography",
     "align_phases",
     "min_phase_op_error",
@@ -73,40 +77,96 @@ class PureStateOracleConfig:
         return math.ceil(d / self.eps_max)
 
 
+def _rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (N, 1) sums a[j] @ b[j] of two (N, d) stacks, each the BLAS dot of
+    the 1-D product a[j] @ b[j] (a stacked (1, d) @ (d, 1) matmul is one), so
+    with its bits."""
+    return (a[:, None, :] @ b[:, :, None])[:, :, 0]
+
+
+def _orthogonal_parts(v: np.ndarray, g: np.ndarray) -> tuple:
+    """The parts w = g - v (v^dag g) of the complex normals in g (N, 2d: real
+    parts, then imaginary parts) orthogonal to the rows of v (N, d), and
+    their norms (N, 1), each sqrt(re . re + im . im) as np.linalg.norm takes
+    it."""
+    d = v.shape[1]
+    w = g[:, :d] + 1j * g[:, d:]
+    w -= v * _rows_dot(v.conj(), w)
+    return w, np.sqrt(_rows_dot(w.real, w.real) + _rows_dot(w.imag, w.imag))
+
+
+def pure_state_oracles(columns, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
+    """Noisy copies of the unit vectors stacked as the rows of columns (N, d),
+    each with a uniformly random phase.
+
+    Row j is phase * (sqrt(1 - e) v + sqrt(e) w) with e drawn uniformly from
+    [0, eps_max] and w Haar random in the complement of v.  Row j draws from
+    rngs[j], the rows in order (a generator listed again draws again, in
+    turn), in two generator calls: two uniforms (the phase, then e) and 2d
+    normals (the real parts of g, then the imaginary parts); with eps_max = 0
+    or d = 1 only the phase is drawn.  Every later step runs once over the
+    stack: the projection, the norms, the normalisation and the combination,
+    each row with the bits of its own 1-D arithmetic.  A row whose
+    orthogonal part has norm at most 1e-12 draws its normals again; if any
+    row does, every generator is reset to its state before the stack and the
+    rows are run one at a time through pure_state_oracle, so each generator
+    makes the draws it makes row by row.
+    """
+    v = np.ascontiguousarray(columns, dtype=complex)  # the BLAS dots need unit-stride rows
+    rngs = list(rngs)
+    if v.ndim != 2 or not v.shape[1] or len(rngs) != len(v):
+        raise ValueError(f"need an (N, d) stack with d >= 1 and N generators, got {v.shape} and {len(rngs)}")
+    count, d = v.shape
+    noisy = cfg.eps_max != 0.0 and d > 1
+    u = np.empty((count, 2 if noisy else 1))
+    if not noisy:
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        return np.exp(2j * np.pi * u) * v
+    states = [(rng, rng.bit_generator.state) for rng in {id(rng): rng for rng in rngs}.values()]
+    g = np.empty((count, 2 * d))
+    for rng, row, normals in zip(rngs, u, g):
+        rng.random(out=row)
+        rng.standard_normal(out=normals)
+    w, norm = _orthogonal_parts(v, g)
+    if not (norm > 1e-12).all():
+        if count > 1:
+            for rng, state in states:
+                rng.bit_generator.state = state
+            return np.stack([pure_state_oracle(column, cfg, rng) for column, rng in zip(v, rngs)])
+        while not norm[0, 0] > 1e-12:
+            rngs[0].standard_normal(out=g[0])
+            w, norm = _orthogonal_parts(v, g)
+    # the per-row factors multiply from the left, as the 1-D arithmetic's scalars do: numpy's
+    # complex product with the broadcast operand second takes another path, with other bits
+    e = cfg.eps_max * u[:, 1:]
+    out = np.sqrt(1.0 - e).astype(complex) * v
+    np.multiply(np.exp(2j * np.pi * u[:, :1]), out, out=out)
+    w /= norm
+    np.multiply(np.sqrt(e).astype(complex), w, out=w)
+    out += w
+    return out
+
+
 def pure_state_oracle(
     v: np.ndarray, cfg: PureStateOracleConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """A noisy copy of the unit vector v, with a uniformly random phase.
-
-    The output is phase * (sqrt(1 - e) v + ...) with e drawn uniformly from
-    [0, eps_max] and the orthogonal part Haar random in the complement of v.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = v.shape[0]
-    phase = np.exp(2j * np.pi * rng.uniform())
-    if cfg.eps_max == 0.0 or d == 1:
-        return phase * v
-    e = cfg.eps_max * rng.uniform()
-    while True:
-        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        w = g - v * (v.conj() @ g)
-        norm = np.linalg.norm(w)
-        if norm > 1e-12:
-            break
-    w /= norm
-    return phase * (math.sqrt(1.0 - e) * v) + math.sqrt(e) * w
+    """A noisy copy of the unit vector v: pure_state_oracles of the stack of one."""
+    return pure_state_oracles(np.reshape(v, (1, -1)), cfg, [rng])[0]
 
 
 def weak_isometry_tomography(targets, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
     """Estimate each isometry of a (T, m, n) stack column by column, then
     snap every estimate to its nearest isometry.
 
-    Trial t draws only from rngs[t], one oracle call per column in column
-    order, and the trials draw in stack order; one stacked SVD then snaps
-    all T column estimates, each to the same bits as alone.  Each returned
-    column carries an unknown phase, so an estimate is only meaningful up to
-    a diagonal unitary on the right; align_phases removes that freedom using
-    a second run.  The query cost per trial is n * cfg.copies_charged(m).
+    All T n columns go through one pure_state_oracles call, as the rows of a
+    (T n, m) stack with trial t's generator listed for its n columns: trial t
+    draws only from rngs[t], column by column, and the trials draw in stack
+    order.  One stacked SVD then snaps all T column estimates, each to the
+    same bits as alone.  Each returned column carries an unknown phase, so
+    an estimate is only meaningful up to a diagonal unitary on the right;
+    align_phases removes that freedom using a second run.  The query cost
+    per trial is n * cfg.copies_charged(m).
     """
     targets = np.asarray(targets, dtype=complex)
     rngs = list(rngs)
@@ -116,11 +176,10 @@ def weak_isometry_tomography(targets, cfg: PureStateOracleConfig, rngs) -> np.nd
             f"need a (T, m, n) stack with m >= n >= 1 and T generators, "
             f"got {targets.shape} and {len(rngs)}"
         )
-    tilde = np.empty_like(targets)
-    for target, rng, out in zip(targets, rngs, tilde):
-        for k in range(targets.shape[2]):
-            out[:, k] = pure_state_oracle(target[:, k], cfg, rng)
-    u, _, vh = np.linalg.svd(tilde, full_matrices=False)
+    count, m, n = targets.shape
+    columns = targets.transpose(0, 2, 1).reshape(count * n, m)
+    tilde = pure_state_oracles(columns, cfg, [rng for rng in rngs for _ in range(n)])
+    u, _, vh = np.linalg.svd(tilde.reshape(count, n, m).transpose(0, 2, 1), full_matrices=False)
     return u @ vh
 
 

@@ -17,6 +17,7 @@ from ctlab.channels import (
     contract_dilations,
     dilate,
     dilation_matrices,
+    isometries,
     kraus_sets,
     random_channel,
     random_channels,
@@ -468,6 +469,24 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
         alone = _message(dilate, members[bad], 1)
         assert "below channel rank 2" in alone
         assert _message(dilation_matrices, members, 1) == alone
+
+
+@pytest.mark.parametrize("chunk", [1, linalg._CHUNK_BYTES])
+@pytest.mark.parametrize("bad", [0, 3, 5])
+def test_a_bad_isometry_raises_from_the_stack_as_alone(bad, chunk):
+    mats = random_isometries(5, 3, [np.random.default_rng(13)] * 6)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        stack = isometries(mats)
+        alone = [Isometry(m) for m in mats]
+        assert [iso.matrix.tobytes() for iso in stack] == [iso.matrix.tobytes() for iso in alone]
+        assert not any(iso.matrix.flags.writeable for iso in stack)
+        spoilt = mats.copy()
+        spoilt[bad] *= 1.01
+        message = _message(Isometry, spoilt[bad])
+        assert "not orthonormal" in message
+        assert _message(isometries, spoilt) == message
+    # more columns than rows
+    assert _message(isometries, mats.transpose(0, 2, 1)) == _message(Isometry, mats[bad].T)
 
 
 def test_random_channels_check_every_rank_before_drawing():

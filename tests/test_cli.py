@@ -480,6 +480,9 @@ def test_over_budget_runs_are_declined_before_work(args):
         pytest.param(
             ["tomography", "--d1", "2", "--d2", "3", "--r", "2", "--trials", "400"], id="tomography-channel"
         ),
+        # 200 isometry trials whose oracle batch dominates: 1,600 columns of 64 entries, their
+        # normals and their draw, projection and combination stacks, 1.6 MB each
+        pytest.param(["tomography", "--d1", "4", "--d2", "64", "--trials", "200"], id="tomography-oracle"),
         # 4 MiB of lifted Kraus operators per channel
         ["distances", "--d1", "4", "--d2", "32", "--pairs", "1"],
         # the unitary check's 16 restart rows over 324 KiB pull-backs

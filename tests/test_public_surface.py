@@ -85,6 +85,11 @@ TEST_ONLY = {
     "channels.Channel.__repr__": "readable channels in test failure messages",
     "hardness.HardInstance.channel": _ONE_AT_A_TIME_POOL,
     "hardness.HardInstance.dilation": _ONE_AT_A_TIME_POOL,
+    "tomography.pure_state_oracle": (
+        "one column through the oracle, the stack of one of pure_state_oracles: its rejection "
+        "branch replays the rows through it, and tests/test_tomography.py checks a column's "
+        "norm, overlap and phase with it"
+    ),
     "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
 }
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ctlab.linalg import (
     haar_unitary,
     isometry_defect,
     operator_norm,
+    random_isometries,
     random_isometry,
     random_pure_state,
 )
@@ -27,6 +29,7 @@ from ctlab.tomography import (
     isometry_tomography,
     min_phase_op_error,
     pure_state_oracle,
+    pure_state_oracles,
     weak_isometry_tomography,
 )
 
@@ -90,6 +93,128 @@ def test_oracle_randomizes_phase():
     v = np.array([1.0, 0.0], dtype=complex)
     phases = [pure_state_oracle(v, cfg, rng)[0] for _ in range(20)]
     assert np.std([np.angle(p) for p in phases]) > 0.1
+
+
+def _one_column_at_a_time_oracle(v, cfg, rng, redraws=None):
+    """The oracle one column at a time: a uniform for the phase, one for e,
+    then d real and d imaginary normals per attempt, each attempt's norm by
+    np.linalg.norm; a rejected attempt is appended to redraws."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    d = v.shape[0]
+    phase = np.exp(2j * np.pi * rng.uniform())
+    if cfg.eps_max == 0.0 or d == 1:
+        return phase * v
+    e = cfg.eps_max * rng.uniform()
+    while True:
+        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        w = g - v * (v.conj() @ g)
+        norm = np.linalg.norm(w)
+        if norm > 1e-12:
+            break
+        if redraws is not None:
+            redraws.append(norm)
+    w /= norm
+    return phase * (math.sqrt(1.0 - e) * v) + math.sqrt(e) * w
+
+
+def _one_column_at_a_time_weak(targets, cfg, rngs):
+    """weak_isometry_tomography with an oracle call per column, trial by trial."""
+    tilde = np.empty(targets.shape, dtype=complex)
+    for target, rng, out in zip(targets, rngs, tilde):
+        for k in range(targets.shape[2]):
+            out[:, k] = _one_column_at_a_time_oracle(target[:, k], cfg, rng)
+    u, _, vh = np.linalg.svd(tilde, full_matrices=False)
+    return u @ vh
+
+
+@st.composite
+def oracle_batches(draw):
+    """T trials of (m, n) isometry targets in one of three memory layouts,
+    each trial on a generator of a pool that trials may share, and an oracle
+    noise of 0, 1e-30 or 0.3 (at 0, and at m = 1, only the phase is drawn)."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, min(m, 4)))
+    count = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    owners = draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count))
+    targets = random_isometries(m, n, [np.random.default_rng(seed)] * count)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    if layout == "transposed":
+        targets = np.ascontiguousarray(targets.transpose(0, 2, 1)).transpose(0, 2, 1)
+    elif layout == "strided":
+        wide = np.zeros((count, 2 * m, n + 1), dtype=complex)
+        wide[:, ::2, 1:] = targets
+        targets = wide[:, ::2, 1:]
+    eps_max = draw(st.sampled_from([0.0, 1e-30, 0.3]))
+    return targets, PureStateOracleConfig(eps_max), seed, owners
+
+
+def _generator_pools(seed, owners):
+    """Two identical pools of generators, and each trial's generator of each.
+
+    default_rng([seed, 0]) is the stream default_rng(seed) that drew the
+    targets, so a trial on generator 0 can draw a target's own Ginibre column
+    as its normals and take the oracle's rejection branch."""
+    pools = [[np.random.default_rng([seed, k]) for k in range(max(owners) + 1)] for _ in range(2)]
+    return pools, [[pool[k] for k in owners] for pool in pools]
+
+
+def _states(pool):
+    return [rng.bit_generator.state for rng in pool]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_batches())
+def test_batch_oracle_equals_the_one_column_at_a_time_oracle(batch):
+    targets, cfg, seed, owners = batch
+    count, m, n = targets.shape
+    (pool, referee), (rngs, referee_rngs) = _generator_pools(seed, owners)
+    snapped = _one_column_at_a_time_weak(targets, cfg, referee_rngs)
+    assert weak_isometry_tomography(targets, cfg, rngs).tobytes() == snapped.tobytes()
+    assert _states(pool) == _states(referee)
+    # the column stack alone, read through unit-stride and strided rows
+    (pool, referee), (rngs, referee_rngs) = _generator_pools(seed, owners)
+    columns = targets.transpose(0, 2, 1).reshape(count * n, m)
+    want = np.stack(
+        [
+            _one_column_at_a_time_oracle(v, cfg, rng)
+            for v, rng in zip(columns, [rng for rng in referee_rngs for _ in range(n)])
+        ]
+    )
+    strided = np.zeros((count * n, 2 * m), dtype=complex)
+    strided[:, 1::2] = columns
+    got = pure_state_oracles(strided[:, 1::2], cfg, [rng for rng in rngs for _ in range(n)])
+    assert got.tobytes() == want.tobytes()
+    assert _states(pool) == _states(referee)
+
+
+def test_a_rejected_draw_is_redrawn_as_column_by_column():
+    # row 0's first normals are g itself, so its orthogonal part is rounding and is rejected;
+    # rows 1 and 3 then draw from the same generator after row 0's redraw
+    cfg = PureStateOracleConfig(0.3)
+    d = 3
+    rng, other = np.random.default_rng(60), np.random.default_rng(61)
+    probe = copy.deepcopy(rng)
+    probe.random(2)
+    g = probe.standard_normal(d) + 1j * probe.standard_normal(d)
+    columns = np.stack([g / np.linalg.norm(g)] + [random_pure_state(d, np.random.default_rng(k)) for k in range(3)])
+    gens = [rng, rng, other, rng]
+    referee = {id(gen): copy.deepcopy(gen) for gen in (rng, other)}
+    redraws = []
+    want = np.stack(
+        [_one_column_at_a_time_oracle(v, cfg, referee[id(gen)], redraws) for v, gen in zip(columns, gens)]
+    )
+    assert len(redraws) == 1
+    assert pure_state_oracles(columns, cfg, gens).tobytes() == want.tobytes()
+    assert _states([rng, other]) == _states(referee.values())
+    # the stack of one redraws in place
+    rng = np.random.default_rng(60)
+    referee = copy.deepcopy(rng)
+    redraws.clear()
+    want = _one_column_at_a_time_oracle(columns[0], cfg, referee, redraws)
+    assert len(redraws) == 1
+    assert pure_state_oracle(columns[0], cfg, rng).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == referee.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
