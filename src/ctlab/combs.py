@@ -125,10 +125,6 @@ class LabelledOperator:
         op = partial_transpose(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout)
 
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.op))
-
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
@@ -337,8 +333,9 @@ class Tester:
     interfaces (the output group also carries an ancilla label when the
     tester probes dilations rather than channels). Group order is the
     significance order of the corresponding factors. The tester is
-    parallel: construction checks that its outcomes sum to rho on the inputs
-    tensor identity on the outputs.
+    parallel: construction checks that its outcome sum is a deterministic
+    comb in the ordering ((), inputs, outputs, ()), that is rho on the
+    inputs tensor identity on the outputs, with rho a state.
     """
 
     outcomes: tuple
@@ -359,15 +356,10 @@ class Tester:
             raise ValueError("outcome labels must be distinct")
         if len(in_labels) != len(out_labels) or not in_labels:
             raise ValueError("need matching nonempty in/out label groups")
-        flat: list = []
-        for g in in_labels + out_labels:
-            flat.extend(g)
-        if len(set(flat)) != len(flat):
-            raise ValueError("query label groups must be disjoint")
-        expected = set(flat)
+        inputs = tuple(lab for g in in_labels for lab in g)
+        outputs = tuple(lab for g in out_labels for lab in g)
+        expected = set(inputs + outputs)
         ref = outcomes[0][1].layout
-        if set(ref.labels) != expected:
-            raise ValueError("outcome operators must cover the query labels")
         for lab, op in outcomes:
             if set(op.labels) != expected:
                 raise ValueError(f"outcome {lab!r} carries the wrong labels")
@@ -377,7 +369,12 @@ class Tester:
             neg = -min_eig(op.op)
             if neg > COMB_ATOL:
                 raise ValueError(f"outcome {lab!r} is not psd (defect {neg:.3e})")
-        self._check_normalization()
+        check = is_deterministic_comb(self._sum(), ((), inputs, outputs, ()))
+        if not check.ok:
+            raise ValueError(
+                f"tester outcomes do not sum to a deterministic comb "
+                f"(level {check.failed_level}, defect {check.defect:.3e})"
+            )
 
     @property
     def n_queries(self) -> int:
@@ -402,22 +399,6 @@ class Tester:
         for lab in out_flat:
             d_out *= s.layout.dim_of(lab)
         return s.partial_trace(out_flat).scaled(1.0 / d_out)
-
-    def _check_normalization(self) -> None:
-        s = self._sum()
-        rho = self.input_state()
-        if abs(rho.trace - 1.0) > COMB_ATOL:
-            raise ValueError("tester input state is not normalized")
-        if min_eig(rho.op) < -COMB_ATOL:
-            raise ValueError("tester input state is not psd")
-        out_layout = s.layout.without(rho.labels)
-        target = rho.tensor(identity_on(out_layout)).aligned_to(s.layout)
-        defect = float(np.max(np.abs(s.op - target.op)))
-        if defect > COMB_ATOL:
-            raise ValueError(
-                f"parallel tester does not sum to rho x identity "
-                f"(defect {defect:.3e})"
-            )
 
 
 def _labelled_choi(process, out_group, in_group, ref: FactorLayout) -> LabelledOperator:

@@ -41,13 +41,11 @@ __all__ = [
     "amplitude_statistic",
     "choi_cross_statistic",
     "diamond_cross_statistic",
-    "StatRecord",
-    "MomentReport",
+    "BoundRecord",
+    "ProbeReport",
     "moment_experiment",
     "PackingNet",
     "sample_packing_net",
-    "LipschitzRecord",
-    "LipschitzReport",
     "lipschitz_probe",
 ]
 
@@ -431,26 +429,31 @@ def diamond_cross_statistic(x: HardInstance, y: HardInstance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    """One Monte Carlo estimate checked against a one-sided bound."""
+class BoundRecord(NamedTuple):
+    """One statistic checked against a one-sided bound from the paper.
+
+    value is a Monte Carlo mean (with its standard error) or, for a
+    Lipschitz probe, the largest observed ratio (stderr 0); kind is "lower"
+    or "upper".
+    """
 
     name: str
-    mean: float
+    value: float
     stderr: float
     bound: float
     kind: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class ProbeReport(NamedTuple):
+    """The records of one moment or Lipschitz probe; draws counts its pairs or trials."""
+
     regime: Regime
     d1: int
     d2: int
     r: int
     eps: float
-    n_pairs: int
+    draws: int
     records: tuple
 
     @property
@@ -458,9 +461,10 @@ class MomentReport:
         return all(rec.ok for rec in self.records)
 
 
-def _record(name: str, values: np.ndarray, bound: float, kind: str, sigmas: float = 5.0) -> StatRecord:
+def _record(name: str, values: list, bound: float, kind: str, sigmas: float = 5.0) -> BoundRecord:
+    values = np.array(values)
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
     # tiny absolute slack so statistics that sit exactly on their bound
     # (zero variance) are not flipped by rounding
     slack = 1e-10 * max(1.0, abs(bound))
@@ -468,7 +472,7 @@ def _record(name: str, values: np.ndarray, bound: float, kind: str, sigmas: floa
         ok = mean + sigmas * stderr >= bound - slack
     else:
         ok = mean - sigmas * stderr <= bound + slack
-    return StatRecord(name=name, mean=mean, stderr=stderr, bound=bound, kind=kind, ok=ok)
+    return BoundRecord(name, mean, stderr, bound, kind, ok)
 
 
 def moment_experiment(
@@ -480,7 +484,7 @@ def moment_experiment(
     *,
     pairs: int = 200,
     rng: np.random.Generator,
-) -> MomentReport:
+) -> ProbeReport:
     """Estimate the second and fourth moments of the separation statistics.
 
     Draws `pairs` independent (U_x, U_y) couples and compares the sample
@@ -519,40 +523,31 @@ def moment_experiment(
                 gram_d = fd.conj().T @ fd
                 push("diam tr|F|^4", float(np.sum(np.abs(gram_d) ** 2)))
 
-    records = []
     if regime == Regime.TYPE1:
-        dp = params["dp"]
-        records.append(_record("tr|D|^2", np.array(columns["tr|D|^2"]), d1 * d1 / (20.0 * r), "lower"))
-        records.append(
-            _record("tr|D|^4", np.array(columns["tr|D|^4"]), 12288.0 * d1**4 / r**3, "upper")
-        )
-        records.append(
-            _record(
-                "tr(A A^dag)",
-                np.array(columns["tr(A A^dag)"]),
-                (1.0 - eps * eps) * (d1 // r) * dp,
-                "lower",
-            )
-        )
+        table = {
+            "tr|D|^2": (d1 * d1 / (20.0 * r), "lower"),
+            "tr|D|^4": (12288.0 * d1**4 / r**3, "upper"),
+            "tr(A A^dag)": ((1.0 - eps * eps) * (d1 // r) * params["dp"], "lower"),
+        }
+    elif regime == Regime.TYPE2_NEAR:
+        md = params["m_diam"]
+        table = {
+            "choi tr|F|^2": (params["kappa"] / (2.0 * r), "lower"),
+            "choi tr|F|^4": (256.0 / r**3, "upper"),
+            "diam tr|F|^2": (1.0 / md, "lower"),
+            "diam tr|F|^4": (64.0 / md**3, "upper"),
+        }
+    elif regime == Regime.TYPE2_MID:
+        table = {
+            "choi tr|F|^2": (params["kappa"] / (4.0 * r), "lower"),
+            "choi tr|F|^4": (256.0 / r**3, "upper"),
+            "diam tr|F|^2": (1.0 / r, "lower"),
+            "diam tr|F|^4": (64.0 / r**3, "upper"),
+        }
     else:
-        if regime == Regime.TYPE2_NEAR:
-            lo2, hi4 = params["kappa"] / (2.0 * r), 256.0 / r**3
-        elif regime == Regime.TYPE2_MID:
-            lo2, hi4 = params["kappa"] / (4.0 * r), 256.0 / r**3
-        else:
-            lo2, hi4 = 1.0 / r, 384.0 / r**3
-        records.append(_record("choi tr|F|^2", np.array(columns["choi tr|F|^2"]), lo2, "lower"))
-        records.append(_record("choi tr|F|^4", np.array(columns["choi tr|F|^4"]), hi4, "upper"))
-        if regime in (Regime.TYPE2_NEAR, Regime.TYPE2_MID):
-            md = params["m_diam"]
-            lo2d = 1.0 / md if regime == Regime.TYPE2_NEAR else 1.0 / r
-            hi4d = 64.0 / md**3 if regime == Regime.TYPE2_NEAR else 64.0 / r**3
-            records.append(_record("diam tr|F|^2", np.array(columns["diam tr|F|^2"]), lo2d, "lower"))
-            records.append(_record("diam tr|F|^4", np.array(columns["diam tr|F|^4"]), hi4d, "upper"))
-
-    return MomentReport(
-        regime=regime, d1=d1, d2=d2, r=r, eps=eps, n_pairs=int(pairs), records=tuple(records)
-    )
+        table = {"choi tr|F|^2": (1.0 / r, "lower"), "choi tr|F|^4": (384.0 / r**3, "upper")}
+    records = tuple(_record(name, columns[name], bound, kind) for name, (bound, kind) in table.items())
+    return ProbeReport(regime, d1, d2, r, eps, int(pairs), records)
 
 
 # ---------------------------------------------------------------------------
@@ -776,29 +771,6 @@ def sample_packing_net(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LipschitzRecord:
-    name: str
-    constant: float
-    max_ratio: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    regime: Regime
-    d1: int
-    d2: int
-    r: int
-    eps: float
-    trials: int
-    records: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return all(rec.ok for rec in self.records)
-
-
 def _unitary_step(u: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
     """Move u a Frobenius distance of order `scale` along the unitary group."""
     dim = u.shape[0]
@@ -818,7 +790,7 @@ def lipschitz_probe(
     *,
     trials: int = 200,
     rng: np.random.Generator,
-) -> LipschitzReport:
+) -> ProbeReport:
     """Finite-difference check of the stated Lipschitz constants.
 
     Each trial evaluates the separation statistic at a random pair of
@@ -879,17 +851,10 @@ def lipschitz_probe(
             maxima[idx] = max(maxima[idx], ratio)
 
     records = tuple(
-        LipschitzRecord(
-            name=name,
-            constant=const,
-            max_ratio=maxima[idx],
-            ok=maxima[idx] <= const * (1.0 + 1e-3),
-        )
-        for idx, (name, const, _) in enumerate(probes)
+        BoundRecord(name, top, 0.0, const, "upper", top <= const * (1.0 + 1e-3))
+        for (name, const, _), top in zip(probes, maxima)
     )
-    return LipschitzReport(
-        regime=regime, d1=d1, d2=d2, r=r, eps=eps, trials=int(trials), records=records
-    )
+    return ProbeReport(regime, d1, d2, r, eps, int(trials), records)
 
 
 # ---------------------------------------------------------------------------

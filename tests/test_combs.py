@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctlab.channels import Channel, dilate, random_channel
@@ -21,6 +21,7 @@ from ctlab.linalg import (
     FactorLayout,
     dag,
     haar_unitary,
+    min_eig,
     partial_trace,
     partial_transpose,
     permute_factors,
@@ -401,12 +402,91 @@ def test_tester_rejects_bad_normalization():
         combs.Tester(outcomes=outcomes, in_labels=(("A",),), out_labels=(("B",),))
 
 
+def _referee_rejects(outcomes, out_labels) -> bool:
+    """The parallel-tester check Tester ran before it went through
+    is_deterministic_comb: psd outcomes, and an outcome sum equal to
+    rho x identity with rho a normalized psd state."""
+    if any(min_eig(op.op) < -COMB_ATOL for _, op in outcomes):
+        return True
+    ref = outcomes[0][1]
+    s = LabelledOperator(sum(op.aligned_to(ref.layout).op for _, op in outcomes), ref.layout)
+    out_flat = [lab for g in out_labels for lab in g]
+    d_out = math.prod(s.layout.dim_of(lab) for lab in out_flat)
+    rho = s.partial_trace(out_flat).scaled(1.0 / d_out)
+    if abs(np.trace(rho.op) - 1.0) > COMB_ATOL or min_eig(rho.op) < -COMB_ATOL:
+        return True
+    target = rho.tensor(identity_on(s.layout.without(rho.labels))).aligned_to(s.layout)
+    return float(np.max(np.abs(s.op - target.op))) > COMB_ATOL
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+    st.integers(2, 4),
+    st.sampled_from(["none", "scale", "non-psd input", "output term"]),
+    st.floats(1e-6, 1e-2),
+    st.integers(0, 2**32 - 1),
+)
+def test_tester_check_matches_parallel_referee(n, d_in, d_out, anc, k, perturb, delta, seed):
+    # the comb check and the deleted rho x identity arithmetic give the same verdicts
+    rng = np.random.default_rng(seed)
+    t = random_parallel_tester(n, d_in, d_out, k, rng, anc_dim=anc)
+    layout = t.outcomes[0][1].layout
+    d_a = d_in**n
+    d_rest = layout.dim // d_a
+    ops = [op.op for _, op in t.outcomes]
+    if perturb == "scale":
+        ops[0] = ops[0] * (1.0 + delta)
+    elif perturb == "non-psd input":
+        # move weight from the smallest eigenvector of rho to the largest, past zero
+        assume(d_a > 1)
+        w, v = np.linalg.eigh(t.input_state().op)
+        shift = (w[0] + delta) * (np.outer(v[:, -1], v[:, -1].conj()) - np.outer(v[:, 0], v[:, 0].conj()))
+        ops = [op + np.kron(shift, np.eye(d_rest)) / k for op in ops]
+    elif perturb == "output term":
+        assume(d_rest > 1)
+        h = _herm(d_rest, rng)
+        h -= np.trace(h) / d_rest * np.eye(d_rest)
+        ops[0] = ops[0] + delta * np.kron(np.eye(d_a), h / np.abs(h).max())
+    outcomes = tuple((i, LabelledOperator(op, layout)) for i, op in enumerate(ops))
+    want = _referee_rejects(outcomes, t.out_labels)
+    assert want == (perturb != "none")
+    try:
+        combs.Tester(outcomes=outcomes, in_labels=t.in_labels, out_labels=t.out_labels)
+        raised = False
+    except ValueError:
+        raised = True
+    assert raised == want
+
+
+def test_sequential_comb_is_not_a_parallel_tester():
+    # prepare rho on A0, measure B0, prepare psi_b on A1: a two-query sequential tester
+    rng = np.random.default_rng(21)
+    rho = random_density(2, rng)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    branch = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + np.kron(np.diag([0.0, 1.0]), plus)
+    x = LabelledOperator(
+        np.kron(np.kron(rho, branch), np.eye(2)), (("A0", 2), ("B0", 2), ("A1", 2), ("B1", 2))
+    )
+    check = is_deterministic_comb(x, ((), ("A0",), ("B0",), ("A1",), ("B1",), ()))
+    assert check.ok and check.defect < COMB_ATOL
+    with pytest.raises(ValueError, match="level 2"):
+        combs.Tester(
+            outcomes=((0, x.scaled(0.5)), (1, x.scaled(0.5))),
+            in_labels=(("A0",), ("A1",)),
+            out_labels=(("B0",), ("B1",)),
+        )
+
+
 @pytest.mark.parametrize("n_queries", [1, 2])
 def test_random_parallel_tester_channel(n_queries):
     rng = np.random.default_rng(17 + n_queries)
     t = random_parallel_tester(n_queries, 2, 2, 3, rng)
     assert t.n_queries == n_queries
-    assert abs(t.input_state().trace - 1.0) < 1e-8
+    assert abs(np.trace(t.input_state().op) - 1.0) < 1e-8
     ch = random_channel(2, 2, 2, rng)
     probs = apply_tester(t, ch)
     assert probs.min() > -1e-10

@@ -309,21 +309,36 @@ def test_moment_experiment_bounds_hold(regime):
     d1, d2, r = CASES[regime]
     report = moment_experiment(regime, d1, d2, r, 0.1, pairs=60, rng=np.random.default_rng(16))
     assert report.all_ok, [rec for rec in report.records if not rec.ok]
-    assert report.n_pairs == 60
-    names = [rec.name for rec in report.records]
+    assert report.draws == 60
+    # the paper's constants, in the order the probe reports them
+    kappa = min((r * d2 - d1) / d1, 1.0)
     if regime == Regime.TYPE1:
-        assert names == ["tr|D|^2", "tr|D|^4", "tr(A A^dag)"]
-    elif regime == Regime.TYPE2_LARGE:
-        assert names == ["choi tr|F|^2", "choi tr|F|^4"]
-    else:
-        assert names == [
-            "choi tr|F|^2",
-            "choi tr|F|^4",
-            "diam tr|F|^2",
-            "diam tr|F|^4",
+        dp = 2 * (d1 // 2)
+        want = [
+            ("tr|D|^2", d1**2 / (20 * r), "lower"),
+            ("tr|D|^4", 12288 * d1**4 / r**3, "upper"),
+            ("tr(A A^dag)", (1 - 0.1**2) * (d1 // r) * dp, "lower"),
         ]
+    elif regime == Regime.TYPE2_NEAR:
+        m_diam = r * d2 - d1
+        want = [
+            ("choi tr|F|^2", kappa / (2 * r), "lower"),
+            ("choi tr|F|^4", 256 / r**3, "upper"),
+            ("diam tr|F|^2", 1 / m_diam, "lower"),
+            ("diam tr|F|^4", 64 / m_diam**3, "upper"),
+        ]
+    elif regime == Regime.TYPE2_MID:
+        want = [
+            ("choi tr|F|^2", kappa / (4 * r), "lower"),
+            ("choi tr|F|^4", 256 / r**3, "upper"),
+            ("diam tr|F|^2", 1 / r, "lower"),
+            ("diam tr|F|^4", 64 / r**3, "upper"),
+        ]
+    else:
+        want = [("choi tr|F|^2", 1 / r, "lower"), ("choi tr|F|^4", 384 / r**3, "upper")]
+    got = [(rec.name, rec.bound, rec.kind) for rec in report.records]
+    assert got == [(name, pytest.approx(bound, rel=1e-12), kind) for name, bound, kind in want]
     for rec in report.records:
-        assert rec.kind in ("lower", "upper")
         assert rec.stderr >= 0.0
 
 
@@ -563,9 +578,10 @@ def test_lipschitz_type1():
     assert report.all_ok
     (rec,) = report.records
     assert rec.name == "choi distance"
-    assert rec.constant == pytest.approx(0.1 * math.sqrt(32.0 / 4.0))
-    assert 0 < rec.max_ratio <= rec.constant * (1 + 1e-3)
-    assert report.trials == 40
+    assert rec.bound == pytest.approx(0.1 * math.sqrt(32.0 / 4.0))
+    assert 0 < rec.value <= rec.bound * (1 + 1e-3)
+    assert (rec.stderr, rec.kind) == (0.0, "upper")
+    assert report.draws == 40
 
 
 def test_lipschitz_near_has_diamond_probe():
@@ -575,8 +591,8 @@ def test_lipschitz_near_has_diamond_probe():
     assert report.all_ok
     names = [rec.name for rec in report.records]
     assert names == ["choi cross term", "diamond cross term"]
-    assert report.records[0].constant == pytest.approx(math.sqrt(2.0 / 5.0))
-    assert report.records[1].constant == pytest.approx(math.sqrt(2.0))  # m_diam = 1
+    assert report.records[0].bound == pytest.approx(math.sqrt(2.0 / 5.0))
+    assert report.records[1].bound == pytest.approx(math.sqrt(2.0))  # m_diam = 1
 
 
 def test_lipschitz_large():

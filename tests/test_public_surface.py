@@ -20,13 +20,15 @@ a command's options and seed are all that fix its report.
 
 TEST_ONLY is the one allowlist the first two tests read, keyed by ``module.qualname``:
 what only the test suite or the benchmark reaches, each with the reason it
-stays.
+stays. Every ``tests/<file>.py::<name>`` a reason cites must name a test
+function that exists.
 """
 
 import ast
 import contextlib
 import importlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -44,9 +46,6 @@ _LIPSCHITZ_PROBE = (
     "tests/test_acceptance.py::test_09_lipschitz_probes_respect_constants"
 )
 _PROBE_STATISTIC = "a statistic of the moment and Lipschitz probes (test_06b, test_09)"
-_COMB_CHECK = (
-    "the deterministic-comb check of tests/test_acceptance.py::test_03 and test_03b"
-)
 _TYPE1_CERTIFICATE = "type1 gamma certificates: an input of the benchmark's certify workload"
 _BATCH_MONTE_CARLO = (
     "the fourth-moment Monte Carlo over a caller's Haar batch: perfbench/tracing.py wraps "
@@ -59,10 +58,13 @@ _ONE_AT_A_TIME_POOL = (
 
 TEST_ONLY = {
     "hardness.moment_experiment": _MOMENT_PROBE,
-    "hardness.MomentReport.all_ok": _MOMENT_PROBE,
     "hardness._record": _MOMENT_PROBE,
     "hardness.lipschitz_probe": _LIPSCHITZ_PROBE,
-    "hardness.LipschitzReport.all_ok": _LIPSCHITZ_PROBE,
+    "hardness.ProbeReport.all_ok": (
+        "the verdict of a moment or Lipschitz probe; read by "
+        "tests/test_hardness.py::test_moment_experiment_bounds_hold and "
+        "tests/test_hardness.py::test_lipschitz_type1"
+    ),
     "hardness._unitary_step": _LIPSCHITZ_PROBE,
     "hardness._tr_anc_outer": _PROBE_STATISTIC,
     "hardness._pair_guard": _PROBE_STATISTIC,
@@ -70,15 +72,13 @@ TEST_ONLY = {
     "hardness.amplitude_statistic": _PROBE_STATISTIC,
     "hardness.choi_cross_statistic": _PROBE_STATISTIC,
     "hardness.diamond_cross_statistic": _PROBE_STATISTIC,
-    "combs.is_deterministic_comb": _COMB_CHECK,
-    "combs._validate_ordering": _COMB_CHECK,
     "combs.CombCheck.__bool__": "lets tests assert a certificate by its truth value",
     "hardness.type1_gamma_family": _TYPE1_CERTIFICATE,
     "hardness._type1_subset": _TYPE1_CERTIFICATE,
     "hardness._type1_steps": _TYPE1_CERTIFICATE,
     "hardness.HardInstance.anc_blocks": (
         "the center's Kraus blocks, whose trace-orthogonality "
-        "tests/test_acceptance.py::test_06 checks"
+        "tests/test_acceptance.py::test_06_hard_instance_fuzz_invariants checks"
     ),
     "moments.mc_fourth_moment_trace": _BATCH_MONTE_CARLO,
     "moments._fourth_moment_samples": _BATCH_MONTE_CARLO,
@@ -176,6 +176,23 @@ def test_test_only_names_are_exported():
         for part in qualname.split("."):
             obj = vars(obj)[part]
         assert callable(obj.fget if isinstance(obj, property) else obj), key
+
+
+def test_test_only_reasons_cite_existing_tests():
+    # a reason that names tests/<file>.py::<name> names a test function that exists
+    tests_dir = Path(__file__).resolve().parent
+    missing = []
+    for key, reason in TEST_ONLY.items():
+        for path, name in re.findall(r"tests/(\w+\.py)::(\w+)", reason):
+            source = tests_dir / path
+            defined = {
+                node.name
+                for node in (ast.parse(source.read_text()).body if source.exists() else [])
+                if isinstance(node, ast.FunctionDef)
+            }
+            if name not in defined:
+                missing.append(f"{key}: tests/{path}::{name}")
+    assert not missing, "TEST_ONLY cites tests that do not exist: " + ", ".join(missing)
 
 
 def test_no_private_imports_across_modules():
