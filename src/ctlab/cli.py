@@ -355,19 +355,26 @@ def localtest(
         raise click.UsageError("--r times --d2 must be at least --d1 (dilation feasibility)")
     m = d1 * d2 * r
     dim = m**n
+    outcomes = 2
     # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
     # more and its localized forms three at most; a trial ~10 more, an r x r Haar batch filled
     # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre
-    # buffer, the Gram-Schmidt stack with its conjugate and work array, and temporaries), and
-    # 5 stacks of dilation vectors, m wide for one query and m(m+1)/2 (the symmetric subspace)
-    # for two
+    # buffer, the Gram-Schmidt stack with its conjugate and work array, and temporaries), a
+    # width^2 quad form per outcome, a float per outcome and sample with as many for their
+    # spread, and, once the stream is done, a four-array workspace of one
+    # linalg._CHUNK_BYTES run of samples (one more where a one-sample tail joins it) with the
+    # run's row sums, width being m for one query and m(m+1)/2 (the symmetric subspace) for two
     width = m if n == 1 else m * (m + 1) // 2
     chunk = r * r * min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)))
-    per_trial = 10 * dim * dim + 6 * chunk + samples * (5 * width + r * r)
+    run = min(samples, linalg._CHUNK_BYTES // (16 * width) + 1)
+    workspace = (4 * width + 1) * run
+    per_trial = (
+        10 * dim * dim + outcomes * width * width + max(6 * chunk, workspace) + samples * (r * r + outcomes)
+    )
     _budget_guard(16 * ((2 * testers + 5) * dim * dim + per_trial))
 
     tester_list = [
-        random_parallel_tester(n, d1, d2, 2, _trial_rng(seed, 100_000 + i), anc_dim=r)
+        random_parallel_tester(n, d1, d2, outcomes, _trial_rng(seed, 100_000 + i), anc_dim=r)
         for i in range(testers)
     ]
 

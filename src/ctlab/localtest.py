@@ -20,6 +20,7 @@ from .channels import Channel, dilate
 from .combs import LabelledOperator, Tester, apply_tester
 from .linalg import (
     FactorLayout,
+    chunk_slices,
     haar_unitaries,
     partial_trace,
     permute_factors,
@@ -235,24 +236,40 @@ def _symmetric_pairs(m: int) -> tuple:
     return a, b, np.where(a == b, 1.0, np.sqrt(2.0))
 
 
-def _dilation_vectors(
-    base_matrix: np.ndarray, n: int, count: int, r: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Choi vector coordinates of (U (x) 1) V for a batch of Haar U.
+def _sample_runs(samples: int, member_bytes: int) -> list:
+    """The linalg.chunk_slices runs of range(samples), each stopped at samples, with a
+    one-sample tail joined to the run before it. numpy hands a one-row product to GEMV,
+    which rounds otherwise than GEMM, and GEMM gives a row the same bits in runs of any
+    length from two up, so every run's values are those of one GEMM over the whole batch
+    (unless one sample alone outweighs _CHUNK_BYTES, which leaves runs of one)."""
+    runs = [slice(run.start, min(run.stop, samples)) for run in chunk_slices(samples, member_bytes)]
+    if len(runs) > 1 and runs[-1].stop - runs[-1].start == 1:
+        runs[-2:] = [slice(runs[-2].start, samples)]
+    return runs
 
-    One query: the vectorized Choi vector w, m = r d2 d1 wide. Two queries:
-    w (x) w lies in the symmetric subspace, so it is given by its m(m+1)/2
-    coordinates in the orthonormal basis |aa>, (|ab> + |ba>)/sqrt 2 (a < b).
+
+def _dilation_vectors(
+    v0: np.ndarray, n: int, us: np.ndarray, w: np.ndarray, y: np.ndarray, ybar: np.ndarray
+) -> np.ndarray:
+    """Fill one run's workspace from its Haar unitaries us (count, r, r) and the dilation
+    V as v0 (r, d2, d1): w with the Choi vectors of (U (x) 1) V, m = r d2 d1 wide, y with
+    their coordinates and ybar with y's conjugate; returns y.
+
+    One query: y is w itself. Two queries: w (x) w lies in the symmetric subspace, so y
+    holds its m(m+1)/2 coordinates in the orthonormal basis |aa>, (|ab> + |ba>)/sqrt 2
+    (a < b).
     """
-    us = haar_unitaries(r, count, rng)
-    rows, d1 = base_matrix.shape
-    d2 = rows // r
-    v0 = np.ascontiguousarray(base_matrix.reshape(r, d2, d1))
-    w = np.einsum("skl,lba->skba", us, v0).reshape(count, rows * d1)
-    if n == 1:
-        return w
-    a, b, weight = _symmetric_pairs(rows * d1)
-    return w[:, a] * (w[:, b] * weight)
+    np.einsum("skl,lba->skba", us, v0, out=w.reshape(len(us), *v0.shape))
+    if n == 2:
+        a, b, weight = _symmetric_pairs(w.shape[1])
+        # y = (w_b weight) w_a, the factors in this order, as a complex product's rounding
+        # depends on it; ybar holds w_a meanwhile
+        np.take(w, b, axis=1, out=y, mode="clip")
+        y *= weight
+        np.take(w, a, axis=1, out=ybar, mode="clip")
+        y *= ybar
+    np.conjugate(y, out=ybar)
+    return y
 
 
 def _quad_form_operator(t: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -283,7 +300,12 @@ def verify_dilation_identity(
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
     tester over random dilations (must agree within 5 standard errors).
+    Route (c) walks its samples in runs of about linalg._CHUNK_BYTES through
+    one workspace, so it holds no (samples, width) stack of dilation vectors;
+    it needs at least 2 samples for its spread, and raises ValueError below.
     """
+    if samples < 2:
+        raise ValueError(f"route (c) needs at least 2 samples for its spread, not {samples}")
     tester = forms.tester
     anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
@@ -296,16 +318,34 @@ def verify_dilation_identity(
     order = []
     for j in range(n):
         order += [anc_labels[j], b_labels[j], a_labels[j]]
-    vecs = _dilation_vectors(base.matrix, n, samples, r, rng)
-    vbar = np.ascontiguousarray(np.conj(vecs))
+    rows, d1 = base.matrix.shape
+    v0 = np.ascontiguousarray(base.matrix.reshape(r, rows // r, d1))
     m = base.matrix.size
-    mc_mean = np.empty(len(tester.outcomes))
-    mc_stderr = np.empty(len(tester.outcomes))
-    for i, (_, op) in enumerate(tester.outcomes):
-        t_aligned = np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m))
-        vals = np.sum(vecs * (vbar @ t_aligned.T), axis=1).real
-        mc_mean[i] = vals.mean()
-        mc_stderr[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else np.inf
+    width = m if n == 1 else m * (m + 1) // 2
+    quad_forms = [
+        np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m)).T
+        for _, op in tester.outcomes
+    ]
+    us = haar_unitaries(r, samples, rng)
+    # one workspace for every run: the Choi vectors, their coordinates (the Choi vectors
+    # themselves for one query), the conjugates and the quad-form product
+    runs = _sample_runs(samples, 16 * width)
+    size = max(run.stop - run.start for run in runs)
+    w = np.empty((size, m), dtype=complex)
+    y = w if n == 1 else np.empty((size, width), dtype=complex)
+    ybar = np.empty((size, width), dtype=complex)
+    prod = np.empty((size, width), dtype=complex)
+    vals = np.empty((len(quad_forms), samples))
+    for run in runs:
+        count = run.stop - run.start
+        vecs = _dilation_vectors(v0, n, us[run], w[:count], y[:count], ybar[:count])
+        for t, row in zip(quad_forms, vals):
+            p = prod[:count]
+            np.matmul(ybar[:count], t, out=p)
+            p *= vecs
+            row[run] = p.sum(axis=1).real
+    mc_mean = vals.mean(axis=1)
+    mc_stderr = vals.std(axis=1, ddof=1) / np.sqrt(samples)
 
     k = len(tester.outcomes)
     max_fixed_dev = float(np.max(np.abs(localized[:k] - fixed)))

@@ -433,8 +433,8 @@ def test_failing_check_exits_one(monkeypatch):
     [
         # 5.6 GB of Monte Carlo values: three complex and one float per sample
         ["moments", "--d", "2", "--samples", "100000000"],
-        # 10 GB of dilation vectors
-        ["localtest", "--n", "2", "--samples", "10000000"],
+        # 6.4 GB of Haar unitaries and 3.2 GB of Monte Carlo values and their spread
+        ["localtest", "--n", "2", "--samples", "100000000"],
         # up to 1024 lifted Kraus operators of 16 MiB each, per channel
         ["distances", "--d1", "32", "--d2", "32"],
         # a pool of 128 Choi matrices of 256 MiB each
@@ -460,7 +460,7 @@ def test_over_budget_runs_are_declined_before_work(args):
         pytest.param(["moments", "--d", "2", "--samples", "16064"], id="moments-one-chunk"),
         pytest.param(["moments", "--d", "5", "--samples", "1129"], id="moments-part-chunk"),
         pytest.param(["moments", "--d", "2", "--samples", "56118"], id="moments-four-chunks"),
-        # a 20 MiB stack of two-copy dilation vectors
+        # 20000 two-query samples: their 1.3 MB Haar batch and values, and four 1 MiB run arrays
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
         # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],

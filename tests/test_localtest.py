@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import combs
+from ctlab import combs, linalg
 from ctlab.channels import Channel, Dilation, dilate, random_channel
 from ctlab.cli import main
 from ctlab.combs import apply_tester, random_parallel_tester
@@ -14,6 +16,8 @@ from ctlab.linalg import haar_unitaries, haar_unitary, random_gaussian_matrix, r
 from ctlab.localtest import (
     PERP_LABEL,
     _dilation_vectors,
+    _find_anc_labels,
+    _query_labels,
     _quad_form_operator,
     average_tester,
     dilation_forms,
@@ -195,10 +199,13 @@ def test_two_query_quad_form_on_the_symmetric_subspace_matches_the_full_form(r, 
     base = random_isometry(r * d2, d1, rng)
     m = r * d2 * d1
     t = random_gaussian_matrix(m * m, m * m, rng)
-    # one seed, so both calls draw the same Haar batch
-    w = _dilation_vectors(base, 1, 16, r, np.random.default_rng(seed))
-    y = _dilation_vectors(base, 2, 16, r, np.random.default_rng(seed))
+    us = haar_unitaries(r, 16, rng)
+    v0 = base.reshape(r, d2, d1)
+    w = np.empty((16, m), dtype=complex)
+    pair = np.empty((2, 16, m * (m + 1) // 2), dtype=complex)
+    y = _dilation_vectors(v0, 2, us, w, *pair)
     assert y.shape == (16, m * (m + 1) // 2)
+    assert np.array_equal(pair[1], np.conj(y))
     got = np.sum(y * (np.conj(y) @ _quad_form_operator(t, 2, m).T), axis=1)
     assert np.abs(got - _full_quad_forms(w, t)).max() <= 1e-12 * np.linalg.norm(t)
 
@@ -207,3 +214,87 @@ def test_localtest_two_queries_seed_3_passes_every_check():
     res = CliRunner().invoke(main, ["localtest", "--n", "2", "--seed", "3"])
     assert res.exit_code == 0, res.output
     assert [c["passed"] for c in json.loads(res.output)["checks"]] == [True] * 9
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_verify_dilation_identity_refuses_too_few_samples(samples):
+    # one sample has no spread, so route (c) could not fail; fewer is no sample at all
+    rng = np.random.default_rng(15)
+    t = random_parallel_tester(1, 2, 2, 2, rng, anc_dim=2)
+    ch = random_channel(2, 2, 2, rng)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_dilation_identity(dilation_forms(t), ch, samples=samples, rng=rng)
+
+
+def _whole_stack_route_c(forms, channel, samples, rng):
+    """Referee: route (c) over one (samples, width) stack of every sample's coordinates.
+
+    Each complex product takes its factors in the order numpy runs `w[:, a] * (w[:, b] *
+    weight)` and `vecs * (vbar @ t.T)` on stacks of 256 KiB or more, where it writes the
+    result into the right-hand temporary: the product's rounding depends on that order."""
+    tester = forms.tester
+    anc_labels = _find_anc_labels(tester)
+    a_labels, b_labels = _query_labels(tester, anc_labels)
+    n = tester.n_queries
+    order = []
+    for j in range(n):
+        order += [anc_labels[j], b_labels[j], a_labels[j]]
+    r = tester.outcomes[0][1].layout.dim_of(anc_labels[0])
+    base = dilate(channel, r).matrix
+    rows, d1 = base.shape
+    us = haar_unitaries(r, samples, rng)
+    vecs = np.einsum("skl,lba->skba", us, base.reshape(r, rows // r, d1)).reshape(samples, -1)
+    m = base.size
+    if n == 2:
+        a, b = np.triu_indices(m)
+        vecs = np.multiply(vecs[:, b] * np.where(a == b, 1.0, np.sqrt(2.0)), vecs[:, a])
+    vbar = np.conj(vecs)
+    mean, stderr = [], []
+    for _, op in tester.outcomes:
+        t = np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m))
+        vals = np.sum(np.multiply(vbar @ t.T, vecs), axis=1).real
+        mean.append(vals.mean())
+        stderr.append(vals.std(ddof=1) / np.sqrt(samples))
+    return np.array(mean), np.array(stderr)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 2]),
+    r=st.integers(1, 2),
+    d1=st.integers(1, 2),
+    d2=st.integers(1, 2),
+    run=st.integers(2, 9),
+    samples=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_route_c_in_runs_equals_the_whole_stack(n, r, d1, d2, run, samples, seed):
+    # _CHUNK_BYTES lowered to `run` samples of coordinates, so the samples fall below, at
+    # and across run boundaries, with ragged tails (a one-sample tail joins the run before)
+    d1 = min(d1, r * d2)
+    rng = np.random.default_rng(seed)
+    t = random_parallel_tester(n, d1, d2, 2, rng, anc_dim=r)
+    ch = random_channel(d1, d2, min(r, d1 * d2), rng)
+    forms = dilation_forms(t)
+    m = r * d2 * d1
+    width = m if n == 1 else m * (m + 1) // 2
+    with mock.patch.object(linalg, "_CHUNK_BYTES", 16 * width * run):
+        check = verify_dilation_identity(forms, ch, samples=samples, rng=np.random.default_rng(seed))
+        mean, stderr = _whole_stack_route_c(forms, ch, samples, np.random.default_rng(seed))
+    assert np.all(check.mc_mean == mean)
+    assert np.all(check.mc_stderr == stderr)
+
+
+def test_route_c_memory_stays_below_one_stack_of_dilation_vectors():
+    rng = np.random.default_rng(16)
+    t = random_parallel_tester(2, 2, 2, 2, rng, anc_dim=2)
+    ch = random_channel(2, 2, 2, rng)
+    forms = dilation_forms(t)
+    samples, width = 20_000, 8 * 9 // 2
+    tracemalloc.start()
+    try:
+        verify_dilation_identity(forms, ch, samples=samples, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * samples * width
