@@ -283,13 +283,13 @@ def verify(seed: int, fmt: str, out: str):
 )
 def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
-    # no Haar batch is held: the Monte Carlo keeps each quadruple's value per sample, and the
-    # Haar stream feeding it ten arrays of one linalg._CHUNK_BYTES chunk of samples at most
-    # (the Ginibre buffer, the Gram-Schmidt stack with its conjugate and work array, the four
-    # Monte Carlo products, and room for temporaries); the estimates then a float per sample,
-    # and twirl2 seven d^2 x d^2 operators
-    chunk_words = d * d * min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
-    _budget_guard(16 * (3 * samples + 7 * d**4) + max(16 * 10 * chunk_words, 8 * samples))
+    # nothing grows with --samples: no Haar batch and no value per sample is held, only the
+    # Haar stream and the Monte Carlo it feeds, ten arrays of one linalg._CHUNK_BYTES chunk of
+    # samples at most (the Ginibre buffer, the Gram-Schmidt stack with its conjugate and work
+    # array, the four Monte Carlo products, and room for temporaries), the three quadruples'
+    # values of a chunk with the statistics' copy of them, and twirl2 seven d^2 x d^2 operators
+    step = min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
+    _budget_guard(16 * (7 * d**4 + 10 * d * d * step + 6 * step))
     checks = []
 
     def quadruple(index: int, rng: np.random.Generator):
@@ -361,7 +361,8 @@ def localtest(
     # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre
     # buffer, the Gram-Schmidt stack with its conjugate and work array, and temporaries), a
     # width^2 quad form per outcome, a float per outcome and sample with as many for their
-    # spread, and, once the stream is done, a four-array workspace of one
+    # spread (route (c) takes its statistics over whole arrays, where moments merges them chunk
+    # by chunk), and, once the stream is done, a four-array workspace of one
     # linalg._CHUNK_BYTES run of samples (one more where a one-sample tail joins it) with the
     # run's row sums, width being m for one query and m(m+1)/2 (the symmetric subspace) for two
     width = m if n == 1 else m * (m + 1) // 2

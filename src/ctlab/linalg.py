@@ -32,8 +32,8 @@ MAX_BYTES = 2**31
 # bytes per chunk of the batch kernels: the Haar stream (_haar_chunks) and the
 # fourth-moment Monte Carlo of moments that reads it, tomography's phase-grid pencils and
 # Choi errors, and the stacked QR, validation and eigensolves of channel and isometry stacks
-# (chunk_slices)
-_CHUNK_BYTES = 1 << 20
+# (chunk_slices); 256 KiB, so that the few arrays of a chunk's workspace stay in L2 cache
+_CHUNK_BYTES = 1 << 18
 # float64 unit roundoff, and the relative slack rho of the certified bounds that
 # prune exact work (the packing pool's distances, the phase-error grid)
 _UNIT_ROUNDOFF = 2.0**-53

@@ -8,6 +8,7 @@ paired with Monte Carlo estimators so each can certify the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -123,13 +124,13 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def mc_fourth_moment_trace(a1, b1, a2, b2, *, unitaries: np.ndarray) -> MonteCarloEstimate:
-    """Monte Carlo twin of fourth_moment_trace over a (count, d, d) Haar batch."""
+    """Monte Carlo twin of fourth_moment_trace over a (count, d, d) Haar batch, count >= 1."""
     a1, b1, a2, b2 = _square_operators(a1, b1, a2, b2)
     d = a1.shape[0]
     us = np.asarray(unitaries, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (d, d):
         raise ValueError("unitary batch shape does not match the operators")
-    return _estimate(_fourth_moment_samples(us, a1, b1, a2, b2))
+    return _monte_carlo(_batch_chunks(us), [(a1, b1, a2, b2)])[0]
 
 
 def mc_fourth_moment_traces(quadruples, samples: int, rng: np.random.Generator) -> list:
@@ -137,62 +138,93 @@ def mc_fourth_moment_traces(quadruples, samples: int, rng: np.random.Generator) 
 
     The unitaries are those of linalg.haar_unitaries(d, samples, rng), and rng
     ends where that call leaves it, but they arrive as a stream of chunks
-    (linalg._haar_chunks) that every quadruple reads while it is in cache, so no
-    batch is ever held.
+    (linalg._haar_chunks) that every quadruple reads while it is in cache, and
+    each chunk's values are merged into running statistics, so neither a batch
+    nor a value per sample is ever held. samples must be at least 1.
     """
     quads = [_square_operators(*ops) for ops in quadruples]
     d = quads[0][0].shape[0]
     if any(ops[0].shape[0] != d for ops in quads):
         raise ValueError("all quadruples must share one dimension")
-    values = _fourth_moment_values(linalg._haar_chunks(d, samples, rng), samples, quads)
-    return [_estimate(vals) for vals in values]
+    return _monte_carlo(linalg._haar_chunks(d, samples, rng), quads)
 
 
-def _estimate(vals: np.ndarray) -> MonteCarloEstimate:
-    n = vals.size
-    mean = complex(vals.mean())
+# the totals of no samples, from which _merge starts
+_NO_SAMPLES = (0, 0.0, 0.0)
+
+
+def _monte_carlo(chunks, quads) -> list:
+    """Each quadruple's estimate over a stream of unitary chunks, merged chunk by chunk."""
+    return _estimate(functools.reduce(_merge, _fourth_moment_values(chunks, quads), _NO_SAMPLES))
+
+
+def _merge(totals: tuple, vals: np.ndarray) -> tuple:
+    """Fold a (rows, n) chunk of complex samples into running totals (count, mean, M2).
+
+    mean and M2 are (rows, 2) arrays over the real and imaginary parts, M2 being
+    the sum of squared deviations from the mean. The chunk's own count, mean and
+    M2 join the totals by the pairwise update of Chan, Golub and LeVeque (1983),
+    so no sample outlives its chunk.
+    """
+    count, mean, m2 = totals
+    n = vals.shape[1]
+    parts = np.stack((vals.real, vals.imag), axis=1)
+    chunk_mean = parts.mean(axis=2)
+    parts -= chunk_mean[..., None]
+    chunk_m2 = np.square(parts, out=parts).sum(axis=2)
+    delta = chunk_mean - mean
+    total = count + n
+    return total, mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
+
+
+def _estimate(totals: tuple) -> list:
+    """One MonteCarloEstimate per row of merged totals; one sample has an infinite
+    stderr, and none raises ValueError."""
+    n, mean, m2 = totals
+    if n < 1:
+        raise ValueError("the Monte Carlo needs at least 1 sample")
     if n > 1:
-        sr = float(vals.real.std(ddof=1) / math.sqrt(n))
-        si = float(vals.imag.std(ddof=1) / math.sqrt(n))
+        stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     else:
-        sr = si = float("inf")
-    return MonteCarloEstimate(mean, sr, si, n)
+        stderr = np.full_like(m2, float("inf"))
+    return [
+        MonteCarloEstimate(complex(re, im), float(sr), float(si), n)
+        for (re, im), (sr, si) in zip(mean, stderr)
+    ]
 
 
-def _fourth_moment_samples(us, a1, b1, a2, b2) -> np.ndarray:
-    """Each tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, of the batch us, taken in
-    chunks of linalg._CHUNK_BYTES moved to the (column, row, sample) layout."""
+def _batch_chunks(us: np.ndarray):
+    """The batch us in chunks of linalg._CHUNK_BYTES moved to the (column, row, sample)
+    layout of linalg._haar_chunks, and over the same chunk boundaries."""
     n, d, _ = us.shape
-    runs = linalg.chunk_slices(n, 16 * d * d)
-    chunks = (np.ascontiguousarray(us[run].transpose(2, 1, 0)) for run in runs)
-    return _fourth_moment_values(chunks, n, [(a1, b1, a2, b2)])[0]
+    for run in linalg.chunk_slices(n, 16 * d * d):
+        yield np.ascontiguousarray(us[run].transpose(2, 1, 0))
 
 
-def _fourth_moment_values(chunks, count: int, quads) -> np.ndarray:
-    """Each quadruple's tr(X1 Y1 X2 Y2) for every unitary of a stream of chunks
-    uk[k, i, :] = U[i, k], count in all, as a (quadruples, count) array.
+def _fourth_moment_values(chunks, quads):
+    """Yield each quadruple's tr(X1 Y1 X2 Y2), Xk = U Ak and Yk = U^dag Bk, for the
+    unitaries of each chunk uk[k, i, :] = U[i, k] of a stream, as a (quadruples, n)
+    view into one buffer that the next chunk overwrites.
 
     A fixed operator is one GEMM on a (d, d m) reshape, a batched d x d product one
     einsum, and all of them write into one workspace of four arrays the size of the
-    first chunk, made once and reused by every chunk.
+    first chunk, made once and reused by every chunk, as is the values buffer.
     """
-    values = np.empty((len(quads), count), dtype=complex)
-    work = None
-    s = 0
+    work = values = None
     for uk in chunks:
         d, _, n = uk.shape
         if work is None:
             work = np.empty((4, uk.size), dtype=complex)
+            values = np.empty((len(quads), n), dtype=complex)
         uc, x, y, q = (w[: uk.size].reshape(d, d, n) for w in work)
         # X2 Y2 in the (j, i, sample) memory order einsum gives its own output, which fixes
         # the order in which the trace below sums, and so its bits
         q = q.transpose(1, 0, 2)
         np.conjugate(uk.transpose(1, 0, 2), out=uc)
-        for (a1, b1, a2, b2), out in zip(quads, values[:, s : s + n]):
+        for (a1, b1, a2, b2), out in zip(quads, values[:, :n]):
             np.einsum("kib,jkb->ijb", _gemm(a2, uk, x), _gemm(b2, uc, y), out=q)
             np.einsum("kib,jkb,jib->b", _gemm(a1, uk, x), _gemm(b1, uc, y), q, out=out)
-        s += n
-    return values
+        yield values[:, :n]
 
 
 def _gemm(f: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:

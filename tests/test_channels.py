@@ -432,7 +432,9 @@ def _message(fn, *args):
     return str(exc.value)
 
 
-@pytest.mark.parametrize("chunk", [1, linalg._CHUNK_BYTES])
+# runs of one member, and runs of 1 MiB, which hold every stack below in one run at any
+# linalg._CHUNK_BYTES (the value is spelled out so that the test ids do not move with it)
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
 @pytest.mark.parametrize("bad", [0, 3, 5])
 def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
     d_in, d_out, rank, count = 2, 3, 2, 6
@@ -471,7 +473,7 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
         assert _message(dilation_matrices, members, 1) == alone
 
 
-@pytest.mark.parametrize("chunk", [1, linalg._CHUNK_BYTES])
+@pytest.mark.parametrize("chunk", [1, 1 << 20])  # as above
 @pytest.mark.parametrize("bad", [0, 3, 5])
 def test_a_bad_isometry_raises_from_the_stack_as_alone(bad, chunk):
     mats = random_isometries(5, 3, [np.random.default_rng(13)] * 6)

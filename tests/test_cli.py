@@ -147,8 +147,8 @@ def test_moments_csv_quotes_details():
 
 
 def test_moments_holds_no_haar_batch():
-    # the parent drew a 24.4 MiB (100000, 4, 4) batch and traced 37.4 MiB; the stream keeps
-    # 4.8 MB of per-sample values and a workspace of a few 1 MiB chunks
+    # a (100000, 4, 4) batch would take 24.4 MiB; the stream keeps no value per sample, only
+    # a workspace of a few 256 KiB chunks
     tracemalloc.start()
     try:
         res = _run(["moments", "--seed", "3", "--d", "4", "--samples", "100000"])
@@ -431,8 +431,8 @@ def test_failing_check_exits_one(monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
-        # 5.6 GB of Monte Carlo values: three complex and one float per sample
-        ["moments", "--d", "2", "--samples", "100000000"],
+        # twirl2's seven 4900 x 4900 operators, 2.7 GB (no --samples costs bytes)
+        ["moments", "--d", "70"],
         # 6.4 GB of Haar unitaries and 3.2 GB of Monte Carlo values and their spread
         ["localtest", "--n", "2", "--samples", "100000000"],
         # up to 1024 lifted Kraus operators of 16 MiB each, per channel
@@ -454,17 +454,19 @@ def test_over_budget_runs_are_declined_before_work(args):
 @pytest.mark.parametrize(
     "args",
     [
-        # 50000 Haar samples streamed in 4096-sample chunks: 2.4 MB of values and the workspace
+        # 50000 Haar samples streamed in 1024-sample chunks, whose values are merged into
+        # running statistics chunk by chunk: the peak is the chunk workspace alone
         ["moments", "--d", "4", "--samples", "50000"],
-        # one or a few chunks of samples, where the chunk workspace outweighs the values
-        pytest.param(["moments", "--d", "2", "--samples", "16064"], id="moments-one-chunk"),
-        pytest.param(["moments", "--d", "5", "--samples", "1129"], id="moments-part-chunk"),
-        pytest.param(["moments", "--d", "2", "--samples", "56118"], id="moments-four-chunks"),
-        # 20000 two-query samples: their 1.3 MB Haar batch and values, and four 1 MiB run arrays
+        # part of one chunk, one chunk nearly full, and three and a half chunks of samples: the
+        # workspace is sized to the first chunk and nothing else grows with the samples
+        pytest.param(["moments", "--d", "2", "--samples", "4016"], id="moments-one-chunk"),
+        pytest.param(["moments", "--d", "5", "--samples", "282"], id="moments-part-chunk"),
+        pytest.param(["moments", "--d", "2", "--samples", "14029"], id="moments-four-chunks"),
+        # 20000 two-query samples: their 1.3 MB Haar batch and values, and four 256 KiB run arrays
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
         # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
-        # 256 candidates drawn and orthonormalised in 1 MiB runs of 148 21 x 21 Haar blocks:
+        # 256 candidates drawn and orthonormalised in 256 KiB runs of 37 21 x 21 Haar blocks:
         # the peak is the stacked pool's, not the net's
         pytest.param(
             ["packing-net", "--regime", "type2-large", "--d1", "1", "--d2", "10", "--r", "3", "--count", "32"],
@@ -503,6 +505,10 @@ def test_declared_bound_covers_traced_peak(args, monkeypatch):
         require_bytes(nbytes, what)
 
     monkeypatch.setattr(cli, "require_bytes", record)
+    # numpy imports numpy.random on its first use: those modules (about 0.8 MB when this case
+    # runs first) are the interpreter's, inside the fixed slack, not arrays the bound counts
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         res = _run(args + ["--seed", "3"])

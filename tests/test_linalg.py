@@ -569,7 +569,10 @@ def test_random_isometries_of_no_generators_draw_nothing():
         random_isometries(2, 3, [])
 
 
-@pytest.mark.parametrize("count,member,runs", [(0, 8, []), (5, 1 << 21, [1] * 5), (10, 1 << 18, [4, 4, 2])])
+@pytest.mark.parametrize(
+    "count,member,runs",
+    [(0, 8, []), (5, 1 << 21, [1] * 5), (10, linalg._CHUNK_BYTES // 4, [4, 4, 2])],
+)
 def test_chunk_slices_cover_the_range_in_order(count, member, runs):
     slices = chunk_slices(count, member)
     assert [len(range(count)[s]) for s in slices] == runs

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,12 @@ def _direct_traces(us, a1, b1, a2, b2):
     return np.array([np.trace(u @ a1 @ dag(u) @ b1 @ u @ a2 @ dag(u) @ b2) for u in us])
 
 
+def _gathered(chunks, quads):
+    """Every value the fourth-moment kernel yields over a stream of chunks, as one
+    (quadruples, count) array: each chunk is copied before the next overwrites it."""
+    return np.concatenate([vals.copy() for vals in moments._fourth_moment_values(chunks, quads)], axis=1)
+
+
 def test_mc_fourth_moment_mean_matches_direct_traces():
     rng = np.random.default_rng(2)
     us = haar_unitaries(3, 16, rng)
@@ -217,7 +224,7 @@ def test_mc_fourth_moment_chunks_match_direct_traces(d, per_chunk, n, seed):
     want = _direct_traces(us, *ops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
-        vals = moments._fourth_moment_samples(us, *ops)
+        vals = _gathered(moments._batch_chunks(us), [ops])[0]
         est = mc_fourth_moment_trace(*ops, unitaries=us)
     assert np.abs(vals - want).max() < 1e-10
     assert abs(est.mean - want.mean()) < 1e-10
@@ -266,14 +273,77 @@ def test_streamed_quadruples_equal_the_batch_kernel_bit_for_bit(d, per_chunk, co
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
         stream_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         chunks = linalg._haar_chunks(d, count, np.random.default_rng(seed + 1))
-        streamed = moments._fourth_moment_values(chunks, count, quads)
+        streamed = _gathered(chunks, quads)
         estimates = moments.mc_fourth_moment_traces(quads, count, stream_rng)
         us = haar_unitaries(d, count, batch_rng)
         for ops, vals, est in zip(quads, streamed, estimates):
-            assert np.array_equal(vals, moments._fourth_moment_samples(us, *ops))
+            assert np.array_equal(vals, _gathered(moments._batch_chunks(us), [ops])[0])
             assert np.array_equal(vals, _allocating_samples(us, *ops))
             assert est == mc_fourth_moment_trace(*ops, unitaries=us)
     assert stream_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
+@st.composite
+def _split_samples(draw):
+    """Complex samples, n from 1 to 500, and cut points that split them into chunks."""
+    n = draw(st.integers(1, 500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale, shift = draw(st.sampled_from([(1.0, 0.0), (1e-3, 1e3), (1e4, -5.0)]))
+    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) + shift * (1 + 2j)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 40))) if n > 1 else [])
+    return x, cuts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_split_samples())
+@example((np.arange(7) * (1 - 1j), [1, 2, 3, 4, 5, 6]))  # every chunk a single sample
+@example((np.array([2.5 - 1j]), []))  # one sample: an infinite stderr
+def test_merged_statistics_equal_the_whole_array(split):
+    x, cuts = split
+    bounds = [0, *cuts, x.size]
+    chunks = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
+    totals = functools.reduce(moments._merge, chunks, moments._NO_SAMPLES)
+    [est] = moments._estimate(totals)
+    mean = x.mean()
+    assert est.n_samples == x.size
+    assert abs(est.mean.real - mean.real) <= 1e-12 * (1 + abs(mean.real))
+    assert abs(est.mean.imag - mean.imag) <= 1e-12 * (1 + abs(mean.imag))
+    if x.size == 1:
+        assert est.stderr_real == est.stderr_imag == np.inf
+        return
+    for got, part in ((est.stderr_real, x.real), (est.stderr_imag, x.imag)):
+        want = part.std(ddof=1) / np.sqrt(x.size)
+        assert abs(got - want) <= 1e-12 * (1 + want)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_refuses_fewer_than_one_sample(samples):
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        mc_fourth_moment_traces([[np.eye(2)] * 4], samples, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        mc_fourth_moment_trace(*[np.eye(2)] * 4, unitaries=np.empty((0, 2, 2)))
+
+
+def test_mc_fourth_moment_traces_memory_is_constant_in_samples():
+    # the statistics are merged chunk by chunk, so ten times the samples hold no more memory
+    rng = np.random.default_rng(16)
+    quads = [
+        [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
+        for _ in range(3)
+    ]
+    peaks = []
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            mc_fourth_moment_traces(quads, samples, np.random.default_rng(17))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
 
 def test_mc_fourth_moment_traces_shape_guard():

@@ -81,7 +81,7 @@ TEST_ONLY = {
         "tests/test_acceptance.py::test_06_hard_instance_fuzz_invariants checks"
     ),
     "moments.mc_fourth_moment_trace": _BATCH_MONTE_CARLO,
-    "moments._fourth_moment_samples": _BATCH_MONTE_CARLO,
+    "moments._batch_chunks": _BATCH_MONTE_CARLO,
     "channels.Channel.__repr__": "readable channels in test failure messages",
     "hardness.HardInstance.channel": _ONE_AT_A_TIME_POOL,
     "hardness.HardInstance.dilation": _ONE_AT_A_TIME_POOL,
