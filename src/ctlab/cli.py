@@ -59,7 +59,7 @@ from .metrics import (
     fidelity_trace_conversion,
     unitary_diamond_distance,
 )
-from .moments import fourth_moment_trace, mc_fourth_moment_traces, twirl1, twirl2
+from .moments import fourth_moment_trace, mc_fourth_moment_traces, mc_verdict, twirl1, twirl2
 from .tomography import (
     MIN_EPS,
     PureStateOracleConfig,
@@ -300,17 +300,10 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     estimates = mc_fourth_moment_traces(quads, samples, _trial_rng(seed, 1_000))
     for i, (ops, mc) in enumerate(zip(quads, estimates)):
         exact = fourth_moment_trace(*ops)
-        z_re = abs(mc.mean.real - exact.real) / max(mc.stderr_real, 1e-15)
-        z_im = abs(mc.mean.imag - exact.imag) / max(mc.stderr_imag, 1e-15)
-        z = max(z_re, z_im)
-        checks.append(
-            _check(
-                f"fourth moment quadruple {i}",
-                z <= 5.0,
-                z,
-                f"exact {exact:.6g}, mc {mc.mean:.6g} ({mc.n_samples} samples)",
-            )
-        )
+        excess = np.abs([(mc.mean - exact).real, (mc.mean - exact).imag])
+        z, ok = mc_verdict(excess, np.array([mc.stderr_real, mc.stderr_imag]), mc.n_samples, exact)
+        detail = f"exact {exact:.6g}, mc {mc.mean:.6g} ({mc.n_samples} samples)"
+        checks.append(_check(f"fourth moment quadruple {i}", ok, z, detail))
 
     rng = _trial_rng(seed, 100)
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -24,6 +24,7 @@ from .channels import Channel, Dilation, channel_payload, contract_dilations
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, random_isometries, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distances
+from .moments import mc_verdict
 
 __all__ = [
     "Regime",
@@ -461,18 +462,11 @@ class ProbeReport(NamedTuple):
         return all(rec.ok for rec in self.records)
 
 
-def _record(name: str, values: list, bound: float, kind: str, sigmas: float = 5.0) -> BoundRecord:
-    values = np.array(values)
+def _record(name: str, values: list, bound: float, kind: str) -> BoundRecord:
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    # tiny absolute slack so statistics that sit exactly on their bound
-    # (zero variance) are not flipped by rounding
-    slack = 1e-10 * max(1.0, abs(bound))
-    if kind == "lower":
-        ok = mean + sigmas * stderr >= bound - slack
-    else:
-        ok = mean - sigmas * stderr <= bound + slack
-    return BoundRecord(name, mean, stderr, bound, kind, ok)
+    shortfall = bound - mean if kind == "lower" else mean - bound
+    return BoundRecord(name, mean, stderr, bound, kind, mc_verdict(shortfall, stderr, len(values), bound)[1])
 
 
 def moment_experiment(
@@ -489,9 +483,9 @@ def moment_experiment(
 
     Draws `pairs` independent (U_x, U_y) couples and compares the sample
     means of tr|D|^2 / tr|D|^4 (type1) or tr|F|^2 / tr|F|^4 (type2, Choi
-    and, where defined, diamond witness variants) against the stated
-    lower/upper bounds at five standard errors. No command runs this;
-    tests/test_acceptance.py does.
+    and, where defined, diamond witness variants) against the stated lower/upper
+    bounds, each through the gate moments.mc_verdict on its one-sided shortfall.
+    No command runs this; tests/test_acceptance.py does.
     """
     regime = Regime(regime)
     _require(pairs >= 2, "need at least two pairs for a standard error")

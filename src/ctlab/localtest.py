@@ -26,7 +26,7 @@ from .linalg import (
     permute_factors,
     swap_operator,
 )
-from .moments import twirl1, twirl2
+from .moments import mc_verdict, twirl1, twirl2
 
 __all__ = [
     "average_tester",
@@ -38,10 +38,8 @@ __all__ = [
 ]
 
 PERP_LABEL = "perp"
-# routes (a) and (b) of verify_dilation_identity agree to _ROUTE_ATOL; route
-# (c) agrees with (a) within _MC_SIGMAS standard errors
+# routes (a) and (b) of verify_dilation_identity agree to _ROUTE_ATOL; (c) passes mc_verdict
 _ROUTE_ATOL = 1e-7
-_MC_SIGMAS = 5.0
 
 
 def _find_anc_labels(tester: Tester) -> tuple:
@@ -299,7 +297,7 @@ def verify_dilation_identity(
     Route (a) applies the localized tester to copies of the channel, route
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
-    tester over random dilations (must agree within 5 standard errors).
+    tester over random dilations (must pass the gate moments.mc_verdict).
     Route (c) walks its samples in runs of about linalg._CHUNK_BYTES through
     one workspace, so it holds no (samples, width) stack of dilation vectors;
     it needs at least 2 samples for its spread, and raises ValueError below.
@@ -349,9 +347,8 @@ def verify_dilation_identity(
 
     k = len(tester.outcomes)
     max_fixed_dev = float(np.max(np.abs(localized[:k] - fixed)))
-    denom = np.maximum(mc_stderr, 1e-12)
-    max_sigma_dev = float(np.max(np.abs(localized[:k] - mc_mean) / denom))
-    ok = max_fixed_dev <= _ROUTE_ATOL and max_sigma_dev <= _MC_SIGMAS
+    max_sigma_dev, mc_ok = mc_verdict(np.abs(localized[:k] - mc_mean), mc_stderr, samples, localized[:k])
+    ok = max_fixed_dev <= _ROUTE_ATOL and mc_ok
     return DilationCheck(
         outcome_names=forms.localized.outcome_names,
         localized=localized,

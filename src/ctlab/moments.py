@@ -24,7 +24,10 @@ __all__ = [
     "MonteCarloEstimate",
     "mc_fourth_moment_trace",
     "mc_fourth_moment_traces",
+    "mc_verdict",
 ]
+
+_ALPHA = math.erfc(5 / math.sqrt(2))  # one Monte Carlo gate's false-alarm rate: the 5-sigma normal tails
 
 
 def twirl1(m: np.ndarray, dims, position: int) -> np.ndarray:
@@ -191,6 +194,48 @@ def _estimate(totals: tuple) -> list:
         MonteCarloEstimate(complex(re, im), float(sr), float(si), n)
         for (re, im), (sr, si) in zip(mean, stderr)
     ]
+
+
+def mc_verdict(excess, stderr, n: int, exact) -> tuple:
+    """The one Monte Carlo gate for means over n >= 2 samples (ValueError below): each excess,
+    |mean - exact| or a shortfall against a bound exact, passes at most the two-sided _ALPHA
+    Student-t quantile for n - 1 degrees of freedom times its stderr, plus 1e-10 max(1, |exact|)
+    of rounding. Arrays broadcast. Returns (max of excess / max(stderr, 1e-15), ok)."""
+    if n < 2:
+        raise ValueError(f"the Monte Carlo gate needs at least 2 samples, not {n}")
+    ok = np.all(excess <= _t_quantile(n - 1) * stderr + 1e-10 * np.maximum(1.0, np.abs(exact)))
+    return float(np.max(excess / np.maximum(stderr, 1e-15))), bool(ok)
+
+
+def _t_quantile(nu: int) -> float:
+    """The two-sided _ALPHA quantile of Student's t with nu >= 1 degrees of freedom.
+
+    Hill's closed form (1970, CACM Algorithm 396): exact at nu = 1 and 2, and within
+    5e-7 relative up to nu = 1e8. The normal deviate it expands about, that of the lower
+    tail _ALPHA / 2, is -5 by the choice of _ALPHA.
+    """
+    p = _ALPHA
+    if nu == 1:
+        return 1 / math.tan(p * math.pi / 2)
+    if nu == 2:
+        return math.sqrt(2 / (p * (2 - p)) - 2)
+    a = 1 / (nu - 0.5)
+    b = 48 / (a * a)
+    c = ((20700 * a / b - 98) * a - 16) * a + 96.36
+    d = ((94.5 / (b + c) - 3) / b + 1) * math.sqrt(a * math.pi / 2) * nu
+    y = (d * p) ** (2 / nu)
+    if y > 0.05 + a:
+        x = -5.0
+        y = x * x
+        if nu < 5:
+            c += 0.3 * (nu - 4.5) * (x + 0.6)
+        c += (((0.05 * d * x - 5) * x - 7) * x - 2) * x + b
+        y = (((((0.4 * y + 6.3) * y + 36) * y + 94.5) / c - y - 3) / b + 1) * x
+        y = math.expm1(a * y * y)
+    else:
+        e = 1 / (((nu + 6) / (nu * y) - 0.089 * d - 0.822) * (nu + 2) * 3) + 0.5 / (nu + 4)
+        y = (e * y - 1) * (nu + 1) / (nu + 2) + 1 / y
+    return math.sqrt(nu * y)
 
 
 def _batch_chunks(us: np.ndarray):

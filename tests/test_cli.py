@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -412,6 +416,22 @@ def test_config_follows_declared_order_not_command_line_order():
     assert first.exit_code == 0, first.output
     assert first.stdout == second.stdout
     assert list(json.loads(first.stdout)["config"]) == ["seed", "d", "samples"]
+
+
+def test_gated_commands_load_no_scipy():
+    # the Monte Carlo gate's t quantile is a closed form: scipy, which the package does not
+    # declare, would add tens of MiB and a tenth of a second or more to each run
+    code = (
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "from ctlab.cli import main\n"
+        "for args in (['moments', '--d', '2'], ['localtest', '--n', '1']):\n"
+        "    assert CliRunner().invoke(main, args + ['--seed', '3']).exit_code == 0, args\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ctlab.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout == "[]\n"
 
 
 def test_failing_check_exits_one(monkeypatch):

@@ -145,6 +145,20 @@ def test_verify_dilation_identity(n, d1, d2, r):
     )
 
 
+def test_route_c_passes_correct_code_at_few_samples():
+    # the gate follows Student's t for samples - 1 degrees of freedom: at 5 standard
+    # errors, 2 samples failed on some of these seeds
+    failures = []
+    for samples in (2, 3, 5, 10):
+        for seed in range(200):
+            rng = np.random.default_rng([seed, samples])
+            forms = dilation_forms(random_parallel_tester(1, 1, 1, 2, rng, anc_dim=2))
+            check = verify_dilation_identity(forms, random_channel(1, 1, 1, rng), samples=samples, rng=rng)
+            if not check.ok:
+                failures.append((samples, seed, check.max_sigma_dev))
+    assert failures == []
+
+
 def test_verify_dilation_identity_deterministic():
     rng_a = np.random.default_rng(11)
     t = random_parallel_tester(1, 2, 2, 2, rng_a, anc_dim=2)

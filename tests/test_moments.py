@@ -1,17 +1,21 @@
 import functools
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ctlab import linalg, moments
+from ctlab import cli, hardness, linalg, localtest, moments
 from ctlab.linalg import dag, haar_unitaries, swap_operator
 from ctlab.moments import (
     fourth_moment_trace,
     mc_fourth_moment_trace,
     mc_fourth_moment_traces,
+    mc_verdict,
     twirl1,
     twirl2,
 )
@@ -392,3 +396,134 @@ def test_mc_fourth_moment_identity_is_exact():
     est = mc_fourth_moment_trace(eye, eye, eye, eye, unitaries=haar_unitaries(3, 50, rng))
     assert abs(est.mean - 3.0) < 1e-10
     assert est.n_samples == 50
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo gate
+# ---------------------------------------------------------------------------
+
+
+def test_gate_rate_is_the_two_sided_five_sigma_tail():
+    assert moments._ALPHA == pytest.approx(5.733031e-7, rel=1e-6)
+
+
+def test_t_quantile_is_exact_at_one_and_two_degrees_of_freedom():
+    a = moments._ALPHA
+    assert moments._t_quantile(1) == pytest.approx(1 / math.tan(math.pi * a / 2), rel=1e-12)
+    assert moments._t_quantile(2) == pytest.approx(math.sqrt(2 / (a * (2 - a)) - 2), rel=1e-12)
+
+
+def test_t_quantile_decreases_toward_five():
+    nus = list(range(1, 3000)) + [int(x) for x in np.geomspace(3000, 10**8, 200)]
+    q = [moments._t_quantile(nu) for nu in nus]
+    assert all(a > b for a, b in zip(q, q[1:]))
+    assert 5.0 < q[-1] < 5.0 + 1e-6
+    # the thresholds at the commands' default sample counts sit a few thousandths above 5
+    assert moments._t_quantile(4_999) == pytest.approx(5.0065, abs=1e-4)
+    assert moments._t_quantile(19_999) == pytest.approx(5.0016, abs=1e-4)
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 10**7))
+    @example(3)
+    @example(4)
+    @example(5)
+    @example(10**7)
+    def check(nu):
+        assert moments._t_quantile(nu) == pytest.approx(stats.t.isf(moments._ALPHA / 2, nu), rel=1e-4)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_gate_refuses_fewer_than_two_samples(n):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc_verdict(0.0, 1.0, n, 0.0)
+
+
+def test_gate_forgives_rounding_of_a_large_exact_value():
+    # every sample equal to the exact value up to rounding, as at d = 1: a stderr of 0 and
+    # an excess far below 1e-10 |exact| pass, though excess / floored stderr reads 100
+    z, ok = mc_verdict(1e-13, 0.0, 20_000, 1e3)
+    assert ok
+    assert z == pytest.approx(100.0)
+    assert not mc_verdict(2e-7, 0.0, 20_000, 1e3)[1]
+
+
+def test_gate_threshold_follows_the_degrees_of_freedom():
+    for n in (2, 3, 10, 5_000):
+        t = moments._t_quantile(n - 1)
+        assert mc_verdict(0.999 * t, 1.0, n, 0.0) == (pytest.approx(0.999 * t), True)
+        assert not mc_verdict(1.001 * t, 1.0, n, 0.0)[1]
+    # arrays broadcast, and one excess over its gate fails them all
+    z, ok = mc_verdict(np.array([0.0, 13.0]), np.array([1.0, 1.0]), 10, np.array([0.5, 0.5]))
+    assert (z, ok) == (13.0, False)
+
+
+def _ginibre(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _gate_quadruple(ops, mc, samples):
+    exact = fourth_moment_trace(*ops)
+    excess = np.abs([(mc.mean - exact).real, (mc.mean - exact).imag])
+    return mc_verdict(excess, np.array([mc.stderr_real, mc.stderr_imag]), samples, exact)[1]
+
+
+def test_gate_passes_correct_monte_carlo_at_few_samples():
+    # at 5 standard errors, 113 of these 200 seeds failed at 2 samples
+    failures = []
+    for samples in (2, 3, 5, 10):
+        for seed in range(200):
+            rng = np.random.default_rng([seed, samples])
+            quads = [[_ginibre(2, rng) for _ in range(4)] for _ in range(3)]
+            for ops, mc in zip(quads, mc_fourth_moment_traces(quads, samples, rng)):
+                if not _gate_quadruple(ops, mc, samples):
+                    failures.append((samples, seed))
+    assert failures == []
+
+
+def _probe_records(samples):
+    # one lower and one upper record whose means sit on their bounds
+    z = np.random.default_rng(samples).standard_normal(samples)
+    records = [hardness._record("lower", list(2.0 + z - z.mean()), 2.0, "lower")]
+    records.append(hardness._record("upper", list(3.0 + z - z.mean()), 3.0, "upper"))
+    return [rec.ok for rec in records]
+
+
+_GATED = {
+    "moments": (cli, ["moments", "--d", "2"]),
+    "localtest": (localtest, ["localtest", "--n", "1", "--testers", "1", "--channels", "2"]),
+    "moment probe": (hardness, None),
+}
+
+
+@pytest.mark.parametrize("samples", [5_000, 20_000])
+@pytest.mark.parametrize("site", list(_GATED))
+def test_a_mean_six_stderr_away_fails_every_gate(site, samples, monkeypatch):
+    module, args = _GATED[site]
+    verdicts = []
+
+    def moved(excess, stderr, n, exact):
+        # each mean moved 6 stderr further from its exact value (or past its bound)
+        verdict = mc_verdict(excess + 6 * np.asarray(stderr), stderr, n, exact)
+        verdicts.append(verdict[1])
+        return verdict
+
+    if args is None:
+        assert all(_probe_records(samples))
+        monkeypatch.setattr(module, "mc_verdict", moved)
+        assert not any(_probe_records(samples))
+    else:
+        command = args + ["--samples", str(samples), "--seed", "3"]
+        assert CliRunner().invoke(cli.main, command).exit_code == 0
+        monkeypatch.setattr(module, "mc_verdict", moved)
+        res = CliRunner().invoke(cli.main, command)
+        assert res.exit_code == 1
+        checks = json.loads(res.stdout)["checks"]
+        gated = [c for c in checks if c["name"].startswith(("fourth moment quadruple", "tester"))]
+        assert gated and not any(c["passed"] for c in gated)
+    assert verdicts and not any(verdicts)
