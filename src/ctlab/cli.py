@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -124,25 +123,19 @@ def _emit(checks: list, extra: dict | None = None):
     }
     if extra:
         report.update(extra)
-    if fmt == "json":
-        # json.dump writes the encoder's chunks as they come, where json.dumps would join
-        # them all into one string first (indent=2 runs the pure-Python encoder)
-        with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
+    # one writer for stdout and a file, so both get the same bytes; json.dump writes the
+    # encoder's chunks as they come, where json.dumps would join them all into one string
+    # first (indent=2 runs the pure-Python encoder)
+    with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
+        if fmt == "json":
             json.dump(report, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "passed", "value", "detail"])
-        for c in checks:
-            writer.writerow([c["name"], c["passed"], repr(c["value"]), c["detail"]])
-        text = buf.getvalue()
-        if out == "-":
-            click.echo(text)
         else:
-            with open(out, "w") as fh:
-                fh.write(text)
+            writer = csv.writer(fh)
+            writer.writerow(["name", "passed", "value", "detail"])
+            for c in checks:
+                writer.writerow([c["name"], c["passed"], repr(c["value"]), c["detail"]])
+        fh.write("\n")
+        fh.flush()
     sys.exit(0 if report["all_passed"] else 1)
 
 
@@ -285,9 +278,10 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     """Closed-form Haar moments against Monte Carlo, plus twirl fixed points."""
     # nothing grows with --samples: no Haar batch and no value per sample is held, only the
     # Haar stream and the Monte Carlo it feeds, ten arrays of one linalg._CHUNK_BYTES chunk of
-    # samples at most (the Ginibre buffer, the Gram-Schmidt stack with its conjugate and work
-    # array, the four Monte Carlo products, and room for temporaries), the three quadruples'
-    # values of a chunk with the statistics' copy of them, and twirl2 seven d^2 x d^2 operators
+    # samples at most (the Gram-Schmidt stack, its conjugate, which first takes the Ginibre
+    # draws, and its work array, the four Monte Carlo products, and room for temporaries), the
+    # three quadruples' values of a chunk with the statistics' copy of them, and twirl2 seven
+    # d^2 x d^2 operators
     step = min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
     _budget_guard(16 * (7 * d**4 + 10 * d * d * step + 6 * step))
     checks = []
@@ -351,11 +345,11 @@ def localtest(
     outcomes = 2
     # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
     # more and its localized forms three at most; a trial ~10 more, an r x r Haar batch filled
-    # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the Ginibre
-    # buffer, the Gram-Schmidt stack with its conjugate and work array, and temporaries), a
-    # width^2 quad form per outcome, a float per outcome and sample with as many for their
-    # spread (route (c) takes its statistics over whole arrays, where moments merges them chunk
-    # by chunk), and, once the stream is done, a four-array workspace of one
+    # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the
+    # Gram-Schmidt stack, its conjugate, which first takes the Ginibre draws, its work array,
+    # and temporaries), a width^2 quad form per outcome, a float per outcome and sample with as
+    # many for their spread (route (c) takes its statistics over whole arrays, where moments
+    # merges them chunk by chunk), and, once the stream is done, a four-array workspace of one
     # linalg._CHUNK_BYTES run of samples (one more where a one-sample tail joins it) with the
     # run's row sums, width being m for one query and m(m+1)/2 (the symmetric subspace) for two
     width = m if n == 1 else m * (m + 1) // 2
@@ -438,14 +432,14 @@ def packing_net(
     # pool's Gram matrix, made in place into distance bounds, then the kept points' exact
     # distance rows); once, five arrays of one linalg._CHUNK_BYTES run of the pool, or of one
     # Haar block (r d2 square at most) where that alone is larger: the pool is drawn and
-    # orthonormalised in such runs (the Ginibre blocks, the QR's two working copies and work
-    # array, and the unitaries), and checked and contracted in such runs (Choi matrices, their
-    # temporaries and their validation, which for a Choi matrix above a run are the Choi-sized
-    # workspaces below); every row of the stacked see-saw (two restarts per pair) its pair's
-    # two lifted Kraus sets about five times over (its copy, signed adjoint and pulled-back
-    # witness, and the copies made as finished rows leave) and three d1^2 x d1^2 matrices (the
-    # pull-back and two evaluations' eigenvectors); Choi-sized workspaces; JSON text and lists
-    # at ~24x each net Choi entry
+    # orthonormalised in such runs (the Gram-Schmidt stack, its conjugate, which first takes
+    # the Ginibre draws, its work array, and the unitaries), and checked and contracted in such
+    # runs (Choi matrices, their temporaries and their validation, which for a Choi matrix
+    # above a run are the Choi-sized workspaces below); every row of the stacked see-saw (two
+    # restarts per pair) its pair's two lifted Kraus sets about five times over (its copy,
+    # signed adjoint and pulled-back witness, and the copies made as finished rows leave) and
+    # three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors); Choi-sized
+    # workspaces; JSON text and lists at ~24x each net Choi entry
     candidate = 3 * choi + 7 * big * d1 + pool
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, big * big)
     seesaw_row = 10 * big * d1**3 + 3 * d1**4
@@ -518,13 +512,13 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     # eigenvalues, in one float row; a flag and an index per kept point, all 360 kept at
     # worst), channel mode the target's own Choi matrix, Kraus set and Ginibre draws.  Once,
     # five arrays of one linalg._CHUNK_BYTES run of trials, or of one Choi matrix where that
-    # alone is larger: the targets are built in such runs (isometry mode their Ginibre stack,
-    # the QR's two working copies and work array; channel mode the Gram eigensolves, Kraus
-    # products, Choi matrices and their validation), both modes take their Choi errors in
-    # such runs, and the grid's kept d1 x d1 pencils are eigensolved in such runs; and Choi
-    # workspaces.  And per trial, the oracle batch of both weak runs' 2 d1 columns: two uniforms
-    # and 2 big normals per column (a word per two doubles), and its complex (d1, big) draw,
-    # projection and combination stacks per run
+    # alone is larger: the targets are built in such runs (isometry mode the Gram-Schmidt
+    # stack, its conjugate, which first takes the Ginibre draws, and its work array; channel
+    # mode the Gram eigensolves, Kraus products, Choi matrices and their validation), both
+    # modes take their Choi errors in such runs, and the grid's kept d1 x d1 pencils are
+    # eigensolved in such runs; and Choi workspaces.  And per trial, the oracle batch of both
+    # weak runs' 2 d1 columns: two uniforms and 2 big normals per column (a word per two
+    # doubles), and its complex (d1, big) draw, projection and combination stacks per run
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi
     oracle = 2 * d1 * (1 + big) + 6 * d1 * big
     if r == 0:

@@ -327,11 +327,11 @@ def _assemble(family: _Family, u: np.ndarray) -> HardInstance:
 def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, rngs) -> list:
     """Sample one member of a hard family per generator, in list order.
 
-    The Haar rotations' Ginibre blocks are drawn in list order (a generator
-    listed again draws again, in turn) and orthonormalised by
-    linalg.random_isometries, one stacked QR per linalg.chunk_slices run of
-    blocks, so only one run of blocks is held at a time. Member t has the
-    bits of build_instance(regime, d1, d2, r, eps, rngs[t]).
+    The Haar rotations are drawn in list order (a generator listed again
+    draws again, in turn) by linalg.random_isometries, one call per
+    linalg.chunk_slices run of members, so only one run of rotations is held
+    at a time. Member t has the bits of build_instance(regime, d1, d2, r, eps,
+    rngs[t]).
     """
     family = _family(Regime(regime), d1, d2, r, eps)
     hd = family.params["haar_dim"]

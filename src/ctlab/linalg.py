@@ -17,8 +17,6 @@ Nothing here mutates its inputs; random sampling always takes an explicit
 
 from __future__ import annotations
 
-import copy
-import math
 import string
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -29,9 +27,9 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes per chunk of the batch kernels: the Haar stream (_haar_chunks) and the
+# bytes per chunk of the batch kernels: the Haar sampler (_isometry_chunks) and the
 # fourth-moment Monte Carlo of moments that reads it, tomography's phase-grid pencils and
-# Choi errors, and the stacked QR, validation and eigensolves of channel and isometry stacks
+# Choi errors, and the stacked validation and eigensolves of channel and isometry stacks
 # (chunk_slices); 256 KiB, so that the few arrays of a chunk's workspace stay in L2 cache
 _CHUNK_BYTES = 1 << 18
 # float64 unit roundoff, and the relative slack rho of the certified bounds that
@@ -377,27 +375,50 @@ def _gram_schmidt(q: np.ndarray, qbar: np.ndarray, work: np.ndarray) -> None:
         np.conjugate(v, out=qbar[j])
 
 
-def _phase_corrected_qr(g: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank.
+def _isometry_chunks(rows: int, cols: int, draws):
+    """Yield Haar isometries (rows >= cols) as orthonormalised (column, row, sample)
+    chunks of at most _CHUNK_BYTES, each a view into a workspace that the next
+    chunk overwrites.
 
-    Takes one matrix or a stack (the matrix runs over the last two axes). For a
-    complex Ginibre g the result is Haar distributed: fixing diag(R) > 0 removes
-    the phase ambiguity of QR (Mezzadri, arXiv:math-ph/0609050). Each
-    chunk_slices run of the stack is moved to (column, row, sample), sample
-    index last, and orthonormalised by _gram_schmidt, whose bits per sample do
-    not depend on the run. _row_sum adds in numpy's order for a contiguous row,
-    so the bits are also those of a row-last stack summed by numpy.
+    draws lists (generator, count) runs in order. Each member draws its Ginibre
+    matrix as fill_ginibre does, its rows * cols real parts and then its imaginary
+    parts, and the members of one run that fall in one chunk draw in one
+    standard_normal call, which is the same stream. The normals land in the
+    memory of the conjugate stack, which _gram_schmidt fills only after they are
+    read. A complex Ginibre matrix with diag(R) > 0 in its QR gives a Haar Q
+    (Mezzadri, arXiv:math-ph/0609050), and _gram_schmidt's bits per member do not
+    depend on the chunk, so a member has the bits of random_isometry alone. No
+    member, or none with an entry, draws nothing and yields nothing.
     """
-    shape = g.shape
-    rows, cols = shape[-2:]
-    samples = math.prod(shape[:-2])
-    g = g.reshape(samples, rows, cols)
-    out = np.empty((samples, rows, cols), dtype=complex)
-    for run in chunk_slices(samples, 16 * rows * cols):
-        q = g[run].transpose(2, 1, 0).astype(complex, order="C")
-        _gram_schmidt(q, np.empty_like(q), np.empty_like(q[:-1]))
-        out[run] = q.transpose(2, 1, 0)
-    return out.reshape(shape)
+    size = rows * cols
+    total = sum(count for _, count in draws)
+    if size < 1 or total < 1:
+        return
+    step = min(total, max(1, _CHUNK_BYTES // (16 * size)))
+    stacks = np.empty((2, step * size), dtype=complex)
+    normals = stacks[1].view(float)
+    work = np.empty(step * rows * (cols - 1), dtype=complex)
+
+    def orthonormalised(n: int) -> np.ndarray:
+        q, qbar = (a[: n * size].reshape(cols, rows, n) for a in stacks)
+        g = normals[: 2 * n * size].reshape(n, 2, rows, cols).transpose(1, 3, 2, 0)
+        q.real = g[0]
+        q.imag = g[1]
+        q *= 1.0 / np.sqrt(2.0)
+        _gram_schmidt(q, qbar, work[: n * rows * (cols - 1)].reshape(cols - 1, rows, n))
+        return q
+
+    filled = 0
+    for rng, count in draws:
+        while count > 0:
+            k = min(count, step - filled)
+            rng.standard_normal(out=normals[2 * size * filled : 2 * size * (filled + k)])
+            filled, count = filled + k, count - k
+            if filled == step:
+                yield orthonormalised(step)
+                filled = 0
+    if filled:
+        yield orthonormalised(filled)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -405,63 +426,34 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return random_isometry(d, d, rng)
 
 
-def _haar_chunks(d: int, count: int, rng: np.random.Generator):
-    """Yield the unitaries of haar_unitaries(d, count, rng) as (column, row, sample)
-    chunks of at most _CHUNK_BYTES, each a view into a workspace that the next
-    chunk overwrites.
-
-    The Ginibre stream is that of one random_gaussian_matrix(count * d, d, rng):
-    all real parts, then all imaginary parts. A batch of one chunk draws them in
-    that order. A longer one draws its real parts chunk by chunk from a copy of
-    rng, while rng itself skips past them once, through a chunk-sized buffer, and
-    then draws the imaginary parts chunk by chunk; so no batch-sized array exists,
-    every unitary keeps its bits, and rng ends where haar_unitaries leaves it.
-    """
-    step = max(1, min(count, _CHUNK_BYTES // (16 * d * d)))
-    buf = np.empty(step * d * d)
-    stacks = np.empty((2, step * d * d), dtype=complex)
-    work = np.empty(step * d * (d - 1), dtype=complex)
-    re_rng = rng
-    if step < count:
-        re_rng = copy.deepcopy(rng)
-        for s in range(0, count * d * d, buf.size):
-            rng.standard_normal(out=buf[: count * d * d - s])
-    for s in range(0, count, step):
-        n = min(step, count - s)
-        q, qbar = (a[: n * d * d].reshape(d, d, n) for a in stacks)
-        part = buf[: n * d * d]
-        q.real = re_rng.standard_normal(out=part).reshape(n, d, d).transpose(2, 1, 0)
-        q.imag = rng.standard_normal(out=part).reshape(n, d, d).transpose(2, 1, 0)
-        q *= 1.0 / np.sqrt(2.0)
-        _gram_schmidt(q, qbar, work[: n * d * (d - 1)].reshape(d - 1, d, n))
-        yield q
-
-
-def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, d, d), filled from _haar_chunks."""
-    out = np.empty((count, d, d), dtype=complex)
+def _gather(rows: int, cols: int, draws) -> np.ndarray:
+    """The members of _isometry_chunks(rows, cols, draws), stacked (count, rows, cols)."""
+    out = np.empty((sum(count for _, count in draws), rows, cols), dtype=complex)
     s = 0
-    for q in _haar_chunks(d, count, rng):
+    for q in _isometry_chunks(rows, cols, draws):
         n = q.shape[-1]
         out[s : s + n] = q.transpose(2, 1, 0)
         s += n
     return out
 
 
+def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Batch of Haar unitaries, shape (count, d, d): the bits of count successive
+    haar_unitary(d, rng) draws, and rng ends where they leave it."""
+    return _gather(d, d, [(rng, count)])
+
+
 def random_isometries(rows: int, cols: int, rngs) -> np.ndarray:
     """Haar-random isometries (rows >= cols), one per generator, stacked (T, rows, cols).
 
-    Each generator draws its Ginibre matrix in list order (a generator listed
-    twice draws twice, in turn), and one stacked _phase_corrected_qr
-    orthonormalises them all, each to the bits of random_isometry alone.
+    Each generator draws one member in list order (a generator listed twice
+    draws twice, in turn), so member t has the bits of random_isometry(rows,
+    cols, rngs[t]) alone; _isometry_chunks draws and orthonormalises them one
+    chunk at a time.
     """
     if rows < cols:
         raise ValueError("an isometry needs rows >= cols")
-    rngs = list(rngs)
-    g = np.empty((len(rngs), rows, cols), dtype=complex)
-    for rng, out in zip(rngs, g):
-        fill_ginibre(out, rng)
-    return _phase_corrected_qr(g)
+    return _gather(rows, cols, [(rng, 1) for rng in rngs])
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

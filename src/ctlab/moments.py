@@ -139,17 +139,18 @@ def mc_fourth_moment_trace(a1, b1, a2, b2, *, unitaries: np.ndarray) -> MonteCar
 def mc_fourth_moment_traces(quadruples, samples: int, rng: np.random.Generator) -> list:
     """Monte Carlo twins of fourth_moment_trace for several quadruples over one Haar sample.
 
-    The unitaries are those of linalg.haar_unitaries(d, samples, rng), and rng
-    ends where that call leaves it, but they arrive as a stream of chunks
-    (linalg._haar_chunks) that every quadruple reads while it is in cache, and
-    each chunk's values are merged into running statistics, so neither a batch
-    nor a value per sample is ever held. samples must be at least 1.
+    The unitaries are those of linalg.haar_unitaries(d, samples, rng), that is
+    samples successive linalg.haar_unitary draws, and rng ends where they leave
+    it, but they arrive straight from the Haar sampler (linalg._isometry_chunks
+    with one (rng, samples) run) as chunks that every quadruple reads while they
+    are in cache, and each chunk's values are merged into running statistics, so
+    nothing grows with samples. samples must be at least 1.
     """
     quads = [_square_operators(*ops) for ops in quadruples]
     d = quads[0][0].shape[0]
     if any(ops[0].shape[0] != d for ops in quads):
         raise ValueError("all quadruples must share one dimension")
-    return _monte_carlo(linalg._haar_chunks(d, samples, rng), quads)
+    return _monte_carlo(linalg._isometry_chunks(d, d, [(rng, samples)]), quads)
 
 
 # the totals of no samples, from which _merge starts
@@ -240,7 +241,7 @@ def _t_quantile(nu: int) -> float:
 
 def _batch_chunks(us: np.ndarray):
     """The batch us in chunks of linalg._CHUNK_BYTES moved to the (column, row, sample)
-    layout of linalg._haar_chunks, and over the same chunk boundaries."""
+    layout of the chunks of linalg._isometry_chunks, and over the same chunk boundaries."""
     n, d, _ = us.shape
     for run in linalg.chunk_slices(n, 16 * d * d):
         yield np.ascontiguousarray(us[run].transpose(2, 1, 0))

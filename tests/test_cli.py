@@ -103,6 +103,19 @@ def test_json_report_is_its_indented_dump_on_stdout_and_in_a_file(tmp_path, monk
     expected = json.dumps(reports[0], indent=2) + "\n"
     assert printed.stdout == expected
     assert path.read_text() == expected
+    # the CSV report is the checks table with one newline after it, on stdout and in a file
+    path = tmp_path / "report.csv"
+    printed = _run(args + ["--format", "csv"])
+    written = _run(args + ["--format", "csv", "--out", str(path)])
+    assert printed.exit_code == written.exit_code == 0
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["name", "passed", "value", "detail"])
+    for c in reports[0]["checks"]:
+        writer.writerow([c["name"], c["passed"], repr(c["value"]), c["detail"]])
+    expected = (buf.getvalue() + "\n").encode()
+    assert printed.stdout_bytes == expected
+    assert path.read_bytes() == expected
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path):

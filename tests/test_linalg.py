@@ -11,7 +11,6 @@ from ctlab import linalg
 from ctlab.linalg import (
     ATOL,
     FactorLayout,
-    _phase_corrected_qr,
     chunk_slices,
     dag,
     dft_matrix,
@@ -364,6 +363,22 @@ def test_haar_unitaries_batch():
         assert np.abs(dag(u) @ u - np.eye(3)).max() < 1e-12
 
 
+def _phase_corrected_qr(g):
+    """Q of the reduced QR g = QR with diag(R) positive, for g of full column rank: one
+    matrix or a stack moved to (column, row, sample), sample index last, and
+    orthonormalised whole by linalg._gram_schmidt, the kernel of every Haar draw."""
+    shape = g.shape
+    rows, cols = shape[-2:]
+    q = g.reshape((-1, rows, cols)).transpose(2, 1, 0).astype(complex, order="C")
+    linalg._gram_schmidt(q, np.empty_like(q), np.empty_like(q[:-1]))
+    return np.ascontiguousarray(q.transpose(2, 1, 0)).reshape(shape)
+
+
+def _successive_unitaries(d, count, rng):
+    """Referee of a Haar batch: count haar_unitary draws, one after another."""
+    return np.array([haar_unitary(d, rng) for _ in range(count)]).reshape(count, d, d)
+
+
 def test_haar_batch_outputs_unitaries():
     rng = np.random.default_rng(0)
     g = rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3))
@@ -382,9 +397,7 @@ def test_haar_batch_outputs_unitaries():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_haar_unitaries_chunks_match_whole_batch_qr(d, per_chunk, count, seed):
-    want = _phase_corrected_qr(
-        random_gaussian_matrix(count * d, d, np.random.default_rng(seed)).reshape(count, d, d)
-    )
+    want = _successive_unitaries(d, count, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
         got = haar_unitaries(d, count, np.random.default_rng(seed))
@@ -399,15 +412,16 @@ def test_haar_unitaries_chunks_match_whole_batch_qr(d, per_chunk, count, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_haar_chunks_stream_the_whole_batch_qr(d, per_chunk, count, seed):
-    # the stream, ending in a partial chunk, against one Ginibre batch orthonormalised
-    # whole; the caller's generator must end where that draw leaves it
+    # the stream, ending in a partial chunk, against count unitaries drawn one by one;
+    # the caller's generator must end where those draws leave it
     assume(count % per_chunk)
     rng_want = np.random.default_rng(seed)
-    want = _phase_corrected_qr(random_gaussian_matrix(count * d, d, rng_want).reshape(count, d, d))
+    want = _successive_unitaries(d, count, rng_want)
     rng_chunks, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
-        got = [q.transpose(2, 1, 0).copy() for q in linalg._haar_chunks(d, count, rng_chunks)]
+        chunks = linalg._isometry_chunks(d, d, [(rng_chunks, count)])
+        got = [q.transpose(2, 1, 0).copy() for q in chunks]
         batch = haar_unitaries(d, count, rng_batch)
     assert [len(u) for u in got] == [min(per_chunk, count - s) for s in range(0, count, per_chunk)]
     assert np.array_equal(np.concatenate(got), want)
@@ -416,13 +430,44 @@ def test_haar_chunks_stream_the_whole_batch_qr(d, per_chunk, count, seed):
     assert rng_chunks.bit_generator.state == state == rng_batch.bit_generator.state
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [0, 1, 3])
 def test_haar_unitaries_of_no_samples_draw_nothing(d):
+    # no sample, or no entry in a sample (d = 0, or isometries of no column), draws nothing
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     assert haar_unitaries(d, 0, rng).shape == (0, d, d)
-    assert list(linalg._haar_chunks(d, 0, rng)) == []
+    assert list(linalg._isometry_chunks(d, d, [(rng, 0)])) == []
+    assert haar_unitaries(0, 5, rng).shape == (5, 0, 0)
+    assert list(linalg._isometry_chunks(0, 0, [(rng, 5)])) == []
+    assert random_isometries(d, 0, [rng] * 3).shape == (3, d, 0)
+    assert list(linalg._isometry_chunks(d, 0, [(rng, 3)])) == []
+    assert random_isometries(0, 0, [rng]).shape == (1, 0, 0)
     assert rng.bit_generator.state == state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    d=st.integers(0, 5),
+    n=st.integers(0, 30),
+    chunk=st.sampled_from([1, 200, 4096, linalg._CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_haar_batch_and_stream_equal_successive_draws_and_skip_no_normal(d, n, chunk, seed):
+    # chunk 1 orthonormalises one unitary per chunk, 200 and 4096 bytes a few at a time
+    rng_want, rng_batch, rng_stream = (np.random.default_rng(seed) for _ in range(3))
+    want = _successive_unitaries(d, n, rng_want)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        batch = haar_unitaries(d, n, rng_batch)
+        chunks = linalg._isometry_chunks(d, d, [(rng_stream, n)])
+        streamed = [q.transpose(2, 1, 0).copy() for q in chunks]
+    assert batch.tobytes() == want.tobytes()
+    assert b"".join(u.tobytes() for u in streamed) == want.tobytes()
+    # the draws are the 2 n d^2 normals of n Ginibre matrices, and not one more
+    fresh = np.random.default_rng(seed)
+    fresh.standard_normal(2 * n * d * d)
+    state = fresh.bit_generator.state
+    for rng in (rng_want, rng_batch, rng_stream):
+        assert rng.bit_generator.state == state
 
 
 def test_haar_first_moment_twirl():

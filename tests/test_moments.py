@@ -276,7 +276,7 @@ def test_streamed_quadruples_equal_the_batch_kernel_bit_for_bit(d, per_chunk, co
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CHUNK_BYTES", per_chunk * 16 * d * d)
         stream_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        chunks = linalg._haar_chunks(d, count, np.random.default_rng(seed + 1))
+        chunks = linalg._isometry_chunks(d, d, [(np.random.default_rng(seed + 1), count)])
         streamed = _gathered(chunks, quads)
         estimates = moments.mc_fourth_moment_traces(quads, count, stream_rng)
         us = haar_unitaries(d, count, batch_rng)
