@@ -344,21 +344,18 @@ def localtest(
     dim = m**n
     outcomes = 2
     # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
-    # more and its localized forms three at most; a trial ~10 more, an r x r Haar batch filled
-    # from a stream that holds six arrays of one linalg._CHUNK_BYTES chunk at most (the
-    # Gram-Schmidt stack, its conjugate, which first takes the Ginibre draws, its work array,
-    # and temporaries), a width^2 quad form per outcome, a float per outcome and sample with as
-    # many for their spread (route (c) takes its statistics over whole arrays, where moments
-    # merges them chunk by chunk), and, once the stream is done, a four-array workspace of one
-    # linalg._CHUNK_BYTES run of samples (one more where a one-sample tail joins it) with the
-    # run's row sums, width being m for one query and m(m+1)/2 (the symmetric subspace) for two
+    # more and its localized forms three at most; a trial ~10 more, a width^2 quad form per
+    # outcome, and nothing that grows with --samples. A stream of six arrays at most draws each
+    # piece of linalg._CHUNK_BYTES of r x r unitaries, or one more (the piece, the Gram-Schmidt
+    # stack, its conjugate, which takes the Ginibre draws first, its work array, temporaries);
+    # after the first draw the piece, a float per outcome and sample of it and a four-array run
+    # workspace (width m or m(m+1)/2) with row sums stay beside the next, no larger than the rest
     width = m if n == 1 else m * (m + 1) // 2
-    chunk = r * r * min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)))
+    piece = min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)) + 1)
     run = min(samples, linalg._CHUNK_BYTES // (16 * width) + 1)
-    workspace = (4 * width + 1) * run
-    per_trial = (
-        10 * dim * dim + outcomes * width * width + max(6 * chunk, workspace) + samples * (r * r + outcomes)
-    )
+    held = r * r * piece + outcomes * piece // 2 + (4 * width + 1) * run
+    draw = 6 * r * r * min(piece, samples - piece + 1)
+    per_trial = 10 * dim * dim + outcomes * width * width + max(6 * r * r * piece, held + draw)
     _budget_guard(16 * ((2 * testers + 5) * dim * dim + per_trial))
 
     tester_list = [

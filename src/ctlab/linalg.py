@@ -27,9 +27,9 @@ ATOL = 1e-9
 RANK_RTOL = 1e-10
 # Most array memory one run may hold: a quarter of an 8 GB machine, for headroom.
 MAX_BYTES = 2**31
-# bytes per chunk of the batch kernels: the Haar sampler (_isometry_chunks) and the
-# fourth-moment Monte Carlo of moments that reads it, tomography's phase-grid pencils and
-# Choi errors, and the stacked validation and eigensolves of channel and isometry stacks
+# bytes per chunk of the batch kernels: the Haar sampler (_isometry_chunks), which moments'
+# fourth-moment Monte Carlo and localtest's route (c) read, tomography's phase-grid pencils
+# and Choi errors, and the stacked validation and eigensolves of channel and isometry stacks
 # (chunk_slices); 256 KiB, so that the few arrays of a chunk's workspace stay in L2 cache
 _CHUNK_BYTES = 1 << 18
 # float64 unit roundoff, and the relative slack rho of the certified bounds that

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .channels import Channel, dilate
 from .combs import LabelledOperator, Tester, apply_tester
 from .linalg import (
@@ -235,11 +236,11 @@ def _symmetric_pairs(m: int) -> tuple:
 
 
 def _sample_runs(samples: int, member_bytes: int) -> list:
-    """The linalg.chunk_slices runs of range(samples), each stopped at samples, with a
-    one-sample tail joined to the run before it. numpy hands a one-row product to GEMV,
-    which rounds otherwise than GEMM, and GEMM gives a row the same bits in runs of any
-    length from two up, so every run's values are those of one GEMM over the whole batch
-    (unless one sample alone outweighs _CHUNK_BYTES, which leaves runs of one)."""
+    """Route (c)'s pieces of unitaries and runs of vectors: the linalg.chunk_slices runs of
+    range(samples), stopped at samples, with a one-sample tail joined to the run before.
+    numpy hands a one-row product to GEMV, which rounds otherwise than GEMM, and GEMM gives
+    a row the same bits in runs of any length from two up, so every run's values are those
+    of one GEMM over the whole batch (unless one sample alone outweighs _CHUNK_BYTES)."""
     runs = [slice(run.start, min(run.stop, samples)) for run in chunk_slices(samples, member_bytes)]
     if len(runs) > 1 and runs[-1].stop - runs[-1].start == 1:
         runs[-2:] = [slice(runs[-2].start, samples)]
@@ -298,9 +299,10 @@ def verify_dilation_identity(
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
     tester over random dilations (must pass the gate moments.mc_verdict).
-    Route (c) walks its samples in runs of about linalg._CHUNK_BYTES through
-    one workspace, so it holds no (samples, width) stack of dilation vectors;
-    it needs at least 2 samples for its spread, and raises ValueError below.
+    Route (c) walks pieces of about linalg._CHUNK_BYTES of Haar unitaries in runs
+    through one workspace and merges their values with moments._merge, so nothing
+    it holds grows with samples; it needs at least 2 samples for its spread, and
+    raises ValueError below.
     """
     if samples < 2:
         raise ValueError(f"route (c) needs at least 2 samples for its spread, not {samples}")
@@ -324,26 +326,30 @@ def verify_dilation_identity(
         np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m)).T
         for _, op in tester.outcomes
     ]
-    us = haar_unitaries(r, samples, rng)
-    # one workspace for every run: the Choi vectors, their coordinates (the Choi vectors
-    # themselves for one query), the conjugates and the quad-form product
-    runs = _sample_runs(samples, 16 * width)
-    size = max(run.stop - run.start for run in runs)
-    w = np.empty((size, m), dtype=complex)
-    y = w if n == 1 else np.empty((size, width), dtype=complex)
-    ybar = np.empty((size, width), dtype=complex)
-    prod = np.empty((size, width), dtype=complex)
-    vals = np.empty((len(quad_forms), samples))
-    for run in runs:
-        count = run.stop - run.start
-        vecs = _dilation_vectors(v0, n, us[run], w[:count], y[:count], ybar[:count])
-        for t, row in zip(quad_forms, vals):
-            p = prod[:count]
-            np.matmul(ybar[:count], t, out=p)
-            p *= vecs
-            row[run] = p.sum(axis=1).real
-    mc_mean = vals.mean(axis=1)
-    mc_stderr = vals.std(axis=1, ddof=1) / np.sqrt(samples)
+    pieces = _sample_runs(samples, 16 * r * r)
+    lengths = {piece.stop - piece.start for piece in pieces}
+    size = max(run.stop - run.start for k in lengths for run in _sample_runs(k, 16 * width))
+    totals = moments._NO_SAMPLES
+    for piece in pieces:
+        us = haar_unitaries(r, piece.stop - piece.start, rng)
+        if piece.start == 0:
+            # one workspace for every run of every piece, made after the first draw: the Choi
+            # vectors, their coordinates (themselves for one query), conjugates, product, values
+            w = np.empty((size, m), dtype=complex)
+            y = w if n == 1 else np.empty((size, width), dtype=complex)
+            ybar = np.empty((size, width), dtype=complex)
+            prod = np.empty((size, width), dtype=complex)
+            vals = np.empty((len(quad_forms), max(lengths)))
+        for run in _sample_runs(len(us), 16 * width):
+            count = run.stop - run.start
+            vecs = _dilation_vectors(v0, n, us[run], w[:count], y[:count], ybar[:count])
+            for t, row in zip(quad_forms, vals):
+                p = prod[:count]
+                np.matmul(ybar[:count], t, out=p)
+                p *= vecs
+                row[run] = p.sum(axis=1).real
+        totals = moments._merge(totals, vals[:, : len(us)])
+    _, mc_mean, mc_stderr = moments._statistics(totals)
 
     k = len(tester.outcomes)
     max_fixed_dev = float(np.max(np.abs(localized[:k] - fixed)))

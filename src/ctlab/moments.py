@@ -8,7 +8,6 @@ paired with Monte Carlo estimators so each can certify the other.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -159,42 +158,40 @@ _NO_SAMPLES = (0, 0.0, 0.0)
 
 def _monte_carlo(chunks, quads) -> list:
     """Each quadruple's estimate over a stream of unitary chunks, merged chunk by chunk."""
-    return _estimate(functools.reduce(_merge, _fourth_moment_values(chunks, quads), _NO_SAMPLES))
+    totals = _NO_SAMPLES
+    for vals in _fourth_moment_values(chunks, quads):
+        totals = _merge(totals, np.stack((vals.real, vals.imag), axis=1))
+    n, mean, stderr = _statistics(totals)
+    return [MonteCarloEstimate(complex(*mu), *map(float, se), n) for mu, se in zip(mean, stderr)]
 
 
 def _merge(totals: tuple, vals: np.ndarray) -> tuple:
-    """Fold a (rows, n) chunk of complex samples into running totals (count, mean, M2).
+    """Fold vals, a chunk of real samples along its last axis, into running totals.
 
-    mean and M2 are (rows, 2) arrays over the real and imaginary parts, M2 being
-    the sum of squared deviations from the mean. The chunk's own count, mean and
-    M2 join the totals by the pairwise update of Chan, Golub and LeVeque (1983),
-    so no sample outlives its chunk.
+    The totals are (count, mean, M2), mean and M2 having vals' shape without its last
+    axis and M2 being the sum of squared deviations from the mean. The chunk's count,
+    mean and M2 join them by the pairwise update of Chan, Golub and LeVeque (1983), so
+    no sample outlives its chunk; vals is overwritten with its squared deviations.
     """
     count, mean, m2 = totals
-    n = vals.shape[1]
-    parts = np.stack((vals.real, vals.imag), axis=1)
-    chunk_mean = parts.mean(axis=2)
-    parts -= chunk_mean[..., None]
-    chunk_m2 = np.square(parts, out=parts).sum(axis=2)
+    n = vals.shape[-1]
+    chunk_mean = vals.mean(axis=-1)
+    vals -= chunk_mean[..., None]
+    chunk_m2 = np.square(vals, out=vals).sum(axis=-1)
     delta = chunk_mean - mean
     total = count + n
     return total, mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
 
 
-def _estimate(totals: tuple) -> list:
-    """One MonteCarloEstimate per row of merged totals; one sample has an infinite
-    stderr, and none raises ValueError."""
+def _statistics(totals: tuple) -> tuple:
+    """(n, mean, stderr) of merged totals; one sample has an infinite stderr, and none
+    raises ValueError."""
     n, mean, m2 = totals
     if n < 1:
         raise ValueError("the Monte Carlo needs at least 1 sample")
     if n > 1:
-        stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    else:
-        stderr = np.full_like(m2, float("inf"))
-    return [
-        MonteCarloEstimate(complex(re, im), float(sr), float(si), n)
-        for (re, im), (sr, si) in zip(mean, stderr)
-    ]
+        return n, mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return n, mean, np.full_like(m2, float("inf"))
 
 
 def mc_verdict(excess, stderr, n: int, exact) -> tuple:

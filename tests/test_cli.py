@@ -466,8 +466,8 @@ def test_failing_check_exits_one(monkeypatch):
     [
         # twirl2's seven 4900 x 4900 operators, 2.7 GB (no --samples costs bytes)
         ["moments", "--d", "70"],
-        # 6.4 GB of Haar unitaries and 3.2 GB of Monte Carlo values and their spread
-        ["localtest", "--n", "2", "--samples", "100000000"],
+        # dense two-query outcomes of 4096 x 4096, 5.8 GB (no --samples costs bytes)
+        ["localtest", "--n", "2", "--d1", "4", "--d2", "4", "--r", "4"],
         # up to 1024 lifted Kraus operators of 16 MiB each, per channel
         ["distances", "--d1", "32", "--d2", "32"],
         # a pool of 128 Choi matrices of 256 MiB each
@@ -495,8 +495,14 @@ def test_over_budget_runs_are_declined_before_work(args):
         pytest.param(["moments", "--d", "2", "--samples", "4016"], id="moments-one-chunk"),
         pytest.param(["moments", "--d", "5", "--samples", "282"], id="moments-part-chunk"),
         pytest.param(["moments", "--d", "2", "--samples", "14029"], id="moments-four-chunks"),
-        # 20000 two-query samples: their 1.3 MB Haar batch and values, and four 256 KiB run arrays
+        # 20000 two-query samples in pieces of 4096 unitaries, their values merged piece by
+        # piece: one piece and its values, the stream that draws the next, and four run arrays
         ["localtest", "--n", "2", "--samples", "20000", "--testers", "1", "--channels", "1"],
+        # ten times as many one-query samples hold no more: nothing grows with --samples
+        pytest.param(
+            ["localtest", "--n", "1", "--samples", "200000", "--testers", "1", "--channels", "1"],
+            id="localtest-many-samples",
+        ),
         # 16 candidates drawn from 1 MiB 256 x 256 Haar blocks, one block at a time
         ["packing-net", "--regime", "type2-large", "--d1", "4", "--d2", "16", "--r", "32", "--count", "2"],
         # 256 candidates drawn and orthonormalised in 256 KiB runs of 37 21 x 21 Haar blocks:

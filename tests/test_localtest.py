@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import combs, linalg
+from ctlab import combs, linalg, moments
 from ctlab.channels import Channel, Dilation, dilate, random_channel
 from ctlab.cli import main
 from ctlab.combs import apply_tester, random_parallel_tester
@@ -19,6 +20,7 @@ from ctlab.localtest import (
     _find_anc_labels,
     _query_labels,
     _quad_form_operator,
+    _sample_runs,
     average_tester,
     dilation_forms,
     localize_tester,
@@ -241,7 +243,8 @@ def test_verify_dilation_identity_refuses_too_few_samples(samples):
 
 
 def _whole_stack_route_c(forms, channel, samples, rng):
-    """Referee: route (c) over one (samples, width) stack of every sample's coordinates.
+    """Referee: route (c) over one (samples, width) stack of every sample's coordinates,
+    its values merged with moments._merge over route (c)'s pieces of unitaries.
 
     Each complex product takes its factors in the order numpy runs `w[:, a] * (w[:, b] *
     weight)` and `vecs * (vbar @ t.T)` on stacks of 256 KiB or more, where it writes the
@@ -263,13 +266,14 @@ def _whole_stack_route_c(forms, channel, samples, rng):
         a, b = np.triu_indices(m)
         vecs = np.multiply(vecs[:, b] * np.where(a == b, 1.0, np.sqrt(2.0)), vecs[:, a])
     vbar = np.conj(vecs)
-    mean, stderr = [], []
+    vals = []
     for _, op in tester.outcomes:
         t = np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m))
-        vals = np.sum(np.multiply(vbar @ t.T, vecs), axis=1).real
-        mean.append(vals.mean())
-        stderr.append(vals.std(ddof=1) / np.sqrt(samples))
-    return np.array(mean), np.array(stderr)
+        vals.append(np.sum(np.multiply(vbar @ t.T, vecs), axis=1).real)
+    vals = np.array(vals)
+    pieces = (vals[:, piece].copy() for piece in _sample_runs(samples, 16 * r * r))
+    _, mean, stderr = moments._statistics(functools.reduce(moments._merge, pieces, moments._NO_SAMPLES))
+    return mean, stderr
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -284,7 +288,8 @@ def _whole_stack_route_c(forms, channel, samples, rng):
 )
 def test_route_c_in_runs_equals_the_whole_stack(n, r, d1, d2, run, samples, seed):
     # _CHUNK_BYTES lowered to `run` samples of coordinates, so the samples fall below, at
-    # and across run boundaries, with ragged tails (a one-sample tail joins the run before)
+    # and across run and piece boundaries, with ragged tails (a one-sample tail joins the
+    # run or piece before)
     d1 = min(d1, r * d2)
     rng = np.random.default_rng(seed)
     t = random_parallel_tester(n, d1, d2, 2, rng, anc_dim=r)
@@ -304,11 +309,15 @@ def test_route_c_memory_stays_below_one_stack_of_dilation_vectors():
     t = random_parallel_tester(2, 2, 2, 2, rng, anc_dim=2)
     ch = random_channel(2, 2, 2, rng)
     forms = dilation_forms(t)
-    samples, width = 20_000, 8 * 9 // 2
-    tracemalloc.start()
-    try:
-        verify_dilation_identity(forms, ch, samples=samples, rng=rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * samples * width
+    width = 8 * 9 // 2
+    peaks = {}
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            verify_dilation_identity(forms, ch, samples=samples, rng=rng)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20_000] < 16 * 20_000 * width
+    # nothing route (c) holds grows with the samples: ten times as many stay within 64 KiB
+    assert peaks[200_000] <= peaks[20_000] + 2**16, peaks

@@ -306,19 +306,21 @@ def _split_samples(draw):
 def test_merged_statistics_equal_the_whole_array(split):
     x, cuts = split
     bounds = [0, *cuts, x.size]
-    chunks = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
-    totals = functools.reduce(moments._merge, chunks, moments._NO_SAMPLES)
-    [est] = moments._estimate(totals)
-    mean = x.mean()
-    assert est.n_samples == x.size
-    assert abs(est.mean.real - mean.real) <= 1e-12 * (1 + abs(mean.real))
-    assert abs(est.mean.imag - mean.imag) <= 1e-12 * (1 + abs(mean.imag))
-    if x.size == 1:
-        assert est.stderr_real == est.stderr_imag == np.inf
-        return
-    for got, part in ((est.stderr_real, x.real), (est.stderr_imag, x.imag)):
-        want = part.std(ddof=1) / np.sqrt(x.size)
-        assert abs(got - want) <= 1e-12 * (1 + want)
+    # real rows as route (c) of localtest merges them, and a complex row's real and imaginary
+    # parts stacked as moments merges them, samples along the last axis
+    for rows in (x.real[None], np.stack((x.real, x.imag))[None]):
+        chunks = [rows[..., a:b].copy() for a, b in zip(bounds, bounds[1:])]  # _merge overwrites
+        n, mean, stderr = moments._statistics(functools.reduce(moments._merge, chunks, moments._NO_SAMPLES))
+        assert n == x.size
+        assert mean.shape == stderr.shape == rows.shape[:-1]
+        for got_mean, got_stderr, part in zip(mean.ravel(), stderr.ravel(), rows.reshape(-1, x.size)):
+            want = part.mean()
+            assert abs(got_mean - want) <= 1e-12 * (1 + abs(want))
+            if x.size == 1:
+                assert got_stderr == np.inf
+                continue
+            want = part.std(ddof=1) / np.sqrt(x.size)
+            assert abs(got_stderr - want) <= 1e-12 * (1 + want)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
