@@ -51,9 +51,11 @@ __all__ = [
 class Channel:
     """A CPTP map held by its Choi matrix on H_out kron H_in.
 
-    Channels built from a stack (channels_from_kraus, random_channels) hold
-    read-only views into the Choi stack of their linalg.chunk_slices run; a
-    channel built alone is the stack of one.
+    Channel(choi, ...) checks its Choi matrix (_validate_choi).  Every other
+    build path takes Kraus sets checked once where they entered (complete, or
+    blocks of an isometry) and holds read-only views into the Choi stack of
+    their linalg.chunk_slices run (_channels_of); a channel built alone is
+    the stack of one.
     """
 
     def __init__(self, choi, d_in: int, d_out: int):
@@ -63,7 +65,7 @@ class Channel:
         n = d_in * d_out
         if choi.shape != (n, n):
             raise ValueError(f"choi shape {choi.shape} does not match d_out*d_in = {n}")
-        _validate_chois(choi[None], d_in, d_out)
+        _validate_choi(choi, d_in, d_out)
         self._hold(choi, d_in, d_out)
 
     def _hold(self, choi: np.ndarray, d_in: int, d_out: int) -> None:
@@ -79,14 +81,9 @@ class Channel:
 
         The Kraus list need not be orthogonal; completeness sum E^dag E = I is
         required. The canonical (orthogonal) Kraus set is recomputed lazily.
+        np.stack declines an empty list or unequal shapes.
         """
-        kraus = [np.asarray(e, dtype=complex) for e in kraus]
-        if not kraus:
-            raise ValueError("need at least one Kraus operator")
-        d_out, d_in = kraus[0].shape
-        if any(e.shape != (d_out, d_in) for e in kraus):
-            raise ValueError("inconsistent Kraus shapes")
-        return channels_from_kraus(np.stack(kraus)[None])[0]
+        return channels_from_kraus(np.stack([np.asarray(e, dtype=complex) for e in kraus])[None])[0]
 
     @property
     def kraus(self) -> tuple:
@@ -113,52 +110,48 @@ class Channel:
         return f"Channel(d_in={self.d_in}, d_out={self.d_out}, rank={self.rank})"
 
 
-def _validate_chois(chois: np.ndarray, d_in: int, d_out: int) -> None:
-    """Raise ValueError for the first Choi matrix of a (T, n, n) stack that is
-    not Hermitian, not PSD or not trace preserving, with the message it gives
-    alone.
+def _validate_choi(choi: np.ndarray, d_in: int, d_out: int) -> None:
+    """Raise ValueError unless the (n, n) Choi matrix is Hermitian, PSD and
+    trace preserving (its marginal tr_out C is I), each within ATOL.
 
-    Each matrix's Hermitian defect, eigvalsh and marginal tr_out C (a sum
-    over the output level in order) are its own, so a matrix passes or
-    fails, with the same defect, in any stack.
+    Each comparison is written to fail on nan, so a non-finite entry fails
+    the Hermitian check before any eigensolve.
     """
-    herm = np.abs(chois - dag(chois)).max(axis=(-2, -1), initial=0.0)
-    low = np.linalg.eigvalsh(hermitianize(chois)).min(axis=-1, initial=0.0)
-    c4 = chois.reshape(-1, d_out, d_in, d_out, d_in)
-    marg = c4[:, 0, :, 0, :]
-    for a in range(1, d_out):
-        marg = marg + c4[:, a, :, a, :]
-    tp = np.abs(marg - np.eye(d_in)).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero((herm > ATOL) | (low < -ATOL) | (tp > ATOL))
-    if not bad.size:
-        return
-    t = bad[0]
-    if herm[t] > ATOL:
-        raise ValueError(f"choi is not hermitian (defect {herm[t]:.3e})")
-    if low[t] < -ATOL:
-        raise ValueError(f"choi is not psd (min eigenvalue {low[t]:.3e})")
-    raise ValueError(f"channel is not trace preserving (defect {tp[t]:.3e})")
+    herm = np.abs(choi - dag(choi)).max(initial=0.0)
+    if not herm <= ATOL:
+        raise ValueError(f"choi is not hermitian (defect {herm:.3e})")
+    low = np.linalg.eigvalsh(hermitianize(choi)).min(initial=0.0)
+    if not low >= -ATOL:
+        raise ValueError(f"choi is not psd (min eigenvalue {low:.3e})")
+    marg = np.trace(choi.reshape(d_out, d_in, d_out, d_in), axis1=0, axis2=2)
+    tp = np.abs(marg - np.eye(d_in)).max(initial=0.0)
+    if not tp <= ATOL:
+        raise ValueError(f"channel is not trace preserving (defect {tp:.3e})")
 
 
-def _channels_of(chois: np.ndarray, d_in: int, d_out: int) -> list:
-    """Channels holding the matrices of a (T, n, n) Choi stack, validated as
-    one stack (callers pass one chunk_slices run); the stack is made
-    read-only and each channel holds a view."""
-    _validate_chois(chois, d_in, d_out)
-    chois.setflags(write=False)
+def _channels_of(kraus: np.ndarray) -> list:
+    """The channels of a (T, R, d_out, d_in) stack of complete Kraus sets,
+    unchecked: such a Choi matrix is PSD by construction, Hermitian up to one
+    rounding, and its marginal tr_out C is sum E^dag E, transposed.  Each
+    chunk_slices run's choi_from_kraus stack is made read-only, and each
+    channel holds a view of its matrix."""
+    count, rank, d_out, d_in = kraus.shape
+    n = d_out * d_in
     out = []
-    for choi in chois:
-        ch = Channel.__new__(Channel)
-        ch._hold(choi, d_in, d_out)
-        out.append(ch)
+    for run in chunk_slices(count, 16 * max(rank * n, n * n)):
+        chois = choi_from_kraus(kraus[run])
+        chois.setflags(write=False)
+        for choi in chois:
+            ch = Channel.__new__(Channel)
+            ch._hold(choi, d_in, d_out)
+            out.append(ch)
     return out
 
 
-def _check_isometric(m: np.ndarray, what: str) -> None:
-    """Raise ValueError(what and the defect) for the first matrix of a stack
-    whose columns are not orthonormal."""
-    defects = isometry_defects(m)
-    bad = np.flatnonzero(defects > ATOL)
+def _check_defects(defects: np.ndarray, what: str) -> None:
+    """Raise ValueError(what and the defect) for the first defect of a stack
+    that is not at most ATOL, nan included."""
+    bad = np.flatnonzero(~(defects <= ATOL))
     if bad.size:
         raise ValueError(f"{what} (defect {defects[bad[0]]:.3e})")
 
@@ -180,15 +173,15 @@ class Isometry:
         object.__setattr__(self, "matrix", _isometric_stack(m[None])[0])
 
     def channel(self) -> Channel:
-        return Channel.from_kraus([self.matrix])
+        return _channels_of(self.matrix[None, None])[0]
 
 
 def _isometric_stack(m: np.ndarray) -> np.ndarray:
     """The (T, rows, cols) stack m, made read-only, after one shape check and
-    one _check_isometric of all its matrices."""
+    one isometry check of all its matrices."""
     if m.shape[-2] < m.shape[-1]:
         raise ValueError(f"isometry needs rows >= cols, got shape {m.shape[-2:]}")
-    _check_isometric(m, "columns are not orthonormal")
+    _check_defects(isometry_defects(m), "columns are not orthonormal")
     m.setflags(write=False)
     return m
 
@@ -232,7 +225,7 @@ class Dilation:
         object.__setattr__(self, "d_out", d_out)
         if m.ndim != 2 or m.shape[0] != r * d_out:
             raise ValueError(f"matrix shape {m.shape} does not match anc*out = {r * d_out}")
-        _check_isometric(m[None], "dilation is not an isometry")
+        _check_defects(isometry_defects(m[None]), "dilation is not an isometry")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -245,8 +238,8 @@ class Dilation:
         return tuple(self.matrix[k * d2 : (k + 1) * d2, :] for k in range(self.anc_dim))
 
     def contract(self) -> Channel:
-        """Trace out the ancilla: the channel of the Kraus blocks."""
-        return Channel.from_kraus(self.kraus_blocks())
+        """Trace out the ancilla: the channel of the Kraus blocks, unchecked past V^dag V = I."""
+        return _channels_of(np.stack(self.kraus_blocks())[None])[0]
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
@@ -267,28 +260,22 @@ def choi_from_kraus(kraus) -> np.ndarray:
 def channels_from_kraus(kraus) -> list:
     """The channels of a (T, R, d_out, d_in) stack of Kraus sets, in stack order.
 
-    Run by chunk_slices run: each set's completeness sum E^dag E = I (its R
-    Gram products added in Kraus order), then the run's choi_from_kraus
-    stack, validated as one (_validate_chois). Every step is per set, so a
-    channel has the bits of Channel.from_kraus of its set alone, and a
-    failing set raises the message it raises alone.
+    Every set's completeness sum E^dag E = I (its R Gram products added in
+    Kraus order) is checked first, in chunk_slices runs; then the channels
+    are built unchecked (_channels_of).  Every step is per set, so a channel
+    has the bits of Channel.from_kraus of its set alone, and a failing set
+    raises the message it raises alone.
     """
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4 or not kraus.shape[1]:
         raise ValueError(f"need a (T, R, d_out, d_in) stack with R >= 1, got shape {kraus.shape}")
     count, rank, d_out, d_in = kraus.shape
-    n = d_out * d_in
     eye = np.eye(d_in)
-    out = []
-    for run in chunk_slices(count, 16 * max(rank * n, n * n)):
+    for run in chunk_slices(count, 16 * max(rank * d_out, d_in) * d_in):
         sets = kraus[run]
         comp = sum(dag(sets[:, k]) @ sets[:, k] for k in range(rank))
-        defects = np.abs(comp - eye).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(defects > ATOL)
-        if bad.size:
-            raise ValueError(f"Kraus set is not complete (defect {defects[bad[0]]:.3e})")
-        out += _channels_of(choi_from_kraus(sets), d_in, d_out)
-    return out
+        _check_defects(np.abs(comp - eye).max(axis=(-2, -1), initial=0.0), "Kraus set is not complete")
+    return _channels_of(kraus)
 
 
 def kraus_sets(channels) -> list:
@@ -336,22 +323,23 @@ def dilate(ch: Channel, r: int) -> Dilation:
 
 def dilation_matrices(channels, r: int) -> np.ndarray:
     """The matrices of dilate(ch, r) for channels of one shape, stacked
-    (T, r d_out, d_in): one kraus_sets call and one stacked Dilation check."""
+    (T, r d_out, d_in): one kraus_sets call and one stacked Dilation check,
+    kept because kraus_sets cuts eigenvalues below RANK_RTOL."""
     v = _dilation_stack(list(channels), r)
-    _check_isometric(v, "dilation is not an isometry")
+    _check_defects(isometry_defects(v), "dilation is not an isometry")
     return v
 
 
 def contract_dilations(matrices, anc_dim: int, d_out: int) -> list:
     """The channels of a (T, anc_dim d_out, d_in) stack of dilation matrices:
     Dilation(m, anc_dim, d_out).contract() of each, from one stacked Dilation
-    check and one channels_from_kraus of the Kraus blocks."""
+    check (V^dag V = I, the Kraus blocks' completeness) and _channels_of."""
     matrices = np.asarray(matrices, dtype=complex)
     count, rows, d_in = matrices.shape
     if rows != anc_dim * d_out:
         raise ValueError(f"matrix shape {matrices.shape[1:]} does not match anc*out = {anc_dim * d_out}")
-    _check_isometric(matrices, "dilation is not an isometry")
-    return channels_from_kraus(matrices.reshape(count, anc_dim, d_out, d_in))
+    _check_defects(isometry_defects(matrices), "dilation is not an isometry")
+    return _channels_of(matrices.reshape(count, anc_dim, d_out, d_in))
 
 
 def random_channels(d_in: int, d_out: int, ranks, rngs) -> list:
@@ -362,8 +350,9 @@ def random_channels(d_in: int, d_out: int, ranks, rngs) -> list:
     matrices G_k from rngs[t], the trials in order. The trials of one rank are
     built together, in chunk_slices runs: the Gram sums S = sum_k G_k^dag G_k,
     one stacked psd_inv_sqrt and the Kraus products G_k S^-1/2, then
-    channels_from_kraus. Each step is per trial, so channel t has the bits of
-    random_channel(d_in, d_out, ranks[t], rngs[t]).
+    channels_from_kraus, whose completeness check is kept because
+    psd_inv_sqrt cuts rank. Each step is per trial, so channel t has the bits
+    of random_channel(d_in, d_out, ranks[t], rngs[t]).
     """
     ranks = [int(rank) for rank in ranks]
     rngs = list(rngs)

@@ -431,8 +431,8 @@ def packing_net(
     # Haar block (r d2 square at most) where that alone is larger: the pool is drawn and
     # orthonormalised in such runs (the Gram-Schmidt stack, its conjugate, which first takes
     # the Ginibre draws, its work array, and the unitaries), and checked and contracted in such
-    # runs (Choi matrices, their temporaries and their validation, which for a Choi matrix
-    # above a run are the Choi-sized workspaces below); every row of the stacked see-saw (two
+    # runs (Choi matrices and their temporaries, which for a Choi matrix above a run are
+    # the Choi-sized workspaces below); every row of the stacked see-saw (two
     # restarts per pair) its pair's two lifted Kraus sets about five times over (its copy,
     # signed adjoint and pulled-back witness, and the copies made as finished rows leave) and
     # three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors); Choi-sized
@@ -511,9 +511,9 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     # five arrays of one linalg._CHUNK_BYTES run of trials, or of one Choi matrix where that
     # alone is larger: the targets are built in such runs (isometry mode the Gram-Schmidt
     # stack, its conjugate, which first takes the Ginibre draws, and its work array; channel
-    # mode the Gram eigensolves, Kraus products, Choi matrices and their validation), both
-    # modes take their Choi errors in such runs, and the grid's kept d1 x d1 pencils are
-    # eigensolved in such runs; and Choi workspaces.  And per trial, the oracle batch of both
+    # mode the Gram eigensolves, Kraus products and Choi matrices), both modes take their
+    # Choi errors in such runs, and the grid's kept d1 x d1 pencils are eigensolved in such
+    # runs; and Choi workspaces.  And per trial, the oracle batch of both
     # weak runs' 2 d1 columns: two uniforms and 2 big normals per column (a word per two
     # doubles), and its complex (d1, big) draw, projection and combination stacks per run
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi

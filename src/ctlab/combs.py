@@ -286,6 +286,12 @@ def _validate_ordering(x: LabelledOperator, ordering: Sequence) -> tuple:
     return groups
 
 
+def _psd_defect(op: np.ndarray) -> float:
+    """-min_eig(op), or nan, which fails every check, when op has a non-finite
+    entry (eigvalsh may drop a nan diagonal entry silently, or raise)."""
+    return -min_eig(op) if np.isfinite(op).all() else np.nan
+
+
 def is_deterministic_comb(x: LabelledOperator, ordering: Sequence) -> CombCheck:
     """Check the causality constraints of a deterministic comb.
 
@@ -297,9 +303,10 @@ def is_deterministic_comb(x: LabelledOperator, ordering: Sequence) -> CombCheck:
     """
     groups = _validate_ordering(x, ordering)
     n = len(groups) // 2
-    worst = max(0.0, -min_eig(x.op))
-    if worst > COMB_ATOL:
+    worst = _psd_defect(x.op)
+    if not worst <= COMB_ATOL:
         return CombCheck(False, -1, worst)
+    worst = max(0.0, worst)
     cur = x
     for j in range(n, 0, -1):
         in_g, out_g = groups[2 * j - 2], groups[2 * j - 1]
@@ -314,12 +321,12 @@ def is_deterministic_comb(x: LabelledOperator, ordering: Sequence) -> CombCheck:
         else:
             target = nxt
         defect = float(np.max(np.abs(traced.op - target.op)))
-        if defect > COMB_ATOL:
+        if not defect <= COMB_ATOL:
             return CombCheck(False, j, defect)
         worst = max(worst, defect)
         cur = nxt
     defect = abs(cur.scalar - 1.0)
-    if defect > COMB_ATOL:
+    if not defect <= COMB_ATOL:
         return CombCheck(False, 0, float(defect))
     return CombCheck(True, None, max(worst, float(defect)))
 
@@ -366,8 +373,8 @@ class Tester:
             for f in op.layout.factors:
                 if ref.dim_of(f[0]) != f[1]:
                     raise ValueError(f"outcome {lab!r} disagrees on dimensions")
-            neg = -min_eig(op.op)
-            if neg > COMB_ATOL:
+            neg = _psd_defect(op.op)
+            if not neg <= COMB_ATOL:
                 raise ValueError(f"outcome {lab!r} is not psd (defect {neg:.3e})")
         check = is_deterministic_comb(self._sum(), ((), inputs, outputs, ()))
         if not check.ok:

@@ -290,7 +290,7 @@ def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("need two square matrices of equal dimension")
     for name, m in (("u", u), ("v", v)):
         defect = isometry_defect(m)
-        if defect > ATOL * 10:
+        if not defect <= ATOL * 10:
             raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     phases = np.sort(np.angle(np.linalg.eigvals(dag(u) @ v)))
     gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)

@@ -29,14 +29,14 @@ from .channels import choi_from_kraus, dilation_matrices
 from .linalg import dag, dft_matrix, operator_norm
 from .metrics import choi_trace_distances
 
-# The least target accuracy accepted.  Below about 1e-152 the per-column noise
-# eps^2 / 64 underflows: to zero, a noiseless oracle that charges no queries, or
-# to a subnormal whose charge ceil(d / eps_max) overflows.  From 1e-100 up, the
-# charge stays finite for any dimension d below 1e100.
-MIN_EPS = 1e-100
-# The least positive per-column noise, the estimators' eps^2 / 64 at MIN_EPS; the
-# config declines smaller ones, whose charge d / eps_max can overflow to inf.
-_MIN_EPS_MAX = MIN_EPS * MIN_EPS / 64.0
+# The least target accuracy accepted: below it the checks would compare eps with a
+# correct run's error floor, float64 rounding and, in channel mode, the Choi weight
+# that dilation_matrices' RANK_RTOL cut drops.  Correct runs failed at eps up to
+# 7.5e-12 (both modes, d1, d2 <= 16, seeds 0-9); MIN_EPS is over 100 times that.
+MIN_EPS = 1e-9
+# The least positive per-column noise accepted, eps^2 / 64 at eps = 1e-100: from it up
+# the charge ceil(d / eps_max) stays finite for any dimension d below 1e100.
+_MIN_EPS_MAX = 1e-100 * 1e-100 / 64.0
 
 __all__ = [
     "MIN_EPS",

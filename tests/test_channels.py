@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlab import channels, linalg
+from ctlab import channels, combs, linalg
 from ctlab.channels import (
     Channel,
     Dilation,
@@ -22,7 +23,10 @@ from ctlab.channels import (
     random_channel,
     random_channels,
 )
+from ctlab.combs import CombCheck, FactorLayout, LabelledOperator, is_deterministic_comb
+from ctlab.hardness import Regime, build_instance, instance_channels
 from ctlab.linalg import (
+    ATOL,
     RANK_RTOL,
     dag,
     haar_unitary,
@@ -34,6 +38,7 @@ from ctlab.linalg import (
     random_isometries,
     random_isometry,
 )
+from ctlab.metrics import unitary_diamond_distance
 
 
 def _random_dilation(ch, r, rng):
@@ -125,6 +130,113 @@ def test_choi_is_readonly():
     ch = Channel(_depolarizing_choi(0.1), 2, 2)
     with pytest.raises(ValueError):
         ch.choi[0, 0] = 5.0
+
+
+def _spoilt(matrix, value):
+    """A complex copy of matrix with value at [0, 0]."""
+    m = np.array(matrix, dtype=complex)
+    m[0, 0] = value
+    return m
+
+
+def _spoilt_tester(value):
+    """A prepare-and-measure qubit tester whose first outcome has value at [0, 0]."""
+    rho = np.eye(2) / 2
+    layout = FactorLayout((("B", 2), ("A", 2)))
+    ops = [np.kron(np.diag(e), rho) for e in ([1.0, 0.0], [0.0, 1.0])]
+    outcomes = ((0, LabelledOperator(_spoilt(ops[0], value), layout)), (1, LabelledOperator(ops[1], layout)))
+    return combs.Tester(outcomes=outcomes, in_labels=(("A",),), out_labels=(("B",),))
+
+
+NON_FINITE_ENTRIES = {
+    "Channel": lambda x: Channel([[x]], 1, 1),
+    # json writes nan as NaN and inf as Infinity, and reads them back
+    "channel_from_json": lambda x: channel_from_json(
+        json.dumps({"d_in": 1, "d_out": 1, "choi_re": [x], "choi_im": [0.0]})
+    ),
+    "Channel.from_kraus": lambda x: Channel.from_kraus([[[x]]]),
+    "Isometry": lambda x: Isometry([[x], [0]]),
+    "Dilation": lambda x: Dilation([[x], [0]], 1, 2),
+    "is_deterministic_comb": lambda x: is_deterministic_comb(
+        LabelledOperator(np.full((2, 2), x), (("out", 2), ("in", 1))), (("in",), ("out",))
+    ),
+    "Tester": _spoilt_tester,
+    "unitary_diamond_distance": lambda x: unitary_diamond_distance(_spoilt(np.eye(2), x), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
+def test_every_entry_check_fails_non_finite_input(entry, value):
+    # a constructor raises ValueError; is_deterministic_comb returns a failed CombCheck
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            verdict = NON_FINITE_ENTRIES[entry](value)
+        except ValueError as exc:
+            # a LinAlgError is a ValueError, but from an eigensolve that met the value, not a check
+            assert not isinstance(exc, np.linalg.LinAlgError)
+            return
+    assert isinstance(verdict, CombCheck) and not verdict
+
+
+@st.composite
+def _scaled_complete_kraus(draw):
+    """(kraus, d_in, d_out): the R Kraus blocks of a Haar isometry of r0 <= R blocks,
+    zero-padded to R and mixed by a Haar unitary on the Kraus index (so of rank r0, often
+    below R), all scaled by 1 + delta, where a delta of about 5e-10 puts the
+    completeness defect near ATOL."""
+    d_in, d_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    least = -(-d_in // d_out)
+    rank = draw(st.integers(max(least, 1), 7))
+    r0 = draw(st.integers(max(least, 1), rank))
+    delta = draw(st.sampled_from([0.0, 1e-12, -1e-12, 4.9e-10, -4.9e-10, 5e-10, -5e-10, 5.1e-10, -5.1e-10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = np.zeros((rank, d_out, d_in), dtype=complex)
+    blocks[:r0] = random_isometry(r0 * d_out, d_in, rng).reshape(r0, d_out, d_in)
+    mixed = np.einsum("kl,lij->kij", haar_unitary(rank, rng), blocks)
+    return (1.0 + delta) * mixed, d_in, d_out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_scaled_complete_kraus())
+def test_kraus_built_chois_pass_the_choi_check(case):
+    # the reference for the Choi check that Kraus-built channels skip: choi_from_kraus is
+    # PSD and Hermitian by construction, and its marginal tr_out C is sum E^dag E transposed,
+    # so its trace-preservation defect is the completeness defect up to rounding
+    kraus, d_in, d_out = case
+    choi = choi_from_kraus(kraus)
+    comp = np.abs(sum(dag(e) @ e for e in kraus) - np.eye(d_in)).max()
+    marg = np.trace(choi.reshape(d_out, d_in, d_out, d_in), axis1=0, axis2=2)
+    assert abs(np.abs(marg - np.eye(d_in)).max() - comp) <= 1e-15
+    if comp <= ATOL - 1e-15:
+        channels._validate_choi(choi, d_in, d_out)
+    elif comp > ATOL + 1e-15:
+        with pytest.raises(ValueError, match="trace preserving"):
+            channels._validate_choi(choi, d_in, d_out)
+
+
+def test_choi_check_runs_only_where_a_choi_matrix_enters():
+    rng = np.random.default_rng(21)
+    ch = random_channel(2, 3, 2, rng)
+    mats = random_isometries(6, 2, [rng] * 3)
+    inst = build_instance(Regime.TYPE1, 4, 2, 2, 0.1, rng)
+    kraus_built = {
+        "channels_from_kraus": lambda: channels_from_kraus(mats.reshape(3, 2, 3, 2)),
+        "Channel.from_kraus": lambda: Channel.from_kraus(ch.kraus),
+        "random_channels": lambda: random_channels(2, 3, [1, 2, 6], [rng] * 3),
+        "contract_dilations": lambda: contract_dilations(mats, 2, 3),
+        "Isometry.channel": lambda: Isometry(mats[0]).channel(),
+        "Dilation.contract": lambda: Dilation(mats[0], 2, 3).contract(),
+        "instance_channels": lambda: instance_channels([inst, inst]),
+    }
+    with mock.patch.object(channels, "_validate_choi", wraps=channels._validate_choi) as check:
+        for name, build in kraus_built.items():
+            build()
+            assert check.call_count == 0, name
+        Channel(ch.choi, 2, 3)
+        assert check.call_count == 1
+        channel_from_json(channel_to_json(ch))
+        assert check.call_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +571,6 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
             spoilt[bad] = spoilers[check](spoilt[bad])
             alone = _message(Channel, spoilt[bad], d_in, d_out)
             assert check in alone
-            assert _message(channels._channels_of, spoilt, d_in, d_out) == alone
         mats = kraus.reshape(count, rank * d_out, d_in).copy()
         mats[bad] = spoilers["isometry"](mats[bad])
         alone = _message(Dilation, mats[bad], rank, d_out)

@@ -16,6 +16,7 @@ from ctlab import cli, hardness, localtest, metrics
 from ctlab.cli import main
 from ctlab.linalg import MAX_BYTES, require_bytes
 from ctlab.metrics import choi_trace_distances
+from ctlab.tomography import MIN_EPS
 
 
 def _run(args, env=None):
@@ -331,6 +332,17 @@ def test_tomography_usage_errors():
     assert _run(["tomography", "--seed", "0", "--r", "-1"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--d1", "3", "--d2", "2"]).exit_code == 2
     assert _run(["tomography", "--seed", "0", "--d1", "4", "--d2", "1", "--r", "2"]).exit_code == 2
+
+
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tomography_passes_at_the_least_eps(seed, r):
+    # below MIN_EPS the checks would compare eps with a correct run's error floor; such
+    # eps values are usage errors
+    args = ["tomography", "--seed", str(seed), "--r", str(r), "--eps"]
+    res = _run(args + [repr(MIN_EPS)])
+    assert res.exit_code == 0, res.output
+    assert _run(args + [repr(MIN_EPS / 2)]).exit_code == 2
 
 
 # ---------------------------------------------------------------------------
