@@ -21,10 +21,9 @@ from .linalg import (
     RANK_RTOL,
     chunk_slices,
     dag,
-    fill_ginibre,
     hermitianize,
     isometry_defects,
-    psd_inv_sqrt,
+    random_isometries,
     unvectorize,
     vectorize,
 )
@@ -35,13 +34,11 @@ __all__ = [
     "isometries",
     "Dilation",
     "dilate",
-    "dilation_matrices",
     "contract_dilations",
     "kraus_sets",
     "choi_from_kraus",
-    "channels_from_kraus",
+    "random_dilations",
     "random_channel",
-    "random_channels",
     "channel_payload",
     "channel_to_json",
     "channel_from_json",
@@ -80,10 +77,15 @@ class Channel:
         """Build the Choi matrix of sum_i E_i rho E_i^dag.
 
         The Kraus list need not be orthogonal; completeness sum E^dag E = I is
-        required. The canonical (orthogonal) Kraus set is recomputed lazily.
-        np.stack declines an empty list or unequal shapes.
+        required, and checked once, as V^dag V = I of the operators stacked
+        into one column V.  The canonical (orthogonal) Kraus set is recomputed
+        lazily.  np.stack declines an empty list or unequal shapes, and the
+        shape unpacking a stack that is not (R, d_out, d_in).
         """
-        return channels_from_kraus(np.stack([np.asarray(e, dtype=complex) for e in kraus])[None])[0]
+        kraus = np.stack([np.asarray(e, dtype=complex) for e in kraus])
+        rank, d_out, d_in = kraus.shape
+        _check_defects(isometry_defects(kraus.reshape(1, rank * d_out, d_in)), "Kraus set is not complete")
+        return _channels_of(kraus[None])[0]
 
     @property
     def kraus(self) -> tuple:
@@ -257,27 +259,6 @@ def choi_from_kraus(kraus) -> np.ndarray:
     return choi
 
 
-def channels_from_kraus(kraus) -> list:
-    """The channels of a (T, R, d_out, d_in) stack of Kraus sets, in stack order.
-
-    Every set's completeness sum E^dag E = I (its R Gram products added in
-    Kraus order) is checked first, in chunk_slices runs; then the channels
-    are built unchecked (_channels_of).  Every step is per set, so a channel
-    has the bits of Channel.from_kraus of its set alone, and a failing set
-    raises the message it raises alone.
-    """
-    kraus = np.asarray(kraus, dtype=complex)
-    if kraus.ndim != 4 or not kraus.shape[1]:
-        raise ValueError(f"need a (T, R, d_out, d_in) stack with R >= 1, got shape {kraus.shape}")
-    count, rank, d_out, d_in = kraus.shape
-    eye = np.eye(d_in)
-    for run in chunk_slices(count, 16 * max(rank * d_out, d_in) * d_in):
-        sets = kraus[run]
-        comp = sum(dag(sets[:, k]) @ sets[:, k] for k in range(rank))
-        _check_defects(np.abs(comp - eye).max(axis=(-2, -1), initial=0.0), "Kraus set is not complete")
-    return _channels_of(kraus)
-
-
 def kraus_sets(channels) -> list:
     """The canonical Kraus sets of channels of one shape, in order.
 
@@ -302,32 +283,15 @@ def kraus_sets(channels) -> list:
     return [ch._kraus for ch in channels]
 
 
-def _dilation_stack(channels, r: int) -> np.ndarray:
-    """The canonical Kraus sets of channels of one shape zero-padded to r
-    blocks, stacked (T, r d_out, d_in); raises for a rank above r."""
-    sets = kraus_sets(channels)
-    r = int(r)
-    d_in, d_out = channels[0].d_in, channels[0].d_out
-    v = np.zeros((len(sets), r, d_out, d_in), dtype=complex)
-    for out, kraus in zip(v, sets):
-        if r < len(kraus):
-            raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
-        out[: len(kraus)] = kraus
-    return v.reshape(len(sets), r * d_out, d_in)
-
-
 def dilate(ch: Channel, r: int) -> Dilation:
     """Canonical dilation from the eigen-Kraus set, zero-padded to rank r."""
-    return Dilation(_dilation_stack([ch], r)[0], r, ch.d_out)
-
-
-def dilation_matrices(channels, r: int) -> np.ndarray:
-    """The matrices of dilate(ch, r) for channels of one shape, stacked
-    (T, r d_out, d_in): one kraus_sets call and one stacked Dilation check,
-    kept because kraus_sets cuts eigenvalues below RANK_RTOL."""
-    v = _dilation_stack(list(channels), r)
-    _check_defects(isometry_defects(v), "dilation is not an isometry")
-    return v
+    kraus = ch.kraus
+    r = int(r)
+    if r < len(kraus):
+        raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
+    v = np.zeros((r, ch.d_out, ch.d_in), dtype=complex)
+    v[: len(kraus)] = kraus
+    return Dilation(v.reshape(r * ch.d_out, ch.d_in), r, ch.d_out)
 
 
 def contract_dilations(matrices, anc_dim: int, d_out: int) -> list:
@@ -342,17 +306,21 @@ def contract_dilations(matrices, anc_dim: int, d_out: int) -> list:
     return _channels_of(matrices.reshape(count, anc_dim, d_out, d_in))
 
 
-def random_channels(d_in: int, d_out: int, ranks, rngs) -> list:
-    """Random channels d_in -> d_out, channel t of Kraus rank <= ranks[t]
-    (generically exactly), drawn from rngs[t].
+def random_dilations(d_in: int, d_out: int, ranks, anc_dim: int, rngs) -> np.ndarray:
+    """Haar-random dilations d_in -> anc_dim d_out, stacked (T, anc_dim d_out, d_in).
 
-    Every rank is checked first; then trial t draws its ranks[t] Ginibre
-    matrices G_k from rngs[t], the trials in order. The trials of one rank are
-    built together, in chunk_slices runs: the Gram sums S = sum_k G_k^dag G_k,
-    one stacked psd_inv_sqrt and the Kraus products G_k S^-1/2, then
-    channels_from_kraus, whose completeness check is kept because
-    psd_inv_sqrt cuts rank. Each step is per trial, so channel t has the bits
-    of random_channel(d_in, d_out, ranks[t], rngs[t]).
+    Member t is random_isometry(ranks[t] d_out, d_in, rngs[t]) zero-padded to
+    anc_dim blocks: the dilation of a random channel of Kraus rank <= ranks[t]
+    (generically exactly), whose Kraus operators are its d_out-row blocks.  The
+    isometry is the Gram-Schmidt factor of a Ginibre matrix, whose law is that
+    of its polar factor, so the channel is the one of Kraus operators
+    G_k (sum G^dag G)^-1/2 with G_k Ginibre.
+
+    Every rank is checked first (feasibility, and rank <= anc_dim).  Then each
+    generator draws its members in list order (a generator listed twice draws
+    twice, in turn), in rounds: round k holds every generator's k-th member,
+    and the members of one round and rank are one random_isometries stack.  So
+    member t has the bits of random_isometry drawn alone, in list order.
     """
     ranks = [int(rank) for rank in ranks]
     rngs = list(rngs)
@@ -367,25 +335,26 @@ def random_channels(d_in: int, d_out: int, ranks, rngs) -> list:
                 f"no channel of Kraus rank {rank} exists for {d_in} -> {d_out}; "
                 f"need rank >= ceil(d_in / d_out)"
             )
-    draws = [np.empty((rank, d_out, d_in), dtype=complex) for rank in ranks]
-    for g, rng in zip(draws, rngs):
-        for gk in g:
-            fill_ginibre(gk, rng)
-    out = [None] * len(ranks)
-    for rank in sorted(set(ranks)):
-        trials = [t for t, k in enumerate(ranks) if k == rank]
-        for run in chunk_slices(len(trials), 16 * max(rank * d_out * d_in, (d_in * d_out) ** 2)):
-            g = np.stack([draws[t] for t in trials[run]])
-            gram = sum(dag(g[:, k]) @ g[:, k] for k in range(rank))
-            built = channels_from_kraus(g @ psd_inv_sqrt(gram)[:, None])
-            for t, ch in zip(trials[run], built):
-                out[t] = ch
+        if rank > anc_dim:
+            raise ValueError(f"requested ancilla dimension {anc_dim} below channel rank {rank}")
+    rounds: dict = {}
+    keys = []
+    for rank, rng in zip(ranks, rngs):
+        k = rounds.get(id(rng), 0)
+        rounds[id(rng)] = k + 1
+        keys.append((k, rank))
+    out = np.zeros((len(ranks), anc_dim * d_out, d_in), dtype=complex)
+    for key in sorted(set(keys)):
+        members = [t for t, k in enumerate(keys) if k == key]
+        rows = key[1] * d_out
+        out[members, :rows] = random_isometries(rows, d_in, [rngs[t] for t in members])
     return out
 
 
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
-    """Random channel of Kraus rank <= rank (generically exactly rank)."""
-    return random_channels(d_in, d_out, [rank], [rng])[0]
+    """Random channel of Kraus rank <= rank (generically exactly rank): the
+    contraction of its random_dilations member."""
+    return contract_dilations(random_dilations(d_in, d_out, [rank], rank, [rng]), rank, d_out)[0]
 
 
 def channel_payload(ch: Channel) -> dict:

@@ -29,7 +29,7 @@ from .channels import (
     dilate,
     isometries,
     random_channel,
-    random_channels,
+    random_dilations,
 )
 from .combs import LabelledOperator, link_product, random_parallel_tester
 from .hardness import (
@@ -504,24 +504,25 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     expected_queries = 2 * d1 * math.ceil(64.0 * big / (eps * eps))
     # in 16-byte words, per trial of the batch: its generator and array headers (about 256);
     # the target, both weak runs' column estimates, their SVD factors and snaps, and the
-    # estimate (about ten target-sized copies, the golden section's stacks included); isometry
-    # mode the phase grid's 360 points at 17 bytes each (the Frobenius bracket, then their
-    # eigenvalues, in one float row; a flag and an index per kept point, all 360 kept at
-    # worst), channel mode the target's own Choi matrix, Kraus set and Ginibre draws.  Once,
-    # five arrays of one linalg._CHUNK_BYTES run of trials, or of one Choi matrix where that
-    # alone is larger: the targets are built in such runs (isometry mode the Gram-Schmidt
-    # stack, its conjugate, which first takes the Ginibre draws, and its work array; channel
-    # mode the Gram eigensolves, Kraus products and Choi matrices), both modes take their
-    # Choi errors in such runs, and the grid's kept d1 x d1 pencils are eigensolved in such
-    # runs; and Choi workspaces.  And per trial, the oracle batch of both
-    # weak runs' 2 d1 columns: two uniforms and 2 big normals per column (a word per two
-    # doubles), and its complex (d1, big) draw, projection and combination stacks per run
+    # estimate (about ten target-sized copies, the golden section's stacks included; channel
+    # mode two more, the drawn dilations beside their validated copy); isometry mode the phase
+    # grid's 360 points at 17 bytes each (the Frobenius bracket, then their eigenvalues, in
+    # one float row; a flag and an index per kept point, all 360 kept at worst).  Channel mode
+    # holds no Choi matrix, Kraus set or Ginibre draw per trial: its targets are the dilations
+    # alone.  Once, five arrays of one linalg._CHUNK_BYTES run of trials, or of one Choi
+    # matrix where that alone is larger: the targets are drawn in such runs (the Gram-Schmidt
+    # stack, its conjugate, which first takes the Ginibre draws, and its work array), both
+    # modes take their Choi errors in such runs (the estimates' and the targets' Choi
+    # matrices), and the grid's kept d1 x d1 pencils are eigensolved in such runs; and Choi
+    # workspaces.  And per trial, the oracle batch of both weak runs' 2 d1 columns: two
+    # uniforms and 2 big normals per column (a word per two doubles), and its complex
+    # (d1, big) draw, projection and combination stacks per run
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, choi) + 6 * choi
     oracle = 2 * d1 * (1 + big) + 6 * d1 * big
     if r == 0:
         words = trials * (10 * big * d1 + 400 + 256 + oracle) + workspace
     else:
-        words = trials * (choi + 12 * big * d1 + 256 + oracle) + workspace
+        words = trials * (12 * big * d1 + 256 + oracle) + workspace
     _budget_guard(16 * words)
 
     rngs = [_trial_rng(seed, i) for i in range(trials)]
@@ -530,8 +531,8 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
         batch = isometry_tomography(targets, eps, rngs)
         errors = batch.op_errors
     else:
-        targets = random_channels(d1, d2, [_channel_rank(d1, d2, r, rng) for rng in rngs], rngs)
-        batch = channel_tomography(targets, r, eps, rngs)
+        ranks = [_channel_rank(d1, d2, r, rng) for rng in rngs]
+        batch = channel_tomography(isometries(random_dilations(d1, d2, ranks, r, rngs)), d2, eps, rngs)
         errors = batch.choi_errors
     successes = int(batch.success.sum())
     rate = successes / trials

@@ -1031,8 +1031,9 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
     adjacent weights).  `index` selects the branch: a subset for type1
     (None certifies against the full family sum), the weight for type2;
     it is checked before any eigensolve.  Both families run one loop over
-    their steps and report the first level whose gap falls below
-    -COMB_ATOL; below level n a step compares family vectors only.
+    their steps and report the first level whose gap is not at least
+    -COMB_ATOL, nan included; below level n a step compares family vectors
+    only.
 
     Every level is an eigenproblem on the span of the factor columns, not
     on a dense matrix.  A `gamma_vector` operator has one column, so the
@@ -1052,13 +1053,14 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
         weight = int(index)
         _require(0 <= weight <= n, f"weight must lie in [0, {n}], got {weight}")
         steps = _type2_steps(op, family, n, weight)
-    gap = op.min_eig()
-    if gap < -COMB_ATOL:
+    # a non-finite factor fails positivity with a nan gap, before an eigensolve meets it
+    gap = op.min_eig() if np.isfinite(op.factor).all() else np.nan
+    if not gap >= -COMB_ATOL:
         return CombCheck(False, -1, float(-gap))
     worst = 0.0
     for level, current, reference in steps:
         gap = _level_gap(current, reference, level)
-        if gap < -COMB_ATOL:
+        if not gap >= -COMB_ATOL:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))
     return CombCheck(True, None, worst)

@@ -5,10 +5,10 @@ each damaged by an adversarial-strength perturbation and an unknown global
 phase.  Column estimates are snapped to the nearest isometry by SVD; running
 the procedure twice, the second time against the target precomposed with a
 DFT, pins down the relative column phases.  Channel estimation reuses the
-same machinery on a fixed dilation of the target channel.  Both estimators
-run a batch of trials, each on its own generator.  The oracle is one batch
-function, pure_state_oracles, over a stack of columns: its draws go trial by
-trial and column by column, two generator calls per column, and its
+same machinery on the dilation each target channel is given by.  Both
+estimators run a batch of trials, each on its own generator.  The oracle is
+one batch function, pure_state_oracles, over a stack of columns: its draws go
+trial by trial and column by column, two generator calls per column, and its
 arithmetic runs once over the stack; pure_state_oracle is its stack of one.
 Every later stage runs once per batch.
 A batch returns columns, one row per trial: the stack of estimated
@@ -25,15 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import choi_from_kraus, dilation_matrices
+from .channels import choi_from_kraus
 from .linalg import dag, dft_matrix, operator_norm
 from .metrics import choi_trace_distances
 
 # The least target accuracy accepted: below it the checks would compare eps with a
-# correct run's error floor, float64 rounding and, in channel mode, the Choi weight
-# that dilation_matrices' RANK_RTOL cut drops.  Correct runs failed at eps up to
-# 7.5e-12 (both modes, d1, d2 <= 16, seeds 0-9); MIN_EPS is over 100 times that.
-MIN_EPS = 1e-9
+# correct run's error floor, float64 rounding.  Correct runs failed at eps up to
+# 1.33e-14 (both modes, d1, d2 <= 16, seeds 0-9); MIN_EPS is the least power of ten
+# at least 100 times that.
+MIN_EPS = 1e-11
 # The least positive per-column noise accepted, eps^2 / 64 at eps = 1e-100: from it up
 # the charge ceil(d / eps_max) stays finite for any dimension d below 1e100.
 _MIN_EPS_MAX = 1e-100 * 1e-100 / 64.0
@@ -380,17 +380,17 @@ class TomographyBatch(NamedTuple):
     """Outcome of one isometry_tomography or channel_tomography call, one row
     per target in target order.
 
-    estimates is the (T, rows, d1) stack of estimated isometries: of the
-    targets themselves from isometry_tomography, and of their fixed r-slot
-    dilations from channel_tomography, where Dilation(estimates[k], r,
-    d2).contract() is trial k's channel estimate, its Choi matrix bit for bit
-    the one the batch measured.  op_errors are the operator-norm errors
-    minimized over a global phase, or None from channel_tomography, whose
-    success is judged on choi_errors alone; choi_errors are the normalized
-    Choi trace distances of the induced channels.  queries_charged is the
-    total over the trials, each charged alike.  Further distances, such as
-    a diamond bracket, are for the caller to ask of metrics.  A NamedTuple,
-    which costs less to create at import than a frozen dataclass.
+    estimates is the (T, rows, d1) stack of estimated isometries, one per
+    target: in channel_tomography the targets are (r d2, d1) dilations, and
+    Dilation(estimates[k], r, d2).contract() is trial k's channel estimate,
+    its Choi matrix bit for bit the one the batch measured.  op_errors are
+    the operator-norm errors minimized over a global phase, or None from
+    channel_tomography, whose success is judged on choi_errors alone;
+    choi_errors are the normalized Choi trace distances of the induced
+    channels.  queries_charged is the total over the trials, each charged
+    alike.  Further distances, such as a diamond bracket, are for the caller
+    to ask of metrics.  A NamedTuple, which costs less to create at import
+    than a frozen dataclass.
     """
 
     estimates: np.ndarray
@@ -430,34 +430,34 @@ def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
     return TomographyBatch(estimates, op_errors, choi_errors, 2.0 * op_errors <= float(eps), queries)
 
 
-def channel_tomography(targets, r: int, eps: float, rngs) -> TomographyBatch:
-    """Estimate each channel of a batch through a fixed r-slot dilation.
+def channel_tomography(targets, d2: int, eps: float, rngs) -> TomographyBatch:
+    """Estimate each channel of a batch through its own dilation.
 
-    targets is a sequence of channels acting between one pair of spaces,
-    and rngs one generator per target: trial k draws only from rngs[k].  The
-    query model fixes one dilation isometry of each target, dilate(target,
-    r) (all targets' from one channels.dilation_matrices: stacked Kraus
-    eigensolves and one stacked isometry check), and runs isometry
-    estimation against it, both weak
-    runs of all trials in one stack as in isometry_tomography; an estimate
-    is the contraction of its estimated dilation, and stacked eigvalsh runs
-    of about linalg._CHUNK_BYTES each give all Choi errors.  eps, the list
-    lengths and every target's rank against r are checked before any draw.
-    Success means the normalized Choi trace distance is at most eps, so no
-    phase-minimized operator error is computed and op_errors is None.  A
-    row equals that of its trial run alone.
+    targets is a sequence of Isometry objects of one shape (r d2, d1): the
+    dilations the channels are the contractions of, ancilla first (as from
+    channels.random_dilations, or dilate(ch, r).matrix), with r = rows // d2.
+    rngs holds one generator per target: trial k draws only from rngs[k].  The
+    query model runs isometry estimation against each dilation, both weak runs
+    of all trials in one stack as in isometry_tomography; an estimate is the
+    contraction of its estimated dilation, and the Choi error is taken against
+    the contraction of the target's own blocks, in stacked eigvalsh runs of
+    about linalg._CHUNK_BYTES each.  eps, the list lengths and d2 dividing the
+    rows are checked before any draw.  Success means the normalized Choi trace
+    distance is at most eps, so no phase-minimized operator error is computed
+    and op_errors is None.  A row equals that of its trial run alone.
     """
     cfg, targets, rngs = _checked_batch(targets, eps, rngs)
-    # raises on a target whose rank exceeds r
-    dilations = dilation_matrices(targets, r)
+    dilations = np.stack([target.matrix for target in targets])
     count, rows, d1 = dilations.shape
+    if d2 < 1 or rows % d2:
+        raise ValueError(f"dilation rows {rows} are not a multiple of d2 = {d2}")
+    r = rows // d2
     estimates = two_run_estimates(dilations, cfg, rngs)
-    kraus = estimates.reshape(count, r, rows // r, d1)
     choi_errors = _choi_errors(
         count,
         d1,
-        rows // r,
-        lambda run: (choi_from_kraus(kraus[run]), np.stack([target.choi for target in targets[run]])),
+        d2,
+        lambda run: tuple(choi_from_kraus(v[run].reshape(-1, r, d2, d1)) for v in (estimates, dilations)),
     )
     queries = 2 * d1 * cfg.copies_charged(rows) * count
     return TomographyBatch(estimates, None, choi_errors, choi_errors <= eps, queries)

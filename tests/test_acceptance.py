@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from ctlab.channels import Channel, Isometry, dilate, random_channel
+from ctlab.channels import Channel, Isometry, dilate, isometries, random_channel, random_dilations
 from ctlab.combs import (
     LabelledOperator,
     is_deterministic_comb,
@@ -463,8 +463,8 @@ def test_08b_noisy_tomography_succeeds_with_exact_accounting():
 
     rng = np.random.default_rng(801)
     for _ in range(3):
-        ch = random_channel(2, 2, int(rng.integers(1, 3)), rng)
-        batch = channel_tomography([ch], 2, 0.3, [rng])
+        dilations = isometries(random_dilations(2, 2, [int(rng.integers(1, 3))], 2, [rng]))
+        batch = channel_tomography(dilations, 2, 0.3, [rng])
         assert batch.queries_charged == 2 * 2 * math.ceil(64.0 * 4 / 0.3**2)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

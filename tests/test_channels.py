@@ -13,18 +13,23 @@ from ctlab.channels import (
     Isometry,
     channel_from_json,
     channel_to_json,
-    channels_from_kraus,
     choi_from_kraus,
     contract_dilations,
     dilate,
-    dilation_matrices,
     isometries,
     kraus_sets,
     random_channel,
-    random_channels,
+    random_dilations,
 )
-from ctlab.combs import CombCheck, FactorLayout, LabelledOperator, is_deterministic_comb
-from ctlab.hardness import Regime, build_instance, instance_channels
+from ctlab.combs import CombCheck, FactorLayout, FactoredOperator, LabelledOperator, is_deterministic_comb
+from ctlab.hardness import (
+    Regime,
+    build_instance,
+    certify_gamma_comb,
+    gamma_vector,
+    instance_channels,
+    type2_gamma_family,
+)
 from ctlab.linalg import (
     ATOL,
     RANK_RTOL,
@@ -32,9 +37,7 @@ from ctlab.linalg import (
     haar_unitary,
     hermitianize,
     partial_trace,
-    psd_inv_sqrt,
     random_density,
-    random_gaussian_matrix,
     random_isometries,
     random_isometry,
 )
@@ -148,6 +151,18 @@ def _spoilt_tester(value):
     return combs.Tester(outcomes=outcomes, in_labels=(("A",),), out_labels=(("B",),))
 
 
+def _spoilt_gamma_certificate(value, weight=False):
+    """certify_gamma_comb of a type2 gamma_vector operator whose factor has value at
+    [0, 0], or whose one weight is value."""
+    family = type2_gamma_family(2, 3, 0.2)
+    op = gamma_vector(family, 1, 2)
+    if weight:
+        spoilt = FactoredOperator(op.factor, [value], op.layout)
+    else:
+        spoilt = FactoredOperator(_spoilt(op.factor, value), op.weights, op.layout)
+    return certify_gamma_comb(spoilt, family, 2, index=1)
+
+
 NON_FINITE_ENTRIES = {
     "Channel": lambda x: Channel([[x]], 1, 1),
     # json writes nan as NaN and inf as Infinity, and reads them back
@@ -161,6 +176,8 @@ NON_FINITE_ENTRIES = {
         LabelledOperator(np.full((2, 2), x), (("out", 2), ("in", 1))), (("in",), ("out",))
     ),
     "Tester": _spoilt_tester,
+    "certify_gamma_comb": _spoilt_gamma_certificate,
+    "certify_gamma_comb weight": lambda x: _spoilt_gamma_certificate(x, weight=True),
     "unitary_diamond_distance": lambda x: unitary_diamond_distance(_spoilt(np.eye(2), x), np.eye(2)),
 }
 
@@ -168,7 +185,8 @@ NON_FINITE_ENTRIES = {
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
 def test_every_entry_check_fails_non_finite_input(entry, value):
-    # a constructor raises ValueError; is_deterministic_comb returns a failed CombCheck
+    # a constructor raises ValueError; is_deterministic_comb and certify_gamma_comb return a
+    # failed CombCheck
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             verdict = NON_FINITE_ENTRIES[entry](value)
@@ -221,9 +239,8 @@ def test_choi_check_runs_only_where_a_choi_matrix_enters():
     mats = random_isometries(6, 2, [rng] * 3)
     inst = build_instance(Regime.TYPE1, 4, 2, 2, 0.1, rng)
     kraus_built = {
-        "channels_from_kraus": lambda: channels_from_kraus(mats.reshape(3, 2, 3, 2)),
         "Channel.from_kraus": lambda: Channel.from_kraus(ch.kraus),
-        "random_channels": lambda: random_channels(2, 3, [1, 2, 6], [rng] * 3),
+        "random_channel": lambda: random_channel(2, 3, 6, rng),
         "contract_dilations": lambda: contract_dilations(mats, 2, 3),
         "Isometry.channel": lambda: Isometry(mats[0]).channel(),
         "Dilation.contract": lambda: Dilation(mats[0], 2, 3).contract(),
@@ -463,15 +480,14 @@ def test_json_round_trip_exact():
 
 
 def _one_at_a_time_channel(d_in, d_out, rank, rng):
-    """(Choi matrix, canonical Kraus set) of a random channel built alone,
-    matrix by matrix: the referee of the stacked constructors."""
-    gs = [random_gaussian_matrix(d_out, d_in, rng) for _ in range(rank)]
-    norm = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
-    choi = choi_from_kraus(np.stack([g @ norm for g in gs]))
-    w, v = np.linalg.eigh(hermitianize(choi))
+    """(dilation, Choi matrix, canonical Kraus set) of a random channel built alone,
+    step by step: the referee of the stacked constructors."""
+    v = random_isometry(rank * d_out, d_in, rng)
+    choi = choi_from_kraus(v.reshape(rank, d_out, d_in))
+    w, vecs = np.linalg.eigh(hermitianize(choi))
     keep = w > RANK_RTOL * max(float(w.max(initial=0.0)), 0.0)
-    kraus = [np.sqrt(w[i]) * v[:, i].reshape(d_out, d_in) for i in np.flatnonzero(keep)[::-1]]
-    return choi, kraus
+    kraus = [np.sqrt(w[i]) * vecs[:, i].reshape(d_out, d_in) for i in np.flatnonzero(keep)[::-1]]
+    return v, choi, kraus
 
 
 @st.composite
@@ -499,18 +515,20 @@ def test_channel_stacks_equal_each_channel_made_alone(case):
     r = max(ranks) + pad
     stacked_pool, rngs = _generators(seed, owners)
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
-        stacked = random_channels(d_in, d_out, ranks, rngs)
+        dilations = random_dilations(d_in, d_out, ranks, r, rngs)
+        stacked = contract_dilations(dilations, r, d_out)
         sets = kraus_sets(stacked)
-        dilations = dilation_matrices(stacked, r)
     alone_pool, _ = _generators(seed, owners)
     referee_pool, _ = _generators(seed, owners)
     for t, (rank, owner) in enumerate(zip(ranks, owners)):
         alone = random_channel(d_in, d_out, rank, alone_pool[owner])
-        choi, kraus = _one_at_a_time_channel(d_in, d_out, rank, referee_pool[owner])
+        v, choi, kraus = _one_at_a_time_channel(d_in, d_out, rank, referee_pool[owner])
+        # the zero blocks that pad a member to r add +0.0 to each Choi entry: the same bits
         assert stacked[t].choi.tobytes() == alone.choi.tobytes() == choi.tobytes()
         assert [e.tobytes() for e in sets[t]] == [e.tobytes() for e in alone.kraus]
         assert [e.tobytes() for e in sets[t]] == [e.tobytes() for e in kraus]
-        assert dilations[t].tobytes() == dilate(alone, r).matrix.tobytes()
+        assert dilations[t, : rank * d_out].tobytes() == v.tobytes()
+        assert not dilations[t, rank * d_out :].any()
         assert stacked[t].kraus is sets[t]
     states = [[g.bit_generator.state for g in pool] for pool in (stacked_pool, alone_pool, referee_pool)]
     assert states[0] == states[1] == states[2]
@@ -519,14 +537,15 @@ def test_channel_stacks_equal_each_channel_made_alone(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_channel_stacks())
 def test_kraus_and_dilation_stacks_equal_each_set_alone(case):
-    # channels_from_kraus and contract_dilations on complete (isometric) Kraus stacks
+    # contract_dilations on complete (isometric) Kraus stacks, against Channel.from_kraus and
+    # Dilation.contract of each set alone
     d_in, d_out, ranks, owners, _, chunk, seed = case
     rank = max(ranks)
     _, rngs = _generators(seed, owners)
     mats = random_isometries(rank * d_out, d_in, rngs)
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
-        from_kraus = channels_from_kraus(mats.reshape(len(mats), rank, d_out, d_in))
         contracted = contract_dilations(mats, rank, d_out)
+        from_kraus = [Channel.from_kraus(list(m.reshape(rank, d_out, d_in))) for m in mats]
     for m, a, b in zip(mats, from_kraus, contracted):
         alone = Dilation(m, rank, d_out).contract()
         assert a.choi.tobytes() == b.choi.tobytes() == alone.choi.tobytes()
@@ -563,9 +582,7 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
         spoilt = kraus.copy()
         spoilt[bad] = spoilers["complete"](spoilt[bad])
-        alone = _message(Channel.from_kraus, list(spoilt[bad]))
-        assert "complete" in alone
-        assert _message(channels_from_kraus, spoilt) == alone
+        assert "complete" in _message(Channel.from_kraus, list(spoilt[bad]))
         for check in ("hermitian", "psd", "trace preserving"):
             spoilt = chois.copy()
             spoilt[bad] = spoilers[check](spoilt[bad])
@@ -577,11 +594,12 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
         assert "not an isometry" in alone
         assert _message(contract_dilations, mats, rank, d_out) == alone
         # rank-1 members, and one of rank 2 above a one-level ancilla
-        members = channels_from_kraus(_complete_kraus(count, d_in, d_out, 1, 12))
-        members[bad] = channels_from_kraus(kraus)[bad]
-        alone = _message(dilate, members[bad], 1)
+        alone = _message(dilate, Channel.from_kraus(list(kraus[bad])), 1)
         assert "below channel rank 2" in alone
-        assert _message(dilation_matrices, members, 1) == alone
+        ranks = [1] * count
+        ranks[bad] = 2
+        gens = [np.random.default_rng(12)] * count
+        assert _message(random_dilations, d_in, d_out, ranks, 1, gens) == alone
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 20])  # as above
@@ -602,11 +620,32 @@ def test_a_bad_isometry_raises_from_the_stack_as_alone(bad, chunk):
     assert _message(isometries, mats.transpose(0, 2, 1)) == _message(Isometry, mats[bad].T)
 
 
-def test_random_channels_check_every_rank_before_drawing():
+def test_random_dilations_check_every_rank_before_drawing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="rank"):
-        random_channels(3, 2, [2, 1], [rng, rng])
+        random_dilations(3, 2, [2, 1], 2, [rng, rng])
+    # a rank above the ancilla, after a feasible one
+    with pytest.raises(ValueError, match="below channel rank 3"):
+        random_dilations(3, 2, [2, 3], 2, [rng, rng])
     with pytest.raises(ValueError, match="generators"):
-        random_channels(3, 2, [2, 2], [rng])
+        random_dilations(3, 2, [2, 2], 2, [rng])
     assert rng.bit_generator.state == state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d_in=st.integers(1, 16),
+    d_out=st.integers(1, 16),
+    rank=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_channels_are_complete_to_rounding(d_in, d_out, rank, seed):
+    # every feasible rank, ceil(d_in / d_out) to d_in d_out; a Gram-Schmidt dilation is an
+    # isometry to a few units of rounding, where a polar factor G S^-1/2 misses by up to
+    # cond(S) units, past ATOL at some draws
+    least = -(-d_in // d_out)
+    rank = least + round(rank * (d_in * d_out - least))
+    ch = random_channel(d_in, d_out, rank, np.random.default_rng(seed))
+    marg = partial_trace(ch.choi, (d_out, d_in), (0,))
+    assert np.abs(marg - np.eye(d_in)).max() <= 1e-14

@@ -334,15 +334,31 @@ def test_tomography_usage_errors():
     assert _run(["tomography", "--seed", "0", "--d1", "4", "--d2", "1", "--r", "2"]).exit_code == 2
 
 
-@pytest.mark.parametrize("r", [0, 2])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_tomography_passes_at_the_least_eps(seed, r):
+@pytest.mark.parametrize(
+    "seed,r,dims",
+    [pytest.param(seed, r, [], id=f"{seed}-{r}") for seed in (1, 2, 3) for r in (0, 2)]
+    # the worst channel cases of a sweep over d1, d2 <= 16 and seeds 0-9: targets that
+    # missed isometry by 1.17e-10 and 3.55e-11 would hold their Choi errors there at any eps
+    + [
+        pytest.param(0, 2, ["--d1", "15", "--d2", "15"], id="0-2-d15"),
+        pytest.param(2, 1, ["--d1", "16", "--d2", "16"], id="2-1-d16"),
+    ],
+)
+def test_tomography_passes_at_the_least_eps(seed, r, dims):
     # below MIN_EPS the checks would compare eps with a correct run's error floor; such
     # eps values are usage errors
-    args = ["tomography", "--seed", str(seed), "--r", str(r), "--eps"]
+    args = ["tomography", "--seed", str(seed), "--r", str(r), *dims, "--eps"]
     res = _run(args + [repr(MIN_EPS)])
     assert res.exit_code == 0, res.output
     assert _run(args + [repr(MIN_EPS / 2)]).exit_code == 2
+
+
+def test_tomography_draws_complete_channels_of_any_conditioning():
+    # an ill-conditioned draw: the polar factor G S^-1/2 of its Ginibre matrix (S = G^dag G)
+    # misses completeness by 1.01e-9, above ATOL; its Gram-Schmidt dilation is an isometry
+    # to rounding
+    res = _run(["tomography", "--seed", "7", "--d1", "15", "--d2", "15", "--r", "1"])
+    assert res.exit_code == 0, res.output
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +540,13 @@ def test_over_budget_runs_are_declined_before_work(args):
             id="packing-net-stacked-pool",
         ),
         # one channel-mode trial through a 512 x 4 dilation: its column estimates, SVD
-        # factors and 64 x 64 Choi matrices, about 0.5 MB
+        # factors and 64 x 64 Choi matrices, about 0.45 MB
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
         # 400 isometry trials in one batch, their generators and golden-section stacks
         pytest.param(["tomography", "--d1", "3", "--d2", "8", "--trials", "400"], id="tomography-isometry"),
-        # 400 channel trials in one batch: targets' Choi and Kraus sets, dilations, both weak
-        # runs' column estimates and SVD factors, and the estimates' Choi matrices
+        # 400 channel trials in one batch: the targets' dilations, drawn and validated, both
+        # weak runs' column estimates and SVD factors, and a run's estimated and target Choi
+        # matrices (no target Choi matrix or Kraus set is held per trial)
         pytest.param(
             ["tomography", "--d1", "2", "--d2", "3", "--r", "2", "--trials", "400"], id="tomography-channel"
         ),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ctlab import tomography
-from ctlab.channels import Channel, Dilation, Isometry, random_channel
+from ctlab.channels import Channel, Dilation, Isometry, dilate, isometries, random_channel, random_dilations
 from ctlab.linalg import (
     ATOL,
     dft_matrix,
@@ -509,16 +509,23 @@ def test_isometry_tomography_unitary_target():
 
 
 def test_channel_tomography_rank_guard():
+    # a target's rank is guarded where its dilation is made, and the rows of a dilation
+    # must be whole blocks of d2
     rng = np.random.default_rng(9)
     ch = random_channel(2, 2, 3, rng)
-    with pytest.raises(ValueError):
-        channel_tomography([ch], 2, 0.2, [rng])
+    with pytest.raises(ValueError, match="below channel rank 3"):
+        dilate(ch, 2)
+    with pytest.raises(ValueError, match="below channel rank 3"):
+        random_dilations(2, 2, [3], 2, [rng])
+    target = Isometry(dilate(ch, 3).matrix)
+    with pytest.raises(ValueError, match="multiple of d2"):
+        channel_tomography([target], 4, 0.2, [rng])
 
 
 def test_channel_tomography_runs():
     rng = np.random.default_rng(45)
     ch = random_channel(2, 2, 2, rng)
-    batch = channel_tomography([ch], 2, 0.3, [np.random.default_rng(5)])
+    batch = channel_tomography([Isometry(dilate(ch, 2).matrix)], 2, 0.3, [np.random.default_rng(5)])
     assert batch.success[0]
     assert batch.choi_errors[0] <= 0.3
     # the estimates are the 4 x 2 dilations, d2 = 2 rows per ancilla level
@@ -533,7 +540,7 @@ def test_channel_tomography_padded_ancilla():
     rng = np.random.default_rng(46)
     u = haar_unitary(2, rng)
     ch = Channel.from_kraus([u])
-    batch = channel_tomography([ch], 3, 0.4, [np.random.default_rng(2)])
+    batch = channel_tomography([Isometry(dilate(ch, 3).matrix)], 2, 0.4, [np.random.default_rng(2)])
     assert batch.success[0]
     assert batch.queries_charged == 2 * 2 * math.ceil(64 * 6 / 0.4**2)
 
@@ -553,7 +560,7 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     ch = random_channel(2, 2, 2, rng)
     target = Isometry(random_isometry(3, 2, rng))
     isometry_tomography([target], 0.3, [np.random.default_rng(6)])
-    batch = channel_tomography([ch], 2, 0.3, [np.random.default_rng(6)])
+    batch = channel_tomography([Isometry(dilate(ch, 2).matrix)], 2, 0.3, [np.random.default_rng(6)])
     assert calls == []
     estimate = Dilation(batch.estimates[0], 2, 2).contract()
     interval = diamond_distance(estimate, ch, restarts=2, rng=np.random.default_rng(6))
@@ -576,7 +583,8 @@ def test_only_isometry_tomography_minimizes_the_phase(monkeypatch):
     assert calls == [(4, 3, 2)]
     for target, estimate, op_error in zip(targets, batch.estimates, batch.op_errors):
         assert op_error == real(target.matrix, estimate)
-    batch = channel_tomography([random_channel(2, 2, 2, rng)], 2, 0.3, [np.random.default_rng(7)])
+    dilations = isometries(random_dilations(2, 2, [2], 2, [rng]))
+    batch = channel_tomography(dilations, 2, 0.3, [np.random.default_rng(7)])
     assert calls == [(4, 3, 2)]
     assert batch.op_errors is None
 
@@ -614,28 +622,29 @@ def test_isometry_tomography_checks_its_batch_before_drawing():
 
 @st.composite
 def channel_batches(draw):
-    """An ancilla budget r and one to five channels of one shape whose ranks are at most r."""
+    """The output dimension d2 and the r-block dilations of one to five channels of one
+    shape whose ranks are at most r."""
     d1 = draw(st.integers(1, 3))
     d2 = draw(st.integers(1, 3))
     least = -(-d1 // d2)
     r = draw(st.integers(least, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ranks = draw(st.lists(st.integers(least, min(r, d1 * d2)), min_size=1, max_size=5))
-    return r, [random_channel(d1, d2, rank, rng) for rank in ranks]
+    return d2, isometries(random_dilations(d1, d2, ranks, r, [rng] * len(ranks)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(channel_batches(), st.sampled_from([0.05, 0.3, 1.0]), st.data())
 def test_channel_tomography_batch_equals_its_trials_alone(batch, eps, data):
-    r, targets = batch
+    d2, targets = batch
     alone = [
-        channel_tomography([target], r, eps, [np.random.default_rng(k)])
+        channel_tomography([target], d2, eps, [np.random.default_rng(k)])
         for k, target in enumerate(targets)
     ]
     # any sub-stack, in any order
     order = data.draw(st.permutations(range(len(targets))))
     rows = order[: data.draw(st.integers(1, len(targets)))]
-    got = channel_tomography([targets[k] for k in rows], r, eps, [np.random.default_rng(k) for k in rows])
+    got = channel_tomography([targets[k] for k in rows], d2, eps, [np.random.default_rng(k) for k in rows])
     assert [len(column) for column in (got.estimates, got.choi_errors, got.success)] == [len(rows)] * 3
     assert got.queries_charged == sum(alone[k].queries_charged for k in rows)
     assert got.op_errors is None
@@ -650,17 +659,17 @@ def test_channel_tomography_batch_equals_its_trials_alone(batch, eps, data):
 
 def test_channel_tomography_checks_its_batch_before_drawing():
     rng = np.random.default_rng(51)
-    low, high = random_channel(2, 2, 1, rng), random_channel(2, 2, 3, rng)
+    low, high = isometries(random_dilations(2, 2, [1, 2], 2, [rng, rng]))
     rngs = [np.random.default_rng(k) for k in range(2)]
     states = [g.bit_generator.state for g in rngs]
-    for targets, eps, gens in [
-        ([low, low], 0.0, rngs),
-        ([low, low], 1.5, rngs),
-        ([low, low], 0.2, rngs[:1]),
-        ([low, high], 0.2, rngs),  # rank 3 above r = 2
+    for targets, d2, eps, gens in [
+        ([low, low], 2, 0.0, rngs),
+        ([low, low], 2, 1.5, rngs),
+        ([low, low], 2, 0.2, rngs[:1]),
+        ([low, high], 3, 0.2, rngs),  # 4 rows are not whole blocks of 3
     ]:
         with pytest.raises(ValueError):
-            channel_tomography(targets, 2, eps, gens)
+            channel_tomography(targets, d2, eps, gens)
     assert [g.bit_generator.state for g in rngs] == states
 
 
@@ -691,12 +700,12 @@ def test_batch_columns_hold_valid_estimates(d1, d2, r, eps, seeds):
     else:
         least = -(-d1 // d2)
         ranks = [int(rng.integers(least, min(r, d1 * d2) + 1)) for rng in rngs]
-        targets = [random_channel(d1, d2, rank, rng) for rank, rng in zip(ranks, rngs)]
+        targets = isometries(random_dilations(d1, d2, ranks, r, rngs))
 
     def run():
         if r == 0:
             return isometry_tomography(targets, eps, rngs)
-        return channel_tomography(targets, r, eps, rngs)
+        return channel_tomography(targets, d2, eps, rngs)
 
     if eps < MIN_EPS:
         # eps^2 / 64 would underflow to an uncharged oracle or an overflowing charge
@@ -712,7 +721,7 @@ def test_batch_columns_hold_valid_estimates(d1, d2, r, eps, seeds):
         return
     for estimate, target, choi_error in zip(batch.estimates, targets, batch.choi_errors):
         channel = Dilation(estimate, r, d2).contract()
-        assert choi_trace_distance(channel, target) == choi_error
+        assert choi_trace_distance(channel, Dilation(target.matrix, r, d2).contract()) == choi_error
 
 
 def _reference_align_phases(vhat1, vhat2):
