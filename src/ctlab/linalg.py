@@ -252,15 +252,56 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
 
 
+def _grams(m: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each matrix of a stack: M^dag M (cols x cols) for a
+    tall or square M, M M^dag when wide; one GEMM per matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf, and inf - inf
+        return dag(m) @ m if m.shape[-2] >= m.shape[-1] else m @ dag(m)
+
+
 def operator_norm(m: np.ndarray):
     """Largest singular value of a matrix, or the array of them for a stack (..., rows, cols).
 
-    A stack is one batched SVD, and each of its values equals the value of
-    that matrix alone.
+    It is sqrt(lambda_max) of the smaller Gram matrix, M^dag M or M M^dag
+    (n = min(rows, cols) wide), by one stacked eigvalsh in place of an SVD;
+    a matrix with no rows or columns has norm 0.  The top eigenvalue keeps
+    its relative accuracy: the formed Gram is within (m n + O(1)) u ||M||^2
+    of the exact one, with m = max(rows, cols) and u = 2^-53, and
+    eigvalsh's backward error is p(n) u ||G||, both relative to lambda_max =
+    ||M||^2 itself (only the small eigenvalues of a Gram lose digits), so the
+    norm is within about (m n + p(n)) u / 2 of the top singular value.
+
+    Range guard: a Gram overflows for entries near 2^512 and underflows,
+    losing the bits of the norm, below 2^-480.  So before the eigensolve,
+    the Grams whose trace ||M||_F^2 (at most n lambda_max, at least
+    lambda_max) lies outside [2^-960, 2^1020], or is nan, are formed again
+    from M scaled exactly by 2^-e, its largest real or imaginary part in
+    [1/2, 1), and their norms scaled back by 2^e.  np.ldexp scales the
+    parts, since the factor 2^-e itself overflows for subnormal entries.
+    Every eigensolved Gram is then finite, the norm is right from subnormal
+    entries up to about 1e300, and a zero matrix has norm exactly 0.
+
+    Each matrix has its own GEMM and eigensolve, so each value of a stack
+    equals the value of that matrix alone.
     """
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    return float(top) if s.ndim == 1 else top
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"operator_norm needs a matrix or a stack of them, got shape {m.shape}")
+    stack = m if m.ndim > 2 else m[None]
+    if 0 in m.shape[-2:]:
+        norms = np.zeros(stack.shape[:-2])
+    else:
+        gram = _grams(stack)
+        trace = np.einsum("...ii->...", gram).real
+        redo = ~((trace >= 2.0**-960) & (trace <= 2.0**1020))
+        if redo.any():
+            parts = stack[redo].view(float)  # a fresh C-ordered copy of the redone matrices
+            _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+            gram[redo] = _grams(np.ldexp(parts, -e[:, None, None]).view(complex))
+        norms = np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+        if redo.any():
+            norms[redo] = np.ldexp(norms[redo], e)
+    return norms if m.ndim > 2 else float(norms[0])
 
 
 def isometry_defects(m: np.ndarray) -> np.ndarray:

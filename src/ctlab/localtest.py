@@ -228,11 +228,20 @@ def dilation_forms(tester: Tester) -> DilationForms:
     return DilationForms(tester, localize_tester(tester), average_tester(tester))
 
 
+_SYMMETRIC_PAIRS: dict = {}
+
+
 def _symmetric_pairs(m: int) -> tuple:
     """The pairs a <= b indexing the symmetric subspace of C^m (x) C^m, and the
-    weight of each coordinate w_a w_b of w (x) w: 1 on the diagonal, sqrt 2 off it."""
-    a, b = np.triu_indices(m)
-    return a, b, np.where(a == b, 1.0, np.sqrt(2.0))
+    weight of each coordinate w_a w_b of w (x) w: 1 on the diagonal, sqrt 2 off it.
+    Made once per m, as read-only arrays that every caller shares."""
+    if m not in _SYMMETRIC_PAIRS:
+        a, b = np.triu_indices(m)
+        pairs = a, b, np.where(a == b, 1.0, np.sqrt(2.0))
+        for array in pairs:
+            array.flags.writeable = False
+        _SYMMETRIC_PAIRS[m] = pairs
+    return _SYMMETRIC_PAIRS[m]
 
 
 def _sample_runs(samples: int, member_bytes: int) -> list:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -286,6 +287,40 @@ def test_operator_norm_on_a_stack_equals_its_matrices(lead, rows, cols, seed):
     assert got.reshape(-1).tolist() == [
         operator_norm(m) for m in stack.reshape(math.prod(lead), rows, cols)
     ]
+
+
+@st.composite
+def scaled_stacks(draw):
+    """Up to four matrices of one shape (0 to 6 rows and columns), each full rank,
+    rank deficient or zero, with its real and imaginary parts scaled exactly by
+    its own 2^k, k from -1070 (subnormal) to 1000."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        rank = draw(st.sampled_from([min(rows, cols), 1, 0]))
+        left = rng.standard_normal((2, rows, rank)) @ rng.standard_normal((2, rank, cols))
+        members.append(np.ldexp(left, draw(st.integers(-1070, 1000))))
+    parts = np.stack(members, axis=1) if members else np.zeros((2, 0, rows, cols))
+    return parts[0] + 1j * parts[1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scaled_stacks())
+@example(np.array([[[0.0, 2.2e-311j]]]))
+def test_operator_norm_is_the_top_singular_value_over_the_finite_range(stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = operator_norm(stack)
+        alone = [operator_norm(m) for m in stack]
+    assert got.shape == stack.shape[:1] and got.tolist() == alone
+    for m, norm in zip(stack, alone):
+        if not m.any():
+            assert norm == 0.0
+            continue
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        # a norm below 2^-1022 is subnormal, a multiple of 2^-1074 on both sides
+        assert abs(norm - want) <= 1e-13 * want + 2.0**-1072
 
 
 def test_min_eig():

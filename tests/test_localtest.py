@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -21,6 +22,7 @@ from ctlab.localtest import (
     _query_labels,
     _quad_form_operator,
     _sample_runs,
+    _symmetric_pairs,
     average_tester,
     dilation_forms,
     localize_tester,
@@ -224,6 +226,14 @@ def test_two_query_quad_form_on_the_symmetric_subspace_matches_the_full_form(r, 
     assert np.array_equal(pair[1], np.conj(y))
     got = np.sum(y * (np.conj(y) @ _quad_form_operator(t, 2, m).T), axis=1)
     assert np.abs(got - _full_quad_forms(w, t)).max() <= 1e-12 * np.linalg.norm(t)
+
+
+def test_symmetric_pairs_are_made_once_per_dimension_and_read_only():
+    a, b, weight = _symmetric_pairs(5)
+    assert all(x is y for x, y in zip(_symmetric_pairs(5), (a, b, weight)))
+    assert not any(x.flags.writeable for x in (a, b, weight))
+    assert np.array_equal(np.stack([a, b]), np.triu_indices(5))
+    assert weight.tolist() == [1.0 if x == y else math.sqrt(2.0) for x, y in zip(a, b)]
 
 
 def test_localtest_two_queries_seed_3_passes_every_check():
