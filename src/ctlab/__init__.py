@@ -9,7 +9,7 @@ together with a deterministic CLI (``ctlab``).
 __version__ = "0.1.0"
 
 from .linalg import ATOL, RANK_RTOL, FactorLayout
-from .channels import Channel, Dilation, Isometry, dilate
+from .channels import Channel, Isometry, dilate
 from .combs import LabelledOperator, Tester, link_product
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "RANK_RTOL",
     "FactorLayout",
     "Channel",
-    "Dilation",
     "Isometry",
     "dilate",
     "LabelledOperator",

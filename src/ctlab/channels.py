@@ -4,7 +4,7 @@ A channel ``E: L(H_in) -> L(H_out)`` is stored canonically by its Choi matrix
 
     C = sum_i |E_i>><<E_i|        on  H_out kron H_in   (output factor first),
 
-with ``tr(C) = d_in`` and ``tr_out(C) = I_in``. Dilation isometries map
+with ``tr(C) = d_in`` and ``tr_out(C) = I_in``. A dilation is an Isometry
 ``H_in -> H_anc kron H_out`` with the ancilla factor first, so the i-th Kraus
 operator is the i-th ``d_out``-row block of the isometry.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "Channel",
     "Isometry",
     "isometries",
-    "Dilation",
     "dilate",
     "contract_dilations",
     "kraus_sets",
@@ -160,7 +159,8 @@ def _check_defects(defects: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """A matrix with orthonormal columns (d_out x d_in, d_out >= d_in).
+    """A matrix with orthonormal columns (rows >= cols): an isometry, or the
+    Stinespring dilation of the channel that channel(d_out) contracts.
 
     Isometries built by isometries hold read-only views into one validated
     stack; an isometry built alone is the stack of one.
@@ -172,20 +172,31 @@ class Isometry:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError(f"isometry needs rows >= cols, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _isometric_stack(m[None])[0])
+        _check_isometric(m[None])
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
-    def channel(self) -> Channel:
-        return _channels_of(self.matrix[None, None])[0]
+    def channel(self, d_out: int | None = None) -> Channel:
+        """The contraction of the d_out-row Kraus blocks, ancilla first (by
+        default the whole matrix is one block), unchecked past V^dag V = I."""
+        d_out = len(self.matrix) if d_out is None else d_out
+        return _channels_of(_kraus_blocks(self.matrix[None], d_out))[0]
 
 
-def _isometric_stack(m: np.ndarray) -> np.ndarray:
-    """The (T, rows, cols) stack m, made read-only, after one shape check and
-    one isometry check of all its matrices."""
+def _check_isometric(m: np.ndarray) -> None:
+    """One shape check and one isometry check of a (T, rows, cols) stack."""
     if m.shape[-2] < m.shape[-1]:
         raise ValueError(f"isometry needs rows >= cols, got shape {m.shape[-2:]}")
     _check_defects(isometry_defects(m), "columns are not orthonormal")
-    m.setflags(write=False)
-    return m
+
+
+def _kraus_blocks(m: np.ndarray, d_out: int) -> np.ndarray:
+    """The (T, rows / d_out, d_out, cols) Kraus blocks of a (T, rows, cols)
+    stack of dilations, ancilla first."""
+    count, rows, d_in = m.shape
+    if d_out < 1 or rows % d_out:
+        raise ValueError(f"dilation rows {rows} are not a multiple of d_out = {d_out}")
+    return m.reshape(count, rows // d_out, d_out, d_in)
 
 
 def isometries(matrices) -> list:
@@ -199,49 +210,14 @@ def isometries(matrices) -> list:
     m = np.array(matrices, dtype=complex)
     if m.ndim != 3:
         raise ValueError(f"need a (T, rows, cols) stack, got shape {m.shape}")
+    _check_isometric(m)
+    m.setflags(write=False)
     out = []
-    for matrix in _isometric_stack(m):
+    for matrix in m:
         iso = Isometry.__new__(Isometry)
         object.__setattr__(iso, "matrix", matrix)
         out.append(iso)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Dilation:
-    """Stinespring isometry V: H_in -> H_anc kron H_out, ancilla first.
-
-    Row index (k, b) = k * d_out + b; the Kraus operator E_k is the k-th
-    d_out-row block, E_k = (<k|_anc kron I) V.
-    """
-
-    matrix: np.ndarray
-    anc_dim: int
-    d_out: int
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        r = int(self.anc_dim)
-        d_out = int(self.d_out)
-        object.__setattr__(self, "anc_dim", r)
-        object.__setattr__(self, "d_out", d_out)
-        if m.ndim != 2 or m.shape[0] != r * d_out:
-            raise ValueError(f"matrix shape {m.shape} does not match anc*out = {r * d_out}")
-        _check_defects(isometry_defects(m[None]), "dilation is not an isometry")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def d_in(self) -> int:
-        return self.matrix.shape[1]
-
-    def kraus_blocks(self) -> tuple:
-        d2 = self.d_out
-        return tuple(self.matrix[k * d2 : (k + 1) * d2, :] for k in range(self.anc_dim))
-
-    def contract(self) -> Channel:
-        """Trace out the ancilla: the channel of the Kraus blocks, unchecked past V^dag V = I."""
-        return _channels_of(np.stack(self.kraus_blocks())[None])[0]
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
@@ -283,27 +259,26 @@ def kraus_sets(channels) -> list:
     return [ch._kraus for ch in channels]
 
 
-def dilate(ch: Channel, r: int) -> Dilation:
-    """Canonical dilation from the eigen-Kraus set, zero-padded to rank r."""
+def dilate(ch: Channel, r: int) -> Isometry:
+    """Canonical dilation from the eigen-Kraus set, zero-padded to r blocks:
+    the (r d_out, d_in) isometry whose channel(ch.d_out) is ch."""
     kraus = ch.kraus
     r = int(r)
     if r < len(kraus):
         raise ValueError(f"requested ancilla dimension {r} below channel rank {len(kraus)}")
     v = np.zeros((r, ch.d_out, ch.d_in), dtype=complex)
     v[: len(kraus)] = kraus
-    return Dilation(v.reshape(r * ch.d_out, ch.d_in), r, ch.d_out)
+    return Isometry(v.reshape(r * ch.d_out, ch.d_in))
 
 
-def contract_dilations(matrices, anc_dim: int, d_out: int) -> list:
-    """The channels of a (T, anc_dim d_out, d_in) stack of dilation matrices:
-    Dilation(m, anc_dim, d_out).contract() of each, from one stacked Dilation
-    check (V^dag V = I, the Kraus blocks' completeness) and _channels_of."""
+def contract_dilations(matrices, d_out: int) -> list:
+    """Isometry(m).channel(d_out) of each matrix of a (T, rows, d_in) stack,
+    from one stacked Isometry check (V^dag V = I, the Kraus blocks'
+    completeness) and _channels_of: a bad member raises what it raises alone."""
     matrices = np.asarray(matrices, dtype=complex)
-    count, rows, d_in = matrices.shape
-    if rows != anc_dim * d_out:
-        raise ValueError(f"matrix shape {matrices.shape[1:]} does not match anc*out = {anc_dim * d_out}")
-    _check_defects(isometry_defects(matrices), "dilation is not an isometry")
-    return _channels_of(matrices.reshape(count, anc_dim, d_out, d_in))
+    blocks = _kraus_blocks(matrices, d_out)
+    _check_isometric(matrices)
+    return _channels_of(blocks)
 
 
 def random_dilations(d_in: int, d_out: int, ranks, anc_dim: int, rngs) -> np.ndarray:
@@ -354,7 +329,7 @@ def random_dilations(d_in: int, d_out: int, ranks, anc_dim: int, rngs) -> np.nda
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
     """Random channel of Kraus rank <= rank (generically exactly rank): the
     contraction of its random_dilations member."""
-    return contract_dilations(random_dilations(d_in, d_out, [rank], rank, [rng]), rank, d_out)[0]
+    return contract_dilations(random_dilations(d_in, d_out, [rank], rank, [rng]), d_out)[0]
 
 
 def channel_payload(ch: Channel) -> dict:

@@ -45,7 +45,6 @@ from .linalg import (
     haar_unitary,
     isometry_defect,
     random_density,
-    random_isometries,
     random_isometry,
     require_bytes,
     trace_norm,
@@ -192,7 +191,7 @@ def verify(seed: int, fmt: str, out: str):
     ch = random_channel(3, 2, 2, rng)
     back = type(ch).from_kraus(ch.kraus)
     defect = float(np.max(np.abs(back.choi - ch.choi)))
-    redil = dilate(ch, 3).contract()
+    redil = dilate(ch, 3).channel(ch.d_out)
     defect = max(defect, float(np.max(np.abs(redil.choi - ch.choi))))
     checks.append(_check("kraus and dilation round trips", defect < 1e-9, defect))
 
@@ -526,13 +525,14 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     _budget_guard(16 * words)
 
     rngs = [_trial_rng(seed, i) for i in range(trials)]
+    # an isometry target is the dilation of one Kraus block, so it draws no rank
+    ranks = [_channel_rank(d1, d2, r, rng) for rng in rngs] if r else [1] * trials
+    targets = isometries(random_dilations(d1, d2, ranks, max(r, 1), rngs))
     if r == 0:
-        targets = isometries(random_isometries(d2, d1, rngs))
         batch = isometry_tomography(targets, eps, rngs)
         errors = batch.op_errors
     else:
-        ranks = [_channel_rank(d1, d2, r, rng) for rng in rngs]
-        batch = channel_tomography(isometries(random_dilations(d1, d2, ranks, r, rngs)), d2, eps, rngs)
+        batch = channel_tomography(targets, d2, eps, rngs)
         errors = batch.choi_errors
     successes = int(batch.success.sum())
     rate = successes / trials

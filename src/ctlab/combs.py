@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, Dilation, choi_from_kraus
+from .channels import Channel, Isometry, choi_from_kraus
 from .linalg import (
     FactorLayout,
     min_eig,
@@ -418,8 +418,8 @@ def _labelled_choi(process, out_group, in_group, ref: FactorLayout) -> LabelledO
     d_in = 1
     for d in in_dims:
         d_in *= d
-    if isinstance(process, Dilation):
-        if d_out != process.anc_dim * process.d_out or d_in != process.d_in:
+    if isinstance(process, Isometry):
+        if process.matrix.shape != (d_out, d_in):
             raise ValueError("tester query dimensions do not match the dilation")
         op = choi_from_kraus(process.matrix[None])
     elif isinstance(process, Channel):
@@ -435,9 +435,9 @@ def _labelled_choi(process, out_group, in_group, ref: FactorLayout) -> LabelledO
 def apply_tester(tester: Tester, process) -> np.ndarray:
     """Outcome probabilities of running the tester on n copies of process.
 
-    The process (a Channel, or a Dilation when the tester carries ancilla
-    factors) is queried once per in/out group pair; probabilities come out
-    in the order of tester.outcomes.
+    The process (a Channel, or an Isometry dilation when the tester carries
+    ancilla factors) is queried once per in/out group pair; probabilities
+    come out in the order of tester.outcomes.
     """
     ref = tester.outcomes[0][1].layout
     full = None

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import Channel, Dilation, channel_payload, contract_dilations
+from .channels import Channel, Isometry, channel_payload, contract_dilations
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
 from .linalg import FactorLayout, haar_unitary, random_isometries, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distances
@@ -225,13 +225,12 @@ class HardInstance:
     def dims(self) -> tuple:
         return (self.d1, self.d2, self.r)
 
-    def dilation(self) -> Dilation:
+    def dilation(self) -> Isometry:
         """Reorder rows to the ancilla-major convention and wrap."""
-        _, d2, r = self.dims
-        return Dilation(_ancilla_major([self])[0], r, d2)
+        return Isometry(_ancilla_major([self])[0])
 
     def channel(self) -> Channel:
-        """self.dilation().contract(), as the stack of one of instance_channels."""
+        """self.dilation().channel(d2), as the stack of one of instance_channels."""
         return instance_channels([self])[0]
 
     def anc_blocks(self, core: bool = True) -> tuple:
@@ -359,10 +358,9 @@ def _ancilla_major(instances) -> np.ndarray:
 
 
 def instance_channels(instances) -> list:
-    """inst.dilation().contract() of each hard instance of one family, from
+    """inst.dilation().channel(d2) of each hard instance of one family, from
     one channels.contract_dilations of their stacked dilation matrices."""
-    _, d2, r = instances[0].dims
-    return contract_dilations(_ancilla_major(instances), r, d2)
+    return contract_dilations(_ancilla_major(instances), instances[0].d2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The oracle hands out approximate copies of the columns of a target isometry,
 each damaged by an adversarial-strength perturbation and an unknown global
 phase.  Column estimates are snapped to the nearest isometry by SVD; running
 the procedure twice, the second time against the target precomposed with a
-DFT, pins down the relative column phases.  Channel estimation reuses the
-same machinery on the dilation each target channel is given by.  Both
-estimators run a batch of trials, each on its own generator.  The oracle is
+DFT, pins down the relative column phases.  Channel estimation runs this on
+each target's dilation; an isometry is its own dilation of one Kraus block.
+A batch runs its trials, each on its own generator.  The oracle is
 one batch function, pure_state_oracles, over a stack of columns: its draws go
 trial by trial and column by column, two generator calls per column, and its
 arithmetic runs once over the stack; pure_state_oracle is its stack of one.
@@ -344,15 +344,6 @@ def _oracle_config(eps: float) -> PureStateOracleConfig:
     return PureStateOracleConfig(eps_max=eps * eps / 64.0)
 
 
-def _checked_batch(targets, eps: float, rngs) -> tuple:
-    """The oracle config of eps, and the targets and generators as lists of one length."""
-    cfg = _oracle_config(eps)
-    targets, rngs = list(targets), list(rngs)
-    if len(targets) != len(rngs):
-        raise ValueError(f"{len(targets)} targets but {len(rngs)} generators")
-    return cfg, targets, rngs
-
-
 def two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: list) -> np.ndarray:
     """Each isometry of a (T, m, d1) stack estimated by two weak runs (plain
     target, then target @ DFT, from the trial's one generator) aligned into
@@ -369,25 +360,13 @@ def two_run_estimates(targets: np.ndarray, cfg: PureStateOracleConfig, rngs: lis
     return align_phases(vhat[:, 0], vhat[:, 1])
 
 
-def _choi_errors(count: int, d1: int, d2: int, chois) -> np.ndarray:
-    """The choi_trace_distances of count trials of channels d1 -> d2, taken
-    over runs of trials that each hold about linalg._CHUNK_BYTES of Choi
-    matrices: chois(run) gives the estimates' and the targets' Choi stacks
-    of the slice run.  A Choi matrix and its eigenvalues do not depend on
-    the stack they are in, so each error has the bits of one stack over the
-    whole batch.
-    """
-    runs = linalg.chunk_slices(count, 16 * (d1 * d2) ** 2)
-    return np.concatenate([choi_trace_distances(*chois(run), d1) for run in runs])
-
-
 class TomographyBatch(NamedTuple):
     """Outcome of one isometry_tomography or channel_tomography call, one row
     per target in target order.
 
     estimates is the (T, rows, d1) stack of estimated isometries, one per
     target: in channel_tomography the targets are (r d2, d1) dilations, and
-    Dilation(estimates[k], r, d2).contract() is trial k's channel estimate,
+    Isometry(estimates[k]).channel(d2) is trial k's channel estimate,
     its Choi matrix bit for bit the one the batch measured.  op_errors are
     the operator-norm errors minimized over a global phase, or None from
     channel_tomography, whose success is judged on choi_errors alone;
@@ -408,31 +387,17 @@ class TomographyBatch(NamedTuple):
 def isometry_tomography(targets, eps: float, rngs) -> TomographyBatch:
     """Full isometry estimation of each target to operator-norm error eps/2.
 
-    targets is a sequence of isometries of one shape, and rngs one generator
-    per target: trial k draws only from rngs[k].  Each trial runs the weak
-    column procedure twice (second time against target @ DFT) with
-    per-column noise eps_max = eps^2 / 64 and aligns the phases; the stages
-    after the oracle draws each run once for the batch: one stacked SVD
-    snaps all column estimates, the alignment is vectorized over trials, one
-    stacked min_phase_op_error verifies all trials and stacked eigvalsh runs
-    of about linalg._CHUNK_BYTES each give their Choi errors.  A row equals
-    that of its trial run alone.  The success guarantee is derived for
-    eps <= 1/8; larger values (up to 1) run the same procedure with extra
-    slack.
+    An isometry is its own dilation of one Kraus block: the batch is
+    channel_tomography(targets, rows, eps, rngs), plus one stacked
+    min_phase_op_error of all trials, and success is twice that error at
+    most eps.  The success guarantee is derived for eps <= 1/8; larger values
+    (up to 1) run the same procedure with extra slack.
     """
-    cfg, targets, rngs = _checked_batch(targets, eps, rngs)
+    targets = list(targets)
     matrices = np.stack([target.matrix for target in targets])
-    count, d2, d1 = matrices.shape
-    estimates = two_run_estimates(matrices, cfg, rngs)
-    op_errors = min_phase_op_error(matrices, estimates)
-    choi_errors = _choi_errors(
-        count,
-        d1,
-        d2,
-        lambda run: (choi_from_kraus(estimates[run, None]), choi_from_kraus(matrices[run, None])),
-    )
-    queries = 2 * d1 * cfg.copies_charged(d2) * count
-    return TomographyBatch(estimates, op_errors, choi_errors, 2.0 * op_errors <= float(eps), queries)
+    batch = channel_tomography(targets, matrices.shape[1], eps, rngs)
+    op_errors = min_phase_op_error(matrices, batch.estimates)
+    return batch._replace(op_errors=op_errors, success=2.0 * op_errors <= float(eps))
 
 
 def channel_tomography(targets, d2: int, eps: float, rngs) -> TomographyBatch:
@@ -440,29 +405,32 @@ def channel_tomography(targets, d2: int, eps: float, rngs) -> TomographyBatch:
 
     targets is a sequence of Isometry objects of one shape (r d2, d1): the
     dilations the channels are the contractions of, ancilla first (as from
-    channels.random_dilations, or dilate(ch, r).matrix), with r = rows // d2.
-    rngs holds one generator per target: trial k draws only from rngs[k].  The
-    query model runs isometry estimation against each dilation, both weak runs
-    of all trials in one stack as in isometry_tomography; an estimate is the
-    contraction of its estimated dilation, and the Choi error is taken against
-    the contraction of the target's own blocks, in stacked eigvalsh runs of
-    about linalg._CHUNK_BYTES each.  eps, the list lengths and d2 dividing the
-    rows are checked before any draw.  Success means the normalized Choi trace
-    distance is at most eps, so no phase-minimized operator error is computed
-    and op_errors is None.  A row equals that of its trial run alone.
+    channels.random_dilations, or dilate(ch, r)), with r = rows // d2.  rngs
+    holds one generator per target: trial k draws only from rngs[k].  eps,
+    the list lengths and d2 dividing the rows are checked before any draw.
+    Each trial runs the weak column procedure twice (second time against
+    dilation @ DFT) with per-column noise eps_max = eps^2 / 64 and aligns
+    the phases, each stage once for the batch.  An estimate is the
+    contraction of its estimated dilation, and the Choi error is taken
+    against the target's, in stacked eigvalsh runs of about
+    linalg._CHUNK_BYTES each.  Success means the normalized Choi trace
+    distance is at most eps, and op_errors is None.  A row equals that of
+    its trial run alone.
     """
-    cfg, targets, rngs = _checked_batch(targets, eps, rngs)
+    cfg = _oracle_config(eps)
+    targets, rngs = list(targets), list(rngs)
+    if len(targets) != len(rngs):
+        raise ValueError(f"{len(targets)} targets but {len(rngs)} generators")
     dilations = np.stack([target.matrix for target in targets])
     count, rows, d1 = dilations.shape
     if d2 < 1 or rows % d2:
         raise ValueError(f"dilation rows {rows} are not a multiple of d2 = {d2}")
     r = rows // d2
     estimates = two_run_estimates(dilations, cfg, rngs)
-    choi_errors = _choi_errors(
-        count,
-        d1,
-        d2,
-        lambda run: tuple(choi_from_kraus(v[run].reshape(-1, r, d2, d1)) for v in (estimates, dilations)),
+    kraus = [v.reshape(count, r, d2, d1) for v in (estimates, dilations)]
+    runs = linalg.chunk_slices(count, 16 * (d1 * d2) ** 2)
+    choi_errors = np.concatenate(
+        [choi_trace_distances(*(choi_from_kraus(k[run]) for k in kraus), d1) for run in runs]
     )
     queries = 2 * d1 * cfg.copies_charged(rows) * count
     return TomographyBatch(estimates, None, choi_errors, choi_errors <= eps, queries)

@@ -95,7 +95,7 @@ def test_01_channel_round_trips_under_fuzz():
 
         back = Channel.from_kraus(ch.kraus)
         worst_frob = max(worst_frob, float(np.linalg.norm(back.choi - ch.choi)))
-        redone = dilate(ch, ch.rank).contract()
+        redone = dilate(ch, ch.rank).channel(ch.d_out)
         worst_frob = max(worst_frob, float(np.linalg.norm(redone.choi - ch.choi)))
     elapsed = time.perf_counter() - start
     assert worst_cptp < 1e-9

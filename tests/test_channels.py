@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ctlab import channels, combs, linalg
 from ctlab.channels import (
     Channel,
-    Dilation,
     Isometry,
     channel_from_json,
     channel_to_json,
@@ -47,7 +46,7 @@ from ctlab.metrics import unitary_diamond_distance
 def _random_dilation(ch, r, rng):
     """(U kron I_out) V0 for a Haar U on the ancilla and the canonical V0."""
     v = np.kron(haar_unitary(r, rng), np.eye(ch.d_out)) @ dilate(ch, r).matrix
-    return Dilation(v, r, ch.d_out)
+    return Isometry(v)
 
 
 def _depolarizing_choi(p):
@@ -171,7 +170,7 @@ NON_FINITE_ENTRIES = {
     ),
     "Channel.from_kraus": lambda x: Channel.from_kraus([[[x]]]),
     "Isometry": lambda x: Isometry([[x], [0]]),
-    "Dilation": lambda x: Dilation([[x], [0]], 1, 2),
+    "contract_dilations": lambda x: contract_dilations([[[x], [0]]], 2),
     "is_deterministic_comb": lambda x: is_deterministic_comb(
         LabelledOperator(np.full((2, 2), x), (("out", 2), ("in", 1))), (("in",), ("out",))
     ),
@@ -241,9 +240,9 @@ def test_choi_check_runs_only_where_a_choi_matrix_enters():
     kraus_built = {
         "Channel.from_kraus": lambda: Channel.from_kraus(ch.kraus),
         "random_channel": lambda: random_channel(2, 3, 6, rng),
-        "contract_dilations": lambda: contract_dilations(mats, 2, 3),
+        "contract_dilations": lambda: contract_dilations(mats, 3),
         "Isometry.channel": lambda: Isometry(mats[0]).channel(),
-        "Dilation.contract": lambda: Dilation(mats[0], 2, 3).contract(),
+        "Isometry.channel(d_out)": lambda: Isometry(mats[0]).channel(3),
         "instance_channels": lambda: instance_channels([inst, inst]),
     }
     with mock.patch.object(channels, "_validate_choi", wraps=channels._validate_choi) as check:
@@ -288,9 +287,9 @@ def _channels(draw):
 def test_contract_equals_traced_full_choi(r, d_out, d_in, seed):
     if r * d_out < d_in:
         d_in = r * d_out
-    dil = Dilation(random_isometry(r * d_out, d_in, np.random.default_rng(seed)), r, d_out)
+    dil = Isometry(random_isometry(r * d_out, d_in, np.random.default_rng(seed)))
     want = partial_trace(choi_from_kraus(dil.matrix[None]), (r, d_out, d_in), (0,))
-    assert np.array_equal(dil.contract().choi, want)
+    assert np.array_equal(dil.channel(d_out).choi, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -300,13 +299,14 @@ def test_choi_kraus_dilation_round_trips(case, pad):
     kraus = ch.kraus
     assert np.abs(Channel.from_kraus(kraus).choi - ch.choi).max() < 1e-10
     dil = dilate(ch, ch.rank + pad)
-    assert len(dil.kraus_blocks()) == ch.rank + pad
-    for got, want in zip(dil.kraus_blocks(), kraus):
+    blocks = dil.matrix.reshape(ch.rank + pad, ch.d_out, ch.d_in)
+    assert len(blocks) == ch.rank + pad
+    for got, want in zip(blocks, kraus):
         assert np.abs(got - want).max() == 0
-    assert np.abs(Channel.from_kraus(dil.kraus_blocks()).choi - ch.choi).max() < 1e-10
-    assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
+    assert np.abs(Channel.from_kraus(blocks).choi - ch.choi).max() < 1e-10
+    assert np.abs(dil.channel(ch.d_out).choi - ch.choi).max() < 1e-10
     other = _random_dilation(ch, ch.rank + pad, rng)
-    assert np.abs(other.contract().choi - ch.choi).max() < 1e-10
+    assert np.abs(other.channel(ch.d_out).choi - ch.choi).max() < 1e-10
 
 
 def test_canonical_kraus_orthogonal():
@@ -352,7 +352,7 @@ def test_apply_rejects_wrong_dimension():
 
 
 # ---------------------------------------------------------------------------
-# Isometry / Dilation
+# Isometries and dilations
 # ---------------------------------------------------------------------------
 
 
@@ -380,7 +380,7 @@ def test_dilation_block_layout():
     rng = np.random.default_rng(11)
     ch = random_channel(2, 2, 2, rng)
     dil = dilate(ch, ch.rank)
-    blocks = dil.kraus_blocks()
+    blocks = dil.matrix.reshape(ch.rank, ch.d_out, ch.d_in)
     assert len(blocks) == 2
     for blk, e in zip(blocks, ch.kraus):
         assert np.abs(blk - e).max() < 1e-12
@@ -389,12 +389,12 @@ def test_dilation_block_layout():
 
 def test_dilation_shape_mismatch():
     with pytest.raises(ValueError):
-        Dilation(np.eye(4, 2), 3, 2)
+        Isometry(np.eye(4, 2)).channel(3)
 
 
 def test_dilation_requires_isometry():
-    with pytest.raises(ValueError, match="isometry"):
-        Dilation(np.ones((4, 2)), 2, 2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Isometry(np.ones((4, 2)))
 
 
 def test_dilation_choi_is_pure():
@@ -410,9 +410,9 @@ def test_dilation_choi_is_pure():
 def test_dilate_contract_round_trip():
     rng = np.random.default_rng(13)
     ch = random_channel(3, 2, 3, rng)
-    assert np.abs(dilate(ch, ch.rank).contract().choi - ch.choi).max() < 1e-10
+    assert np.abs(dilate(ch, ch.rank).channel(ch.d_out).choi - ch.choi).max() < 1e-10
     # zero padding does not change the channel
-    assert np.abs(dilate(ch, 5).contract().choi - ch.choi).max() < 1e-10
+    assert np.abs(dilate(ch, 5).channel(ch.d_out).choi - ch.choi).max() < 1e-10
 
 
 def test_dilate_rejects_small_ancilla():
@@ -426,8 +426,8 @@ def test_random_dilation_same_channel():
     rng = np.random.default_rng(15)
     ch = random_channel(2, 3, 2, rng)
     dil = _random_dilation(ch, 4, rng)
-    assert dil.anc_dim == 4
-    assert np.abs(dil.contract().choi - ch.choi).max() < 1e-10
+    assert dil.matrix.shape == (4 * ch.d_out, ch.d_in)
+    assert np.abs(dil.channel(ch.d_out).choi - ch.choi).max() < 1e-10
 
 
 def test_partial_trace_of_dilation_choi():
@@ -516,7 +516,7 @@ def test_channel_stacks_equal_each_channel_made_alone(case):
     stacked_pool, rngs = _generators(seed, owners)
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
         dilations = random_dilations(d_in, d_out, ranks, r, rngs)
-        stacked = contract_dilations(dilations, r, d_out)
+        stacked = contract_dilations(dilations, d_out)
         sets = kraus_sets(stacked)
     alone_pool, _ = _generators(seed, owners)
     referee_pool, _ = _generators(seed, owners)
@@ -538,16 +538,16 @@ def test_channel_stacks_equal_each_channel_made_alone(case):
 @given(case=_channel_stacks())
 def test_kraus_and_dilation_stacks_equal_each_set_alone(case):
     # contract_dilations on complete (isometric) Kraus stacks, against Channel.from_kraus and
-    # Dilation.contract of each set alone
+    # Isometry.channel of each set alone
     d_in, d_out, ranks, owners, _, chunk, seed = case
     rank = max(ranks)
     _, rngs = _generators(seed, owners)
     mats = random_isometries(rank * d_out, d_in, rngs)
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
-        contracted = contract_dilations(mats, rank, d_out)
+        contracted = contract_dilations(mats, d_out)
         from_kraus = [Channel.from_kraus(list(m.reshape(rank, d_out, d_in))) for m in mats]
     for m, a, b in zip(mats, from_kraus, contracted):
-        alone = Dilation(m, rank, d_out).contract()
+        alone = Isometry(m).channel(d_out)
         assert a.choi.tobytes() == b.choi.tobytes() == alone.choi.tobytes()
         assert not a.choi.flags.writeable
 
@@ -590,9 +590,9 @@ def test_a_bad_member_raises_from_the_stack_as_alone(bad, chunk):
             assert check in alone
         mats = kraus.reshape(count, rank * d_out, d_in).copy()
         mats[bad] = spoilers["isometry"](mats[bad])
-        alone = _message(Dilation, mats[bad], rank, d_out)
-        assert "not an isometry" in alone
-        assert _message(contract_dilations, mats, rank, d_out) == alone
+        alone = _message(Isometry, mats[bad])
+        assert "orthonormal" in alone
+        assert _message(contract_dilations, mats, d_out) == alone
         # rank-1 members, and one of rank 2 above a one-level ancilla
         alone = _message(dilate, Channel.from_kraus(list(kraus[bad])), 1)
         assert "below channel rank 2" in alone

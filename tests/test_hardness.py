@@ -152,11 +152,11 @@ def test_channel_and_dilation_agree(regime):
     rng = np.random.default_rng(8)
     inst = build_instance(regime, d1, d2, r, 0.1, rng)
     dil = inst.dilation()
-    assert dil.anc_dim == r and dil.d_out == d2 and dil.d_in == d1
+    assert dil.matrix.shape == (r * d2, d1)
     ch = inst.channel()
     assert ch.d_in == d1 and ch.d_out == d2
     assert abs(np.trace(ch.choi) - d1) < 1e-10
-    assert np.abs(dil.contract().choi - ch.choi).max() < 1e-12
+    assert np.abs(dil.channel(d2).choi - ch.choi).max() < 1e-12
     # row reshuffle only: same Gram matrix
     assert np.abs(dag(dil.matrix) @ dil.matrix - np.eye(d1)).max() < 1e-12
 

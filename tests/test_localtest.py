@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctlab import combs, linalg, moments
-from ctlab.channels import Channel, Dilation, dilate, random_channel
+from ctlab.channels import Channel, Isometry, dilate, random_channel
 from ctlab.cli import main
 from ctlab.combs import apply_tester, random_parallel_tester
 from ctlab.linalg import haar_unitaries, haar_unitary, random_gaussian_matrix, random_isometry
@@ -192,7 +192,7 @@ def test_dilation_average_matches_direct_evaluation(n):
     base = dilate(ch, 2)
     us = haar_unitaries(2, 64, np.random.default_rng(5))
     direct = np.mean(
-        [apply_tester(t, Dilation(np.kron(u, np.eye(2)) @ base.matrix, 2, 2)) for u in us],
+        [apply_tester(t, Isometry(np.kron(u, np.eye(2)) @ base.matrix)) for u in us],
         axis=0,
     )
     assert np.abs(check.mc_mean - direct).max() < 1e-10

@@ -16,7 +16,10 @@ name from another (``from .linalg import _resolve``). A private helper stays
 behind its module's public functions; reading a module attribute such as
 ``linalg._CHUNK_BYTES`` at call time is a different form and is allowed.
 Next to it, no module reads the environment (``os.environ``, ``os.getenv``):
-a command's options and seed are all that fix its report.
+a command's options and seed are all that fix its report. And no function is
+memoised (``functools.cache``, ``lru_cache``, ``cached_property``): a cache
+hit never enters the function's frame, so the second test would read a
+function whose cache an earlier test filled as never run.
 
 TEST_ONLY is the one allowlist the first two tests read, keyed by ``module.qualname``:
 what only the test suite or the benchmark reaches, each with the reason it
@@ -218,6 +221,28 @@ def test_no_module_reads_the_environment():
         or (isinstance(node, ast.Name) and node.id in env)
     ]
     assert not reads, "environment read in ctlab at " + ", ".join(reads)
+
+
+_MEMOISERS = ("cache", "lru_cache", "cached_property")
+
+
+def _decorator_name(node):
+    """A decorator's name without its module or call: cache for @functools.cache,
+    lru_cache for @lru_cache(8)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_function_is_memoised():
+    memoised = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(deco) in _MEMOISERS for deco in node.decorator_list)
+    ]
+    assert not memoised, "memoised function in ctlab at " + ", ".join(memoised)
 
 
 def _run_commands() -> set:

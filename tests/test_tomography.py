@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ctlab import tomography
-from ctlab.channels import Channel, Dilation, Isometry, dilate, isometries, random_channel, random_dilations
+from ctlab.channels import Channel, Isometry, dilate, isometries, random_channel, random_dilations
 from ctlab.linalg import (
     ATOL,
     dft_matrix,
@@ -541,7 +541,7 @@ def test_channel_tomography_runs():
     assert batch.success[0]
     assert batch.choi_errors[0] <= 0.3
     # the estimates are the 4 x 2 dilations, d2 = 2 rows per ancilla level
-    estimate = Dilation(batch.estimates[0], 2, 2).contract()
+    estimate = Isometry(batch.estimates[0]).channel(2)
     assert isinstance(estimate, Channel)
     assert batch.queries_charged == 2 * 2 * math.ceil(64 * 4 / 0.3**2)
     assert batch.choi_errors[0] == pytest.approx(choi_trace_distance(estimate, ch))
@@ -574,7 +574,7 @@ def test_channel_tomography_evaluates_only_its_own_channel(monkeypatch):
     isometry_tomography([target], 0.3, [np.random.default_rng(6)])
     batch = channel_tomography([Isometry(dilate(ch, 2).matrix)], 2, 0.3, [np.random.default_rng(6)])
     assert calls == []
-    estimate = Dilation(batch.estimates[0], 2, 2).contract()
+    estimate = Isometry(batch.estimates[0]).channel(2)
     interval = diamond_distance(estimate, ch, restarts=2, rng=np.random.default_rng(6))
     assert batch.choi_errors[0] <= interval.lower + 1e-9 and interval.lower <= interval.upper + 1e-9
 
@@ -685,6 +685,33 @@ def test_channel_tomography_checks_its_batch_before_drawing():
     assert [g.bit_generator.state for g in rngs] == states
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    st.sampled_from([0.05, 0.3, 1.0]),
+)
+def test_isometry_tomography_is_channel_tomography_of_one_block(d1, extra, seeds, eps):
+    d2 = min(d1 + extra, 4)
+    # the tomography command's isometry targets: rank-1 dilations on a one-level ancilla,
+    # which are the plain Haar isometries bit for bit
+    drawn = random_dilations(d1, d2, [1] * len(seeds), 1, [np.random.default_rng(s) for s in seeds])
+    plain = random_isometries(d2, d1, [np.random.default_rng(s) for s in seeds])
+    assert drawn.tobytes() == plain.tobytes()
+    targets = isometries(drawn)
+    rngs = [np.random.default_rng([s, 1]) for s in seeds]
+    copies = copy.deepcopy(rngs)
+    iso = isometry_tomography(targets, eps, rngs)
+    chan = channel_tomography(targets, d2, eps, copies)
+    assert iso.estimates.tobytes() == chan.estimates.tobytes()
+    assert iso.choi_errors.tobytes() == chan.choi_errors.tobytes()
+    assert iso.queries_charged == chan.queries_charged
+    assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in copies]
+    assert chan.op_errors is None
+    assert np.array_equal(iso.success, 2.0 * iso.op_errors <= eps)
+
+
 def test_isometry_tomography_choi_errors_equal_the_channel_distance():
     rng = np.random.default_rng(52)
     targets = [Isometry(random_isometry(4, 3, rng)) for _ in range(4)]
@@ -732,8 +759,8 @@ def test_batch_columns_hold_valid_estimates(d1, d2, r, eps, seeds):
         assert isometry_defect(batch.estimates) <= ATOL
         return
     for estimate, target, choi_error in zip(batch.estimates, targets, batch.choi_errors):
-        channel = Dilation(estimate, r, d2).contract()
-        assert choi_trace_distance(channel, Dilation(target.matrix, r, d2).contract()) == choi_error
+        channel = Isometry(estimate).channel(d2)
+        assert choi_trace_distance(channel, target.channel(d2)) == choi_error
 
 
 def _reference_align_phases(vhat1, vhat2):
