@@ -503,8 +503,10 @@ def tomography_cmd(seed: int, fmt: str, out: str, d1: int, d2: int, eps: float, 
     expected_queries = 2 * d1 * math.ceil(64.0 * big / (eps * eps))
     # in 16-byte words, per trial of the batch: its generator and array headers (about 256);
     # the target, both weak runs' column estimates, their SVD factors and snaps, and the
-    # estimate (about ten target-sized copies, the golden section's stacks included; channel
-    # mode two more, the drawn dilations beside their validated copy); isometry mode the phase
+    # estimate (about ten target-sized copies, the phase search's included: a Newton
+    # iterate's e^{i theta} b, difference and conjugate, then the differences at the found
+    # angle and the grid's, their products and conjugates; channel mode two more, the drawn
+    # dilations beside their validated copy); isometry mode the phase
     # grid's 360 points at 17 bytes each (the Frobenius bracket, then their eigenvalues, in
     # one float row; a flag and an index per kept point, all 360 kept at worst).  Channel mode
     # holds no Choi matrix, Kraus set or Ginibre draw per trial: its targets are the dilations

@@ -37,6 +37,9 @@ MIN_EPS = 1e-11
 # The least positive per-column noise accepted, eps^2 / 64 at eps = 1e-100: from it up
 # the charge ceil(d / eps_max) stays finite for any dimension d below 1e100.
 _MIN_EPS_MAX = 1e-100 * 1e-100 / 64.0
+# The phase search's stopping width in radians: min_phase_op_error's minimizer is pinned
+# this closely, the width a 60-step golden section reaches from the grid's bracket.
+_PHASE_WIDTH = 1e-14
 
 __all__ = [
     "MIN_EPS",
@@ -275,13 +278,82 @@ def _grid_argmin(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.argmin(tops.reshape(count, len(grid)), axis=1)
 
 
+def _phase_newton(a: np.ndarray, b: np.ndarray, center: np.ndarray, step: float) -> np.ndarray:
+    """Per pair of the (T, m, n) stacks, the angle in [center - step, center
+    + step] of the least lambda(theta) = lambda_max(D^dag D), D = a - e^{i
+    theta} b, by a safeguarded Newton iteration on lambda'.
+
+    With z = e^{i theta}, eigenpairs (lambda_k, v_k) of D^dag D and top pair
+    (lambda, v): lambda' = 2 Im <D v, z b v> and lambda'' = 2 Re <z b v, D
+    v> + 2 ||b v||^2 + 2 sum_k |v_k^dag s|^2 / (lambda - lambda_k), s =
+    D^dag z b v - (z b)^dag D v.  Terms whose gap is at most 2^-40 lambda
+    are left out, which only lengthens a step: there eigh's eigenvectors are
+    off by up to about u / 2^-40 = 1e-4, and at a crossing the coupling is
+    rounding noise whose square over the gap could pass for curvature.  The
+    sign of lambda' halves the bracket.  Where the top two eigenvalues slope
+    opposite ways, they cross downhill at about (lambda - lambda_2) /
+    (lambda_2' - lambda'), and the row steps the shorter of that and the
+    Newton step -lambda' / lambda'': so a kink at the minimum, where the two
+    cross, is found as a root of their difference.  A step of at most
+    _PHASE_WIDTH ends the row at the iterate plus that step; this test comes
+    first, as the safeguard would send a converged row, whose lambda' is
+    rounding noise, across the bracket.  Otherwise the row takes the step if
+    it lands inside the bracket and is at most half the row's previous step,
+    and bisects if not, as it does where lambda'' <= 0 and no crossing lies
+    ahead; a bracket of _PHASE_WIDTH ends the row at its midpoint.
+    """
+    theta = np.empty_like(center)
+    rows = np.arange(len(center))
+    x, lo, hi = center, center - step, center + step
+    last = np.full_like(center, 2.0 * step)
+    while rows.size:
+        zb = np.exp(1j * x)[:, None, None] * b
+        d = a - zb
+        lam, vecs = np.linalg.eigh(dag(d) @ d)
+        # D v and z b v for the top two eigenvectors (top last), and their eigenvalues' slopes
+        pair = vecs[:, None, :, -2:].conj()
+        dv, bv = np.vecdot(pair, d[..., None], axis=2), np.vecdot(pair, zb[..., None], axis=2)
+        slopes = 2.0 * np.vecdot(dv, bv, axis=1).imag
+        dv, bv, slope = dv[:, :, -1], bv[:, :, -1], slopes[:, -1]
+        curv = 2.0 * np.vecdot(bv, dv + bv).real
+        # |<D v_k, -i z b v> + <-i z b v_k, D v>| = |v_k^dag s|
+        s = np.vecdot(d, bv[:, :, None], axis=1) - np.vecdot(zb, dv[:, :, None], axis=1)
+        coupling = np.vecdot(vecs[:, :, :-1], s[:, :, None], axis=1)
+        gap = lam[:, -1:] - lam[:, :-1]
+        resolved = gap > 2.0**-40 * lam[:, -1:]
+        terms = np.divide(coupling.real**2 + coupling.imag**2, gap, out=np.zeros(gap.shape), where=resolved)
+        curv += 2.0 * terms.sum(axis=1)
+        up = slope > 0.0
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        sound = (curv > 0.0) & np.isfinite(curv)
+        newton = np.divide(-slope, curv, out=np.full_like(x, np.inf), where=sound)
+        # the top two eigenvalues' crossing (one column when n = 1: never kinked)
+        kinked = slope * slopes[:, 0] < 0.0
+        rise = slopes[:, 0] - slope
+        kink = np.divide(lam[:, -1] - lam[:, -2:][:, 0], rise, out=np.full_like(x, np.inf), where=kinked)
+        move = np.where(np.abs(kink) < np.abs(newton), kink, newton)
+        converged = np.abs(move) <= _PHASE_WIDTH
+        done = converged | (hi - lo <= _PHASE_WIDTH)
+        mid = 0.5 * (lo + hi)
+        nxt = x + move
+        if done.any():
+            theta[rows[done]] = np.where(converged, np.clip(nxt, lo, hi), mid)[done]
+            keep = ~done
+            rows, a, b = rows[keep], a[keep], b[keep]
+            x, lo, hi, last, nxt, mid, move = (arr[keep] for arr in (x, lo, hi, last, nxt, mid, move))
+        take = (lo < nxt) & (nxt < hi) & (np.abs(move) <= 0.5 * last)
+        nxt = np.where(take, nxt, mid)
+        last, x = np.abs(nxt - x), nxt
+    return theta
+
+
 def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     """min over theta of the operator norm of a - e^{i theta} b.
 
     a and b are one pair of matrices, or two stacks (T, m, n) of pairs; a
     stack returns the T minima as an array, each equal bit for bit to its
     pair's minimum alone.  Per pair, a 360-point grid picks the bracket of a
-    golden-section search.  For |z| = 1, ||a - z b||^2 is the largest
+    safeguarded Newton iteration.  For |z| = 1, ||a - z b||^2 is the largest
     eigenvalue of the n x n pencil a^dag a + b^dag b - z a^dag b -
     conj(z) b^dag a.  Its trace ||a - z b||_F^2 is a closed form, and the
     Frobenius bracket trace / n <= ||a - z b||^2 <= trace, with a rounding
@@ -290,14 +362,24 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     _grid_argmin).  In 60-pair tomography batches at eps 0.05 to 0.2 and
     d1 = 1 to 4, a pair keeps 1 to 4 of the 360 points in the median and at
     most 6; a = 0 keeps all 360.  The bracket centre is bit for bit the full
-    grid's np.argmin.  The golden section (60 steps) runs all pairs at once:
-    each of its 63 evaluations is one linalg.operator_norm of the stack of
-    differences a - e^{i theta} b (a stacked eigvalsh of their Gram matrices,
-    which keeps the top singular value's relative accuracy), and each pair
-    keeps its own bracket.  Every reported value is thus the norm of a
-    formed difference, with no cancellation: an isometry against itself
-    under any phase gives at most about 1e-14, the last bracket's width,
-    where a pencil's top eigenvalue would floor near sqrt(u) = 1e-8.
+    grid's np.argmin.
+
+    A safeguarded Newton iteration (_phase_newton) then runs all pairs at
+    once on the top eigenvalue of the formed difference's Gram matrix, its
+    first and second derivatives from the same stacked eigh, until the
+    minimizer is pinned to _PHASE_WIDTH = 1e-14 rad, the width a 60-step
+    golden section reaches from the same bracket.  A smooth minimum takes
+    about 5 iterations, and so does a kink, where the top two singular
+    values cross (for two unitaries whose a^dag b has distinct eigenvalues,
+    the minimum is one), found as a root of their difference; where neither
+    step serves, the bracket is bisected down to that width, in about 41
+    iterations.  Pairs leave the stack as they converge and every product is
+    per pair, which keeps each pair's bits.  The value is the lesser
+    linalg.operator_norm of the differences at the found angle and at the
+    bracket centre, one stacked call, so it is the norm of a formed
+    difference, with no cancellation: an isometry against itself under any
+    phase gives about 1e-15, where a pencil's top eigenvalue would floor
+    near sqrt(u) = 1e-8.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -309,30 +391,11 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     pair = a.ndim == 2
     if pair:
         a, b = a[None], b[None]
-
-    def val(theta: np.ndarray) -> np.ndarray:
-        return operator_norm(a - np.exp(1j * theta)[:, None, None] * b)
-
     grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     center = grid[_grid_argmin(a, b, grid)]
-    step = grid[1] - grid[0]
-    lo, hi = center - step, center + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = val(x1), val(x2)
-    for _ in range(60):
-        # rows with f1 <= f2 keep [lo, x2] and probe a new x1, the others keep [x1, hi]
-        left = f1 <= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1, x2 = (
-            np.where(left, hi - invphi * (hi - lo), x2),
-            np.where(left, x1, lo + invphi * (hi - lo)),
-        )
-        probed = val(np.where(left, x1, x2))
-        f1, f2 = np.where(left, probed, f2), np.where(left, f1, probed)
-    best = np.minimum(np.minimum(val(center), f1), f2)
+    theta = _phase_newton(a, b, center, grid[1] - grid[0])
+    phases = np.exp(1j * np.stack([theta, center]))[:, :, None, None]
+    best = operator_norm(a - phases * b).min(axis=0)
     return float(best[0]) if pair else best
 
 

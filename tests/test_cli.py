@@ -542,7 +542,7 @@ def test_over_budget_runs_are_declined_before_work(args):
         # one channel-mode trial through a 512 x 4 dilation: its column estimates, SVD
         # factors and 64 x 64 Choi matrices, about 0.45 MB
         ["tomography", "--d1", "4", "--d2", "16", "--r", "32", "--trials", "1"],
-        # 400 isometry trials in one batch, their generators and golden-section stacks
+        # 400 isometry trials in one batch, their generators and the phase search's stacks
         pytest.param(["tomography", "--d1", "3", "--d2", "8", "--trials", "400"], id="tomography-isometry"),
         # 400 channel trials in one batch: the targets' dilations, drawn and validated, both
         # weak runs' column estimates and SVD factors, and a run's estimated and target Choi

@@ -294,7 +294,9 @@ def test_min_phase_op_error_rejects_mismatched_shapes():
 
 
 def _reference_min_phase_op_error(a, b):
-    """The phase minimization with its grid as a stacked SVD of a - e^{i theta} b."""
+    """The phase minimization with its grid as a stacked SVD of a - e^{i theta} b and a
+    60-step golden section in the bracket of the grid's least value: its value and its
+    bracket centre."""
 
     def val(theta):
         return operator_norm(a - np.exp(1j * theta) * b)
@@ -317,7 +319,31 @@ def _reference_min_phase_op_error(a, b):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = val(x2)
-    return min(float(values.min()), f1, f2)
+    return min(float(values.min()), f1, f2), grid[center]
+
+
+PHASE_STEP = 2.0 * np.pi / 360
+# the golden section's last bracket: its value is the least over the bracket up to the
+# change of ||a - z b|| across it, at most ||b|| times its width
+GOLDEN_WIDTH = 2.0 * PHASE_STEP * ((math.sqrt(5.0) - 1.0) / 2.0) ** 60
+# each side compares computed norms (Gram eigenvalues and SVDs of matrices up to 8 x 3),
+# each within a few units of rounding of its exact value, and, for subnormal entries, within
+# a few multiples of 2^-1074 from rounding e^{i theta} b
+NORM_ROUNDING = 2.0**-48
+NORM_FLOOR = 2.0**-1060
+
+
+def _assert_certified(a, b, got):
+    """got is at most the golden section's value plus what its last bracket leaves open,
+    and at least the least norm on a fine grid over the bracket, less the most ||a - z b||
+    can fall between grid points (||b|| h / 2 at spacing h)."""
+    golden, center = _reference_min_phase_op_error(a, b)
+    norm_b = operator_norm(b)
+    assert got <= golden * (1.0 + NORM_ROUNDING) + norm_b * GOLDEN_WIDTH + NORM_FLOOR, (got, golden)
+    fine = np.linspace(center - PHASE_STEP, center + PHASE_STEP, 2001)
+    least = operator_norm(a - np.exp(1j * fine)[:, None, None] * b).min()
+    lipschitz = norm_b * (fine[1] - fine[0]) / 2.0
+    assert got >= least * (1.0 - NORM_ROUNDING) - lipschitz - NORM_FLOOR, (got, least)
 
 
 def _near_isometry_pair(d2, d1, scale, rng):
@@ -329,11 +355,17 @@ def _near_isometry_pair(d2, d1, scale, rng):
 
 @st.composite
 def near_isometry_pairs(draw):
-    """An isometry and a nearby isometry estimate under a global phase."""
+    """An isometry and a nearby isometry estimate under a global phase, or a two-column
+    pair b = e^{i psi} a diag(e^{i alpha}, e^{-i alpha}), whose least difference is a kink:
+    the two singular values of a - z b cross there."""
     d2 = draw(st.integers(1, 8))
     d1 = draw(st.integers(1, min(d2, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _near_isometry_pair(d2, d1, draw(st.floats(1e-8, 0.5)), rng)
+    if d1 == 2 and draw(st.booleans()):
+        a = random_isometry(d2, d1, rng)
+        alpha = draw(st.floats(1e-3, 3.0))
+        return a, np.exp(2j * np.pi * rng.uniform()) * a * np.exp([1j * alpha, -1j * alpha])
+    return _near_isometry_pair(d2, d1, draw(st.floats(1e-12, 0.5)), rng)
 
 
 @st.composite
@@ -355,20 +387,21 @@ def complex_pairs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(near_isometry_pairs(), st.floats(0.0, 2.0 * np.pi))
-def test_min_phase_op_error_equals_svd_grid_on_near_isometries(pair, theta):
+def test_min_phase_op_error_is_certified_on_near_isometries(pair, theta):
     a, b = pair
     got = min_phase_op_error(a, b)
-    assert got == _reference_min_phase_op_error(a, b)
+    _assert_certified(a, b, got)
     assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(complex_pairs(), st.floats(0.0, 2.0 * np.pi))
-def test_min_phase_op_error_matches_svd_grid_on_complex_pairs(pair, theta):
-    # exact ties (a = 0, real pairs) may centre the bracket on another grid point
+def test_min_phase_op_error_is_certified_on_complex_pairs(pair, theta):
+    # exact ties (a = 0, real pairs) may centre the bracket on another grid point, of the
+    # same least grid value
     a, b = pair
     got = min_phase_op_error(a, b)
-    assert got == pytest.approx(_reference_min_phase_op_error(a, b), rel=1e-12, abs=1e-12)
+    _assert_certified(a, b, got)
     assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
 
 
@@ -440,19 +473,24 @@ def test_pruned_grid_centre_equals_the_full_grid_argmin(stack, per_chunk):
         assert tomography._grid_argmin(a, b, GRID).tolist() == full
 
 
+def _phase_batch(rows=3):
+    """A 60-trial batch of rows x 2 isometries at eps 0.2: the targets and their estimates."""
+    rngs = [np.random.default_rng([23, k]) for k in range(60)]
+    targets = np.stack([random_isometry(rows, 2, rng) for rng in rngs])
+    return targets, tomography.two_run_estimates(targets, tomography._oracle_config(0.2), rngs)
+
+
 def test_phase_grid_eigensolves_few_pencils_per_trial(monkeypatch):
     solved = []
     real = np.linalg.eigvalsh
 
     def counting(pencils):
-        # the grid's pencils only: the golden section's operator norms eigensolve Grams
+        # the grid's pencils only: the final operator norms eigensolve Grams
         if sys._getframe(1).f_code is tomography._grid_argmin.__code__:
             solved.append(len(pencils))
         return real(pencils)
 
-    rngs = [np.random.default_rng([23, k]) for k in range(60)]
-    targets = np.stack([random_isometry(3, 2, rng) for rng in rngs])
-    estimates = tomography.two_run_estimates(targets, tomography._oracle_config(0.2), rngs)
+    targets, estimates = _phase_batch()
     monkeypatch.setattr(tomography.np.linalg, "eigvalsh", counting)
     batch = min_phase_op_error(targets, estimates)
     assert len(solved) == 1 and solved[0] <= 5 * 60
@@ -464,6 +502,31 @@ def test_phase_grid_eigensolves_few_pencils_per_trial(monkeypatch):
     solved.clear()
     min_phase_op_error(np.zeros((3, 2)), targets[0])
     assert sum(solved) == 360
+
+
+@pytest.mark.parametrize("rows", [3, 2])
+def test_phase_search_eigensolves_few_gram_stacks_per_batch(rows, monkeypatch):
+    # every stacked Gram eigensolve after the grid: the Newton iterations' eigh and the
+    # final operator norms' eigvalsh.  A fixed 60-step golden section makes 63.  Two 2 x 2
+    # unitaries are nearest at a kink, where the top two singular values of a - z b cross;
+    # bisecting each such row to 1e-14 rad would take 43.
+    solved = []
+
+    def counting(real):
+        def solve(grams):
+            if sys._getframe(1).f_code is not tomography._grid_argmin.__code__:
+                solved.append(len(grams))
+            return real(grams)
+
+        return solve
+
+    targets, estimates = _phase_batch(rows)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(tomography.np.linalg, name, counting(getattr(np.linalg, name)))
+    min_phase_op_error(targets, estimates)
+    assert len(solved) <= 15
+    # the stack shrinks as its rows converge
+    assert solved[0] == 60 and solved[-2] < 60
 
 
 # ---------------------------------------------------------------------------
