@@ -259,6 +259,25 @@ def _grams(m: np.ndarray) -> np.ndarray:
         return dag(m) @ m if m.shape[-2] >= m.shape[-1] else m @ dag(m)
 
 
+def _power_of_two_scaled(stack: np.ndarray, trace: np.ndarray, lo: float, hi: float):
+    """The members of a complex stack whose Gram trace, their squared Frobenius
+    norm given in trace (one per member, over the stack's leading axes), lies
+    outside [lo, hi] or is nan, each scaled exactly by 2^-e with its largest
+    real or imaginary part in [1/2, 1).
+
+    None when every trace is in range; else the mask over the leading axes,
+    the exponents e and the scaled members, stacked along one axis.  np.ldexp
+    scales the parts, since the factor 2^-e itself overflows for subnormal
+    entries; a zero member has e = 0.
+    """
+    redo = ~((trace >= lo) & (trace <= hi))
+    if not redo.any():
+        return None
+    parts = stack[redo].view(float)  # a fresh C-ordered copy of the redone members
+    _, e = np.frexp(np.abs(parts).max(axis=tuple(range(1, parts.ndim))))
+    return redo, e, np.ldexp(parts, -e.reshape((-1,) + (1,) * (parts.ndim - 1))).view(complex)
+
+
 def operator_norm(m: np.ndarray):
     """Largest singular value of a matrix, or the array of them for a stack (..., rows, cols).
 
@@ -276,8 +295,7 @@ def operator_norm(m: np.ndarray):
     the Grams whose trace ||M||_F^2 (at most n lambda_max, at least
     lambda_max) lies outside [2^-960, 2^1020], or is nan, are formed again
     from M scaled exactly by 2^-e, its largest real or imaginary part in
-    [1/2, 1), and their norms scaled back by 2^e.  np.ldexp scales the
-    parts, since the factor 2^-e itself overflows for subnormal entries.
+    [1/2, 1) (_power_of_two_scaled), and their norms scaled back by 2^e.
     Every eigensolved Gram is then finite, the norm is right from subnormal
     entries up to about 1e300, and a zero matrix has norm exactly 0.
 
@@ -292,14 +310,12 @@ def operator_norm(m: np.ndarray):
         norms = np.zeros(stack.shape[:-2])
     else:
         gram = _grams(stack)
-        trace = np.einsum("...ii->...", gram).real
-        redo = ~((trace >= 2.0**-960) & (trace <= 2.0**1020))
-        if redo.any():
-            parts = stack[redo].view(float)  # a fresh C-ordered copy of the redone matrices
-            _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
-            gram[redo] = _grams(np.ldexp(parts, -e[:, None, None]).view(complex))
+        scaled = _power_of_two_scaled(stack, np.einsum("...ii->...", gram).real, 2.0**-960, 2.0**1020)
+        if scaled is not None:
+            redo, e, parts = scaled
+            gram[redo] = _grams(parts)
         norms = np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
-        if redo.any():
+        if scaled is not None:
             norms[redo] = np.ldexp(norms[redo], e)
     return norms if m.ndim > 2 else float(norms[0])
 

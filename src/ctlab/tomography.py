@@ -9,7 +9,9 @@ each target's dilation; an isometry is its own dilation of one Kraus block.
 A batch runs its trials, each on its own generator.  The oracle is
 one batch function, pure_state_oracles, over a stack of columns: its draws go
 trial by trial and column by column, two generator calls per column, and its
-arithmetic runs once over the stack; pure_state_oracle is its stack of one.
+arithmetic runs once over the stack; a column whose draw is rejected then
+redraws from its own generator, after the stack's first draws.
+pure_state_oracle is its stack of one.
 Every later stage runs once per batch.
 A batch returns columns, one row per trial: the stack of estimated
 isometries (in channel mode, of the dilations) and arrays of errors and
@@ -40,6 +42,9 @@ _MIN_EPS_MAX = 1e-100 * 1e-100 / 64.0
 # The phase search's stopping width in radians: min_phase_op_error's minimizer is pinned
 # this closely, the width a 60-step golden section reaches from the grid's bracket.
 _PHASE_WIDTH = 1e-14
+# The Gram traces ||a||_F^2 + ||b||_F^2 of the pairs the phase search runs unscaled: its
+# curvature squares couplings of up to 8 times a trace, which stay finite and normal there.
+_PHASE_RANGE = (2.0**-500, 2.0**500)
 
 __all__ = [
     "MIN_EPS",
@@ -110,10 +115,10 @@ def pure_state_oracles(columns, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
     or d = 1 only the phase is drawn.  Every later step runs once over the
     stack: the projection, the norms, the normalisation and the combination,
     each row with the bits of its own 1-D arithmetic.  A row whose
-    orthogonal part has norm at most 1e-12 draws its normals again; if any
-    row does, every generator is reset to its state before the stack and the
-    rows are run one at a time through pure_state_oracle, so each generator
-    makes the draws it makes row by row.
+    orthogonal part has norm at most 1e-12 then draws its normals again from
+    its own generator, after the stack's first draws, the rejected rows in
+    order and each until it passes; only that row is recomputed, with the
+    bits it has in any stack.
     """
     v = np.ascontiguousarray(columns, dtype=complex)  # the BLAS dots need unit-stride rows
     rngs = list(rngs)
@@ -126,20 +131,16 @@ def pure_state_oracles(columns, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
         for rng, row in zip(rngs, u):
             rng.random(out=row)
         return np.exp(2j * np.pi * u) * v
-    states = [(rng, rng.bit_generator.state) for rng in {id(rng): rng for rng in rngs}.values()]
     g = np.empty((count, 2 * d))
     for rng, row, normals in zip(rngs, u, g):
         rng.random(out=row)
         rng.standard_normal(out=normals)
     w, norm = _orthogonal_parts(v, g)
-    if not (norm > 1e-12).all():
-        if count > 1:
-            for rng, state in states:
-                rng.bit_generator.state = state
-            return np.stack([pure_state_oracle(column, cfg, rng) for column, rng in zip(v, rngs)])
-        while not norm[0, 0] > 1e-12:
-            rngs[0].standard_normal(out=g[0])
-            w, norm = _orthogonal_parts(v, g)
+    for j in np.flatnonzero(~(norm[:, 0] > 1e-12)):
+        row = slice(j, j + 1)
+        while not norm[j, 0] > 1e-12:
+            rngs[j].standard_normal(out=g[j])
+            w[row], norm[row] = _orthogonal_parts(v[row], g[row])
     # the per-row factors multiply from the left, as the 1-D arithmetic's scalars do: numpy's
     # complex product with the broadcast operand second takes another path, with other bits
     e = cfg.eps_max * u[:, 1:]
@@ -380,6 +381,15 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     difference, with no cancellation: an isometry against itself under any
     phase gives about 1e-15, where a pencil's top eigenvalue would floor
     near sqrt(u) = 1e-8.
+
+    Range: the grid and the search form Grams, and the search squares
+    Gram-sized numbers, so a pair whose trace ||a||_F^2 + ||b||_F^2 lies
+    outside _PHASE_RANGE = [2^-500, 2^500], or is nan, runs both on a and b
+    scaled exactly by one power of two (linalg._power_of_two_scaled, the
+    rescale of linalg.operator_norm), with its largest real or imaginary
+    part in [1/2, 1).  The value is still the norm of the pair's own
+    differences, so a pair in range keeps its bits, and the minimum is right
+    from subnormal entries up to about 1e300.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -391,9 +401,16 @@ def min_phase_op_error(a: np.ndarray, b: np.ndarray):
     pair = a.ndim == 2
     if pair:
         a, b = a[None], b[None]
+    both = np.stack([a, b], axis=1)
+    with np.errstate(over="ignore"):  # an overflowed trace is out of range, as it should be
+        trace = np.square(both.view(float)).sum(axis=(1, 2, 3))
+    scaled = linalg._power_of_two_scaled(both, trace, *_PHASE_RANGE)
+    if scaled is not None:
+        redo, _, parts = scaled
+        both[redo] = parts
     grid = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    center = grid[_grid_argmin(a, b, grid)]
-    theta = _phase_newton(a, b, center, grid[1] - grid[0])
+    center = grid[_grid_argmin(both[:, 0], both[:, 1], grid)]
+    theta = _phase_newton(both[:, 0], both[:, 1], center, grid[1] - grid[0])
     phases = np.exp(1j * np.stack([theta, center]))[:, :, None, None]
     best = operator_norm(a - phases * b).min(axis=0)
     return float(best[0]) if pair else best

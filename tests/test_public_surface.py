@@ -16,10 +16,12 @@ name from another (``from .linalg import _resolve``). A private helper stays
 behind its module's public functions; reading a module attribute such as
 ``linalg._CHUNK_BYTES`` at call time is a different form and is allowed.
 Next to it, no module reads the environment (``os.environ``, ``os.getenv``):
-a command's options and seed are all that fix its report. And no function is
-memoised (``functools.cache``, ``lru_cache``, ``cached_property``): a cache
-hit never enters the function's frame, so the second test would read a
-function whose cache an earlier test filled as never run.
+a command's options and seed are all that fix its report. No module reads or
+writes a generator's ``bit_generator.state``: a generator moves only by the
+draws it makes. And no function is memoised (``functools.cache``,
+``lru_cache``, ``cached_property``): a cache hit never enters the function's
+frame, so the second test would read a function whose cache an earlier test
+filled as never run.
 
 TEST_ONLY is the one allowlist the first two tests read, keyed by ``module.qualname``:
 what only the test suite or the benchmark reaches, each with the reason it
@@ -89,9 +91,8 @@ TEST_ONLY = {
     "hardness.HardInstance.channel": _ONE_AT_A_TIME_POOL,
     "hardness.HardInstance.dilation": _ONE_AT_A_TIME_POOL,
     "tomography.pure_state_oracle": (
-        "one column through the oracle, the stack of one of pure_state_oracles: its rejection "
-        "branch replays the rows through it, and tests/test_tomography.py checks a column's "
-        "norm, overlap and phase with it"
+        "one column through the oracle, the stack of one of pure_state_oracles: "
+        "tests/test_tomography.py checks a column's norm, overlap and phase with it"
     ),
     "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
 }
@@ -221,6 +222,20 @@ def test_no_module_reads_the_environment():
         or (isinstance(node, ast.Name) and node.id in env)
     ]
     assert not reads, "environment read in ctlab at " + ", ".join(reads)
+
+
+def test_no_module_touches_a_generator_state():
+    # a read or write of rng.bit_generator.state: a generator moves only by its draws
+    touches = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "state"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+    ]
+    assert not touches, "generator state touched in ctlab at " + ", ".join(touches)
 
 
 _MEMOISERS = ("cache", "lru_cache", "cached_property")

@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,35 +97,42 @@ def test_oracle_randomizes_phase():
     assert np.std([np.angle(p) for p in phases]) > 0.1
 
 
-def _one_column_at_a_time_oracle(v, cfg, rng, redraws=None):
-    """The oracle one column at a time: a uniform for the phase, one for e,
-    then d real and d imaginary normals per attempt, each attempt's norm by
-    np.linalg.norm; a rejected attempt is appended to redraws."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = v.shape[0]
-    phase = np.exp(2j * np.pi * rng.uniform())
+def _column_by_column_oracle(columns, cfg, rngs):
+    """The oracle on the rows of columns (N, d) one column at a time, each row's
+    arithmetic 1-D, and the norms of its rejected draws.
+
+    First each column in order draws a uniform for the phase, one for e, then d
+    real and d imaginary normals, each norm by np.linalg.norm; then each
+    rejected column in order draws its normals again until it passes."""
+    columns = np.asarray(columns, dtype=complex)
+    d = columns.shape[1]
     if cfg.eps_max == 0.0 or d == 1:
-        return phase * v
-    e = cfg.eps_max * rng.uniform()
-    while True:
+        return np.stack([np.exp(2j * np.pi * rng.uniform()) * v for v, rng in zip(columns, rngs)]), []
+
+    def orthogonal_part(v, rng):
         g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         w = g - v * (v.conj() @ g)
-        norm = np.linalg.norm(w)
-        if norm > 1e-12:
-            break
-        if redraws is not None:
-            redraws.append(norm)
-    w /= norm
-    return phase * (math.sqrt(1.0 - e) * v) + math.sqrt(e) * w
+        return w, np.linalg.norm(w)
+
+    draws = [
+        (np.exp(2j * np.pi * rng.uniform()), cfg.eps_max * rng.uniform(), orthogonal_part(v, rng))
+        for v, rng in zip(columns, rngs)
+    ]
+    out, rejected = [], []
+    for v, rng, (phase, e, (w, norm)) in zip(columns, rngs, draws):
+        while not norm > 1e-12:
+            rejected.append(norm)
+            w, norm = orthogonal_part(v, rng)
+        out.append(phase * (math.sqrt(1.0 - e) * v) + math.sqrt(e) * (w / norm))
+    return np.stack(out), rejected
 
 
-def _one_column_at_a_time_weak(targets, cfg, rngs):
-    """weak_isometry_tomography with an oracle call per column, trial by trial."""
-    tilde = np.empty(targets.shape, dtype=complex)
-    for target, rng, out in zip(targets, rngs, tilde):
-        for k in range(targets.shape[2]):
-            out[:, k] = _one_column_at_a_time_oracle(target[:, k], cfg, rng)
-    u, _, vh = np.linalg.svd(tilde, full_matrices=False)
+def _column_by_column_weak(targets, cfg, rngs):
+    """weak_isometry_tomography with the column-by-column oracle, trial by trial."""
+    count, m, n = targets.shape
+    columns = targets.transpose(0, 2, 1).reshape(count * n, m)
+    tilde, _ = _column_by_column_oracle(columns, cfg, [rng for rng in rngs for _ in range(n)])
+    u, _, vh = np.linalg.svd(tilde.reshape(count, n, m).transpose(0, 2, 1), full_matrices=False)
     return u @ vh
 
 
@@ -170,18 +178,13 @@ def test_batch_oracle_equals_the_one_column_at_a_time_oracle(batch):
     targets, cfg, seed, owners = batch
     count, m, n = targets.shape
     (pool, referee), (rngs, referee_rngs) = _generator_pools(seed, owners)
-    snapped = _one_column_at_a_time_weak(targets, cfg, referee_rngs)
+    snapped = _column_by_column_weak(targets, cfg, referee_rngs)
     assert weak_isometry_tomography(targets, cfg, rngs).tobytes() == snapped.tobytes()
     assert _states(pool) == _states(referee)
     # the column stack alone, read through unit-stride and strided rows
     (pool, referee), (rngs, referee_rngs) = _generator_pools(seed, owners)
     columns = targets.transpose(0, 2, 1).reshape(count * n, m)
-    want = np.stack(
-        [
-            _one_column_at_a_time_oracle(v, cfg, rng)
-            for v, rng in zip(columns, [rng for rng in referee_rngs for _ in range(n)])
-        ]
-    )
+    want, _ = _column_by_column_oracle(columns, cfg, [rng for rng in referee_rngs for _ in range(n)])
     strided = np.zeros((count * n, 2 * m), dtype=complex)
     strided[:, 1::2] = columns
     got = pure_state_oracles(strided[:, 1::2], cfg, [rng for rng in rngs for _ in range(n)])
@@ -191,7 +194,7 @@ def test_batch_oracle_equals_the_one_column_at_a_time_oracle(batch):
 
 def test_a_rejected_draw_is_redrawn_as_column_by_column():
     # row 0's first normals are g itself, so its orthogonal part is rounding and is rejected;
-    # rows 1 and 3 then draw from the same generator after row 0's redraw
+    # its redraw comes after the first draws of rows 1 and 3, from the same generator
     cfg = PureStateOracleConfig(0.3)
     d = 3
     rng, other = np.random.default_rng(60), np.random.default_rng(61)
@@ -201,21 +204,48 @@ def test_a_rejected_draw_is_redrawn_as_column_by_column():
     columns = np.stack([g / np.linalg.norm(g)] + [random_pure_state(d, np.random.default_rng(k)) for k in range(3)])
     gens = [rng, rng, other, rng]
     referee = {id(gen): copy.deepcopy(gen) for gen in (rng, other)}
-    redraws = []
-    want = np.stack(
-        [_one_column_at_a_time_oracle(v, cfg, referee[id(gen)], redraws) for v, gen in zip(columns, gens)]
-    )
-    assert len(redraws) == 1
-    assert pure_state_oracles(columns, cfg, gens).tobytes() == want.tobytes()
+    want, rejected = _column_by_column_oracle(columns, cfg, [referee[id(gen)] for gen in gens])
+    assert len(rejected) == 1
+    got = pure_state_oracles(columns, cfg, gens)
+    assert got.tobytes() == want.tobytes()
     assert _states([rng, other]) == _states(referee.values())
+    # rows 1 to 3 are the stack without row 0, drawn after row 0's first draws
+    rng, other = np.random.default_rng(60), np.random.default_rng(61)
+    rng.random(2)
+    rng.standard_normal(2 * d)
+    assert pure_state_oracles(columns[1:], cfg, [rng, other, rng]).tobytes() == got[1:].tobytes()
     # the stack of one redraws in place
     rng = np.random.default_rng(60)
     referee = copy.deepcopy(rng)
-    redraws.clear()
-    want = _one_column_at_a_time_oracle(columns[0], cfg, referee, redraws)
-    assert len(redraws) == 1
-    assert pure_state_oracle(columns[0], cfg, rng).tobytes() == want.tobytes()
-    assert rng.bit_generator.state == referee.bit_generator.state
+    want, rejected = _column_by_column_oracle(columns[:1], cfg, [referee])
+    assert len(rejected) == 1
+    assert pure_state_oracle(columns[0], cfg, rng).tobytes() == want[0].tobytes()
+    assert _states([rng]) == _states([referee])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5),
+    st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_rejected_rows_redraw_after_the_stack_in_row_order(d, rows, seed):
+    # rows (generator, rejected) on a pool of three generators: a rejected row's column is
+    # its own first normals, read from a copy of its generator at the row's turn
+    cfg = PureStateOracleConfig(0.3)
+    pool = [np.random.default_rng([seed, k]) for k in range(3)]
+    probes = copy.deepcopy(pool)
+    columns = []
+    for j, (k, rejected) in enumerate(rows):
+        probes[k].random(2)
+        g = probes[k].standard_normal(d) + 1j * probes[k].standard_normal(d)
+        other = random_pure_state(d, np.random.default_rng([seed, 3, j]))
+        columns.append(g / np.linalg.norm(g) if rejected else other)
+    referee = copy.deepcopy(pool)
+    want, redrawn = _column_by_column_oracle(columns, cfg, [referee[k] for k, _ in rows])
+    assert len(redrawn) == sum(rejected for _, rejected in rows)
+    assert pure_state_oracles(np.stack(columns), cfg, [pool[k] for k, _ in rows]).tobytes() == want.tobytes()
+    assert _states(pool) == _states(referee)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +363,21 @@ NORM_ROUNDING = 2.0**-48
 NORM_FLOOR = 2.0**-1060
 
 
-def _assert_certified(a, b, got):
-    """got is at most the golden section's value plus what its last bracket leaves open,
-    and at least the least norm on a fine grid over the bracket, less the most ||a - z b||
-    can fall between grid points (||b|| h / 2 at spacing h)."""
+def _assert_certified(a, b, got, scale=1.0):
+    """got, the value for the pair scaled by scale (a power of two), is at most scale times
+    the golden section's value plus what its last bracket leaves open, and at least scale
+    times the least norm on a fine grid over the bracket, less the most ||a - z b|| can
+    fall between grid points (||b|| h / 2 at spacing h).  Each bound keeps NORM_FLOOR at
+    both scales: scaling down rounds entries to subnormals."""
     golden, center = _reference_min_phase_op_error(a, b)
     norm_b = operator_norm(b)
-    assert got <= golden * (1.0 + NORM_ROUNDING) + norm_b * GOLDEN_WIDTH + NORM_FLOOR, (got, golden)
+    upper = golden * (1.0 + NORM_ROUNDING) + norm_b * GOLDEN_WIDTH + NORM_FLOOR
+    assert got <= scale * upper + NORM_FLOOR, (got, golden, scale)
     fine = np.linspace(center - PHASE_STEP, center + PHASE_STEP, 2001)
     least = operator_norm(a - np.exp(1j * fine)[:, None, None] * b).min()
     lipschitz = norm_b * (fine[1] - fine[0]) / 2.0
-    assert got >= least * (1.0 - NORM_ROUNDING) - lipschitz - NORM_FLOOR, (got, least)
+    lower = least * (1.0 - NORM_ROUNDING) - lipschitz - NORM_FLOOR
+    assert got >= scale * lower - NORM_FLOOR, (got, least, scale)
 
 
 def _near_isometry_pair(d2, d1, scale, rng):
@@ -385,24 +419,41 @@ def complex_pairs(draw):
     return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(near_isometry_pairs(), st.floats(0.0, 2.0 * np.pi))
-def test_min_phase_op_error_is_certified_on_near_isometries(pair, theta):
-    a, b = pair
-    got = min_phase_op_error(a, b)
-    _assert_certified(a, b, got)
-    assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
+def _assert_certified_at_scale(a, b, theta, k):
+    """The certificate of the pair scaled by 2^k, and its value at most the norm at theta."""
+    scale = 2.0**k
+    sa, sb = scale * a, scale * b
+    got = min_phase_op_error(sa, sb)
+    _assert_certified(a, b, got, scale)
+    assert got <= operator_norm(sa - np.exp(1j * theta) * sb) + 1e-12 * scale + NORM_FLOOR
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(complex_pairs(), st.floats(0.0, 2.0 * np.pi))
-def test_min_phase_op_error_is_certified_on_complex_pairs(pair, theta):
+@given(near_isometry_pairs(), st.floats(0.0, 2.0 * np.pi), st.integers(-1000, 1000))
+def test_min_phase_op_error_is_certified_on_near_isometries(pair, theta, k):
+    _assert_certified_at_scale(*pair, theta, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(complex_pairs(), st.floats(0.0, 2.0 * np.pi), st.integers(-1000, 1000))
+def test_min_phase_op_error_is_certified_on_complex_pairs(pair, theta, k):
     # exact ties (a = 0, real pairs) may centre the bracket on another grid point, of the
     # same least grid value
-    a, b = pair
-    got = min_phase_op_error(a, b)
-    _assert_certified(a, b, got)
-    assert got <= operator_norm(a - np.exp(1j * theta) * b) + 1e-12
+    _assert_certified_at_scale(*pair, theta, k)
+
+
+def test_min_phase_op_error_is_right_from_subnormal_to_huge_entries():
+    # x I against i x I for every power of two x: the pairs whose Grams would underflow or
+    # overflow run scaled, and the minimum is the rounding of e^{i theta} at theta = 3 pi / 2,
+    # about 1.8e-16 x
+    x = np.ldexp(1.0, np.arange(-1074, 1024))
+    a = x[:, None, None] * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = min_phase_op_error(a, 1j * a)
+        alone = [min_phase_op_error(p, 1j * p) for p in a]
+    assert (got <= 1e-15 * x).all()
+    assert got.tolist() == alone
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
