@@ -343,18 +343,26 @@ def localtest(
     dim = m**n
     outcomes = 2
     # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
-    # more and its localized forms three at most; a trial ~10 more, a width^2 quad form per
-    # outcome, and nothing that grows with --samples. A stream of six arrays at most draws each
-    # piece of linalg._CHUNK_BYTES of r x r unitaries, or one more (the piece, the Gram-Schmidt
-    # stack, its conjugate, which takes the Ginibre draws first, its work array, temporaries);
-    # after the first draw the piece, a float per outcome and sample of it and a four-array run
-    # workspace (width m or m(m+1)/2) with row sums stay beside the next, no larger than the rest
-    width = m if n == 1 else m * (m + 1) // 2
+    # more and its localized forms three at most; a trial ~10 more, and nothing that grows
+    # with --samples. Route (c) carries a sample by q = min(r^2, m) coordinates and first
+    # pulls each outcome back to their zdim products through a dim x q^n map and four dim x
+    # zdim arrays, keeping a zdim x zdim form per outcome. A stream of six arrays at most
+    # draws each piece of linalg._CHUNK_BYTES of r x r unitaries, or one more (the piece, the
+    # Gram-Schmidt stack, its conjugate, which takes the Ginibre draws first, its work array,
+    # temporaries); after the first draw the piece, its coordinates where m < r^2, a float
+    # per outcome and sample of it and a run workspace (the coordinates' products, their
+    # conjugates, the products outcomes * zdim wide) stay beside the next, no larger than
+    # the rest
+    q = min(r * r, m)
+    zdim = q if n == 1 else q * (q + 1) // 2
+    width = outcomes * zdim
     piece = min(samples, max(1, linalg._CHUNK_BYTES // (16 * r * r)) + 1)
     run = min(samples, linalg._CHUNK_BYTES // (16 * width) + 1)
-    held = r * r * piece + outcomes * piece // 2 + (4 * width + 1) * run
+    pull = dim * (q**n + 4 * zdim)
+    coordinates = m * piece if m < r * r else 0
+    held = r * r * piece + coordinates + outcomes * piece // 2 + (2 * zdim + width) * run
     draw = 6 * r * r * min(piece, samples - piece + 1)
-    per_trial = 10 * dim * dim + outcomes * width * width + max(6 * r * r * piece, held + draw)
+    per_trial = 10 * dim * dim + width * zdim + max(pull, 6 * r * r * piece, held + draw)
     _budget_guard(16 * ((2 * testers + 5) * dim * dim + per_trial))
 
     tester_list = [

@@ -7,7 +7,10 @@ statistics on any rank-r dilation can be reproduced by a tester that acts on
 copies of the channel alone. This module builds that localized tester and
 cross-checks the identity along three routes: localized probabilities on the
 channel, twirled probabilities on the canonical dilation, and a Monte Carlo
-average over random dilations.
+average over random dilations. A random dilation (U (x) 1) V is linear in the
+Haar unitary U, so the Monte Carlo route pulls each outcome's quadratic form
+back once to U's own coordinates, and a sample then costs an amount set by the
+ancilla dimension r alone (by r d1 d2 where that is smaller than r^2).
 """
 
 from __future__ import annotations
@@ -228,22 +231,6 @@ def dilation_forms(tester: Tester) -> DilationForms:
     return DilationForms(tester, localize_tester(tester), average_tester(tester))
 
 
-_SYMMETRIC_PAIRS: dict = {}
-
-
-def _symmetric_pairs(m: int) -> tuple:
-    """The pairs a <= b indexing the symmetric subspace of C^m (x) C^m, and the
-    weight of each coordinate w_a w_b of w (x) w: 1 on the diagonal, sqrt 2 off it.
-    Made once per m, as read-only arrays that every caller shares."""
-    if m not in _SYMMETRIC_PAIRS:
-        a, b = np.triu_indices(m)
-        pairs = a, b, np.where(a == b, 1.0, np.sqrt(2.0))
-        for array in pairs:
-            array.flags.writeable = False
-        _SYMMETRIC_PAIRS[m] = pairs
-    return _SYMMETRIC_PAIRS[m]
-
-
 def _sample_runs(samples: int, member_bytes: int) -> list:
     """Route (c)'s pieces of unitaries and runs of vectors: the linalg.chunk_slices runs of
     range(samples), stopped at samples, with a one-sample tail joined to the run before.
@@ -256,43 +243,38 @@ def _sample_runs(samples: int, member_bytes: int) -> list:
     return runs
 
 
-def _dilation_vectors(
-    v0: np.ndarray, n: int, us: np.ndarray, w: np.ndarray, y: np.ndarray, ybar: np.ndarray
-) -> np.ndarray:
-    """Fill one run's workspace from its Haar unitaries us (count, r, r) and the dilation
-    V as v0 (r, d2, d1): w with the Choi vectors of (U (x) 1) V, m = r d2 d1 wide, y with
-    their coordinates and ybar with y's conjugate; returns y.
+def _sample_coordinates(v0: np.ndarray) -> tuple:
+    """How route (c) carries a sample U: as coordinates x = vec(U right), with the Choi vector
+    w = vec(U v0) of (U (x) 1) V, V as v0 (r, d2 d1), equal to left @ x. x is the narrower
+    of u = vec(U), r^2 wide (left = 1_r (x) v0^T, right None), and w itself, r d2 d1 wide
+    (left = 1, right = v0)."""
+    r, p = v0.shape
+    if r <= p:
+        return np.kron(np.eye(r), v0.T), None
+    return np.eye(r * p, dtype=complex), v0
 
-    One query: y is w itself. Two queries: w (x) w lies in the symmetric subspace, so y
-    holds its m(m+1)/2 coordinates in the orthonormal basis |aa>, (|ab> + |ba>)/sqrt 2
-    (a < b).
+
+def _pulled_back_forms(ops, left: np.ndarray, n: int) -> np.ndarray:
+    """The quadratic forms ops, each on the Choi vectors w = left @ x or, for two queries, on
+    w (x) w, pulled back to coordinates z of x, side by side as one (zdim, outcomes zdim)
+    matrix P: outcome o's value on a sample is sum_j z_j (conj(z) @ P)[o zdim + j].
+
+    z is x for one query (zdim = q, x's width), and z_ab = x_a x_b over the
+    np.triu_indices(q) pairs for two (zdim = q (q + 1)/2): w (x) w = (L (x) L)(x (x) x) = K z
+    for L = left, where K's column ab is (L (x) L)(|ab> + |ba>), or (L (x) L)|aa> on the
+    diagonal. A form t on w or w (x) w is K^T t conj(K) on z, so only t's swap-symmetric
+    part reaches it.
     """
-    np.einsum("skl,lba->skba", us, v0, out=w.reshape(len(us), *v0.shape))
+    k = left
     if n == 2:
-        a, b, weight = _symmetric_pairs(w.shape[1])
-        # y = (w_b weight) w_a, the factors in this order, as a complex product's rounding
-        # depends on it; ybar holds w_a meanwhile
-        np.take(w, b, axis=1, out=y, mode="clip")
-        y *= weight
-        np.take(w, a, axis=1, out=ybar, mode="clip")
-        y *= ybar
-    np.conjugate(y, out=ybar)
-    return y
-
-
-def _quad_form_operator(t: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The operator whose quadratic form on _dilation_vectors' coordinates is t's on the
-    Choi vectors: t itself for one query; for two, t symmetrised on both sides under
-    the swap of the two m-dimensional copies and restricted to the symmetric subspace."""
-    if n == 1:
-        return t
-    t4 = t.reshape(m, m, m, m)
-    t4 = t4 + t4.transpose(1, 0, 2, 3)
-    t4 = t4 + t4.transpose(0, 1, 3, 2)
-    a, b, weight = _symmetric_pairs(m)
-    idx = a * m + b
-    half = weight / 2
-    return t4.reshape(m * m, m * m)[np.ix_(idx, idx)] * np.outer(half, half)
+        q = k.shape[1]
+        a, b = np.triu_indices(q)
+        kk = np.kron(k, k)
+        k = kk[:, a * q + b] + kk[:, b * q + a]
+        k[:, a == b] /= 2
+    kt, kbar = k.T, k.conj()
+    forms = np.stack([kt @ op @ kbar for op in ops])
+    return np.ascontiguousarray(forms.transpose(2, 0, 1)).reshape(len(kt), -1)
 
 
 def verify_dilation_identity(
@@ -308,10 +290,15 @@ def verify_dilation_identity(
     (b) applies the ancilla-twirled tester to the canonical rank-r dilation
     (these must agree to 1e-7), and route (c) Monte Carlo averages the raw
     tester over random dilations (must pass the gate moments.mc_verdict).
-    Route (c) walks pieces of about linalg._CHUNK_BYTES of Haar unitaries in runs
-    through one workspace and merges their values with moments._merge, so nothing
-    it holds grows with samples; it needs at least 2 samples for its spread, and
-    raises ValueError below.
+    Route (c) first pulls every outcome's form back to the coordinates z of a sample
+    (_pulled_back_forms: the q = min(r^2, r d2 d1) entries of x = vec(U), or of the Choi
+    vector where that is narrower, and for two queries their q (q + 1)/2 products x_a x_b,
+    a <= b), so a sample costs the same for any d1 and d2 with d1 d2 >= r. It then walks
+    pieces of about linalg._CHUNK_BYTES of Haar unitaries in runs through one workspace,
+    each run's values of all outcomes from one GEMM (run, zdim) @ (zdim, outcomes zdim) and
+    one einsum of its real products with z, and merges them with moments._merge, so nothing
+    it holds grows with samples; it needs at least 2 samples for its spread, and raises
+    ValueError below.
     """
     if samples < 2:
         raise ValueError(f"route (c) needs at least 2 samples for its spread, not {samples}")
@@ -327,36 +314,40 @@ def verify_dilation_identity(
     order = []
     for j in range(n):
         order += [anc_labels[j], b_labels[j], a_labels[j]]
-    rows, d1 = base.matrix.shape
-    v0 = np.ascontiguousarray(base.matrix.reshape(r, rows // r, d1))
-    m = base.matrix.size
-    width = m if n == 1 else m * (m + 1) // 2
-    quad_forms = [
-        np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m)).T
-        for _, op in tester.outcomes
-    ]
+    left, right = _sample_coordinates(base.matrix.reshape(r, -1))
+    pulled = _pulled_back_forms((op.aligned_to(order).op for _, op in tester.outcomes), left, n)
+    zdim, width = pulled.shape
+    outcomes = width // zdim
+    a, b = np.triu_indices(left.shape[1])
     pieces = _sample_runs(samples, 16 * r * r)
     lengths = {piece.stop - piece.start for piece in pieces}
     size = max(run.stop - run.start for k in lengths for run in _sample_runs(k, 16 * width))
     totals = moments._NO_SAMPLES
     for piece in pieces:
         us = haar_unitaries(r, piece.stop - piece.start, rng)
+        x = (us if right is None else us.reshape(-1, r) @ right).reshape(len(us), -1)
         if piece.start == 0:
-            # one workspace for every run of every piece, made after the first draw: the Choi
-            # vectors, their coordinates (themselves for one query), conjugates, product, values
-            w = np.empty((size, m), dtype=complex)
-            y = w if n == 1 else np.empty((size, width), dtype=complex)
-            ybar = np.empty((size, width), dtype=complex)
+            # one workspace for every run of every piece, made after the first draw: the
+            # coordinates z (x itself for one query), their conjugates, products and values
+            z = np.empty((size, zdim), dtype=complex) if n == 2 else None
+            zbar = np.empty((size, zdim), dtype=complex)
             prod = np.empty((size, width), dtype=complex)
-            vals = np.empty((len(quad_forms), max(lengths)))
+            vals = np.empty((outcomes, max(lengths)))
         for run in _sample_runs(len(us), 16 * width):
             count = run.stop - run.start
-            vecs = _dilation_vectors(v0, n, us[run], w[:count], y[:count], ybar[:count])
-            for t, row in zip(quad_forms, vals):
-                p = prod[:count]
-                np.matmul(ybar[:count], t, out=p)
-                p *= vecs
-                row[run] = p.sum(axis=1).real
+            if n == 1:
+                zs = x[run]
+            else:
+                # z = x_a x_b, the factors in this order, as a complex product's rounding
+                # depends on it; zbar holds x_b meanwhile
+                zs = np.take(x[run], a, axis=1, out=z[:count], mode="clip")
+                zs *= np.take(x[run], b, axis=1, out=zbar[:count], mode="clip")
+            np.conjugate(zs, out=zbar[:count])
+            np.matmul(zbar[:count], pulled, out=prod[:count])
+            # Re(z_j c_j) = Re c_j Re z_j + Im c_j Im conj(z_j): the real parts of the products
+            # and their row sums in one pass over the float views of c = conj(z) @ P and conj(z)
+            c = prod[:count].view(float).reshape(count, outcomes, 2 * zdim)
+            np.einsum("sok,sk->os", c, zbar[:count].view(float), out=vals[:, run])
         totals = moments._merge(totals, vals[:, : len(us)])
     _, mc_mean, mc_stderr = moments._statistics(totals)
 

@@ -118,12 +118,16 @@ def pure_state_oracles(columns, cfg: PureStateOracleConfig, rngs) -> np.ndarray:
     orthogonal part has norm at most 1e-12 then draws its normals again from
     its own generator, after the stack's first draws, the rejected rows in
     order and each until it passes; only that row is recomputed, with the
-    bits it has in any stack.
+    bits it has in any stack.  A stack with a non-finite entry raises
+    ValueError before any draw.
     """
     v = np.ascontiguousarray(columns, dtype=complex)  # the BLAS dots need unit-stride rows
     rngs = list(rngs)
     if v.ndim != 2 or not v.shape[1] or len(rngs) != len(v):
         raise ValueError(f"need an (N, d) stack with d >= 1 and N generators, got {v.shape} and {len(rngs)}")
+    if not np.isfinite(v).all():
+        # a nan or inf row has a nan orthogonal part, which every redraw would reject
+        raise ValueError("columns must be finite")
     count, d = v.shape
     noisy = cfg.eps_max != 0.0 and d > 1
     u = np.empty((count, 2 if noisy else 1))

@@ -1,6 +1,5 @@
 import functools
 import json
-import math
 import tracemalloc
 from unittest import mock
 
@@ -17,12 +16,11 @@ from ctlab.combs import apply_tester, random_parallel_tester
 from ctlab.linalg import haar_unitaries, haar_unitary, random_gaussian_matrix, random_isometry
 from ctlab.localtest import (
     PERP_LABEL,
-    _dilation_vectors,
     _find_anc_labels,
+    _pulled_back_forms,
     _query_labels,
-    _quad_form_operator,
+    _sample_coordinates,
     _sample_runs,
-    _symmetric_pairs,
     average_tester,
     dilation_forms,
     localize_tester,
@@ -198,42 +196,50 @@ def test_dilation_average_matches_direct_evaluation(n):
     assert np.abs(check.mc_mean - direct).max() < 1e-10
 
 
-def _full_quad_forms(w, t):
-    """Referee: the quadratic form of t on each m^2-wide vector w (x) w itself."""
-    v = np.einsum("sx,sy->sxy", w, w).reshape(len(w), -1)
+def _full_quad_forms(w, t, n):
+    """Referee: the quadratic form of t on each m-wide vector w, or m^2-wide w (x) w for two
+    queries, itself."""
+    v = w if n == 1 else np.einsum("sx,sy->sxy", w, w).reshape(len(w), -1)
     return np.sum(v * (np.conj(v) @ t.T), axis=1)
+
+
+def _coordinates(us, right, n):
+    """The coordinates z of each sample that _pulled_back_forms reads: x = vec(U right), or
+    vec(U) where right is None, for one query; x_a x_b over the np.triu_indices pairs for two."""
+    x = (us if right is None else us.reshape(-1, us.shape[1]) @ right).reshape(len(us), -1)
+    if n == 1:
+        return x
+    a, b = np.triu_indices(x.shape[1])
+    return np.multiply(np.take(x, a, axis=1), np.take(x, b, axis=1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
+    n=st.sampled_from([1, 2]),
     r=st.sampled_from([1, 2, 3]),
     d1=st.integers(1, 3),
     d2=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_two_query_quad_form_on_the_symmetric_subspace_matches_the_full_form(r, d1, d2, seed):
+def test_pulled_back_quad_forms_match_the_full_forms(n, r, d1, d2, seed):
+    # two outcomes side by side, each a general (not Hermitian, not swap-symmetric) form
     d1 = min(d1, r * d2)
     rng = np.random.default_rng(seed)
     base = random_isometry(r * d2, d1, rng)
     m = r * d2 * d1
-    t = random_gaussian_matrix(m * m, m * m, rng)
+    ts = [random_gaussian_matrix(m**n, m**n, rng) for _ in range(2)]
     us = haar_unitaries(r, 16, rng)
-    v0 = base.reshape(r, d2, d1)
-    w = np.empty((16, m), dtype=complex)
-    pair = np.empty((2, 16, m * (m + 1) // 2), dtype=complex)
-    y = _dilation_vectors(v0, 2, us, w, *pair)
-    assert y.shape == (16, m * (m + 1) // 2)
-    assert np.array_equal(pair[1], np.conj(y))
-    got = np.sum(y * (np.conj(y) @ _quad_form_operator(t, 2, m).T), axis=1)
-    assert np.abs(got - _full_quad_forms(w, t)).max() <= 1e-12 * np.linalg.norm(t)
-
-
-def test_symmetric_pairs_are_made_once_per_dimension_and_read_only():
-    a, b, weight = _symmetric_pairs(5)
-    assert all(x is y for x, y in zip(_symmetric_pairs(5), (a, b, weight)))
-    assert not any(x.flags.writeable for x in (a, b, weight))
-    assert np.array_equal(np.stack([a, b]), np.triu_indices(5))
-    assert weight.tolist() == [1.0 if x == y else math.sqrt(2.0) for x, y in zip(a, b)]
+    left, right = _sample_coordinates(base.reshape(r, -1))
+    pulled = _pulled_back_forms(iter(ts), left, n)
+    # the narrower of vec(U) and the Choi vector carries each sample
+    q = min(r * r, m)
+    zdim = q if n == 1 else q * (q + 1) // 2
+    assert pulled.shape == (zdim, 2 * zdim)
+    z = _coordinates(us, right, n)
+    w = np.einsum("skl,lba->skba", us, base.reshape(r, d2, d1)).reshape(16, m)
+    for o, t in enumerate(ts):
+        got = np.sum(z * (np.conj(z) @ pulled[:, o * zdim : (o + 1) * zdim]), axis=1)
+        assert np.abs(got - _full_quad_forms(w, t, n)).max() <= 1e-12 * np.linalg.norm(t)
 
 
 def test_localtest_two_queries_seed_3_passes_every_check():
@@ -253,12 +259,13 @@ def test_verify_dilation_identity_refuses_too_few_samples(samples):
 
 
 def _whole_stack_route_c(forms, channel, samples, rng):
-    """Referee: route (c) over one (samples, width) stack of every sample's coordinates,
-    its values merged with moments._merge over route (c)'s pieces of unitaries.
+    """Referee: route (c) over one (samples, zdim) stack of every sample's coordinates z, each
+    outcome's form pulled back by _pulled_back_forms, its values merged with moments._merge
+    over route (c)'s pieces of unitaries.
 
-    Each complex product takes its factors in the order numpy runs `w[:, a] * (w[:, b] *
-    weight)` and `vecs * (vbar @ t.T)` on stacks of 256 KiB or more, where it writes the
-    result into the right-hand temporary: the product's rounding depends on that order."""
+    Each complex product x_a x_b takes its factors in the order verify_dilation_identity
+    takes them, through np.multiply, so that numpy cannot swap them to write into a
+    temporary: the product's rounding depends on that order."""
     tester = forms.tester
     anc_labels = _find_anc_labels(tester)
     a_labels, b_labels = _query_labels(tester, anc_labels)
@@ -267,20 +274,12 @@ def _whole_stack_route_c(forms, channel, samples, rng):
     for j in range(n):
         order += [anc_labels[j], b_labels[j], a_labels[j]]
     r = tester.outcomes[0][1].layout.dim_of(anc_labels[0])
-    base = dilate(channel, r).matrix
-    rows, d1 = base.shape
-    us = haar_unitaries(r, samples, rng)
-    vecs = np.einsum("skl,lba->skba", us, base.reshape(r, rows // r, d1)).reshape(samples, -1)
-    m = base.size
-    if n == 2:
-        a, b = np.triu_indices(m)
-        vecs = np.multiply(vecs[:, b] * np.where(a == b, 1.0, np.sqrt(2.0)), vecs[:, a])
-    vbar = np.conj(vecs)
-    vals = []
-    for _, op in tester.outcomes:
-        t = np.ascontiguousarray(_quad_form_operator(op.aligned_to(order).op, n, m))
-        vals.append(np.sum(np.multiply(vbar @ t.T, vecs), axis=1).real)
-    vals = np.array(vals)
+    left, right = _sample_coordinates(dilate(channel, r).matrix.reshape(r, -1))
+    pulled = _pulled_back_forms((op.aligned_to(order).op for _, op in tester.outcomes), left, n)
+    z = _coordinates(haar_unitaries(r, samples, rng), right, n)
+    zbar = np.conj(z)
+    prod = (zbar @ pulled).view(float).reshape(samples, len(tester.outcomes), -1)
+    vals = np.einsum("sok,sk->os", prod, zbar.view(float))
     pieces = (vals[:, piece].copy() for piece in _sample_runs(samples, 16 * r * r))
     _, mean, stderr = moments._statistics(functools.reduce(moments._merge, pieces, moments._NO_SAMPLES))
     return mean, stderr
@@ -297,16 +296,16 @@ def _whole_stack_route_c(forms, channel, samples, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_route_c_in_runs_equals_the_whole_stack(n, r, d1, d2, run, samples, seed):
-    # _CHUNK_BYTES lowered to `run` samples of coordinates, so the samples fall below, at
-    # and across run and piece boundaries, with ragged tails (a one-sample tail joins the
-    # run or piece before)
+    # _CHUNK_BYTES lowered to `run` samples of the two outcomes' products, so the samples fall
+    # below, at and across run and piece boundaries, with ragged tails (a one-sample tail
+    # joins the run or piece before)
     d1 = min(d1, r * d2)
     rng = np.random.default_rng(seed)
     t = random_parallel_tester(n, d1, d2, 2, rng, anc_dim=r)
     ch = random_channel(d1, d2, min(r, d1 * d2), rng)
     forms = dilation_forms(t)
-    m = r * d2 * d1
-    width = m if n == 1 else m * (m + 1) // 2
+    q = min(r * r, r * d2 * d1)
+    width = 2 * (q if n == 1 else q * (q + 1) // 2)
     with mock.patch.object(linalg, "_CHUNK_BYTES", 16 * width * run):
         check = verify_dilation_identity(forms, ch, samples=samples, rng=np.random.default_rng(seed))
         mean, stderr = _whole_stack_route_c(forms, ch, samples, np.random.default_rng(seed))

@@ -97,6 +97,17 @@ def test_oracle_randomizes_phase():
     assert np.std([np.angle(p) for p in phases]) > 0.1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("eps_max", [0.3, 0.0])
+def test_oracle_refuses_a_non_finite_column_before_any_draw(bad, eps_max):
+    # a nan orthogonal part is never accepted: the redraw loop used to spin forever
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite"):
+        pure_state_oracle(np.array([bad, 0]), PureStateOracleConfig(eps_max), rng)
+    assert rng.bit_generator.state == before
+
+
 def _column_by_column_oracle(columns, cfg, rngs):
     """The oracle on the rows of columns (N, d) one column at a time, each row's
     arithmetic 1-D, and the norms of its rejected draws.
@@ -162,8 +173,8 @@ def _generator_pools(seed, owners):
     """Two identical pools of generators, and each trial's generator of each.
 
     default_rng([seed, 0]) is the stream default_rng(seed) that drew the
-    targets, so a trial on generator 0 can draw a target's own Ginibre column
-    as its normals and take the oracle's rejection branch."""
+    targets. No draw from these pools reaches the oracle's rejection branch;
+    test_rejected_rows_redraw_after_the_stack_in_row_order covers it."""
     pools = [[np.random.default_rng([seed, k]) for k in range(max(owners) + 1)] for _ in range(2)]
     return pools, [[pool[k] for k in owners] for pool in pools]
 
