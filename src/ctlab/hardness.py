@@ -717,11 +717,14 @@ def sample_packing_net(
     lower bound on the diamond distance (never below the Choi value, since
     the see-saw starts from the maximally entangled input), all pairs'
     restarts ascending as one stacked see-saw.
+    Draws come from `rng`, else from default_rng(seed); the net records
+    `seed`, so passing both raises before any draw.
     """
     regime = Regime(regime)
     count = int(count)
     _require(2 <= count <= 64, f"count must lie in [2, 64], got {count}")
     _require(metric in ("choi", "diamond_lower"), f"unknown metric {metric!r}")
+    _require(rng is None or seed is None, "pass rng or seed, not both")
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     candidates = build_instances(regime, d1, d2, r, eps, [rng] * (8 * count))

@@ -564,6 +564,11 @@ def test_packing_net_guards():
         sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.1, count=65)
     with pytest.raises(ValueError):
         sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.1, metric="fidelity")
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="not both"):
+        sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.1, rng=rng, seed=5)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
