@@ -4,11 +4,13 @@ Multi-round strategies are operators on labelled tensor factors. Keeping the
 labels attached to the arrays lets the link product, causality recursions and
 tester contractions align factors by name instead of by error-prone position
 bookkeeping. Positions only matter at the numpy boundary; everything here
-aligns by label first.
+aligns by label first. The link product is one einsum over the operands'
+factor indices, so it never builds an operator on the union of their factors.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,7 +21,6 @@ from .linalg import (
     FactorLayout,
     min_eig,
     partial_trace,
-    partial_transpose,
     permute_factors,
     psd_inv_sqrt,
     psd_sqrt,
@@ -85,24 +86,6 @@ class LabelledOperator:
         op = permute_factors(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout.restricted(labels))
 
-    def extended(self, target: FactorLayout) -> "LabelledOperator":
-        """Tensor with identity on the factors of target not already present."""
-        have = set(self.labels)
-        for lab in self.labels:
-            if lab not in target:
-                raise ValueError(f"label {lab!r} missing from extension target")
-            if target.dim_of(lab) != self.layout.dim_of(lab):
-                raise ValueError(f"label {lab!r} changes dimension in extension")
-        missing = tuple(f for f in target.factors if f[0] not in have)
-        if not missing:
-            return self.aligned_to(target)
-        d_extra = 1
-        for _, d in missing:
-            d_extra *= d
-        op = np.kron(self.op, np.eye(d_extra, dtype=complex))
-        big = LabelledOperator(op, FactorLayout(self.layout.factors + missing))
-        return big.aligned_to(target)
-
     def tensor(self, other: "LabelledOperator") -> "LabelledOperator":
         if set(self.labels) & set(other.labels):
             raise ValueError("tensor factors must carry distinct labels")
@@ -117,13 +100,6 @@ class LabelledOperator:
             return self
         op = partial_trace(self.op, self.layout.dims, self.layout.positions(labels))
         return LabelledOperator(op, self.layout.without(labels))
-
-    def partial_transpose(self, labels: Sequence) -> "LabelledOperator":
-        labels = tuple(labels)
-        if not labels:
-            return self
-        op = partial_transpose(self.op, self.layout.dims, self.layout.positions(labels))
-        return LabelledOperator(op, self.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,26 +210,34 @@ def identity_on(layout: FactorLayout) -> LabelledOperator:
 def link_product(x: LabelledOperator, y: LabelledOperator) -> LabelledOperator:
     """Link product x * y, contracting the labels the two operands share.
 
-    Both operands are extended by identity to the union of their factors, the
-    first is partially transposed on the shared labels, and the product is
-    traced over them. The result carries the x-exclusive factors followed by
-    the y-exclusive ones; with full overlap it is a scalar (empty layout).
+    (x * y)[a b, a' b'] = sum over s, s' of x[a s', a' s] y[s' b, s b'], with a
+    the x-exclusive factors, b the y-exclusive ones and s the shared ones: one
+    einsum in which each shared label carries the same row and the same
+    column letter in both operands. The result carries the x-exclusive
+    factors followed by the y-exclusive ones; with full overlap it is a
+    scalar (empty layout).
     """
     shared = [lab for lab in x.labels if lab in y.layout]
     for lab in shared:
         if x.layout.dim_of(lab) != y.layout.dim_of(lab):
             raise ValueError(f"shared label {lab!r} has mismatched dimensions")
-    x_excl = [lab for lab in x.labels if lab not in y.layout]
-    y_excl = [lab for lab in y.labels if lab not in x.layout]
-    common = FactorLayout(
-        tuple((lab, x.layout.dim_of(lab)) for lab in x_excl)
-        + tuple((lab, x.layout.dim_of(lab)) for lab in shared)
-        + tuple((lab, y.layout.dim_of(lab)) for lab in y_excl)
+    labels = x.labels + tuple(lab for lab in y.labels if lab not in x.layout)
+    letters = string.ascii_letters
+    if 2 * len(labels) > len(letters):
+        raise ValueError("too many tensor factors")
+    row = dict(zip(labels, letters))
+    col = dict(zip(labels, letters[len(labels) :]))
+
+    def sub(labs) -> str:
+        return "".join(row[lab] for lab in labs) + "".join(col[lab] for lab in labs)
+
+    layout = FactorLayout(x.layout.without(shared).factors + y.layout.without(shared).factors)
+    t = np.einsum(
+        f"{sub(x.labels)},{sub(y.labels)}->{sub(layout.labels)}",
+        x.op.reshape(x.layout.dims * 2),
+        y.op.reshape(y.layout.dims * 2),
     )
-    xe = x.extended(common).partial_transpose(shared)
-    ye = y.extended(common)
-    prod = LabelledOperator(xe.op @ ye.op, common)
-    return prod.partial_trace(shared)
+    return LabelledOperator(t.reshape(layout.dim, layout.dim), layout)
 
 
 class CombCheck(NamedTuple):

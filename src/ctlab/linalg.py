@@ -49,7 +49,6 @@ __all__ = [
     "vectorize",
     "unvectorize",
     "partial_trace",
-    "partial_transpose",
     "permute_factors",
     "trace_norm",
     "operator_norm",
@@ -217,19 +216,6 @@ def partial_trace(m: np.ndarray, dims, positions) -> np.ndarray:
     for i in keep:
         nk *= dims[i]
     return res.reshape(nk, nk)
-
-
-def partial_transpose(m: np.ndarray, dims, positions) -> np.ndarray:
-    """Transpose the factors at the given positions, leaving the rest alone."""
-    dims, pos = _resolve(dims, positions)
-    m = _check_square(m, dims)
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * k))
-    for p in pos:
-        axes[p], axes[k + p] = axes[k + p], axes[p]
-    n = m.shape[0]
-    return t.transpose(axes).reshape(n, n)
 
 
 def permute_factors(m: np.ndarray, dims, positions) -> np.ndarray:

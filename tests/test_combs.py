@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctlab.channels import Channel, dilate, random_channel
-from ctlab import combs
+from ctlab import cli, combs
 from ctlab.combs import (
     COMB_ATOL,
     CombCheck,
@@ -23,7 +25,6 @@ from ctlab.linalg import (
     haar_unitary,
     min_eig,
     partial_trace,
-    partial_transpose,
     permute_factors,
     random_density,
     random_isometry,
@@ -68,24 +69,15 @@ def test_aligned_to_rejects_wrong_labels():
         op.aligned_to(("z",))
 
 
-def test_tensor_and_extended():
+def test_tensor():
     rng = np.random.default_rng(1)
     a = _herm(2, rng)
     op = LabelledOperator(a, (("x", 2),))
-    big = op.extended(FactorLayout((("w", 3), ("x", 2))))
-    assert big.labels == ("w", "x")
-    assert np.abs(big.op - np.kron(np.eye(3), a)).max() < 1e-13
     with pytest.raises(ValueError):
         op.tensor(op)
     other = LabelledOperator(np.eye(3), (("y", 3),))
     both = op.tensor(other)
     assert both.labels == ("x", "y")
-
-
-def test_extended_rejects_dimension_change():
-    op = LabelledOperator(np.eye(2), (("x", 2),))
-    with pytest.raises(ValueError):
-        op.extended(FactorLayout((("x", 3),)))
 
 
 def test_partial_trace_and_scalar():
@@ -149,7 +141,6 @@ def test_label_methods_equal_positional_primitives(op, data):
     labels = data.draw(st.lists(st.sampled_from(op.labels), min_size=1, unique=True))
     at = op.layout.positions(labels)
     assert np.array_equal(op.partial_trace(labels).op, partial_trace(op.op, dims, at))
-    assert np.array_equal(op.partial_transpose(labels).op, partial_transpose(op.op, dims, at))
     order = data.draw(st.permutations(op.labels))
     aligned = op.aligned_to(order).op
     assert np.array_equal(aligned, permute_factors(op.op, dims, op.layout.positions(order)))
@@ -242,6 +233,106 @@ def test_link_product_dimension_mismatch():
     b = LabelledOperator(np.eye(3), (("s", 3),))
     with pytest.raises(ValueError):
         link_product(a, b)
+
+
+def _transposed(op: LabelledOperator, labels) -> np.ndarray:
+    """op.op with the row and column indices of the given factors swapped."""
+    k = len(op.labels)
+    axes = list(range(2 * k))
+    for p in op.layout.positions(labels):
+        axes[p], axes[k + p] = k + p, p
+    return op.op.reshape(op.layout.dims * 2).transpose(axes).reshape(op.op.shape)
+
+
+def _textbook_link(x: LabelledOperator, y: LabelledOperator) -> np.ndarray:
+    """x * y as tr_s[(x^(T_s) kron 1_b)(1_a kron y)]: both operands extended by
+    identity to (a, s, b), x transposed on s, one matrix product, s traced out."""
+    shared = [lab for lab in x.labels if lab in y.layout]
+    a = [lab for lab in x.labels if lab not in shared]
+    b = [lab for lab in y.labels if lab not in shared]
+    dims = dict(x.layout.factors + y.layout.factors)
+    order = a + shared + b
+
+    def extended(m, labels):
+        missing = [lab for lab in order if lab not in labels]
+        big = np.kron(m, np.eye(math.prod(dims[lab] for lab in missing)))
+        have = list(labels) + missing
+        perm = [have.index(lab) for lab in order]
+        t = big.reshape([dims[lab] for lab in have] * 2)
+        return t.transpose(perm + [len(order) + p for p in perm])
+
+    da, ds, db = (math.prod(dims[lab] for lab in g) for g in (a, shared, b))
+    xe = extended(_transposed(x, shared), x.labels).reshape(da * ds * db, -1)
+    ye = extended(y.op, y.labels).reshape(da * ds * db, -1)
+    prod = (xe @ ye).reshape(da, ds, db, da, ds, db)
+    return np.trace(prod, axis1=1, axis2=4).reshape(da * db, da * db)
+
+
+_POOL = ("p", "q", "r", "s", "t")
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 3), min_size=5, max_size=5), st.data())
+def test_link_product_equals_the_textbook_formula(dims, data):
+    # 0-3 labels per operand from a pool of five: no, partial or full overlap, shared labels
+    # in either order, dimension-1 factors, complex operands that are not Hermitian
+    dim = dict(zip(_POOL, dims))
+    pool = data.draw(st.permutations(_POOL))
+    n_shared = data.draw(st.integers(0, 3))
+    n_x = data.draw(st.integers(0, 3 - n_shared))
+    n_y = data.draw(st.integers(0, min(3, 5 - n_x) - n_shared))
+    shared, rest = pool[:n_shared], pool[n_shared:]
+    x_labels = data.draw(st.permutations(shared + rest[:n_x]))
+    y_labels = data.draw(st.permutations(shared + rest[n_x : n_x + n_y]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def op(labels):
+        n = math.prod(dim[lab] for lab in labels)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return LabelledOperator(g, tuple((lab, dim[lab]) for lab in labels))
+
+    x, y = op(x_labels), op(y_labels)
+    got = link_product(x, y)
+    own = [lab for lab in x_labels if lab not in y_labels] + [
+        lab for lab in y_labels if lab not in x_labels
+    ]
+    assert got.labels == tuple(own)
+    ref = _textbook_link(x, y)
+    assert np.linalg.norm(got.op - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_link_product_guards_the_einsum_alphabet():
+    # a row and a column letter per factor: 26 factors fill the 52 letters, 27 do not fit
+    fits = LabelledOperator(np.eye(1), tuple((("L", j), 1) for j in range(26)))
+    assert link_product(fits, fits).scalar == 1.0
+    wide = LabelledOperator(np.eye(1), tuple((("L", j), 1) for j in range(27)))
+    with pytest.raises(ValueError, match="too many tensor factors"):
+        link_product(wide, wide)
+
+
+def _link_skipping_the_transpose(x, y):
+    # x[a s, a' s'] in place of x[a s', a' s]
+    shared = [lab for lab in x.labels if lab in y.layout]
+    return link_product(LabelledOperator(_transposed(x, shared), x.layout), y)
+
+
+@pytest.mark.parametrize(
+    "args, row",
+    [
+        (["verify"], "link product applies the channel"),
+        (
+            ["localtest", "--n", "1", "--samples", "2000", "--testers", "1", "--channels", "1"],
+            "tester 0 channel 0",
+        ),
+    ],
+)
+def test_a_link_product_without_its_transpose_fails_its_row(args, row, monkeypatch):
+    monkeypatch.setattr(combs, "link_product", _link_skipping_the_transpose)
+    monkeypatch.setattr(cli, "link_product", _link_skipping_the_transpose)
+    res = CliRunner().invoke(cli.main, [*args, "--seed", "3"])
+    assert res.exit_code == 1, res.output
+    checks = {c["name"]: c["passed"] for c in json.loads(res.output)["checks"]}
+    assert checks[row] is False
 
 
 # ---------------------------------------------------------------------------

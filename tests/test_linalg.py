@@ -23,7 +23,6 @@ from ctlab.linalg import (
     min_eig,
     operator_norm,
     partial_trace,
-    partial_transpose,
     permute_factors,
     psd_inv_sqrt,
     psd_sqrt,
@@ -193,36 +192,6 @@ def test_partial_trace_of_product_property(da, db, seed):
     assert np.abs(got - np.trace(y) * x).max() < 1e-12
 
 
-@PROPERTY_SETTINGS
-@given(_operators_on_factors(), st.data())
-def test_partial_transpose_involution_preserves_trace(case, data):
-    dims, m = case
-    which = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
-    pt = partial_transpose(m, dims, which)
-    assert np.abs(partial_transpose(pt, dims, which) - m).max() < 1e-12
-    assert abs(np.trace(pt) - np.trace(m)) < 1e-12
-
-
-def test_partial_transpose_acts_on_one_factor():
-    rng = np.random.default_rng(6)
-    a = _rand_herm(2, rng)
-    b = _rand_herm(3, rng)
-    m = np.kron(a, b)
-    got = partial_transpose(m, (2, 3), (1,))
-    assert np.abs(got - np.kron(a, b.T)).max() < 1e-12
-    # involution
-    assert np.abs(partial_transpose(got, (2, 3), (1,)) - m).max() < 1e-12
-
-
-def test_partial_transpose_detects_entanglement():
-    d = 3
-    omega = np.eye(d).reshape(-1)
-    rho = np.outer(omega, omega) / d
-    pt = partial_transpose(rho, (d, d), (1,))
-    # the maximally entangled state has PT eigenvalue -1/d
-    assert min_eig(pt) < -1.0 / d + 1e-12
-
-
 def test_permute_factors_swaps_kron_order():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 2))
@@ -242,13 +211,12 @@ def test_permute_factors_round_trip():
 
 def test_factor_positions_are_checked():
     m = np.eye(6)
-    for fn in (partial_trace, partial_transpose):
-        with pytest.raises(ValueError, match="repeated"):
-            fn(m, (2, 3), (1, 1))
-        with pytest.raises(ValueError, match="out of range"):
-            fn(m, (2, 3), (2,))
-        with pytest.raises(ValueError, match="out of range"):
-            fn(m, (2, 3), (-1,))
+    with pytest.raises(ValueError, match="repeated"):
+        partial_trace(m, (2, 3), (1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        partial_trace(m, (2, 3), (2,))
+    with pytest.raises(ValueError, match="out of range"):
+        partial_trace(m, (2, 3), (-1,))
     with pytest.raises(ValueError, match="permutation"):
         permute_factors(m, (2, 3), (0, 0))
 
