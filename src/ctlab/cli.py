@@ -430,21 +430,24 @@ def packing_net(
     """Sample a packing net of perturbed channels and record its spread."""
     pool, choi, big = 8 * count, (d1 * d2) ** 2, r * d2
     seesaw_rows = count * (count - 1) if metric == "diamond_lower" else 0
-    # candidates with Choi (kept, stacked and in a row of differences), their five matrices
-    # and their dilations twice (the ancilla-major pool stack contracted to the channels, and
-    # the stack it is reordered from), rows and a row of the one pool x pool float matrix (the
-    # pool's Gram matrix, made in place into distance bounds, then the kept points' exact
-    # distance rows); once, five arrays of one linalg._CHUNK_BYTES run of the pool, or of one
-    # Haar block (r d2 square at most) where that alone is larger: the pool is drawn and
-    # orthonormalised in such runs (the Gram-Schmidt stack, its conjugate, which first takes
-    # the Ginibre draws, its work array, and the unitaries), and checked and contracted in such
-    # runs (Choi matrices and their temporaries, which for a Choi matrix above a run are
-    # the Choi-sized workspaces below); every row of the stacked see-saw (two
-    # restarts per pair) its pair's two lifted Kraus sets about five times over (its copy,
-    # signed adjoint and pulled-back witness, and the copies made as finished rows leave) and
-    # three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors); Choi-sized
-    # workspaces; JSON text and lists at ~24x each net Choi entry
-    candidate = 3 * choi + 7 * big * d1 + pool
+    # candidates with Choi (kept and stacked), their five matrices and their dilations twice
+    # (the ancilla-major pool stack contracted to the channels, and the stack it is reordered
+    # from), and 16 pool bytes each for the greedy: the one pool x pool float matrix (the
+    # pool's Gram matrix, made in place into distance bounds, exact distances written over
+    # them as they are taken; no exact row per kept point), its boolean mask of the pairs
+    # taken (pool^2 bytes) and one pass's pair indices and distances (58 bytes a pair, fewer
+    # than count kept points per candidate); once, five arrays of one linalg._CHUNK_BYTES run
+    # of the pool, or of one Haar block (r d2 square at most) where that alone is larger: the
+    # pool is drawn and orthonormalised in such runs (the Gram-Schmidt stack, its conjugate,
+    # which first takes the Ginibre draws, its work array, and the unitaries), checked and
+    # contracted in such runs (Choi matrices and their temporaries), and one pass's stacked
+    # differences are taken in such runs (both gathered operands and their differences); a
+    # Choi matrix above a run takes the Choi-sized workspaces below; every row of the stacked
+    # see-saw (two restarts per pair) its pair's two lifted Kraus sets about five times over
+    # (its copy, signed adjoint and pulled-back witness, and the copies made as finished rows
+    # leave) and three d1^2 x d1^2 matrices (the pull-back and two evaluations' eigenvectors);
+    # Choi-sized workspaces; JSON text and lists at ~24x each net Choi entry
+    candidate = 2 * choi + 7 * big * d1 + pool
     workspace = 5 * max(linalg._CHUNK_BYTES // 16, big * big)
     seesaw_row = 10 * big * d1**3 + 3 * d1**4
     words = pool * candidate + workspace + seesaw_rows * seesaw_row + (4 + 24 * count) * choi

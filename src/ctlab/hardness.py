@@ -207,7 +207,8 @@ class HardInstance:
     blocks satisfy the trace-orthogonality bounds (it differs from v0 only
     in the near-boundary regime, where the center carries an extra tail).
     v0, v0_core and delta are read-only, and the members built by one
-    build_instances call share them.
+    build_instances call share them; direction and matrix are views into
+    the stacks of the members' run.
     """
 
     regime: Regime
@@ -310,17 +311,20 @@ def _family(regime: Regime, d1: int, d2: int, r: int, eps: float) -> _Family:
     return _Family(regime, d1, d2, r, eps, v0, v0_core, delta, params)
 
 
-def _assemble(family: _Family, u: np.ndarray) -> HardInstance:
-    """The member of family rotated by the Haar block u, sharing the family's fixed parts."""
+def _assemble(family: _Family, us: np.ndarray) -> list:
+    """The members of family rotated by a (T, k, k) stack of Haar blocks,
+    sharing the family's fixed parts and holding views into one stack of
+    directions and one of matrices."""
     params = family.params
-    direction = np.zeros(family.v0.shape, dtype=complex)
+    directions = np.zeros((len(us),) + family.v0.shape, dtype=complex)
     if family.regime == Regime.TYPE1:
         dp = params["dp"]
-        direction[:dp, :dp] = u @ family.delta[:dp, :dp] @ u.conj().T
+        directions[:, :dp, :dp] = us @ family.delta[:dp, :dp] @ us.conj().transpose(0, 2, 1)
     else:
         base = params["base"]
-        direction[base : base + params["haar_dim"], : params["m"]] = u[:, : params["m"]]
-    return HardInstance(*family[:-1], direction, family.v0 + family.eps * direction)
+        directions[:, base : base + params["haar_dim"], : params["m"]] = us[:, :, : params["m"]]
+    matrices = family.v0 + family.eps * directions
+    return [HardInstance(*family[:-1], d, v) for d, v in zip(directions, matrices)]
 
 
 def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, rngs) -> list:
@@ -329,15 +333,15 @@ def build_instances(regime: Regime | str, d1: int, d2: int, r: int, eps: float, 
     The Haar rotations are drawn in list order (a generator listed again
     draws again, in turn) by linalg.random_isometries, one call per
     linalg.chunk_slices run of members, so only one run of rotations is held
-    at a time. Member t has the bits of build_instance(regime, d1, d2, r, eps,
-    rngs[t]).
+    at a time; each run's members are assembled as one stack. Member t has
+    the bits of build_instance(regime, d1, d2, r, eps, rngs[t]).
     """
     family = _family(Regime(regime), d1, d2, r, eps)
     hd = family.params["haar_dim"]
     rngs = list(rngs)
     out = []
     for run in linalg.chunk_slices(len(rngs), 16 * hd * hd):
-        out += [_assemble(family, u) for u in random_isometries(hd, hd, rngs[run])]
+        out += _assemble(family, random_isometries(hd, hd, rngs[run]))
     return out
 
 
@@ -496,8 +500,7 @@ def moment_experiment(
         columns.setdefault(name, []).append(value)
 
     for _ in range(int(pairs)):
-        x = _assemble(family, haar_unitary(params["haar_dim"], rng))
-        y = _assemble(family, haar_unitary(params["haar_dim"], rng))
+        x, y = _assemble(family, np.stack([haar_unitary(params["haar_dim"], rng) for _ in range(2)]))
         if regime == Regime.TYPE1:
             dmat = d_statistic(x, y)
             push("tr|D|^2", float(np.sum(np.abs(dmat) ** 2)))
@@ -608,7 +611,8 @@ def _gram_gaps(chois: np.ndarray) -> tuple:
 
 def _distance_upper_bounds(chois: np.ndarray, d_in: int, rank: int) -> np.ndarray:
     """U[i, j] >= the computed choi_trace_distances of each pool pair i < j,
-    in one (P, P) matrix built in place (its lower triangle is unused).
+    in one (P, P) matrix built in place. U[j, i] bounds the same pair: it
+    sums the same terms in another order, which the analysis below allows.
 
     A Choi matrix here sums `rank` rank-one Kraus terms, so a difference D has
     rank at most k = min(2 rank, n) and ||D||_F <= ||D||_1 <= sqrt(k) ||D||_F.
@@ -638,54 +642,80 @@ def _distance_upper_bounds(chois: np.ndarray, d_in: int, rank: int) -> np.ndarra
     return bounds
 
 
+_FIRST_PASS = 4  # candidates in a greedy round's first pass, before any gap is exact
+
+
 def _maximin_net(chois: np.ndarray, d_in: int, rank: int, count: int) -> tuple:
     """The farthest-point subset of a pool, in pick order, and its
     choi_trace_distances: bit for bit those of the greedy over the full pool
     matrix (the widest pair first, by argmax's tie rule the smallest (i, j)
-    with i < j; then the largest minimum distance to the points kept).
+    with i < j; then the largest minimum distance to the points kept, the
+    smallest index on ties).
 
-    Exact distances are taken only where that greedy reads them. For the
-    widest pair, rows go in descending order of their top bound, and only
-    pairs whose bound reaches the best exact distance so far are evaluated.
-    Then each kept point but the last gets an exact row, written over its row
-    of bounds. Differences are taken lower index first (C_i - C_j, i < j), so
-    a distance has the same bits in any row.
+    Exact distances are taken only where that greedy reads them, and each
+    pool pair at most once: exact values overwrite the certified bounds of
+    one (P, P) table, and a boolean mask marks them. For the widest pair,
+    rows go in descending order of their top bound, and only pairs whose
+    bound reaches the best exact distance so far are evaluated. Each later
+    round keeps, per candidate, an upper bound on its gap (the minimum of
+    the table over the points kept), and evaluates in passes: first the few
+    candidates with the highest bounds, then every candidate whose bound
+    reaches the best exact gap so far, each pass's unknown pairs stacked
+    (in linalg.chunk_slices runs). Then no unevaluated candidate can win,
+    nor tie with a smaller index. Differences are taken lower index first
+    (C_i - C_j, i < j), so a distance has the same bits in any pass.
     """
     pool = len(chois)
     table = _distance_upper_bounds(chois, d_in, rank)
+    np.fill_diagonal(table, 0.0)
+    known = np.eye(pool, dtype=bool)
+
+    def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        dists = np.concatenate(
+            [
+                choi_trace_distances(chois[lo[run]], chois[hi[run]], d_in)
+                for run in linalg.chunk_slices(len(lo), chois[0].nbytes)
+            ]
+        )
+        table[lo, hi] = table[hi, lo] = dists
+        known[lo, hi] = known[hi, lo] = True
+        return dists
+
     tops = np.array([table[i, i + 1 :].max() for i in range(pool - 1)])
     order = np.argsort(-tops, kind="stable")
     i = int(order[0])
     j = i + 1 + int(np.argmax(table[i, i + 1 :]))
-    best, start = float(choi_trace_distances(chois[i], chois[j][None], d_in)[0]), (i, j)
+    best, start = float(exact(np.array([i]), np.array([j]))[0]), (i, j)
     for i in order.tolist():
         if tops[i] < best:
             break
-        js = i + 1 + np.flatnonzero(table[i, i + 1 :] >= best)
-        dists = choi_trace_distances(chois[i], chois[js], d_in)
-        k = int(np.argmax(dists))
-        if dists[k] > best or (dists[k] == best and (i, int(js[k])) < start):
-            best, start = float(dists[k]), (i, int(js[k]))
+        js = i + 1 + np.flatnonzero((table[i, i + 1 :] >= best) & ~known[i, i + 1 :])
+        if js.size:
+            dists = exact(np.full(js.size, i), js)
+            k = int(np.argmax(dists))
+            if dists[k] > best or (dists[k] == best and (i, int(js[k])) < start):
+                best, start = float(dists[k]), (i, int(js[k]))
     if best == 0.0:
         start = (0, 0)  # all candidates coincide: argmax over the full matrix lands on the diagonal
 
-    def row(k: int) -> np.ndarray:
-        out = table[k]
-        out[:k] = choi_trace_distances(chois[:k], chois[k], d_in)
-        out[k] = 0.0
-        out[k + 1 :] = choi_trace_distances(chois[k], chois[k + 1 :], d_in)
-        return out
-
     keep = list(start)
-    gaps = row(keep[0])
+    gaps = np.minimum(table[keep[0]], table[keep[1]])
+    gaps[keep] = -1.0
     while len(keep) < count:
-        gaps = np.minimum(gaps, row(keep[-1]))
-        gaps[keep] = -1.0
+        kept = np.array(sorted(set(keep)))
+        live, best = np.argsort(-gaps, kind="stable")[:_FIRST_PASS], -1.0
+        while live.size:
+            rows, cols = np.nonzero(~known[np.ix_(kept, live)])
+            if rows.size:
+                exact(kept[rows], live[cols])
+            gaps[live] = table[np.ix_(kept, live)].min(axis=0)
+            best = max(best, float(gaps[live].max()))
+            live = np.flatnonzero((gaps >= best) & ~known[kept].all(axis=0))
         keep.append(int(np.argmax(gaps)))
-    dist = np.zeros((count, count))
-    dist[:-1] = table[np.ix_(keep[:-1], keep)]
-    dist[-1] = dist[:, -1]
-    return keep, dist
+        gaps = np.minimum(gaps, table[keep[-1]])
+        gaps[keep[-1]] = -1.0
+    return keep, table[np.ix_(keep, keep)]
 
 
 def sample_packing_net(
@@ -708,9 +738,10 @@ def sample_packing_net(
     build_instance(...).channel() alone) and keeps a greedy maximin
     (farthest point) subset, the numerical stand-in for a maximal separated
     family. Selection always uses the cheap Choi metric, and takes exact
-    distances only where the greedy reads them (see _maximin_net): a
-    certified bound from the pool's Gram matrix prunes the search for the
-    widest pair, and only the kept points get exact rows.
+    distances only where the greedy reads them (see _maximin_net): certified
+    bounds from the pool's Gram matrix prune the search for the widest pair
+    and each greedy round, so a pool pair is evaluated only while it can
+    still decide a pick, and at most once.
     The net is the same, bit for bit, as a greedy over all pool distances.
     The reported pairwise distances use the requested metric: "choi"
     records the normalized Choi trace norm; "diamond_lower" the see-saw
@@ -801,7 +832,7 @@ def lipschitz_probe(
     hd = params["haar_dim"]
 
     def make(u: np.ndarray) -> HardInstance:
-        return _assemble(family, u)
+        return _assemble(family, u[None])[0]
 
     probes: list = []
     if regime == Regime.TYPE1:

@@ -544,6 +544,9 @@ def test_pool_bounds_bracket_every_exact_distance(regime, eps, seed):
     rows, cols = np.triu_indices(len(chois), k=1)
     assert np.all(lower[rows, cols] <= exact[rows, cols])
     assert np.all(exact[rows, cols] <= upper[rows, cols])
+    # the lower triangle sums the same terms in another order, and bounds the same pairs
+    assert np.all(lower[cols, rows] <= exact[rows, cols])
+    assert np.all(exact[rows, cols] <= upper[cols, rows])
 
 
 def test_packing_net_of_coinciding_candidates_starts_on_the_diagonal():
@@ -555,6 +558,91 @@ def test_packing_net_of_coinciding_candidates_starts_on_the_diagonal():
     assert net.instances[1] is not net.instances[2]
     assert net.min_pairwise == 0.0
     assert np.all(net.distances == 0.0)
+
+
+@pytest.mark.parametrize(
+    "regime, eps, seed, chunk",
+    [
+        (Regime.TYPE1, 0.05, 0, linalg._CHUNK_BYTES),
+        (Regime.TYPE1, 0.05, 1, 2048),  # passes split into runs of two differences
+        (Regime.TYPE2_NEAR, 1e-6, 2, linalg._CHUNK_BYTES),  # bounds far above the distances
+        (Regime.TYPE2_NEAR, 0.0, 3, linalg._CHUNK_BYTES),  # coinciding pool
+    ],
+)
+def test_count_32_packing_net_equals_the_exhaustive_greedy(regime, eps, seed, chunk):
+    d1, d2, r = CASES[regime]
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk):
+        net = sample_packing_net(regime, d1, d2, r, eps, count=32, seed=seed)
+    candidates, chois = _pool(regime, eps, 256, np.random.default_rng(seed))
+    full = _pool_distances(chois, d1)
+    keep = _greedy_maximin(full, 32)
+    assert [inst.matrix.tobytes() for inst in net.instances] == [candidates[k].matrix.tobytes() for k in keep]
+    assert net.distances.tobytes() == full[np.ix_(keep, keep)].tobytes()
+
+
+def test_maximin_net_breaks_gap_ties_toward_the_smaller_index():
+    # every candidate four times over, in shuffled order, so each round's
+    # largest gap is shared by copies: argmax over the full matrix takes the
+    # smallest index among them
+    _, base = _pool(Regime.TYPE1, 0.05, 6, np.random.default_rng(8))
+    order = np.random.default_rng(9).permutation(np.repeat(np.arange(6), 4))
+    chois = base[order]
+    full = _pool_distances(chois, 4)
+    keep = _greedy_maximin(full, 9)
+    ties = 0
+    for t in range(2, 9):
+        gaps = full[keep[:t]].min(axis=0)
+        gaps[keep[:t]] = -1.0
+        ties += np.count_nonzero(gaps == gaps.max()) > 1
+    assert ties >= 3
+    got, dist = hardness._maximin_net(chois, 4, 2, 9)
+    assert got == keep
+    assert dist.tobytes() == full[np.ix_(keep, keep)].tobytes()
+
+
+def test_maximin_round_evaluates_a_bound_equal_to_the_best_gap():
+    # a designed pool: candidate k is the 1 x 1 matrix [k], and the distances
+    # and bounds are looked up. After the first pass (candidates 3-6, the
+    # highest bounds) the best exact gap is 5, candidate 3's. Candidate 2's
+    # bound also reads 5, but its gap is 1: skipping it would let argmax take
+    # it as the smaller index.
+    dist, upper = np.ones((10, 10)), np.full((10, 10), 3.0)
+    dist[0, 1] = upper[0, 1] = 10.0
+    upper[0, 2], upper[1, 2] = 5.0, 7.0
+    upper[:2, 3:7] = 9.0
+    dist[:2, 3:7] = 2.0
+    dist[0, 3], dist[1, 3] = 5.0, 6.0
+    dist, upper = np.triu(dist, 1) + np.triu(dist, 1).T, np.triu(upper, 1) + np.triu(upper, 1).T
+
+    def lookup(a, b, d_in):
+        return dist[a[:, 0, 0].astype(int), b[:, 0, 0].astype(int)]
+
+    with mock.patch.object(hardness, "choi_trace_distances", lookup), mock.patch.object(
+        hardness, "_distance_upper_bounds", lambda *args: upper.copy()
+    ):
+        keep, got = hardness._maximin_net(np.arange(10.0).reshape(10, 1, 1), 1, 1, 3)
+    assert keep == _greedy_maximin(dist, 3) == [0, 1, 3]
+    assert got.tobytes() == dist[np.ix_(keep, keep)].tobytes()
+
+
+def test_count_32_net_takes_each_exact_distance_once():
+    # an exact row per kept point would take 7,907 distances per net
+    for seed in range(3):
+        _, chois = _pool(Regime.TYPE1, 0.05, 256, np.random.default_rng(seed))
+        index = {c.tobytes(): k for k, c in enumerate(chois)}
+        assert len(index) == 256
+        pairs = []
+
+        def counted(a, b, d_in):
+            a, b = np.broadcast_arrays(a, b)
+            for x, y in zip(a.reshape(-1, 8, 8), b.reshape(-1, 8, 8)):
+                pairs.append(frozenset((index[x.tobytes()], index[y.tobytes()])))
+            return choi_trace_distances(a, b, d_in)
+
+        with mock.patch.object(hardness, "choi_trace_distances", counted):
+            sample_packing_net(Regime.TYPE1, 4, 2, 2, 0.05, count=32, seed=seed)
+        assert len(pairs) == len(set(pairs))
+        assert len(pairs) <= 2500
 
 
 def test_packing_net_guards():
