@@ -44,6 +44,7 @@ from .linalg import (
     FactorLayout,
     haar_unitary,
     isometry_defect,
+    kron,
     random_density,
     random_isometry,
     require_bytes,
@@ -209,7 +210,7 @@ def verify(seed: int, fmt: str, out: str):
     rng = _trial_rng(seed, 2)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     t1 = twirl1(m, (3, 2), 0)
-    target = np.kron(np.eye(3) / 3.0, np.trace(m.reshape(3, 2, 3, 2), axis1=0, axis2=2))
+    target = kron(np.eye(3) / 3.0, np.trace(m.reshape(3, 2, 3, 2), axis1=0, axis2=2))
     defect = float(np.max(np.abs(t1 - target)))
     checks.append(_check("single-factor twirl fixed point", defect < 1e-9, defect))
 

@@ -19,6 +19,7 @@ import numpy as np
 from .channels import Channel, Isometry, choi_from_kraus
 from .linalg import (
     FactorLayout,
+    kron,
     min_eig,
     partial_trace,
     permute_factors,
@@ -90,7 +91,7 @@ class LabelledOperator:
         if set(self.labels) & set(other.labels):
             raise ValueError("tensor factors must carry distinct labels")
         return LabelledOperator(
-            np.kron(self.op, other.op),
+            kron(self.op, other.op),
             FactorLayout(self.layout.factors + other.layout.factors),
         )
 
@@ -127,10 +128,22 @@ class FactoredOperator:
             raise ValueError(
                 f"factor rows {factor.shape[0]} do not match layout dimension {self.layout.dim}"
             )
+        self._freeze(factor, weights, self.layout)
+
+    @classmethod
+    def _built(cls, factor: np.ndarray, weights: np.ndarray, layout: FactorLayout):
+        """An operator on arrays a method has just built, of the right dtypes and
+        shapes: frozen in place, not copied or checked again."""
+        op = object.__new__(cls)
+        op._freeze(factor, weights, layout)
+        return op
+
+    def _freeze(self, factor: np.ndarray, weights: np.ndarray, layout: FactorLayout) -> None:
         factor.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "layout", layout)
 
     @property
     def labels(self) -> tuple:
@@ -141,7 +154,7 @@ class FactoredOperator:
         return self.layout.dim
 
     def scaled(self, factor: float) -> "FactoredOperator":
-        return FactoredOperator(self.factor, self.weights * float(factor), self.layout)
+        return FactoredOperator._built(self.factor, self.weights * float(factor), self.layout)
 
     def _rows(self) -> np.ndarray:
         return self.factor.reshape(self.layout.dims + (-1,))
@@ -155,7 +168,7 @@ class FactoredOperator:
             return self
         perm = self.layout.positions(labels) + [len(labels)]
         f = self._rows().transpose(perm).reshape(self.dim, -1)
-        return FactoredOperator(f, self.weights, self.layout.restricted(labels))
+        return FactoredOperator._built(f, self.weights, self.layout.restricted(labels))
 
     def partial_trace(self, labels: Sequence) -> "FactoredOperator":
         """Trace out labels by moving their index into the columns."""
@@ -166,7 +179,7 @@ class FactoredOperator:
         traced = self.layout.positions(labels)
         keep = [i for i in range(len(self.layout)) if i not in traced]
         f = self._rows().transpose(keep + traced + [len(self.layout)]).reshape(kept.dim, -1)
-        return FactoredOperator(f, np.tile(self.weights, self.dim // kept.dim), kept)
+        return FactoredOperator._built(f, np.tile(self.weights, self.dim // kept.dim), kept)
 
     def extended(self, target: FactorLayout) -> "FactoredOperator":
         """Tensor with identity on the factors of target not already present."""
@@ -174,8 +187,8 @@ class FactoredOperator:
             if lab not in target or target.dim_of(lab) != self.layout.dim_of(lab):
                 raise ValueError(f"label {lab!r} does not extend into the target")
         missing = FactorLayout(tuple(f for f in target.factors if f[0] not in self.layout))
-        big = FactoredOperator(
-            np.kron(self.factor, np.eye(missing.dim)),
+        big = FactoredOperator._built(
+            kron(self.factor, np.eye(missing.dim)),
             np.repeat(self.weights, missing.dim),
             FactorLayout(self.layout.factors + missing.factors),
         )
@@ -186,7 +199,7 @@ class FactoredOperator:
         other = other.aligned_to(self.layout)
         if other.layout != self.layout:
             raise ValueError("operands disagree on factor dimensions")
-        return FactoredOperator(
+        return FactoredOperator._built(
             np.hstack([self.factor, other.factor]),
             np.concatenate([self.weights, -other.weights]),
             self.layout,
@@ -464,7 +477,7 @@ def random_parallel_tester(
         g = random_gaussian_matrix(d_total, d_total, rng)
         gs.append(g @ g.conj().T)
     s = sum(gs)
-    x = psd_sqrt(np.kron(rho, np.eye(d_total // d_a))) @ psd_inv_sqrt(s)
+    x = psd_sqrt(kron(rho, np.eye(d_total // d_a))) @ psd_inv_sqrt(s)
     outcomes = tuple(
         (i, LabelledOperator(x @ g @ x.conj().T, layout)) for i, g in enumerate(gs)
     )

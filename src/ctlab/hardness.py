@@ -956,7 +956,7 @@ def _gamma_budget(family: GammaFamily, n: int, columns: int = 1) -> None:
 def _gamma_product(family: GammaFamily, subset: frozenset, n: int) -> np.ndarray:
     vec = np.ones(1, dtype=complex)
     for j in range(n):
-        vec = np.kron(vec, family.g1 if j in subset else family.g0)
+        vec = linalg.kron(vec, family.g1 if j in subset else family.g0)
     return vec
 
 

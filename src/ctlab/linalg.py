@@ -17,6 +17,7 @@ Nothing here mutates its inputs; random sampling always takes an explicit
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -45,6 +46,7 @@ __all__ = [
     "chunk_slices",
     "FactorLayout",
     "dag",
+    "kron",
     "hermitianize",
     "vectorize",
     "unvectorize",
@@ -89,36 +91,31 @@ class FactorLayout:
 
     Labels are arbitrary hashable values (the rest of the package uses
     ``(role, index)`` tuples such as ``("A", 0)``). The first factor is the
-    most significant index of the composite space. The labels and a
-    label-to-position index are built once, at construction.
+    most significant index of the composite space. The labels, the factor
+    dimensions, their product and a label-to-position index are built once,
+    at construction.
     """
 
     factors: tuple
     labels: tuple = field(init=False, repr=False, compare=False)
+    dims: tuple = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple((lab, int(dim)) for lab, dim in self.factors)
         object.__setattr__(self, "factors", factors)
         labels = tuple(lab for lab, _ in factors)
+        dims = tuple(d for _, d in factors)
         index = {lab: k for k, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise ValueError("duplicate factor labels in layout")
-        if any(dim < 1 for _, dim in factors):
+        if any(d < 1 for d in dims):
             raise ValueError("factor dimensions must be positive")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
         object.__setattr__(self, "_index", index)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for _, d in self.factors:
-            out *= d
-        return out
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -153,6 +150,20 @@ class FactorLayout:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(a).swapaxes(-1, -2)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.kron of two vectors or of two matrices, a's index the more significant.
+
+    One broadcast multiply and a reshape: the products numpy.kron forms, in
+    the dtypes it forms them, so the same bits, without its shape handling.
+    """
+    if a.ndim == b.ndim == 2:
+        (m, n), (p, q) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    raise ValueError(f"kron takes two vectors or two matrices, got shapes {a.shape} and {b.shape}")
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .linalg import (
     FactorLayout,
     chunk_slices,
     haar_unitaries,
+    kron,
     partial_trace,
     permute_factors,
     swap_operator,
@@ -177,14 +178,14 @@ def localize_tester(tester: Tester) -> Tester:
             for sector in (+1, -1):
                 if dim_q[sector] == 0:
                     continue
-                big = np.kron(proj_ab[sector], proj_anc[sector])
+                big = kron(proj_ab[sector], proj_anc[sector])
                 traced = partial_trace(big @ m @ big, dims6, [4, 5])
                 acc += traced / dim_q[sector]
             outcomes.append((lab, LabelledOperator(acc, chan_layout)))
         rho = tester.input_state().aligned_to(a_labels)
         s_a = swap_operator(d1)
         rho_sym = (rho.op + s_a @ rho.op @ s_a) / 2
-        base = np.kron(rho_sym, np.eye(d2 * d2, dtype=complex))
+        base = kron(rho_sym, np.eye(d2 * d2, dtype=complex))
         base = permute_factors(base, (d1, d1, d2, d2), [0, 2, 1, 3])
         perp_op = np.zeros_like(base)
         for sector in (+1, -1):
@@ -250,7 +251,7 @@ def _sample_coordinates(v0: np.ndarray) -> tuple:
     (left = 1, right = v0)."""
     r, p = v0.shape
     if r <= p:
-        return np.kron(np.eye(r), v0.T), None
+        return kron(np.eye(r), v0.T), None
     return np.eye(r * p, dtype=complex), v0
 
 
@@ -269,7 +270,7 @@ def _pulled_back_forms(ops, left: np.ndarray, n: int) -> np.ndarray:
     if n == 2:
         q = k.shape[1]
         a, b = np.triu_indices(q)
-        kk = np.kron(k, k)
+        kk = kron(k, k)
         k = kk[:, a * q + b] + kk[:, b * q + a]
         k[:, a == b] /= 2
     kt, kbar = k.T, k.conj()

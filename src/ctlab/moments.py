@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import partial_trace, permute_factors, swap_operator
+from .linalg import kron, partial_trace, permute_factors, swap_operator
 
 __all__ = [
     "twirl1",
@@ -40,7 +40,7 @@ def twirl1(m: np.ndarray, dims, position: int) -> np.ndarray:
     mt = partial_trace(m, dims, [p])
     d = dims[p]
     k = len(dims)
-    r = np.kron(np.eye(d, dtype=complex) / d, mt)
+    r = kron(np.eye(d, dtype=complex) / d, mt)
     order = []
     nxt = 1
     for q in range(k):
@@ -83,11 +83,11 @@ def twirl2(m: np.ndarray, dims, positions) -> np.ndarray:
         rest *= q
     s = swap_operator(d)
     m_i = partial_trace(mp, dims_p, [0, 1])
-    m_s = partial_trace(np.kron(s, np.eye(rest, dtype=complex)) @ mp, dims_p, [0, 1])
+    m_s = partial_trace(kron(s, np.eye(rest, dtype=complex)) @ mp, dims_p, [0, 1])
     denom = d * (d * d - 1.0)
     x_i = (d * m_i - m_s) / denom
     x_s = (d * m_s - m_i) / denom
-    r = np.kron(np.eye(d * d, dtype=complex), x_i) + np.kron(s, x_s)
+    r = kron(np.eye(d * d, dtype=complex), x_i) + kron(s, x_s)
     back = [order.index(q) for q in range(k)]
     return permute_factors(r, dims_p, back)
 

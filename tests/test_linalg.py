@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctlab import linalg
 from ctlab.linalg import (
@@ -20,6 +21,7 @@ from ctlab.linalg import (
     hermitianize,
     isometry_defect,
     isometry_defects,
+    kron,
     min_eig,
     operator_norm,
     partial_trace,
@@ -122,6 +124,51 @@ def test_dag_and_hermitianize():
     h = hermitianize(m)
     assert np.abs(h - h.conj().T).max() < 1e-15
     assert np.abs(h - (m + m.conj().T) / 2).max() < 1e-15
+
+
+# entries with both signed zeros, both infinities and nan, so that byte equality
+# sees a product that lost a zero's sign or moved a nan
+_KRON_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _kron_operand(draw, ndim: int, kind: str) -> np.ndarray:
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+    parts = [draw(hnp.arrays(np.float64, shape, elements=_KRON_ENTRIES)) for _ in range(2)]
+    if kind == "float":
+        return parts[0]
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+@st.composite
+def _kron_pair(draw) -> tuple:
+    ndim = draw(st.sampled_from([1, 2]))
+    kinds = draw(st.sampled_from([("complex", "float"), ("complex", "complex"), ("float", "complex")]))
+    return tuple(draw(_kron_operand(ndim, kind)) for kind in kinds)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kron_pair())
+def test_kron_has_the_bits_of_numpy_kron(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf make nan in both
+        got, want = kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((3,), (2, 2)), ((2, 2), (3,)), ((), ()), ((2,), ()), ((2, 2, 2), (2, 2, 2)), ((2, 2), (1, 2, 2))],
+)
+def test_kron_refuses_mixed_or_other_ndims(shapes):
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        kron(*(np.ones(shape) for shape in shapes))
 
 
 def test_vectorize_row_major_round_trip():
