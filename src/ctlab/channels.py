@@ -58,6 +58,8 @@ class Channel:
         choi = np.array(choi, dtype=complex)
         d_in = int(d_in)
         d_out = int(d_out)
+        if d_in < 1 or d_out < 1:
+            raise ValueError(f"channel dimensions must be at least 1, got d_in={d_in}, d_out={d_out}")
         n = d_in * d_out
         if choi.shape != (n, n):
             raise ValueError(f"choi shape {choi.shape} does not match d_out*d_in = {n}")

@@ -3,9 +3,10 @@
 Multi-round strategies are operators on labelled tensor factors. Keeping the
 labels attached to the arrays lets the link product, causality recursions and
 tester contractions align factors by name instead of by error-prone position
-bookkeeping. Positions only matter at the numpy boundary; everything here
-aligns by label first. The link product is one einsum over the operands'
-factor indices, so it never builds an operator on the union of their factors.
+bookkeeping. Labels become positions only in LabelledOperator, at the numpy
+boundary; a FactoredOperator carries no labels. The link product is one
+einsum over the operands' factor indices, so it never builds an operator on
+the union of their factors.
 """
 
 from __future__ import annotations
@@ -105,105 +106,34 @@ class LabelledOperator:
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
-    """A Hermitian operator F diag(w) F^dag together with its factor layout.
+    """A Hermitian operator F diag(w) F^dag on plain positions.
 
     factor is a dim x k matrix and weights holds k reals, so the operator
-    costs O(dim k) memory.  Partial traces move the traced index into the
-    columns, and the smallest eigenvalue comes from a k x k problem on the
-    span of the columns, so no dense matrix is ever built.
+    costs O(dim k) memory, and the smallest eigenvalue comes from a k x k
+    problem on the span of the columns, so no dense matrix is ever built.
+    The constructor takes the arrays as they are (np.asarray, no copy) and
+    checks only that their shapes agree; callers order the rows themselves.
     """
 
     factor: np.ndarray
     weights: np.ndarray
-    layout: FactorLayout
 
     def __post_init__(self):
-        factor = np.array(self.factor, dtype=complex)
-        weights = np.array(self.weights, dtype=float)
+        factor = np.asarray(self.factor, dtype=complex)
+        weights = np.asarray(self.weights, dtype=float)
         if factor.ndim != 2 or weights.shape != (factor.shape[1],):
             raise ValueError(
                 f"factor shape {factor.shape} does not match weights shape {weights.shape}"
             )
-        if factor.shape[0] != self.layout.dim:
-            raise ValueError(
-                f"factor rows {factor.shape[0]} do not match layout dimension {self.layout.dim}"
-            )
-        self._freeze(factor, weights, self.layout)
-
-    @classmethod
-    def _built(cls, factor: np.ndarray, weights: np.ndarray, layout: FactorLayout):
-        """An operator on arrays a method has just built, of the right dtypes and
-        shapes: frozen in place, not copied or checked again."""
-        op = object.__new__(cls)
-        op._freeze(factor, weights, layout)
-        return op
-
-    def _freeze(self, factor: np.ndarray, weights: np.ndarray, layout: FactorLayout) -> None:
-        factor.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "layout", layout)
-
-    @property
-    def labels(self) -> tuple:
-        return self.layout.labels
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.factor.shape[0]
 
     def scaled(self, factor: float) -> "FactoredOperator":
-        return FactoredOperator._built(self.factor, self.weights * float(factor), self.layout)
-
-    def _rows(self) -> np.ndarray:
-        return self.factor.reshape(self.layout.dims + (-1,))
-
-    def aligned_to(self, target) -> "FactoredOperator":
-        """Permute factors into the order of target (labels or a layout)."""
-        labels = target.labels if isinstance(target, FactorLayout) else tuple(target)
-        if set(labels) != set(self.labels) or len(labels) != len(self.labels):
-            raise ValueError("alignment target must carry the same labels")
-        if labels == self.labels:
-            return self
-        perm = self.layout.positions(labels) + [len(labels)]
-        f = self._rows().transpose(perm).reshape(self.dim, -1)
-        return FactoredOperator._built(f, self.weights, self.layout.restricted(labels))
-
-    def partial_trace(self, labels: Sequence) -> "FactoredOperator":
-        """Trace out labels by moving their index into the columns."""
-        labels = tuple(labels)
-        if not labels:
-            return self
-        kept = self.layout.without(labels)
-        traced = self.layout.positions(labels)
-        keep = [i for i in range(len(self.layout)) if i not in traced]
-        f = self._rows().transpose(keep + traced + [len(self.layout)]).reshape(kept.dim, -1)
-        return FactoredOperator._built(f, np.tile(self.weights, self.dim // kept.dim), kept)
-
-    def extended(self, target: FactorLayout) -> "FactoredOperator":
-        """Tensor with identity on the factors of target not already present."""
-        for lab in self.labels:
-            if lab not in target or target.dim_of(lab) != self.layout.dim_of(lab):
-                raise ValueError(f"label {lab!r} does not extend into the target")
-        missing = FactorLayout(tuple(f for f in target.factors if f[0] not in self.layout))
-        big = FactoredOperator._built(
-            kron(self.factor, np.eye(missing.dim)),
-            np.repeat(self.weights, missing.dim),
-            FactorLayout(self.layout.factors + missing.factors),
-        )
-        return big.aligned_to(target)
-
-    def minus(self, other: "FactoredOperator") -> "FactoredOperator":
-        """self - other, as the stacked factor [F_self | F_other]."""
-        other = other.aligned_to(self.layout)
-        if other.layout != self.layout:
-            raise ValueError("operands disagree on factor dimensions")
-        return FactoredOperator._built(
-            np.hstack([self.factor, other.factor]),
-            np.concatenate([self.weights, -other.weights]),
-            self.layout,
-        )
+        return FactoredOperator(self.factor, self.weights * float(factor))
 
     def min_eig(self) -> float:
         """Smallest eigenvalue, from R diag(w) R^dag with F = QR.

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .channels import Channel, Isometry, channel_payload, contract_dilations
 from .combs import COMB_ATOL, CombCheck, FactoredOperator
-from .linalg import FactorLayout, haar_unitary, random_isometries, require_bytes, trace_norm
+from .linalg import haar_unitary, random_isometries, require_bytes, trace_norm
 from .metrics import choi_trace_distances, diamond_distances
 from .moments import mc_verdict
 
@@ -937,14 +937,6 @@ def type2_gamma_family(d: int, big_d: int, eps: float) -> GammaFamily:
     )
 
 
-def _gamma_layout(family: GammaFamily, n: int) -> FactorLayout:
-    factors = []
-    for j in range(n):
-        factors.append((("B", j), family.big_d))
-        factors.append((("A", j), family.d))
-    return FactorLayout(factors)
-
-
 def _gamma_budget(family: GammaFamily, n: int, columns: int = 1) -> None:
     _require(n >= 1, f"n must be at least 1, got {n}")
     dim = (family.big_d * family.d) ** n
@@ -968,9 +960,9 @@ def _gamma_weight_vector(family: GammaFamily, weight: int, n: int) -> np.ndarray
     return total / math.sqrt(math.comb(n, weight))
 
 
-def _span(vectors: list, weights, family: GammaFamily, level: int) -> FactoredOperator:
-    """sum_i weights[i] |v_i><v_i| over `level` (output, input) factor pairs."""
-    return FactoredOperator(np.stack(vectors, axis=1), weights, _gamma_layout(family, level))
+def _span(vectors: list, weights) -> FactoredOperator:
+    """sum_i weights[i] |v_i><v_i|, one column per vector."""
+    return FactoredOperator(np.stack(vectors, axis=1), weights)
 
 
 def _type1_subset(index, n: int) -> frozenset:
@@ -991,13 +983,26 @@ def gamma_vector(family: GammaFamily, index, n: int) -> FactoredOperator:
         vec = _gamma_product(family, _type1_subset(index, n), n)
     else:
         vec = _gamma_weight_vector(family, int(index), n)
-    return _span([vec], [1.0], family, n)
+    return _span([vec], [1.0])
 
 
-def _level_gap(current: FactoredOperator, reference: FactoredOperator, level: int) -> float:
-    """min_eig(reference kron I - tr_B(current)) for the output factor at `level`."""
-    traced = current.partial_trace([("B", level - 1)])
-    return reference.extended(traced.layout).minus(traced).min_eig()
+def _level_gap(
+    current: FactoredOperator, reference: FactoredOperator, family: GammaFamily
+) -> float:
+    """min_eig(P kron I_d - tr_B(current)) for the last (output, input) pair.
+
+    Rows run over the pairs (B_j, A_j) of dims (D, d), the first most
+    significant. Tracing the last B moves its index into the columns, as G,
+    so the check is on the stacked factor [P kron I_d | G] with weights
+    [repeat(s, d) | -tile(w, D)], for reference P diag(s) P^dag and current
+    F diag(w) F^dag.
+    """
+    big_d, d = family.big_d, family.d
+    k = current.factor.shape[1]
+    g = current.factor.reshape(-1, big_d, d, k).transpose(0, 2, 1, 3).reshape(-1, big_d * k)
+    factor = np.hstack([linalg.kron(reference.factor, np.eye(d)), g])
+    weights = np.concatenate([np.repeat(reference.weights, d), -np.tile(current.weights, big_d)])
+    return FactoredOperator(factor, weights).min_eig()
 
 
 def _type1_steps(op: FactoredOperator, family: GammaFamily, n: int, subset):
@@ -1016,7 +1021,7 @@ def _type1_steps(op: FactoredOperator, family: GammaFamily, n: int, subset):
         else:
             chosen = [subset & set(range(level - 1))]
         vectors = [_gamma_product(family, c, level - 1) for c in chosen]
-        reference = _span(vectors, np.ones(len(vectors)), family, level - 1)
+        reference = _span(vectors, np.ones(len(vectors)))
         yield level, current, reference
         current = reference
 
@@ -1042,7 +1047,7 @@ def _type2_steps(op: FactoredOperator, family: GammaFamily, n: int, weight: int)
             if level == n:
                 current = op
             else:
-                current = _span([vector(w, level)], [1.0], family, level)
+                current = _span([vector(w, level)], [1.0])
             vectors, weights = [], []
             if w <= level - 1:
                 vectors.append(vector(w, level - 1))
@@ -1050,7 +1055,7 @@ def _type2_steps(op: FactoredOperator, family: GammaFamily, n: int, weight: int)
             if w >= 1:
                 vectors.append(vector(w - 1, level - 1))
                 weights.append(math.comb(level - 1, w - 1) / math.comb(level, w))
-            yield level, current, _span(vectors, weights, family, level - 1)
+            yield level, current, _span(vectors, weights)
 
 
 def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=None) -> CombCheck:
@@ -1072,12 +1077,8 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
     span stays about 2^n wide at any dimension.
     """
     _gamma_budget(family, n, op.factor.shape[1])
-    expected = _gamma_layout(family, n)
-    _require(
-        set(op.layout.labels) == set(expected.labels),
-        "operator labels do not match the gamma factor layout",
-    )
-    op = op.aligned_to(expected)
+    rows = (family.big_d * family.d) ** n
+    _require(op.dim == rows, f"operator has {op.dim} rows, not the {rows} of {n} factor pairs")
     if family.kind == "type1":
         steps = _type1_steps(op, family, n, None if index is None else _type1_subset(index, n))
     else:
@@ -1091,7 +1092,7 @@ def certify_gamma_comb(op: FactoredOperator, family: GammaFamily, n: int, index=
         return CombCheck(False, -1, float(-gap))
     worst = 0.0
     for level, current, reference in steps:
-        gap = _level_gap(current, reference, level)
+        gap = _level_gap(current, reference, family)
         if not gap >= -COMB_ATOL:
             return CombCheck(False, level, float(-gap))
         worst = max(worst, max(0.0, -gap))

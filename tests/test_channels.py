@@ -156,9 +156,9 @@ def _spoilt_gamma_certificate(value, weight=False):
     family = type2_gamma_family(2, 3, 0.2)
     op = gamma_vector(family, 1, 2)
     if weight:
-        spoilt = FactoredOperator(op.factor, [value], op.layout)
+        spoilt = FactoredOperator(op.factor, [value])
     else:
-        spoilt = FactoredOperator(_spoilt(op.factor, value), op.weights, op.layout)
+        spoilt = FactoredOperator(_spoilt(op.factor, value), op.weights)
     return certify_gamma_comb(spoilt, family, 2, index=1)
 
 
@@ -472,6 +472,15 @@ def test_json_round_trip_exact():
     assert back.d_in == ch.d_in and back.d_out == ch.d_out
     # repr round trip of doubles is exact
     assert np.abs(back.choi - ch.choi).max() == 0
+
+
+@pytest.mark.parametrize("d_in,d_out", [(0, 0), (0, 3), (3, 0), (-1, -1)])
+def test_json_rejects_a_dimension_below_one(d_in, d_out):
+    # a Choi matrix of the size the dimensions imply, so only the dimension check can refuse it
+    n = d_in * d_out
+    text = json.dumps({"d_in": d_in, "d_out": d_out, "choi_re": [0.0] * n * n, "choi_im": [0.0] * n * n})
+    with pytest.raises(ValueError, match=rf"d_in={d_in}, d_out={d_out}"):
+        channel_from_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from ctlab.hardness import (
     type2_gamma_family,
 )
 from ctlab.channels import channel_from_json
-from ctlab.linalg import ATOL, FactorLayout, dag, min_eig, partial_trace
+from ctlab.linalg import ATOL, dag, min_eig, partial_trace
 from ctlab.metrics import choi_trace_distance, choi_trace_distances, diamond_distance, diamond_distances
 
 # example dimensions, one per regime
@@ -741,7 +741,7 @@ def test_gamma_vector_type1_subset():
     op = gamma_vector(fam, {0}, 2)
     v = np.kron(fam.g1, fam.g0)
     assert np.abs(_dense(op) - np.outer(v, v.conj())).max() < 1e-14
-    assert op.labels == (("B", 0), ("A", 0), ("B", 1), ("A", 1))
+    assert op.factor.shape == (36, 1)  # rows (B_0, A_0, B_1, A_1) of dims (3, 2, 3, 2)
     with pytest.raises(ValueError):
         gamma_vector(fam, {2}, 2)  # subset outside range
 
@@ -827,20 +827,11 @@ def test_certify_type2_needs_weight():
 
 
 def test_certify_label_mismatch():
+    # the factor's rows are the (B_j, A_j) pairs in order, with no labels to
+    # check, so an operator on other factors shows as a factor of another width
     fam = type2_gamma_family(2, 3, 0.2)
     op = gamma_vector(fam, 1, 2)
-    relabeled = FactoredOperator(
-        op.factor,
-        op.weights,
-        FactorLayout(tuple((("X", j), d) for j, (_, d) in enumerate(op.layout.factors))),
-    )
-    with pytest.raises(ValueError):
-        certify_gamma_comb(relabeled, fam, 2, index=1)
-
-
-def test_certify_accepts_permuted_layout():
-    # alignment happens inside the certifier
-    fam = type2_gamma_family(2, 3, 0.2)
-    op = gamma_vector(fam, 1, 2)
-    shuffled = op.aligned_to((("A", 1), ("B", 0), ("A", 0), ("B", 1)))
-    assert certify_gamma_comb(shuffled, fam, 2, index=1)
+    others = [gamma_vector(fam, 1, 1), gamma_vector(fam, 1, 3), FactoredOperator(op.factor[1:], op.weights)]
+    for other in others:
+        with pytest.raises(ValueError, match="rows"):
+            certify_gamma_comb(other, fam, 2, index=1)
