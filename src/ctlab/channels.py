@@ -58,8 +58,7 @@ class Channel:
         choi = np.array(choi, dtype=complex)
         d_in = int(d_in)
         d_out = int(d_out)
-        if d_in < 1 or d_out < 1:
-            raise ValueError(f"channel dimensions must be at least 1, got d_in={d_in}, d_out={d_out}")
+        _check_dims(d_in, d_out)
         n = d_in * d_out
         if choi.shape != (n, n):
             raise ValueError(f"choi shape {choi.shape} does not match d_out*d_in = {n}")
@@ -85,6 +84,7 @@ class Channel:
         """
         kraus = np.stack([np.asarray(e, dtype=complex) for e in kraus])
         rank, d_out, d_in = kraus.shape
+        _check_dims(d_in, d_out)
         _check_defects(isometry_defects(kraus.reshape(1, rank * d_out, d_in)), "Kraus set is not complete")
         return _channels_of(kraus[None])[0]
 
@@ -111,6 +111,11 @@ class Channel:
 
     def __repr__(self) -> str:
         return f"Channel(d_in={self.d_in}, d_out={self.d_out}, rank={self.rank})"
+
+
+def _check_dims(d_in: int, d_out: int) -> None:
+    if d_in < 1 or d_out < 1:
+        raise ValueError(f"channel dimensions must be at least 1, got d_in={d_in}, d_out={d_out}")
 
 
 def _validate_choi(choi: np.ndarray, d_in: int, d_out: int) -> None:
@@ -187,8 +192,8 @@ class Isometry:
 
 def _check_isometric(m: np.ndarray) -> None:
     """One shape check and one isometry check of a (T, rows, cols) stack."""
-    if m.shape[-2] < m.shape[-1]:
-        raise ValueError(f"isometry needs rows >= cols, got shape {m.shape[-2:]}")
+    if not 1 <= m.shape[-1] <= m.shape[-2]:
+        raise ValueError(f"isometry needs rows >= cols >= 1, got shape {m.shape[-2:]}")
     _check_defects(isometry_defects(m), "columns are not orthonormal")
 
 

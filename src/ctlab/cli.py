@@ -350,10 +350,10 @@ def localtest(
     # zdim arrays, keeping a zdim x zdim form per outcome. A stream of six arrays at most
     # draws each piece of linalg._CHUNK_BYTES of r x r unitaries, or one more (the piece, the
     # Gram-Schmidt stack, its conjugate, which takes the Ginibre draws first, its work array,
-    # temporaries); after the first draw the piece, its coordinates where m < r^2, a float
-    # per outcome and sample of it and a run workspace (the coordinates' products, their
-    # conjugates, the products outcomes * zdim wide) stay beside the next, no larger than
-    # the rest
+    # temporaries); after the first draw a float per outcome and sample of a piece and a run
+    # workspace (the coordinates' products, their conjugates, the products outcomes * zdim
+    # wide) stay beside the next, no larger than the rest; the bound still counts the piece
+    # and its coordinates where m < r^2, which are dropped before the next draw
     q = min(r * r, m)
     zdim = q if n == 1 else q * (q + 1) // 2
     width = outcomes * zdim

@@ -21,16 +21,8 @@ import numpy as np
 
 from . import moments
 from .channels import Channel, dilate
-from .combs import LabelledOperator, Tester, apply_tester
-from .linalg import (
-    FactorLayout,
-    chunk_slices,
-    haar_unitaries,
-    kron,
-    partial_trace,
-    permute_factors,
-    swap_operator,
-)
+from .combs import LabelledOperator, Tester, apply_tester, identity_on
+from .linalg import chunk_slices, haar_unitaries, kron, swap_operator
 from .moments import mc_verdict, twirl1, twirl2
 
 __all__ = [
@@ -119,14 +111,18 @@ def localize_tester(tester: Tester) -> Tester:
     outcome labelled "perp": the statistical weight a rank-r dilation can
     never reach.
 
-    One query: the localized outcome is tr_anc(T_i) / r. Two queries: split
-    into symmetric and antisymmetric sectors of the pair swaps,
+    Each outcome splits over the ancilla-permutation sectors l: (P_AB_l,
+    P_anc_l, dim Q_l) = (1, 1_r, r) for one query, ((1 +- S_AB)/2,
+    (1 +- S_anc)/2, r (r +- 1)/2) over the pair swaps for two. Every sector the
+    rank-r ancilla reaches (dim Q_l > 0) adds
 
-        T~_i = sum_l (1/dim Q_l) tr_anc[(P_AB_l (x) P_anc_l) T_i (same)],
+        P_AB_l tr_anc[(1 (x) P_anc_l) T_i] P_AB_l / dim Q_l,
 
-    summing over the sectors the rank-r ancilla supports; the sectors it
-    cannot reach contribute a residual outcome "perp" built from the
-    symmetrized input state, making the result a valid parallel tester.
+    which is tr_anc[(P_AB_l (x) P_anc_l) T_i (same)] / dim Q_l, as P_AB_l acts
+    on the kept factors and P_anc_l is a projector: one einsum per sector, no
+    tensor product of projectors. The others (only the antisymmetric sector
+    at n = 2, r = 1) give "perp" = sum_l P_AB_l (rho (x) 1_out) P_AB_l, rho the
+    input state, making the result a valid parallel tester.
     """
     anc_labels = _find_anc_labels(tester)
     r = _anc_dim(tester, anc_labels)
@@ -142,62 +138,34 @@ def localize_tester(tester: Tester) -> Tester:
     if any(ref.dim_of(lab) != d2 for lab in b_labels):
         raise ValueError("query output dimensions must match")
 
+    v, big_r = (d1 * d2) ** n, r**n
     if n == 1:
-        order = [a_labels[0], b_labels[0], anc_labels[0]]
-        chan_layout = FactorLayout(((a_labels[0], d1), (b_labels[0], d2)))
-        outcomes = []
-        for lab, op in tester.outcomes:
-            loc = op.aligned_to(order).partial_trace([anc_labels[0]]).op / r
-            outcomes.append((lab, LabelledOperator(loc, chan_layout)))
-        perp = LabelledOperator(
-            np.zeros((d1 * d2, d1 * d2), dtype=complex), chan_layout
-        )
+        sectors = [(np.eye(v), np.eye(r), r)]
     elif n == 2:
-        order = [a_labels[0], b_labels[0], a_labels[1], b_labels[1]] + list(anc_labels)
-        chan_layout = FactorLayout(
-            (
-                (a_labels[0], d1),
-                (b_labels[0], d2),
-                (a_labels[1], d1),
-                (b_labels[1], d2),
-            )
-        )
-        dab = d1 * d2
-        s_ab = swap_operator(dab)
-        s_anc = swap_operator(r)
-        eye_ab = np.eye(dab * dab, dtype=complex)
-        eye_anc = np.eye(r * r, dtype=complex)
-        proj_ab = {+1: (eye_ab + s_ab) / 2, -1: (eye_ab - s_ab) / 2}
-        proj_anc = {+1: (eye_anc + s_anc) / 2, -1: (eye_anc - s_anc) / 2}
-        dim_q = {+1: r * (r + 1) // 2, -1: r * (r - 1) // 2}
-        dims6 = (d1, d2, d1, d2, r, r)
-        outcomes = []
-        for lab, op in tester.outcomes:
-            m = op.aligned_to(order).op
-            acc = np.zeros((dab * dab, dab * dab), dtype=complex)
-            for sector in (+1, -1):
-                if dim_q[sector] == 0:
-                    continue
-                big = kron(proj_ab[sector], proj_anc[sector])
-                traced = partial_trace(big @ m @ big, dims6, [4, 5])
-                acc += traced / dim_q[sector]
-            outcomes.append((lab, LabelledOperator(acc, chan_layout)))
-        rho = tester.input_state().aligned_to(a_labels)
-        s_a = swap_operator(d1)
-        rho_sym = (rho.op + s_a @ rho.op @ s_a) / 2
-        base = kron(rho_sym, np.eye(d2 * d2, dtype=complex))
-        base = permute_factors(base, (d1, d1, d2, d2), [0, 2, 1, 3])
-        perp_op = np.zeros_like(base)
-        for sector in (+1, -1):
-            dim_ab = dab * (dab + sector) // 2
-            if dim_ab > 0 and dim_q[sector] == 0:
-                perp_op += proj_ab[sector] @ base @ proj_ab[sector]
-        perp = LabelledOperator(perp_op, chan_layout)
+        s_ab, s_anc = swap_operator(d1 * d2), swap_operator(r)
+        sectors = [
+            ((np.eye(v) + sign * s_ab) / 2, (np.eye(big_r) + sign * s_anc) / 2, r * (r + sign) // 2)
+            for sign in (+1, -1)
+        ]
     else:
         raise ValueError("localization is implemented for n <= 2 queries")
 
+    chan = [lab for pair in zip(a_labels, b_labels) for lab in pair]
+    chan_layout = ref.restricted(chan)
+    outcomes = []
+    for lab, op in tester.outcomes:
+        # the outcome on (A0, B0, ..., anc...) as (V, R, V, R): channel row, ancilla row, ...
+        t = op.aligned_to(chan + list(anc_labels)).op.reshape(v, big_r, v, big_r)
+        loc = sum(p @ np.einsum("ab,vbwa->vw", q, t) @ p / dim_q for p, q, dim_q in sectors if dim_q)
+        outcomes.append((lab, LabelledOperator(loc, chan_layout)))
+    perp = np.zeros((v, v), dtype=complex)
+    unreached = [p for p, _, dim_q in sectors if not dim_q]
+    if unreached:
+        base = tester.input_state().tensor(identity_on(ref.restricted(b_labels))).aligned_to(chan).op
+        perp = sum(p @ base @ p for p in unreached)
+
     return Tester(
-        outcomes=tuple(outcomes) + ((PERP_LABEL, perp),),
+        outcomes=tuple(outcomes) + ((PERP_LABEL, LabelledOperator(perp, chan_layout)),),
         in_labels=tuple((lab,) for lab in a_labels),
         out_labels=tuple((lab,) for lab in b_labels),
     )
@@ -350,6 +318,8 @@ def verify_dilation_identity(
             c = prod[:count].view(float).reshape(count, outcomes, 2 * zdim)
             np.einsum("sok,sk->os", c, zbar[:count].view(float), out=vals[:, run])
         totals = moments._merge(totals, vals[:, : len(us)])
+        # drop this piece (zs views it for one query) before the next is drawn
+        del us, x, zs
     _, mc_mean, mc_stderr = moments._statistics(totals)
 
     k = len(tester.outcomes)

@@ -483,6 +483,24 @@ def test_json_rejects_a_dimension_below_one(d_in, d_out):
         channel_from_json(text)
 
 
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Channel.from_kraus(np.zeros((1, 0, 2))), r"d_in=2, d_out=0"),
+        (lambda: Channel.from_kraus(np.zeros((1, 2, 0))), r"d_in=0, d_out=2"),
+        (lambda: Isometry(np.zeros((2, 0))), r"rows >= cols >= 1, got shape \(2, 0\)"),
+        (lambda: Isometry(np.zeros((0, 0))), r"rows >= cols >= 1, got shape \(0, 0\)"),
+        (lambda: isometries(np.zeros((1, 2, 0))), r"rows >= cols >= 1, got shape \(2, 0\)"),
+        (lambda: contract_dilations(np.zeros((1, 2, 0)), 1), r"rows >= cols >= 1, got shape \(2, 0\)"),
+    ],
+    ids=["kraus-out", "kraus-in", "isometry-2x0", "isometry-0x0", "isometries", "contract"],
+)
+def test_zero_dimensions_are_refused_by_name(build, message):
+    # before numpy's reshape of an empty array could speak for them
+    with pytest.raises(ValueError, match=message):
+        build()
+
 # ---------------------------------------------------------------------------
 # Channel stacks
 # ---------------------------------------------------------------------------

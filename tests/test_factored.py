@@ -205,6 +205,31 @@ def test_certificate_matches_dense_reference(case):
     assert abs(got.defect - defect) <= 1e-12
 
 
+def _indices(family, n):
+    if family.kind == "type1":
+        return [frozenset(c) for size in range(n + 1) for c in combinations(range(n), size)]
+    return list(range(n + 1))
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_two_column_currents_with_unequal_weights_match_dense_reference(kind):
+    # every other current has one column or equal weights, so only these see the order of
+    # the traced weights: column b k of tr_B(current) carries the k-th weight
+    build = type1_gamma_family if kind == "type1" else type2_gamma_family
+    family = build(2, 3, 0.3)
+    for n in (1, 2):
+        indices = _indices(family, n)
+        for index in indices:
+            for other in indices:
+                columns = [gamma_vector(family, i, n).factor[:, 0] for i in (index, other)]
+                for weights in ((0.3, 0.7), (0.9, 0.1)):
+                    op = FactoredOperator(np.stack(columns, axis=1), np.array(weights))
+                    got = certify_gamma_comb(op, family, n, index=index)
+                    ok, level, defect = dense_certificate(_dense(op), family, n, index)
+                    assert (got.ok, got.failed_level) == (ok, level), (n, index, other, weights)
+                    assert abs(got.defect - defect) <= 1e-12, (n, index, other, weights)
+
+
 # ---------------------------------------------------------------------------
 # Factored referee: the depth-first search over (level, weight) pairs
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctlab import combs, linalg, moments
@@ -107,6 +107,72 @@ def test_localize_two_queries_perp_mass():
     noisy_probs = apply_tester(loc, noisy)
     assert abs(noisy_probs.sum() - 1.0) < 1e-8
     assert noisy_probs[-1] > 1e-3
+
+
+def _dense_localization(tester):
+    """Referee: each outcome's sum over the sectors l with dim Q_l > 0 of
+    tr_anc[(P_AB_l (x) P_anc_l) T_i (same)] / dim Q_l, and "perp", the sum over the others of
+    P_AB_l (rho_sym (x) 1_out) P_AB_l with rho_sym the input state symmetrized over the pair
+    swap, each as one dense operator on (A0, B0, ...)."""
+    anc = _find_anc_labels(tester)
+    a, b = _query_labels(tester, anc)
+    n = tester.n_queries
+    ref = tester.outcomes[0][1].layout
+    d1, d2, r = ref.dim_of(a[0]), ref.dim_of(b[0]), ref.dim_of(anc[0])
+    dab = d1 * d2
+    if n == 1:
+        sectors = [(np.eye(dab), np.eye(r), r)]
+    else:
+        sectors = [
+            (
+                (np.eye(dab**2) + sign * linalg.swap_operator(dab)) / 2,
+                (np.eye(r * r) + sign * linalg.swap_operator(r)) / 2,
+                r * (r + sign) // 2,
+            )
+            for sign in (1, -1)
+        ]
+    order = [lab for pair in zip(a, b) for lab in pair] + list(anc)
+    dims = [ref.dim_of(lab) for lab in order]
+    localized = []
+    for _, op in tester.outcomes:
+        m = op.aligned_to(order).op
+        acc = np.zeros((dab**n, dab**n), dtype=complex)
+        for p_ab, p_anc, dim_q in sectors:
+            if dim_q:
+                big = np.kron(p_ab, p_anc)
+                acc += linalg.partial_trace(big @ m @ big, dims, range(2 * n, 3 * n)) / dim_q
+        localized.append(acc)
+    perp = np.zeros((dab**n, dab**n), dtype=complex)
+    if n == 2:
+        rho = tester.input_state().aligned_to(a).op
+        s_a = linalg.swap_operator(d1)
+        rho_sym = (rho + s_a @ rho @ s_a) / 2
+        base = linalg.permute_factors(np.kron(rho_sym, np.eye(d2 * d2)), (d1, d1, d2, d2), [0, 2, 1, 3])
+        for p_ab, _, dim_q in sectors:
+            if not dim_q:
+                perp += p_ab @ base @ p_ab
+    return localized + [perp]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 2]),
+    d1=st.integers(1, 2),
+    d2=st.integers(1, 2),
+    r=st.integers(1, 3),
+    outcomes=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, d1=2, d2=2, r=1, outcomes=2, seed=0)  # "perp" from the unreached antisymmetric sector
+@example(n=2, d1=2, d2=1, r=3, outcomes=3, seed=1)
+def test_localization_equals_the_dense_sector_formula(n, d1, d2, r, outcomes, seed):
+    t = random_parallel_tester(n, d1, d2, outcomes, np.random.default_rng(seed), anc_dim=r)
+    loc = localize_tester(t)
+    assert loc.outcome_names == t.outcome_names + (PERP_LABEL,)
+    chan = [lab for pair in zip(*_query_labels(t, _find_anc_labels(t))) for lab in pair]
+    for (_, got), want in zip(loc.outcomes, _dense_localization(t), strict=True):
+        assert got.labels == tuple(chan)
+        assert np.abs(got.op - want).max() <= 1e-12
 
 
 def test_localized_tester_is_valid_tester():

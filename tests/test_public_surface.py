@@ -98,12 +98,14 @@ TEST_ONLY = {
 }
 
 # The command set, each run at seed 3 with small counts: every command, all
-# four packing regimes, both tomography modes and both packing metrics.
+# four packing regimes, both tomography modes, both packing metrics, and two
+# queries at r = 1, whose antisymmetric ancilla sector no dilation reaches.
 COMMANDS = (
     ["verify"],
     ["moments", "--d", "2", "--samples", "200"],
     ["localtest", "--n", "1", "--samples", "40", "--testers", "1", "--channels", "1"],
     ["localtest", "--n", "2", "--samples", "40", "--testers", "1", "--channels", "1"],
+    ["localtest", "--n", "2", "--r", "1", "--samples", "40", "--testers", "1", "--channels", "1"],
     ["tomography", "--eps", "0.5", "--trials", "2"],
     ["tomography", "--eps", "0.5", "--trials", "2", "--r", "2"],
     ["distances", "--pairs", "2"],
