@@ -583,12 +583,14 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     """Choi, fidelity and diamond distance consistency on random pairs."""
     choi = (d1 * d2) ** 2
     # a pair's see-saw holds its two lifted Kraus sets (d1 d2 of d1 d2 x d1^2 each) about
-    # twelve times over: the pair's stack and, for each of its two restart rows, a copy, the
-    # signed adjoint, the pulled-back witness and the copies made as finished rows leave; the
-    # unitary check's 16 restart rows hold the same five of two d1^2 x d1^2 lifted operators
-    # each, and three d1^2 x d1^2 matrices each (the pull-back and two evaluations'
-    # eigenvectors); and ~10 Choi-sized matrices
-    _budget_guard(16 * (24 * choi * d1 * d1 + 208 * d1**4 + 10 * choi))
+    # five times over: the pair's stack, its conjugate and signed adjoint, which its restart
+    # rows share, and each of its two rows' pulled-back witness; the unitary check's 16
+    # restart rows share two d1^2 x d1^2 lifted operators and their signed adjoint, and each
+    # holds its pulled-back witness (two such operators) and five d1^2 x d1^2 matrices (the
+    # output's eigenvectors and witness, the pull-back, and its eigenvectors of this and the
+    # last evaluation), beside the two unitary channels' Choi matrices and Kraus sets; and
+    # ~10 Choi-sized matrices
+    _budget_guard(16 * (10 * choi * d1 * d1 + 120 * d1**4 + 10 * choi))
 
     def pair_trial(index: int, rng: np.random.Generator):
         a = _random_channel(d1, d2, d1 * d2, rng)

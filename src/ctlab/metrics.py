@@ -11,8 +11,11 @@ Choi distances are sums of |eigenvalues| of Hermitian Choi differences, one
 stacked eigvalsh for any number of pairs. Diamond estimates for many pairs
 ascend as one stacked see-saw, every restart of every pair a row of it; each
 row over-relaxes its plain step and falls back to it when the relaxed point
-fails a certified test. For unitary channels an exact closed form is
-available for cross-checks.
+fails a certified test. An iteration decides every row's fate from the value
+at its point before it pulls back the witness, which it does only for rows
+that were accepted and go on, and the restarts of a single pair share that
+pair's operators. For unitary channels an exact closed form is available for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .channels import Channel, kraus_sets
 from .linalg import (
@@ -126,16 +130,33 @@ def _signed_lifted_kraus(pairs) -> tuple:
     return lifted.reshape(count, d_out * d, r, d * d), signs
 
 
+def _eigh(a):
+    """np.linalg.eigh of a stack of complex Hermitian matrices, read from the
+    lower triangle: the gufunc it calls, with the signature it passes, so the
+    same bits. On the see-saw's stacks of a few small matrices, eigh's
+    per-call checks and error-state switch cost about as much as the solve,
+    so _seesaw sets that error state once per ascent (_eigh_failed)."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD")
+
+
+def _eigh_failed(err, flag):
+    """np.errstate callback: a solve that did not converge returns nan and
+    sets the invalid flag, which np.linalg.eigh turns into this error."""
+    raise LinAlgError("Eigenvalues did not converge")
+
+
 def _seesaw(psi, lifted, signs, owner, tol, max_iter):
     """Over-relaxed alternating ascent on f(psi) = || (Delta kron id)(|psi><psi|) ||_1.
 
     lifted (P, n_out, R, n_in) and signs (P, R) hold the signed lifted Kraus
     operators of P pairs; row k of psi starts one restart of pair owner[k],
-    and all rows ascend together, each on its own copy of its pair's
-    operators. An evaluation at a unit vector c maps it through the lifted
-    Kraus operators, takes f(c) and the trace-norm witness of the output from
-    a stacked eigh, pulls the witness back to M_c and takes M_c's top
-    eigenpair (lambda_c, t_c) from a second stacked eigh.
+    and all rows ascend together. The rows of a one-pair call share that
+    pair's operators by broadcasting; rows of several pairs each hold a copy
+    of their pair's. An evaluation at a unit vector c maps it through the
+    lifted Kraus operators and takes f(c) and the trace-norm witness of the
+    output from a stacked eigh; a row accepted at c that goes on then pulls
+    the witness back to M_c and takes M_c's top eigenpair (lambda_c, t_c)
+    from a second stacked eigh.
 
     Each row keeps its last accepted point b with f(b), its plain step t =
     t_b, lambda_b and a relaxation factor w, and next evaluates c =
@@ -144,16 +165,26 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
     f(b): c is accepted when f(c) >= lambda_b, and w then grows by
     _SEESAW_RELAX up to _SEESAW_RELAX_MAX; a rejected c sends the row to t
     itself, always accepted, after which w restarts at _SEESAW_RELAX. The
-    start is the first such plain step. Every product is stacked over rows
-    rather than folded into one GEMM, so a row's arithmetic, and with it its
-    result, does not depend on which other rows are active. A row leaves the
-    active set, its operators with it, once an accepted evaluation gains
-    less than tol (keeping the larger of the two values) or at max_iter.
-    Returns per-row values, the accepted points that attain them,
-    convergence flags and evaluation counts, rejected ones included.
+    start is the first such plain step. A row leaves the active set, with
+    its operators, once an accepted evaluation gains less than tol (keeping
+    the larger of the two values) or at max_iter.
+
+    Each iteration first takes f(c) for every active row and decides accept
+    and done from it; only rows that were accepted and go on are pulled
+    back, since a rejected row steps to its stored t and a finished row is
+    left. Every product is stacked over rows rather than folded into one
+    GEMM, so a row's arithmetic, and with it its result, does not depend on
+    which other rows are active or pulled back. Returns per-row values, the
+    accepted points that attain them, convergence flags and evaluation
+    counts, rejected ones included.
     """
     _, n_out, r, n_in = lifted.shape
-    lifted, signs = lifted[owner], signs[owner][:, None, :]
+    owner = np.asarray(owner)
+    shared = bool((owner == owner[0]).all())
+    if shared:
+        lifted, signs = lifted[owner[0], None], signs[owner[0], None, None]
+    else:
+        lifted, signs = lifted[owner], signs[owner][:, None, :]
     back = (lifted.conj() * signs[..., None]).reshape(-1, n_out * r, n_in)
     count = psi.shape[0]
     f_out = np.full(count, -np.inf)
@@ -169,47 +200,65 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
     relax = np.full((count, 1), _SEESAW_RELAX)
 
     def layouts(lifted, back):
-        # views of the row stacks: the forward map (n_in x n_out R), the first
-        # pull-back product (n_out x R n_in) and the signed adjoint (n_in x n_out R)
+        # views of the operator stacks: the forward map (n_in x n_out R), the
+        # first pull-back product (n_out x R n_in) and the signed adjoint (n_in x n_out R)
         p = lifted.shape[0]
         forward = lifted.reshape(p, n_out * r, n_in).swapaxes(1, 2)
-        return p, forward, lifted.reshape(p, n_out, r * n_in), back.swapaxes(1, 2)
+        return forward, lifted.reshape(p, n_out, r * n_in), back.swapaxes(1, 2)
 
-    p, forward, wide, pullback = layouts(lifted, back)
-    for it in range(1, max_iter + 1):
-        # c = normalize(b + relax (e^{i phi} t - b)); e^{i phi} = sign(<t|b>), which for
-        # complex z is z / |z| since numpy 2
-        c = b + relax * (np.sign(np.vecdot(t, b, keepdims=True)) * t - b)
-        c /= np.sqrt(np.vecdot(c, c, keepdims=True).real)
-        np.copyto(c, t, where=plain)
-        xs = (c[:, None, :] @ forward).reshape(p, n_out, r)
-        # eigh reads one triangle, so neither Hermitian operator is symmetrized
-        w, v = np.linalg.eigh((xs * signs) @ dag(xs))
-        f = np.abs(w).sum(-1, keepdims=True)
+    def pulled_back(w, v):
+        # M_c of every row of (w, v), against the operators of as many rows or shared ones
         wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
-        lam, vecs = np.linalg.eigh(pullback @ (wmat @ wide).reshape(p, n_out * r, n_in))
-        accept = plain | (f >= lam_b)
-        done = (accept & (f - f_b < tol))[:, 0]
-        if done.any():
-            stop = rows[done]
-            f_out[stop] = np.maximum(f, f_b)[done, 0]
-            psi_out[stop] = np.where((f >= f_b)[done], c[done], b[done])
-            converged[stop], iterations[stop] = True, it
-            keep = ~done
-            rows, b, f_b = rows[keep], b[keep], f_b[keep]
-            if not rows.size:
-                break
-            lifted, back, signs = lifted[keep], back[keep], signs[keep]
-            p, forward, wide, pullback = layouts(lifted, back)
-            t, c, f, lam, vecs = t[keep], c[keep], f[keep], lam[keep], vecs[keep]
-            lam_b, plain, relax, accept = lam_b[keep], plain[keep], relax[keep], accept[keep]
-        np.copyto(b, c, where=accept)
-        np.copyto(t, vecs[:, :, -1], where=accept)
-        np.copyto(f_b, f, where=accept)
-        np.copyto(lam_b, lam[:, -1:], where=accept)
-        grown = np.minimum(_SEESAW_RELAX * relax, _SEESAW_RELAX_MAX)
-        relax = np.where(plain, _SEESAW_RELAX, grown)
-        plain = ~accept
+        return pullback @ (wmat @ wide).reshape(-1, n_out * r, n_in)
+
+    forward, wide, pullback = layouts(lifted, back)
+    # no step of a finite ascent but a failed eigensolve makes an invalid value
+    with np.errstate(invalid="call", call=_eigh_failed):
+        for it in range(1, max_iter + 1):
+            # row counts by np.count_nonzero: on a few rows, .all() and .any() cost more in
+            # their Python wrappers than the test itself
+            if np.count_nonzero(plain) == rows.size:
+                c = t
+            else:
+                # c = normalize(b + relax (e^{i phi} t - b)); e^{i phi} = sign(<t|b>), which
+                # for complex z is z / |z| since numpy 2
+                c = b + relax * (np.sign(np.vecdot(t, b, keepdims=True)) * t - b)
+                c /= np.sqrt(np.vecdot(c, c, keepdims=True).real)
+                np.copyto(c, t, where=plain)
+            xs = (c[:, None, :] @ forward).reshape(-1, n_out, r)
+            # eigh reads one triangle, so neither Hermitian operator is symmetrized
+            w, v = _eigh((xs * signs) @ dag(xs))
+            f = np.abs(w).sum(-1, keepdims=True)
+            accept = plain | (f >= lam_b)
+            done = (accept & (f - f_b < tol))[:, 0]
+            if np.count_nonzero(done):
+                stop = rows[done]
+                f_out[stop] = np.maximum(f, f_b)[done, 0]
+                psi_out[stop] = np.where((f >= f_b)[done], c[done], b[done])
+                converged[stop], iterations[stop] = True, it
+                keep = ~done
+                rows, b, f_b = rows[keep], b[keep], f_b[keep]
+                if not rows.size:
+                    break
+                t, c, lam_b = t[keep], c[keep], lam_b[keep]
+                w, v, f, accept = w[keep], v[keep], f[keep], accept[keep]
+                plain, relax = plain[keep], relax[keep]
+                if not shared:
+                    lifted, back, signs = lifted[keep], back[keep], signs[keep]
+                    forward, wide, pullback = layouts(lifted, back)
+            go = accept[:, 0]
+            taken = np.count_nonzero(go)
+            if taken == rows.size:
+                lam, vecs = _eigh(pulled_back(w, v))
+                b, t, f_b, lam_b = c, vecs[:, :, -1].copy(), f, lam[:, -1:]
+            elif taken:
+                # a rejected row steps to its stored t: only accepted rows are pulled
+                # back, and of several pairs' rows only the n_in x n_in results are gathered
+                lam, vecs = _eigh(pulled_back(w[go], v[go]) if shared else pulled_back(w, v)[go])
+                b[go], t[go], f_b[go], lam_b[go] = c[go], vecs[:, :, -1], f[go], lam[:, -1:]
+            grown = np.minimum(_SEESAW_RELAX * relax, _SEESAW_RELAX_MAX)
+            relax = np.where(plain, _SEESAW_RELAX, grown)
+            plain = ~accept
     f_out[rows], psi_out[rows] = f_b[:, 0], b
     return f_out, psi_out, converged, iterations
 

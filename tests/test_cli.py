@@ -379,6 +379,16 @@ def test_distances_report():
     assert report["all_passed"] is True
 
 
+def test_distances_seed_771_raises_no_false_alarm():
+    # once a false alarm: one restart of a pair hit the iteration cap near the maximum of 2
+    # and failed "see-saws converged" while the other attained the estimate
+    res = _run(["distances", "--seed", "771", "--d1", "4", "--d2", "6", "--pairs", "2"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert all(check["passed"] for check in report["checks"])
+    assert report["all_passed"] is True
+
+
 def test_distances_usage_error():
     assert _run(["distances", "--seed", "0", "--pairs", "0"]).exit_code == 2
 

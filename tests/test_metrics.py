@@ -7,6 +7,8 @@ from ctlab.channels import Channel, random_channel
 from ctlab.linalg import dag, haar_unitary, hermitianize, random_pure_state, trace_norm
 from ctlab.metrics import (
     _SEESAW_MAX_ITER,
+    _SEESAW_RELAX,
+    _SEESAW_RELAX_MAX,
     _SEESAW_TOL,
     DiamondEstimate,
     _seesaw,
@@ -301,6 +303,76 @@ def _plain_seesaw(psi, lifted, signs, owner, tol, max_iter):
     return f_out, psi_out, converged, iterations
 
 
+def _masked_seesaw(psi, lifted, signs, owner, tol, max_iter):
+    """Referee: the over-relaxed see-saw as it stood before it pulled back only
+    the rows that go on.
+
+    Every active row is evaluated and pulled back in each iteration, every row
+    holds a copy of its pair's operators, and masked copies decide which rows
+    move.
+    """
+    _, n_out, r, n_in = lifted.shape
+    lifted, signs = lifted[owner], signs[owner][:, None, :]
+    back = (lifted.conj() * signs[..., None]).reshape(-1, n_out * r, n_in)
+    count = psi.shape[0]
+    f_out = np.full(count, -np.inf)
+    psi_out = psi.copy()
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.full(count, max_iter)
+    rows = np.arange(count)
+    # per-row scalars are (rows, 1) columns, so they broadcast against points
+    b, t = psi.copy(), psi.copy()
+    f_b = np.full((count, 1), -np.inf)
+    lam_b = f_b.copy()
+    plain = np.ones((count, 1), dtype=bool)
+    relax = np.full((count, 1), _SEESAW_RELAX)
+
+    def layouts(lifted, back):
+        # views of the row stacks: the forward map (n_in x n_out R), the first
+        # pull-back product (n_out x R n_in) and the signed adjoint (n_in x n_out R)
+        p = lifted.shape[0]
+        forward = lifted.reshape(p, n_out * r, n_in).swapaxes(1, 2)
+        return p, forward, lifted.reshape(p, n_out, r * n_in), back.swapaxes(1, 2)
+
+    p, forward, wide, pullback = layouts(lifted, back)
+    for it in range(1, max_iter + 1):
+        # c = normalize(b + relax (e^{i phi} t - b)); e^{i phi} = sign(<t|b>), which for
+        # complex z is z / |z| since numpy 2
+        c = b + relax * (np.sign(np.vecdot(t, b, keepdims=True)) * t - b)
+        c /= np.sqrt(np.vecdot(c, c, keepdims=True).real)
+        np.copyto(c, t, where=plain)
+        xs = (c[:, None, :] @ forward).reshape(p, n_out, r)
+        # eigh reads one triangle, so neither Hermitian operator is symmetrized
+        w, v = np.linalg.eigh((xs * signs) @ dag(xs))
+        f = np.abs(w).sum(-1, keepdims=True)
+        wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
+        lam, vecs = np.linalg.eigh(pullback @ (wmat @ wide).reshape(p, n_out * r, n_in))
+        accept = plain | (f >= lam_b)
+        done = (accept & (f - f_b < tol))[:, 0]
+        if done.any():
+            stop = rows[done]
+            f_out[stop] = np.maximum(f, f_b)[done, 0]
+            psi_out[stop] = np.where((f >= f_b)[done], c[done], b[done])
+            converged[stop], iterations[stop] = True, it
+            keep = ~done
+            rows, b, f_b = rows[keep], b[keep], f_b[keep]
+            if not rows.size:
+                break
+            lifted, back, signs = lifted[keep], back[keep], signs[keep]
+            p, forward, wide, pullback = layouts(lifted, back)
+            t, c, f, lam, vecs = t[keep], c[keep], f[keep], lam[keep], vecs[keep]
+            lam_b, plain, relax, accept = lam_b[keep], plain[keep], relax[keep], accept[keep]
+        np.copyto(b, c, where=accept)
+        np.copyto(t, vecs[:, :, -1], where=accept)
+        np.copyto(f_b, f, where=accept)
+        np.copyto(lam_b, lam[:, -1:], where=accept)
+        grown = np.minimum(_SEESAW_RELAX * relax, _SEESAW_RELAX_MAX)
+        relax = np.where(plain, _SEESAW_RELAX, grown)
+        plain = ~accept
+    f_out[rows], psi_out[rows] = f_b[:, 0], b
+    return f_out, psi_out, converged, iterations
+
+
 def test_relaxed_seesaw_against_the_plain_loop():
     # 80 pairs over the distances dimensions, two restarts each (the maximally
     # entangled start and one Haar start), the same starts for both loops
@@ -321,6 +393,50 @@ def test_relaxed_seesaw_against_the_plain_loop():
     assert relaxed[:, 1].sum() <= 0.7 * plain[:, 1].sum()
     assert np.all(relaxed[:, 0] >= plain[:, 0] - 1e-8)
     assert relaxed[:, 0].mean() >= plain[:, 0].mean()
+
+
+@st.composite
+def _seesaw_stack(draw):
+    """A see-saw's inputs: one unitary pair, or one to three pairs of one total
+    Kraus rank with their restart rows in shuffled order, and Haar starts."""
+    d_in, d_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    restarts = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pairs = [tuple(Channel.from_kraus([haar_unitary(d_in, rng)]) for _ in "ab")]
+    else:
+        lo = -(-d_in // d_out)
+        ra, rb = (int(rng.integers(lo, d_in * d_out + 1)) for _ in "ab")
+        pairs = [
+            (random_channel(d_in, d_out, ra, rng), random_channel(d_in, d_out, rb, rng))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    owner = rng.permutation(np.repeat(np.arange(len(pairs)), restarts))
+    starts = np.stack([random_pure_state(d_in * d_in, rng) for _ in owner])
+    return pairs, owner, starts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_seesaw_stack())
+def test_seesaw_equals_the_masked_loop_bit_for_bit(stack):
+    # pulling back only the rows that go on, and sharing one pair's operators, moves no bit
+    pairs, owner, starts = stack
+    lifted, signs = _signed_lifted_kraus(pairs)
+    got = _seesaw(starts, lifted, signs, owner, _SEESAW_TOL, _SEESAW_MAX_ITER)
+    want = _masked_seesaw(starts, lifted, signs, owner, _SEESAW_TOL, _SEESAW_MAX_ITER)
+    for name, g, w in zip(("f", "psi", "converged", "iterations"), got, want):
+        assert np.array_equal(g, w), name
+
+
+def test_seesaw_eigensolve_failure_raises_as_numpy_eigh_does():
+    # a nan start makes every eigensolve fail; the see-saw raises, as np.linalg.eigh
+    # does, rather than ascending on nan
+    rng = np.random.default_rng(21)
+    lifted, signs = _signed_lifted_kraus([(random_channel(2, 2, 2, rng), random_channel(2, 2, 2, rng))])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(np.full((2, 3, 3), np.nan + 0j))
+    with pytest.raises(np.linalg.LinAlgError):
+        _seesaw(np.full((2, 4), np.nan + 0j), lifted, signs, [0, 0], _SEESAW_TOL, _SEESAW_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------

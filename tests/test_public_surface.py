@@ -95,6 +95,10 @@ TEST_ONLY = {
         "tests/test_tomography.py checks a column's norm, overlap and phase with it"
     ),
     "cli._common": "decorates the commands when ctlab.cli is imported, before any command runs",
+    "metrics._eigh_failed": (
+        "raises only when a see-saw eigensolve fails, which no command's inputs make happen; run by "
+        "tests/test_metrics.py::test_seesaw_eigensolve_failure_raises_as_numpy_eigh_does"
+    ),
 }
 
 # The command set, each run at seed 3 with small counts: every command, all
