@@ -243,18 +243,22 @@ def choi_from_kraus(kraus) -> np.ndarray:
 
 
 def kraus_sets(channels) -> list:
-    """The canonical Kraus sets of channels of one shape, in order.
+    """The canonical Kraus sets of channels, in order.
 
     A channel's set is computed once and kept: the channels that lack one get
-    it from a stacked eigh of their Choi matrices, run in chunk_slices runs.
-    A set holds sqrt(w_i) times the eigenvector of each eigenvalue w_i above
-    RANK_RTOL * max(w, 0), as a d_out x d_in matrix, largest first; each is
-    its channel's own eigh and products, so the same bits as alone.
+    it from a stacked eigh of their Choi matrices, one stack per channel shape,
+    run in chunk_slices runs. A set holds sqrt(w_i) times the eigenvector of
+    each eigenvalue w_i above RANK_RTOL * max(w, 0), as a d_out x d_in matrix,
+    largest first; each is its channel's own eigh and products, so the same
+    bits as alone.
     """
     channels = list(channels)
-    todo = list({id(ch): ch for ch in channels if ch._kraus is None}.values())
-    if todo:
-        d_in, d_out = todo[0].d_in, todo[0].d_out
+    shapes: dict = {}
+    for ch in channels:
+        if ch._kraus is None:
+            shapes.setdefault((ch.d_in, ch.d_out), {})[id(ch)] = ch
+    for (d_in, d_out), todo in shapes.items():
+        todo = list(todo.values())
         n = d_in * d_out
         for run in chunk_slices(len(todo), 16 * n * n):
             group = todo[run]

@@ -280,8 +280,10 @@ def moments(seed: int, fmt: str, out: str, d: int, samples: int):
     # Haar stream and the Monte Carlo it feeds, ten arrays of one linalg._CHUNK_BYTES chunk of
     # samples at most (the Gram-Schmidt stack, its conjugate, which first takes the Ginibre
     # draws, and its work array, the four Monte Carlo products, and room for temporaries), the
-    # three quadruples' values of a chunk with the statistics' copy of them, and twirl2 seven
-    # d^2 x d^2 operators
+    # three quadruples' values of a chunk with the statistics' copy of them, and seven d^2 x
+    # d^2 operators for the twirl checks: the idempotence check holds its operator, its twirl,
+    # the twirl's twirl, their difference and its moduli, and a twirl a swapped copy of its
+    # input before its result (traced at d = 24: 4.7 such operators at the peak)
     step = min(samples, max(1, linalg._CHUNK_BYTES // (16 * d * d)))
     _budget_guard(16 * (7 * d**4 + 10 * d * d * step + 6 * step))
     checks = []
@@ -345,7 +347,10 @@ def localtest(
     outcomes = 2
     # testers keep two dim^2 outcomes each, and the tester under test its twirled forms two
     # more and its localized forms three at most; a trial ~10 more, and nothing that grows
-    # with --samples. Route (c) carries a sample by q = min(r^2, m) coordinates and first
+    # with --samples. Traced at n = 2, d1 = d2 = r = 3, drawing a tester peaks at 10.6
+    # dim^2 operators, and twirling its outcomes, each beside a swapped copy of it, and
+    # checking the twirled tester at 5.5 above what the run holds.
+    # Route (c) carries a sample by q = min(r^2, m) coordinates and first
     # pulls each outcome back to their zdim products through a dim x q^n map and four dim x
     # zdim arrays, keeping a zdim x zdim form per outcome. A stream of six arrays at most
     # draws each piece of linalg._CHUNK_BYTES of r x r unitaries, or one more (the piece, the
@@ -587,9 +592,9 @@ def distances(seed: int, fmt: str, out: str, d1: int, d2: int, pairs: int):
     # rows share, and each of its two rows' pulled-back witness; the unitary check's 16
     # restart rows share two d1^2 x d1^2 lifted operators and their signed adjoint, and each
     # holds its pulled-back witness (two such operators) and five d1^2 x d1^2 matrices (the
-    # output's eigenvectors and witness, the pull-back, and its eigenvectors of this and the
-    # last evaluation), beside the two unitary channels' Choi matrices and Kraus sets; and
-    # ~10 Choi-sized matrices
+    # output's eigenvectors, their rows gathered for a pull-back, the witness, the pull-back
+    # and its eigenvectors, which are dropped before the next evaluation), beside the two
+    # unitary channels' Choi matrices and Kraus sets; and ~10 Choi-sized matrices
     _budget_guard(16 * (10 * choi * d1 * d1 + 120 * d1**4 + 10 * choi))
 
     def pair_trial(index: int, rng: np.random.Generator):

@@ -23,7 +23,7 @@ from . import moments
 from .channels import Channel, dilate
 from .combs import LabelledOperator, Tester, apply_tester, identity_on
 from .linalg import chunk_slices, haar_unitaries, kron, swap_operator
-from .moments import mc_verdict, twirl1, twirl2
+from .moments import mc_verdict, twirl
 
 __all__ = [
     "average_tester",
@@ -67,24 +67,14 @@ def _anc_dim(tester: Tester, anc_labels: tuple) -> int:
 def average_tester(tester: Tester) -> Tester:
     """Twirl every outcome over a shared Haar unitary on the ancilla factors.
 
-    Supported for one or two queries (first and second moment twirls).
+    Supported for one or two queries (moments.twirl's first and second moment).
     """
     anc_labels = _find_anc_labels(tester)
-    n = tester.n_queries
-    outcomes = []
-    for lab, op in tester.outcomes:
-        if n == 1:
-            avg = twirl1(op.op, op.layout.dims, op.layout.position(anc_labels[0]))
-        elif n == 2:
-            avg = twirl2(op.op, op.layout.dims, op.layout.positions(anc_labels))
-        else:
-            raise ValueError("ancilla twirls are implemented for n <= 2 queries")
-        outcomes.append((lab, LabelledOperator(avg, op.layout)))
-    return Tester(
-        outcomes=tuple(outcomes),
-        in_labels=tester.in_labels,
-        out_labels=tester.out_labels,
+    outcomes = tuple(
+        (lab, LabelledOperator(twirl(op.op, op.layout.dims, op.layout.positions(anc_labels)), op.layout))
+        for lab, op in tester.outcomes
     )
+    return Tester(outcomes=outcomes, in_labels=tester.in_labels, out_labels=tester.out_labels)
 
 
 def _single_label(group, what: str):

@@ -211,6 +211,12 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
         wmat = (v * np.sign(w)[:, None, :]) @ dag(v)
         return pullback @ (wmat @ wide).reshape(-1, n_out * r, n_in)
 
+    def top_eigenpair(m):
+        # (lambda_c, t_c) of each M_c, copied out of eigh's output, which is dropped
+        # before the next evaluation
+        lam, vecs = _eigh(m)
+        return lam[:, -1:].copy(), vecs[:, :, -1].copy()
+
     forward, wide, pullback = layouts(lifted, back)
     # no step of a finite ascent but a failed eigensolve makes an invalid value
     with np.errstate(invalid="call", call=_eigh_failed):
@@ -249,13 +255,15 @@ def _seesaw(psi, lifted, signs, owner, tol, max_iter):
             go = accept[:, 0]
             taken = np.count_nonzero(go)
             if taken == rows.size:
-                lam, vecs = _eigh(pulled_back(w, v))
-                b, t, f_b, lam_b = c, vecs[:, :, -1].copy(), f, lam[:, -1:]
+                lam_b, t = top_eigenpair(pulled_back(w, v))
+                b, f_b = c, f
             elif taken:
                 # a rejected row steps to its stored t: only accepted rows are pulled
                 # back, and of several pairs' rows only the n_in x n_in results are gathered
-                lam, vecs = _eigh(pulled_back(w[go], v[go]) if shared else pulled_back(w, v)[go])
-                b[go], t[go], f_b[go], lam_b[go] = c[go], vecs[:, :, -1], f[go], lam[:, -1:]
+                lam_b[go], t[go] = top_eigenpair(
+                    pulled_back(w[go], v[go]) if shared else pulled_back(w, v)[go]
+                )
+                b[go], f_b[go] = c[go], f[go]
             grown = np.minimum(_SEESAW_RELAX * relax, _SEESAW_RELAX_MAX)
             relax = np.where(plain, _SEESAW_RELAX, grown)
             plain = ~accept
@@ -288,6 +296,9 @@ def diamond_distances(pairs, *, restarts: int = 16, rng: np.random.Generator) ->
         d = a.d_in
         me = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
         starts.append([me] + [random_pure_state(d * d, rng) for _ in range(restarts - 1)])
+    # one kraus_sets pass caches every canonical Kraus set, so neither the ranks below nor
+    # _signed_lifted_kraus solves a channel alone
+    kraus_sets([ch for pair in pairs for ch in pair])
     groups: dict = {}
     for k, (a, b) in enumerate(pairs):
         groups.setdefault((a.d_in, a.d_out, a.rank + b.rank), []).append(k)

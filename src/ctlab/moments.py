@@ -1,4 +1,4 @@
-"""Low-order Haar moments: one- and two-fold twirls and fourth moments.
+"""Low-order Haar moments: the one- and two-fold twirl and fourth moments.
 
 Everything here is restricted to first and second moments (plus the fourth
 moment of matrix elements, which is what the closed-form trace formula below
@@ -14,9 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import kron, partial_trace, permute_factors, swap_operator
+from .linalg import partial_trace
 
 __all__ = [
+    "twirl",
     "twirl1",
     "twirl2",
     "fourth_moment_trace",
@@ -29,67 +30,65 @@ __all__ = [
 _ALPHA = math.erfc(5 / math.sqrt(2))  # one Monte Carlo gate's false-alarm rate: the 5-sigma normal tails
 
 
-def twirl1(m: np.ndarray, dims, position: int) -> np.ndarray:
-    """Average of (U M U^dag) over Haar U acting on the factor at position.
+def twirl(m: np.ndarray, dims, positions) -> np.ndarray:
+    """Average of U^(x n) M (U^dag)^(x n) over Haar U on the n = 1 or 2 target
+    factors at positions, which share one dimension d.
 
-    The result replaces that factor by its maximally mixed marginal:
-    identity/d tensor the partial trace.
-    """
-    dims = tuple(int(d) for d in dims)
-    p = int(position)
-    mt = partial_trace(m, dims, [p])
-    d = dims[p]
-    k = len(dims)
-    r = kron(np.eye(d, dtype=complex) / d, mt)
-    order = []
-    nxt = 1
-    for q in range(k):
-        if q == p:
-            order.append(0)
-        else:
-            order.append(nxt)
-            nxt += 1
-    dims_r = (d,) + tuple(dims[q] for q in range(k) if q != p)
-    return permute_factors(r, dims_r, order)
+    The closed form (Weingarten calculus) expands in the permutations of the
+    targets; with M_I = tr_t(M) and M_S = tr_t((S (x) I) M), S their swap,
 
+        one target:   twirl(M) = I (x) X_I,            X_I = M_I / d,
+        two targets:  twirl(M) = I (x) X_I + S (x) X_S,
+                      X_I = (d M_I - M_S) / (d (d^2 - 1)),
+                      X_S = (d M_S - M_I) / (d (d^2 - 1)).
 
-def twirl2(m: np.ndarray, dims, positions) -> np.ndarray:
-    """Average of (U tensor U) M (U tensor U)^dag over Haar U.
-
-    Both target factors must share one dimension d; the closed form expands
-    in the identity and the swap on the target pair,
-
-        twirl2(M) = I (x) X_I + S (x) X_S,
-        X_I = (d M_I - M_S) / (d (d^2 - 1)),
-        X_S = (d M_S - M_I) / (d (d^2 - 1)),
-
-    with M_I = tr_t(M) and M_S = tr_t((S (x) I) M).
+    Both traces are partial traces of M's tensor, the second with its two target
+    row axes swapped, and each X term is written onto the diagonal of the target
+    axes of the result, the swap term's with its two target column axes
+    exchanged: no permutation matrix or tensor product is formed.
     """
     dims = tuple(int(d) for d in dims)
     pos = sorted(int(p) for p in positions)
-    if len(pos) != 2:
-        raise ValueError("twirl2 needs exactly two target factors")
-    k = len(dims)
-    order = pos + [q for q in range(k) if q not in pos]
-    mp = permute_factors(m, dims, order)
+    if not 1 <= len(pos) <= 2:
+        raise ValueError(f"twirls are implemented for n <= 2 target factors, not {len(pos)}")
+    if len(set(pos)) < len(pos):
+        raise ValueError("the swap permutation needs two distinct target factors")
+    m_i = partial_trace(m, dims, pos)
     d = dims[pos[0]]
-    if dims[pos[1]] != d:
-        raise ValueError("twirl2 targets must share one dimension")
+    if dims[pos[-1]] != d:
+        raise ValueError("twirl targets must share one dimension")
+    m = np.asarray(m, dtype=complex)
     if d == 1:
-        return np.array(m, dtype=complex)
-    dims_p = tuple(dims[q] for q in order)
-    rest = 1
-    for q in dims_p[2:]:
-        rest *= q
-    s = swap_operator(d)
-    m_i = partial_trace(mp, dims_p, [0, 1])
-    m_s = partial_trace(kron(s, np.eye(rest, dtype=complex)) @ mp, dims_p, [0, 1])
-    denom = d * (d * d - 1.0)
-    x_i = (d * m_i - m_s) / denom
-    x_s = (d * m_s - m_i) / denom
-    r = kron(np.eye(d * d, dtype=complex), x_i) + kron(s, x_s)
-    back = [order.index(q) for q in range(k)]
-    return permute_factors(r, dims_p, back)
+        return m.copy()
+    k = len(dims)
+    if len(pos) == 1:
+        terms = [(pos, m_i / d)]
+    else:
+        p, q = pos
+        m_s = partial_trace(m.reshape(dims + dims).swapaxes(p, q).reshape(m.shape), dims, pos)
+        denom = d * (d * d - 1.0)
+        terms = [(pos, (d * m_i - m_s) / denom), ([q, p], (d * m_s - m_i) / denom)]
+    # each term's X lands where the target row axes equal its target column axes
+    out = np.zeros(dims + dims, dtype=complex)
+    diagonal = np.ix_(*[range(d)] * len(pos)) * 2
+    rest = [dims[i] for i in range(k) if i not in pos] * 2
+    for cols, x in terms:
+        axes = pos + [k + c for c in cols]
+        np.moveaxis(out, axes, range(len(axes)))[diagonal] += x.reshape(rest)
+    return out.reshape(m.shape)
+
+
+def twirl1(m: np.ndarray, dims, position: int) -> np.ndarray:
+    """The twirl over the one factor at position: identity/d tensor the partial trace."""
+    return twirl(m, dims, [position])
+
+
+def twirl2(m: np.ndarray, dims, positions) -> np.ndarray:
+    """The twirl over exactly two target factors: (U tensor U) M (U tensor U)^dag averaged."""
+    positions = list(positions)
+    if len(positions) != 2:
+        raise ValueError("twirl2 needs exactly two target factors")
+    return twirl(m, dims, positions)
 
 
 def _square_operators(a1, b1, a2, b2) -> list[np.ndarray]:

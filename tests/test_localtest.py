@@ -26,7 +26,7 @@ from ctlab.localtest import (
     localize_tester,
     verify_dilation_identity,
 )
-from ctlab.moments import twirl1
+from ctlab.moments import twirl1, twirl2
 
 
 def test_perp_label_value():
@@ -41,6 +41,17 @@ def test_average_tester_single_query_matches_twirl1():
         want = twirl1(raw.op, raw.layout.dims, raw.layout.position(("anc", 0)))
         assert np.abs(tw.op - want).max() < 1e-11
     assert avg.n_queries == 1
+    assert avg.outcome_names == t.outcome_names
+
+
+def test_average_tester_two_queries_matches_twirl2():
+    rng = np.random.default_rng(1)
+    t = random_parallel_tester(2, 2, 2, 3, rng, anc_dim=2)
+    avg = average_tester(t)
+    for (_, raw), (_, tw) in zip(t.outcomes, avg.outcomes):
+        want = twirl2(raw.op, raw.layout.dims, raw.layout.positions([("anc", 0), ("anc", 1)]))
+        assert np.abs(tw.op - want).max() < 1e-11
+    assert avg.n_queries == 2
     assert avg.outcome_names == t.outcome_names
 
 

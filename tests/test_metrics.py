@@ -227,6 +227,45 @@ def test_seesaw_restart_does_not_depend_on_its_batch(pool, restarts, seed):
         assert it[row] == it1[0]
 
 
+def test_one_pair_diamond_distance_takes_both_kraus_sets_from_one_eigh(monkeypatch):
+    # the canonical Kraus sets come from one stacked eigh before the pairs are grouped by
+    # rank, not from one eigh per channel, as each Channel.rank would run it
+    rng = np.random.default_rng(8)
+    a, b = random_channel(2, 2, 2, rng), random_channel(2, 2, 3, rng)
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        stacks.append(m.shape[:-2])
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    diamond_distance(a, b, restarts=2, rng=rng)
+    assert stacks == [(2,)]
+
+
+def test_diamond_distances_over_two_shapes_equal_each_solo_call():
+    # one call solves the Kraus sets of both channel shapes and groups the pairs by shape
+    # and rank; each pair's estimate equals its solo call on channels made alike, whose
+    # starts come from the same generator in pair order
+    def pairs():
+        rng = np.random.default_rng(9)
+        shapes = ((2, 2, 2), (2, 3, 3), (2, 2, 3), (2, 3, 3))
+        return [(random_channel(i, o, r, rng), random_channel(i, o, 2, rng)) for i, o, r in shapes]
+
+    batch = diamond_distances(pairs(), restarts=3, rng=np.random.default_rng(10))
+    rng = np.random.default_rng(10)
+    for (a, b), est in zip(pairs(), batch):
+        solo = diamond_distance(a, b, restarts=3, rng=rng)
+        assert (est.lower, est.upper, est.iterations, est.converged) == (
+            solo.lower,
+            solo.upper,
+            solo.iterations,
+            solo.converged,
+        )
+        assert np.array_equal(est.witness_state, solo.witness_state)
+
+
 def test_diamond_restart_guard():
     rng = np.random.default_rng(7)
     ch = random_channel(2, 2, 1, rng)

@@ -10,12 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctlab import cli, hardness, linalg, localtest, moments
-from ctlab.linalg import dag, haar_unitaries, swap_operator
+from ctlab.linalg import dag, haar_unitaries, kron, partial_trace, permute_factors, swap_operator
 from ctlab.moments import (
     fourth_moment_trace,
     mc_fourth_moment_trace,
     mc_fourth_moment_traces,
     mc_verdict,
+    twirl,
     twirl1,
     twirl2,
 )
@@ -146,6 +147,61 @@ def test_twirl_positions_are_checked():
         twirl2(m, (2, 2), (0,))
     with pytest.raises(ValueError, match="permutation"):
         twirl2(m, (2, 2), (1, 1))
+
+
+def _dense_twirl1(m, dims, p):
+    """Referee: identity/d on the target moved to the front by a kron, then moved back."""
+    k = len(dims)
+    d = dims[p]
+    r = kron(np.eye(d, dtype=complex) / d, partial_trace(m, dims, [p]))
+    order = [0 if q == p else q + (q < p) for q in range(k)]
+    return permute_factors(r, (d,) + tuple(dims[q] for q in range(k) if q != p), order)
+
+
+def _dense_twirl2(m, dims, positions):
+    """Referee: the targets moved to the front, M_S from the dense product (S (x) 1) M,
+    and I (x) X_I + S (x) X_S rebuilt by two krons and moved back."""
+    pos = sorted(positions)
+    k = len(dims)
+    order = pos + [q for q in range(k) if q not in pos]
+    mp = permute_factors(m, dims, order)
+    d = dims[pos[0]]
+    if d == 1:
+        return np.array(m, dtype=complex)
+    dims_p = tuple(dims[q] for q in order)
+    rest = int(np.prod(dims_p[2:]))
+    s = swap_operator(d)
+    m_i = partial_trace(mp, dims_p, [0, 1])
+    m_s = partial_trace(kron(s, np.eye(rest, dtype=complex)) @ mp, dims_p, [0, 1])
+    denom = d * (d * d - 1.0)
+    x_i = (d * m_i - m_s) / denom
+    x_s = (d * m_s - m_i) / denom
+    r = kron(np.eye(d * d, dtype=complex), x_i) + kron(s, x_s)
+    return permute_factors(r, dims_p, [order.index(q) for q in range(k)])
+
+
+@st.composite
+def _twirl_targets(draw):
+    """A random complex operator on 1-4 factors of dims 1-3 with one target, or with two
+    of one dimension."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    targets = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=2, unique=True))
+    dims[targets[-1]] = dims[targets[0]]
+    n = int(np.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), tuple(dims), targets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_twirl_targets())
+def test_twirl_equals_the_dense_formula(case):
+    # the twirl on M's tensor makes the dense formula's values; == lets signed zeros pass
+    m, dims, targets = case
+    if len(targets) == 1:
+        want = _dense_twirl1(m, dims, targets[0])
+    else:
+        want = _dense_twirl2(m, dims, targets)
+    assert np.all(twirl(m, dims, targets) == want)
 
 
 # ---------------------------------------------------------------------------
